@@ -13,6 +13,7 @@ back the same object, so identity comparison and dict keying are cheap.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Callable, NamedTuple, Optional, Union
 
 Rat = Union[int, Fraction]
@@ -50,13 +51,34 @@ def parity(d1: Degree, d2: Degree) -> int:
 # ----------------------------------------------------------------------
 
 class GaussianRational:
-    """Complex number re + i*im with exact rational parts."""
+    """Complex number (a + b*i)/d with integer a, b, d.
 
-    __slots__ = ("re", "im")
+    The triple is normalised, d > 0 and gcd(a, b, d) == 1, so equal values
+    have equal triples; zero is (0, 0, 1).  `re` and `im` are exact
+    Fraction views of the real and imaginary parts.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re: Rat = 0, im: Rat = 0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        if type(re) is int and type(im) is int:
+            self._a, self._b, self._d = re, im, 1
+            return
+        re, im = Fraction(re), Fraction(im)
+        p, q = re.numerator, re.denominator
+        r, s = im.numerator, im.denominator
+        # over the common denominator of two reduced fractions the triple
+        # is already coprime
+        d = q * s // gcd(q, s)
+        self._a, self._b, self._d = p * (d // q), r * (d // s), d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     # -- coercion ------------------------------------------------------
 
@@ -71,10 +93,15 @@ class GaussianRational:
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
-        o = GaussianRational.coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        if type(other) is not GaussianRational:
+            other = GaussianRational.coerce(other)
+            if other is None:
+                return NotImplemented
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            return _reduced(self._a + other._a, self._b + other._b, d1)
+        return _reduced(self._a * d2 + other._a * d1,
+                        self._b * d2 + other._b * d1, d1 * d2)
 
     __radd__ = __add__
 
@@ -82,20 +109,23 @@ class GaussianRational:
         o = GaussianRational.coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        return _reduced(self._a * o._d - o._a * self._d,
+                        self._b * o._d - o._b * self._d, self._d * o._d)
 
     def __rsub__(self, other):
         o = GaussianRational.coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(o.re - self.re, o.im - self.im)
+        return o - self
 
     def __mul__(self, other):
-        o = GaussianRational.coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re * o.re - self.im * o.im,
-                                self.re * o.im + self.im * o.re)
+        if type(other) is not GaussianRational:
+            other = GaussianRational.coerce(other)
+            if other is None:
+                return NotImplemented
+        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2,
+                        self._d * other._d)
 
     __rmul__ = __mul__
 
@@ -103,11 +133,13 @@ class GaussianRational:
         o = GaussianRational.coerce(other)
         if o is None:
             return NotImplemented
-        den = o.re * o.re + o.im * o.im
-        if den == 0:
+        a1, b1, a2, b2 = self._a, self._b, o._a, o._b
+        norm = a2 * a2 + b2 * b2
+        if norm == 0:
             raise ZeroDivisionError("division by zero scalar")
-        return GaussianRational((self.re * o.re + self.im * o.im) / den,
-                                (self.im * o.re - self.re * o.im) / den)
+        d2 = o._d
+        return _reduced(d2 * (a1 * a2 + b1 * b2), d2 * (b1 * a2 - a1 * b2),
+                        self._d * norm)
 
     def __rtruediv__(self, other):
         o = GaussianRational.coerce(other)
@@ -116,7 +148,7 @@ class GaussianRational:
         return o / self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _reduced(-self._a, -self._b, self._d)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -131,24 +163,27 @@ class GaussianRational:
         return out
 
     def conj(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _reduced(self._a, -self._b, self._d)
 
     # -- predicates / hashing -------------------------------------------
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return self._b == 0
 
     def __bool__(self) -> bool:
-        return self.re != 0 or self.im != 0
+        return self._a != 0 or self._b != 0
 
     def __eq__(self, other) -> bool:
-        o = GaussianRational.coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
+        if type(other) is not GaussianRational:
+            other = GaussianRational.coerce(other)
+            if other is None:
+                return NotImplemented
+        return (self._a == other._a and self._b == other._b
+                and self._d == other._d)
 
     def __hash__(self) -> int:
-        if self.im == 0:
+        # a real scalar hashes like the int or Fraction it equals
+        if self._b == 0:
             return hash(self.re)
         return hash((self.re, self.im))
 
@@ -158,18 +193,32 @@ class GaussianRational:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            if self.im == 1:
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            if im == 1:
                 return "i"
-            if self.im == -1:
+            if im == -1:
                 return "-i"
-            return f"{self.im}*i"
-        sign = "+" if self.im > 0 else "-"
-        mag = abs(self.im)
+            return f"{im}*i"
+        sign = "+" if im > 0 else "-"
+        mag = abs(im)
         ipart = "i" if mag == 1 else f"{mag}*i"
-        return f"({self.re}{sign}{ipart})"
+        return f"({re}{sign}{ipart})"
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """Scalar (a + b*i)/d for d > 0, divided through by gcd(a, b, d)."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    z = object.__new__(GaussianRational)
+    z._a, z._b, z._d = a, b, d
+    return z
 
 
 QONE = GaussianRational(1)
@@ -208,10 +257,11 @@ class Generator:
     dim       scaling dimension as a Fraction
     nilpotent True when the square vanishes identically
     eps_group truncation group tag for small parameters, else None
+    mask      the degree (a, b) packed as the 2-bit int a | b << 1
     """
 
-    __slots__ = ("name", "kind", "degree", "dim", "nilpotent", "eps_group",
-                 "space", "base", "jet", "sort_key")
+    __slots__ = ("name", "kind", "degree", "mask", "dim", "nilpotent",
+                 "eps_group", "space", "base", "jet", "sort_key")
 
     _registry: dict = {}
 
@@ -220,6 +270,7 @@ class Generator:
         self.name = name
         self.kind = kind
         self.degree = degree
+        self.mask = degree.a | degree.b << 1
         self.dim = Fraction(dim)
         self.nilpotent = nilpotent
         self.eps_group = eps_group

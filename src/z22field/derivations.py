@@ -103,18 +103,6 @@ class CompositeDerivation(Derivation):
         return out
 
 
-class ScalarMultipleDerivation(Derivation):
-    def __init__(self, c: GaussianRational, inner: Derivation,
-                 name: Optional[str] = None):
-        self.c = c
-        self.inner = inner
-        self.name = name or f"{c}*{inner.name}"
-        self.degree = inner.degree
-
-    def apply(self, expr: GradedExpr) -> GradedExpr:
-        return scalar(self.c) * self.inner.apply(expr)
-
-
 class BracketDerivation(Derivation):
     """Graded commutator A B - (-1)^parity(degA, degB) B A."""
 
@@ -183,9 +171,6 @@ def fn_field_derivative(g: Generator, which: str) -> Optional[GradedExpr]:
             return gexp(pairjet(m + 1, 0, space))
         return None
     raise ValueError(f"unknown function symbol {g.name}")
-
-
-_EXPLICIT_Y_FN = ("S11y", "C11y", "Vtpair")
 
 
 def _fn_has_explicit_measure(g: Generator) -> bool:

@@ -39,7 +39,7 @@ class WeylOp:
         out: Dict[Word, GaussianRational] = {}
         for c, w in items:
             acc = out.get(w, _ZERO) + c
-            if acc.re == 0 and acc.im == 0:
+            if not acc:
                 out.pop(w, None)
             else:
                 out[w] = acc
@@ -49,7 +49,7 @@ class WeylOp:
         out = dict(self.terms)
         for w, c in other.terms.items():
             acc = out.get(w, _ZERO) + c
-            if acc.re == 0 and acc.im == 0:
+            if not acc:
                 out.pop(w, None)
             else:
                 out[w] = acc
@@ -63,7 +63,7 @@ class WeylOp:
 
     def scale(self, c) -> "WeylOp":
         c = GaussianRational.coerce(c)
-        if c.re == 0 and c.im == 0:
+        if not c:
             return WeylOp()
         return WeylOp({w: v * c for w, v in self.terms.items()})
 
@@ -80,7 +80,7 @@ class WeylOp:
                         w = (a1 + a2 - k, b1 + b2 - l,
                              c1 + c2 - k, d1 + d2 - l)
                         acc = out.get(w, _ZERO) + uv * GaussianRational(ck * cl)
-                        if acc.re == 0 and acc.im == 0:
+                        if not acc:
                             out.pop(w, None)
                         else:
                             out[w] = acc
@@ -217,7 +217,7 @@ def matrices_from_tables(stage: str = "x") -> Dict[str, MatrixOp]:
                 col = _INDEX[jet.base]
                 cell = entries.setdefault((row, col), {})
                 acc = cell.get(word, _ZERO) + c
-                if acc.re == 0 and acc.im == 0:
+                if not acc:
                     cell.pop(word, None)
                 else:
                     cell[word] = acc

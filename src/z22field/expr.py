@@ -45,17 +45,27 @@ def _normalize_exp(e: Exponent) -> Exponent:
 # monomial kernel
 # ----------------------------------------------------------------------
 
+# swap-sign exponent of two packed degree masks m1, m2: the parity of
+# a1*a2 + b1*b2, i.e. of the number of set bits in m1 & m2
+_MASK_PARITY = (0, 1, 1, 0)
+
+
 def _mono_mul(m1: Monomial, m2: Monomial):
     """Merge two canonical monomials.
 
-    Returns (sign_exponent, monomial) or None when the product vanishes.
+    Returns (sign_exponent, monomial) or None when the product vanishes;
+    sign_exponent is 0 or 1.
     """
     n1, n2 = len(m1), len(m2)
-    # suffix degrees of m1 for crossing signs
-    suffix = [DEG00] * (n1 + 1)
+    # suffix degree masks of m1 for crossing signs; fractional exponents
+    # only sit on (0,0) generators, so like even powers they carry no degree
+    suffix = [0] * (n1 + 1)
+    acc = 0
     for i in range(n1 - 1, -1, -1):
         g, e = m1[i]
-        suffix[i] = suffix[i + 1] + _exp_degree(g, e)
+        if type(e) is int and e & 1:
+            acc ^= g.mask
+        suffix[i] = acc
 
     out = []
     sign = 0
@@ -67,7 +77,8 @@ def _mono_mul(m1: Monomial, m2: Monomial):
                 g, e1 = m1[i]
                 e2 = m2[j][1]
                 # the m2 factor crosses what is left of m1 beyond position i
-                sign += parity(_exp_degree(g, e2), suffix[i + 1])
+                if type(e2) is int and e2 & 1:
+                    sign ^= _MASK_PARITY[g.mask & suffix[i + 1]]
                 e = _normalize_exp(e1 + e2)
                 i += 1
                 j += 1
@@ -84,7 +95,8 @@ def _mono_mul(m1: Monomial, m2: Monomial):
                 i += 1
         else:
             g, e = m2[j]
-            sign += parity(_exp_degree(g, e), suffix[i])
+            if type(e) is int and e & 1:
+                sign ^= _MASK_PARITY[g.mask & suffix[i]]
             out.append((g, e))
             j += 1
 
@@ -98,7 +110,7 @@ def _mono_mul(m1: Monomial, m2: Monomial):
         if merged is None:
             return None
         s2, mono = merged
-        return (sign + s2, mono)
+        return (sign ^ s2, mono)
 
     mono = tuple(out)
     if _eps_overflow(mono):
@@ -388,26 +400,6 @@ class GradedExpr:
         q = GradedExpr(with_g).strip_left(g) if with_g else GradedExpr({})
         return GradedExpr(without), q
 
-    def coefficient_of(self, g: Generator, e: Exponent):
-        """Left coefficient of g**e: terms where g appears with exponent e,
-        with that factor removed (sign of moving it left included)."""
-        sel = {}
-        for mono, c in self.terms.items():
-            for gg, ee in mono:
-                if gg is g and ee == e:
-                    sel[mono] = c
-                    break
-        if not sel:
-            return GradedExpr({})
-        if e == 1:
-            return GradedExpr(sel).strip_left(g)
-        # even generators only; no sign to track
-        terms = {}
-        for mono, c in sel.items():
-            rest = tuple((gg, ee) for gg, ee in mono if gg is not g)
-            terms[rest] = c
-        return GradedExpr(terms)
-
     def generators(self):
         seen = set()
         for mono in self.terms:
@@ -415,17 +407,6 @@ class GradedExpr:
                 if g not in seen:
                     seen.add(g)
                     yield g
-
-    def max_jet_order(self) -> int:
-        """Largest total derivative order among field-jet factors."""
-        best = 0
-        for mono in self.terms:
-            for g, _ in mono:
-                if g.kind == "field":
-                    m, n = g.jet
-                    if m + n > best:
-                        best = m + n
-        return best
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: _mono_sort_token(kv[0]))

@@ -264,7 +264,7 @@ def _solve_sparse(columns: List[dict], rhs: dict) -> Optional[List]:
                 if cj == ci:
                     continue
                 w = table[r].get(cj, GaussianRational(0)) - f * v
-                if w.re == 0 and w.im == 0:
+                if not w:
                     if cj in table[r]:
                         del table[r][cj]
                         col_rows[cj].discard(r)
@@ -274,13 +274,13 @@ def _solve_sparse(columns: List[dict], rhs: dict) -> Optional[List]:
             b[r] = b[r] - f * b[pr]
 
     for r in range(len(row_list)):
-        if r not in used and not table[r] and (b[r].re != 0 or b[r].im != 0):
+        if r not in used and not table[r] and b[r]:
             return None
     # with Gauss-Jordan sweeps the unused rows must be consistent too
     for r in range(len(row_list)):
         if r not in used and table[r]:
             # row still ties free columns only; rhs must already be zero
-            if b[r].re != 0 or b[r].im != 0:
+            if b[r]:
                 return None
 
     sol = [GaussianRational(0)] * len(columns)
@@ -334,10 +334,10 @@ def divergence_split(s: GradedExpr, stage: str = "x",
             k0 = GradedExpr.zero()
             k1 = GradedExpr.zero()
             for c, mono in zip(sol[:len(cands0)], cands0):
-                if c.re != 0 or c.im != 0:
+                if c:
                     k0 = k0 + scalar(c) * _mono_expr(mono)
             for c, mono in zip(sol[len(cands0):], cands1):
-                if c.re != 0 or c.im != 0:
+                if c:
                     k1 = k1 + scalar(c) * _mono_expr(mono)
             if dt(k0) + dx(k1) != s:
                 raise AssertionError("divergence certificate failed")

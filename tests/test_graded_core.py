@@ -1,6 +1,7 @@
 """Ring-level properties: sign rule, canonical form, star, exact scalars."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from z22field import (DEG00, DEG01, DEG10, DEG11, GaussianRational,
                       GradedExpr, coord, field, gexp, param, parity, scalar)
 from z22field.core import QI, QONE, QZERO
+from z22field.expr import _mono_mul
 
 
 # ----------------------------------------------------------------------
@@ -40,6 +42,92 @@ def test_scalar_conjugation(a):
 def test_imaginary_unit():
     assert QI * QI == GaussianRational(-1)
     assert QI.conj() == -QI
+
+
+# -- the integer-triple representation against a (Fraction, Fraction)
+#    reference
+
+def _ref_str(re, im):
+    if im == 0:
+        return str(re)
+    if re == 0:
+        return "i" if im == 1 else "-i" if im == -1 else f"{im}*i"
+    mag = abs(im)
+    ipart = "i" if mag == 1 else f"{mag}*i"
+    return f"({re}{'+' if im > 0 else '-'}{ipart})"
+
+
+def _ref_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _ref_pow(x, n):
+    out = (Fraction(1), Fraction(0))
+    for _ in range(n):
+        out = _ref_mul(out, x)
+    return out
+
+
+def _agrees(z, ref):
+    re, im = ref
+    assert (z.re, z.im) == (re, im)
+    assert type(z.re) is Fraction and type(z.im) is Fraction
+    assert z == GaussianRational(re, im)
+    assert hash(z) == (hash(re) if im == 0 else hash((re, im)))
+    assert str(z) == _ref_str(re, im)
+    assert repr(z) == f"GaussianRational({re!r}, {im!r})"
+    assert bool(z) == (re != 0 or im != 0)
+    assert z._d > 0 and gcd(z._a, z._b, z._d) == 1
+
+
+wide = st.fractions(min_value=-300, max_value=300, max_denominator=60)
+
+
+@given(wide, wide, wide, wide, st.integers(0, 5))
+def test_scalar_matches_fraction_pair_reference(p, q, r, s, n):
+    x, y = GaussianRational(p, q), GaussianRational(r, s)
+    _agrees(x, (p, q))
+    _agrees(x + y, (p + r, q + s))
+    _agrees(x - y, (p - r, q - s))
+    _agrees(x * y, _ref_mul((p, q), (r, s)))
+    _agrees(-x, (-p, -q))
+    _agrees(x.conj(), (p, -q))
+    _agrees(x ** n, _ref_pow((p, q), n))
+    norm = r * r + s * s
+    if norm:
+        _agrees(x / y, ((p * r + q * s) / norm, (q * r - p * s) / norm))
+    assert (x == y) == ((p, q) == (r, s))
+
+
+def test_scalar_triple_is_normalised():
+    a = GaussianRational(Fraction(2, 4), Fraction(1, 2))
+    b = GaussianRational(Fraction(1, 2), Fraction(1, 2))
+    assert a == b and hash(a) == hash(b)
+    assert (a._a, a._b, a._d) == (1, 1, 2)
+    half = GaussianRational(Fraction(1, 2))
+    assert (half + half)._d == 1 and half + half == 1
+    zero = GaussianRational(Fraction(3, 4), Fraction(-5, 6)) * 0
+    assert (zero._a, zero._b, zero._d) == (0, 0, 1)
+    q = GaussianRational(Fraction(1, 3)) / GaussianRational(-2, 2)
+    assert q._d > 0 and gcd(q._a, q._b, q._d) == 1
+
+
+def test_scalar_interoperates_with_int_and_fraction():
+    assert GaussianRational(3) == 3 and 3 == GaussianRational(3)
+    assert GaussianRational(Fraction(3, 4)) == Fraction(3, 4)
+    assert hash(GaussianRational(3)) == hash(3)
+    assert hash(GaussianRational(Fraction(-3, 4))) == hash(Fraction(-3, 4))
+    keys = {3: "int", Fraction(1, 2): "frac"}
+    assert keys[GaussianRational(3)] == "int"
+    assert keys[GaussianRational(Fraction(2, 4))] == "frac"
+    assert GaussianRational(0, 1) != 0
+    assert GaussianRational(1) != 1.5
+    with pytest.raises(ZeroDivisionError):
+        QONE / QZERO
+    with pytest.raises(ZeroDivisionError):
+        GaussianRational(Fraction(1, 2), 3) / 0
+    with pytest.raises(AttributeError):
+        QONE.re = Fraction(2)
 
 
 # ----------------------------------------------------------------------
@@ -182,3 +270,78 @@ def test_equality_ignores_construction_path():
     e1 = (a + a) * scalar(Fraction(1, 2))
     assert e1 == a
     assert scalar(0) * a == GradedExpr.zero()
+
+
+# ----------------------------------------------------------------------
+# monomial merge sign against a brute-force pairwise-swap reference
+# ----------------------------------------------------------------------
+
+_Y, _X, _Z = coord("y"), coord("x"), coord("z")
+_ODD_JETS = [field(b, m, n, "y") for b in ("psi10", "psi01", "lam10", "lam01")
+             for m in (0, 1, 2) for n in (0, 1)]
+_EVEN = [coord("t"), field("phi00", 1, 0, "y"), field("phi11", 0, 1, "y"),
+         field("A11", 0, 0, "x"), param("alpha"), param("eps00"),
+         param("eps11")]
+_NILPOTENT = [coord("th10"), coord("th01"), param("eps10"), param("eps01")]
+
+_factor = st.one_of(
+    st.tuples(st.sampled_from(_ODD_JETS + _NILPOTENT + [_Z]), st.just(1)),
+    st.tuples(st.sampled_from(_EVEN), st.integers(1, 3)),
+    st.tuples(st.sampled_from([_Y, _X]),
+              st.fractions(min_value=-3, max_value=3, max_denominator=3)
+              .filter(bool).map(lambda e: int(e) if e.denominator == 1
+                                else e)),
+)
+
+
+def _swap_degree(g, e):
+    return g.degree if isinstance(e, int) and e & 1 else DEG00
+
+
+def _reference_product(word):
+    """Sign exponent and canonical monomial of a word of factors, or None.
+
+    The sign counts, for every pair standing in the wrong order, the swap
+    sign of the two factors; equal generators then merge and z**2 folds
+    into y, neither of which moves an odd factor past another."""
+    sign = 0
+    for i in range(len(word)):
+        for j in range(i + 1, len(word)):
+            (g, e), (h, f) = word[i], word[j]
+            if g.sort_key > h.sort_key:
+                sign += parity(_swap_degree(g, e), _swap_degree(h, f))
+    total = {}
+    for g, e in word:
+        total[g] = total.get(g, 0) + Fraction(e)
+    if _Z in total:
+        k = int(total.pop(_Z))
+        total[_Y] = total.get(_Y, 0) + k // 2
+        if k & 1:
+            total[_Z] = Fraction(1)
+    groups = {}
+    mono = []
+    for g in sorted(total, key=lambda g: g.sort_key):
+        e = total[g]
+        if e == 0:
+            continue
+        if g.nilpotent and e >= 2:
+            return None
+        if g.eps_group is not None:
+            groups[g.eps_group] = groups.get(g.eps_group, 0) + e
+            if groups[g.eps_group] >= 2:
+                return None
+        mono.append((g, int(e) if e.denominator == 1 else e))
+    return sign & 1, tuple(mono)
+
+
+@given(st.lists(_factor, max_size=7))
+@settings(max_examples=300, deadline=None)
+def test_mono_mul_sign_matches_pairwise_swaps(word):
+    got = (0, ())
+    for g, e in word:
+        if got is None:
+            break
+        s, mono = got
+        hit = _mono_mul(mono, ((g, e),))
+        got = None if hit is None else ((s + hit[0]) & 1, hit[1])
+    assert got == _reference_product(word)
