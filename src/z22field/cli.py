@@ -381,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("report-all"))
 
     s = sub.add_parser("simulate")
-    s.add_argument("--format", choices=FORMATS, default="csv")
     s.add_argument("--config", default=None,
                    help="key = value text file with SimConfig fields")
     s.add_argument("--alpha", type=float, default=None)

@@ -6,8 +6,25 @@ Evolves the coupled pair
     phi11_tt = phi11_xx - (alpha^2/2) cos(2 phi00) sin(2 phi11)
 
 (or the massive linear variant) with a velocity-Verlet update on a
-uniform grid.  Fermions stay symbolic; they have no numeric classical
-representation.
+uniform grid.  In u = phi00 + phi11 and v = phi00 - phi11 the coupling
+is (alpha^2/4)(sin 2u +- sin 2v), so the pair is two decoupled
+sine-Gordon equations, the force costs two sines per site, and the
+potential is (alpha^2/4)(sin^2 u + sin^2 v).  Fermions stay symbolic;
+they have no numeric classical representation.
+
+Each `step` evaluates `force` once: the force at the new positions,
+which closes one Verlet step, opens the next.  `step` keeps it on the
+state it returns, keyed by the inputs the force depends on, (model,
+boundary, alpha, dx), and by the position arrays it was computed at; a
+state without that force (from `init_profile`, or built by hand) or
+stepped under a config with another key gets a fresh evaluation.
+`step` never writes into its input, and the field arrays of the state
+it returns are read-only, so an in-place edit raises instead of pairing
+new positions with an old force.
+
+`total_energy` is the scheme's own discrete energy, which the update
+conserves up to a bounded oscillation, and `SimConfig` refuses a time
+step past the Verlet stability bound dt^2 (4/dx^2 + alpha^2) < 4.
 """
 
 import math
@@ -44,11 +61,22 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.dt is None:
             self.dt = 0.4 * self.dx
+        for name in ("alpha", "dx", "dt", "x_min", "x_max", "t_end"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got "
+                                 f"{getattr(self, name)}")
         if self.dx <= 0 or self.dt <= 0:
             raise ValueError("dx and dt must be positive")
-        # unit wave speed: explicit update is unstable past dt = dx
-        if self.dt > self.dx + 1e-12:
-            raise ValueError(f"CFL violated: dt={self.dt} > dx={self.dx}")
+        if self.t_end < 0:
+            raise ValueError(f"t_end must not be negative, got {self.t_end}")
+        # Verlet is stable while dt^2 k < 4 for every frequency^2 k of the
+        # linearised force; k < 4/dx^2 + alpha^2 for both models, as both
+        # potentials curve by at most alpha^2
+        dt, dx = self.dt, self.dx
+        if not (2.0 * dt / dx) ** 2 + (self.alpha * dt) ** 2 < 4.0:
+            raise ValueError(
+                f"dt={dt} is unstable: Verlet needs dt^2 (4/dx^2 + "
+                f"alpha^2) < 4, here dx={dx} and alpha={self.alpha}")
         if self.x_max <= self.x_min:
             raise ValueError("empty spatial interval")
         if self.boundary not in BOUNDARIES:
@@ -67,6 +95,10 @@ class FieldState:
     pi00: np.ndarray
     pi11: np.ndarray
     time: float = 0.0
+    # (key, phi00, phi11, f00, f11): the force that `step` computed at
+    # these positions, see the module docstring
+    cached_force: Optional[tuple] = dataclass_field(
+        default=None, init=False, repr=False, compare=False)
 
     def check(self) -> "FieldState":
         n = len(self.x)
@@ -143,23 +175,35 @@ def init_profile(cfg: SimConfig) -> FieldState:
 # ----------------------------------------------------------------------
 
 def _laplacian(phi: np.ndarray, cfg: SimConfig) -> np.ndarray:
+    """3-point Laplacian in a fresh array, built in place."""
     if cfg.boundary == "periodic":
-        return (np.roll(phi, -1) - 2.0 * phi + np.roll(phi, 1)) / cfg.dx ** 2
-    lap = np.zeros_like(phi)
-    lap[1:-1] = (phi[2:] - 2.0 * phi[1:-1] + phi[:-2]) / cfg.dx ** 2
-    return lap  # clamped ends: boundary values stay put
+        lap = np.roll(phi, -1)
+        lap += np.roll(phi, 1)
+        lap -= 2.0 * phi
+    else:
+        lap = np.empty_like(phi)
+        lap[0] = lap[-1] = 0.0  # clamped ends: boundary values stay put
+        np.add(phi[2:], phi[:-2], out=lap[1:-1])
+        lap[1:-1] -= 2.0 * phi[1:-1]
+    lap /= cfg.dx ** 2
+    return lap
 
 
 def force(state: FieldState, cfg: SimConfig) -> Tuple[np.ndarray, np.ndarray]:
     a2 = cfg.alpha ** 2
-    f00 = _laplacian(state.phi00, cfg)
-    f11 = _laplacian(state.phi11, cfg)
+    phi00, phi11 = state.phi00, state.phi11
+    f00 = _laplacian(phi00, cfg)
+    f11 = _laplacian(phi11, cfg)
     if cfg.model == "sine-gordon":
-        f00 = f00 - 0.5 * a2 * np.sin(2.0 * state.phi00) * np.cos(2.0 * state.phi11)
-        f11 = f11 - 0.5 * a2 * np.cos(2.0 * state.phi00) * np.sin(2.0 * state.phi11)
+        # (alpha^2/2) sin 2a cos 2b = (alpha^2/4)(sin 2(a+b) + sin 2(a-b))
+        su = np.sin(2.0 * (phi00 + phi11))
+        sv = np.sin(2.0 * (phi00 - phi11))
+        q = 0.25 * a2
+        f00 -= q * (su + sv)
+        f11 -= q * (su - sv)
     else:
-        f00 = f00 - a2 * state.phi00
-        f11 = f11 - a2 * state.phi11
+        f00 -= a2 * phi00
+        f11 -= a2 * phi11
     if cfg.boundary == "fixed":
         for f in (f00, f11):
             f[0] = 0.0
@@ -170,37 +214,56 @@ def force(state: FieldState, cfg: SimConfig) -> Tuple[np.ndarray, np.ndarray]:
 def step(state: FieldState, cfg: SimConfig) -> FieldState:
     """One velocity-Verlet update of the coupled system."""
     dt = cfg.dt
-    f00, f11 = force(state, cfg)
+    key = (cfg.model, cfg.boundary, cfg.alpha, cfg.dx)
+    cached = state.cached_force
+    if (cached is not None and cached[0] == key
+            and cached[1] is state.phi00 and cached[2] is state.phi11):
+        f00, f11 = cached[3], cached[4]
+    else:
+        f00, f11 = force(state, cfg)
     h00 = state.pi00 + 0.5 * dt * f00
     h11 = state.pi11 + 0.5 * dt * f11
     phi00 = state.phi00 + dt * h00
     phi11 = state.phi11 + dt * h11
-    mid = FieldState(state.x, phi00, phi11, h00, h11, state.time)
-    g00, g11 = force(mid, cfg)
-    out = FieldState(state.x, phi00, phi11,
-                     h00 + 0.5 * dt * g00, h11 + 0.5 * dt * g11,
-                     state.time + dt)
+    g00, g11 = force(FieldState(state.x, phi00, phi11, h00, h11,
+                                state.time), cfg)
+    h00 += 0.5 * dt * g00
+    h11 += 0.5 * dt * g11
+    out = FieldState(state.x, phi00, phi11, h00, h11, state.time + dt)
+    for arr in (phi00, phi11, h00, h11):
+        arr.flags.writeable = False
+    out.cached_force = (key, phi00, phi11, g00, g11)
     return out.check()
 
 
 def potential_density(state: FieldState, cfg: SimConfig) -> np.ndarray:
     a2 = cfg.alpha ** 2
     if cfg.model == "sine-gordon":
-        s00, c00 = np.sin(state.phi00), np.cos(state.phi00)
-        s11, c11 = np.sin(state.phi11), np.cos(state.phi11)
-        return 0.5 * a2 * ((s00 * c11) ** 2 + (c00 * s11) ** 2)
+        su = np.sin(state.phi00 + state.phi11)
+        sv = np.sin(state.phi00 - state.phi11)
+        return 0.25 * a2 * (su * su + sv * sv)
     return 0.5 * a2 * (state.phi00 ** 2 + state.phi11 ** 2)
 
 
 def total_energy(state: FieldState, cfg: SimConfig) -> float:
-    """Trapezoidal integral of the time-translation charge density."""
-    g00 = np.gradient(state.phi00, cfg.dx)
-    g11 = np.gradient(state.phi11, cfg.dx)
-    dens = (0.5 * (state.pi00 ** 2 + state.pi11 ** 2 + g00 ** 2 + g11 ** 2)
+    """The discrete energy that the update conserves.
+
+    Kinetic and potential densities are summed with trapezoid weights;
+    the gradient energy is (1/2) sum (dphi)^2 / dx over the grid edges
+    whose differences make up the 3-point Laplacian, the wrap-around
+    edge included on a periodic ring.
+    """
+    dens = (0.5 * (state.pi00 ** 2 + state.pi11 ** 2)
             + potential_density(state, cfg))
-    if cfg.boundary == "periodic":
-        return float(np.sum(dens) * cfg.dx)
-    return float(_trapezoid(dens, dx=cfg.dx))
+    periodic = cfg.boundary == "periodic"
+    grad = 0.0
+    for phi in (state.phi00, state.phi11):
+        d = np.diff(phi)
+        grad += float(np.dot(d, d))
+        if periodic:
+            grad += float(phi[0] - phi[-1]) ** 2
+    sites = np.sum(dens) * cfg.dx if periodic else _trapezoid(dens, dx=cfg.dx)
+    return float(sites) + 0.5 * grad / cfg.dx
 
 
 @dataclass

@@ -79,6 +79,27 @@ def test_simulate_cfl_violation_exits_two(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--model", "massive", "--dx", "0.1", "--dt", "0.1", "--t-end", "200",
+      "--initial", "gaussian"], "dt=0.1 is unstable"),
+    (["--alpha", "nan"], "alpha must be finite"),
+    (["--dx", "nan"], "dx must be finite"),
+    (["--t-end", "-3"], "t_end must not be negative"),
+])
+def test_simulate_rejects_bad_input_with_exit_two(argv, message, capsys):
+    rc = main(["simulate", *argv])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+
+
+def test_simulate_has_no_format_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--format", "csv"])
+    assert exc.value.code == 2
+
+
 def test_simulate_artifacts(tmp_path, capsys):
     rc = main(["simulate", "--dx", "0.2", "--t-end", "1", "--initial",
                "kink", "--param", "v=0.2", "--output-stride", "5",

@@ -3,13 +3,16 @@ of the kink energy and the symbolic residual of the kink profile are
 established independently before the integrator is trusted."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import sympy
 from scipy.integrate import quad
 
-from z22field import sim
+from z22field import GradedExpr, field, gexp, param, reference, scalar, sim
+from z22field.core import trig
+from z22field.variational import FERMIONS, _anchor_scale, eom_table
 
 
 # ----------------------------------------------------------------------
@@ -38,6 +41,60 @@ def test_oracle_kink_energy_by_quadrature(alpha):
     assert abs(val - 2.0 * alpha) < 1e-9
 
 
+def test_engine_certifies_the_two_sine_split():
+    # with the fermions off, the engine's trigonometric rows are
+    # wave + (alpha^2/4)(sin 2u +- sin 2v), u = phi00 + phi11 and
+    # v = phi00 - phi11, as a polynomial identity in the S/C symbols:
+    # angle addition only, no S^2 + C^2 = 1
+    eqs = eom_table(spec=reference.trigonometric_specialization())
+    s00, c00 = gexp(trig("S00")), gexp(trig("C00"))
+    s11, c11 = gexp(trig("S11")), gexp(trig("C11"))
+    sin2 = lambda s, c: scalar(2) * s * c
+    cos2 = lambda s, c: c * c - s * s
+    sin2u = sin2(s00, c00) * cos2(s11, c11) + cos2(s00, c00) * sin2(s11, c11)
+    sin2v = sin2(s00, c00) * cos2(s11, c11) - cos2(s00, c00) * sin2(s11, c11)
+    quarter_a2 = scalar(Fraction(1, 4)) * gexp(param("alpha")) ** 2
+    for base, sines in (("phi00", sin2u + sin2v), ("phi11", sin2u - sin2v)):
+        wave = (gexp(field(base, 2, 0, "x"))
+                - gexp(field(base, 0, 2, "x")))
+        want = wave + quarter_a2 * sines
+        row = eqs[base]
+        row = row.substitute({g: GradedExpr.zero() for g in row.generators()
+                              if g.kind == "field" and g.base in FERMIONS})
+        scale = _anchor_scale(row, want)
+        assert scale is not None, base
+        assert not (row - scalar(scale) * want).terms, base
+
+
+@pytest.mark.parametrize("boundary", sim.BOUNDARIES)
+def test_laplacian_matches_the_three_point_stencil(boundary):
+    cfg = sim.SimConfig(dx=0.1, x_min=-1.0, x_max=1.0, boundary=boundary,
+                        initial="zero")
+    x = sim.grid(cfg)
+    phi = np.exp(-x * x) + 0.3 * x
+    phi.flags.writeable = False
+    n = len(phi)
+    want = np.zeros(n)
+    for i in range(n):
+        if boundary == "periodic" or 0 < i < n - 1:
+            want[i] = (phi[(i + 1) % n] - 2 * phi[i] + phi[i - 1]) / 0.01
+    assert np.allclose(sim._laplacian(phi, cfg), want, rtol=0, atol=1e-12)
+
+
+def test_two_sine_force_matches_the_product_form():
+    cfg = sim.SimConfig(dx=0.1, boundary="periodic", initial="zero")
+    x = sim.grid(cfg)
+    k = 2.0 * math.pi / (cfg.x_max - cfg.x_min)
+    a, b = 0.8 * np.sin(3 * k * x) + 0.3, np.cos(2 * k * x) - 1.1
+    f00, f11 = sim.force(sim.FieldState(x, a, b, 0 * x, 0 * x), cfg)
+    f00 -= sim._laplacian(a, cfg)
+    f11 -= sim._laplacian(b, cfg)
+    assert np.allclose(f00, -0.5 * np.sin(2 * a) * np.cos(2 * b),
+                       rtol=0, atol=1e-14)
+    assert np.allclose(f11, -0.5 * np.cos(2 * a) * np.sin(2 * b),
+                       rtol=0, atol=1e-14)
+
+
 # ----------------------------------------------------------------------
 # configuration and initial data
 # ----------------------------------------------------------------------
@@ -45,6 +102,33 @@ def test_oracle_kink_energy_by_quadrature(alpha):
 def test_config_rejects_cfl_violation():
     with pytest.raises(ValueError):
         sim.SimConfig(dx=0.1, dt=0.2)
+
+
+@pytest.mark.parametrize("name", ["alpha", "dx", "dt", "x_min", "x_max",
+                                  "t_end"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_values(name, bad):
+    with pytest.raises(ValueError, match=name):
+        sim.SimConfig(**{name: bad})
+
+
+def test_config_rejects_negative_t_end():
+    with pytest.raises(ValueError, match="t_end"):
+        sim.SimConfig(t_end=-3.0)
+    assert sim.SimConfig(t_end=0.0).t_end == 0.0
+
+
+def test_config_applies_the_verlet_bound():
+    # dt^2 (4/dx^2 + alpha^2) < 4: the potential's curvature counts, so
+    # dt = dx is refused even without one
+    with pytest.raises(ValueError, match="dt"):
+        sim.SimConfig(model="massive", dx=0.1, dt=0.1)
+    with pytest.raises(ValueError, match="dt"):
+        sim.SimConfig(alpha=0.0, dx=0.1, dt=0.1)
+    with pytest.raises(ValueError, match="dt"):
+        sim.SimConfig(alpha=10.0, dx=0.1, dt=0.09)
+    assert sim.SimConfig(alpha=10.0, dx=0.1, dt=0.08).dt == 0.08
+    assert sim.SimConfig(alpha=0.0, dx=0.1, dt=0.0999).dt == 0.0999
 
 
 def test_config_rejects_unknown_names():
@@ -98,6 +182,77 @@ def test_run_is_deterministic():
     assert np.array_equal(t1.energies, t2.energies)
 
 
+def _uncached(state):
+    return sim.FieldState(state.x, state.phi00, state.phi11, state.pi00,
+                          state.pi11, state.time)
+
+
+def _same(s1, s2):
+    return all(np.array_equal(getattr(s1, n), getattr(s2, n))
+               for n in ("phi00", "phi11", "pi00", "pi11")) and (
+        s1.time == s2.time)
+
+
+def test_cached_force_gives_the_fresh_step_bitwise():
+    cfg = sim.SimConfig(dx=0.1, initial="two-field-kink",
+                        params={"v": 0.3, "x0": 1.0})
+    state = sim.step(sim.init_profile(cfg), cfg)
+    assert state.cached_force is not None
+    assert _uncached(state).cached_force is None
+    assert _same(sim.step(state, cfg), sim.step(_uncached(state), cfg))
+
+
+@pytest.mark.parametrize("change", [{"alpha": 2.0}, {"model": "massive"},
+                                    {"boundary": "periodic"},
+                                    {"dx": 0.05, "dt": 0.04}])
+def test_cached_force_is_not_reused_under_another_config(change):
+    base = dict(dx=0.1, x_min=-10.0, x_max=10.0, initial="kink")
+    cfg = sim.SimConfig(**base)
+    other = sim.SimConfig(**{**base, **change})
+    state = sim.step(sim.init_profile(cfg), cfg)
+    assert _same(sim.step(state, other), sim.step(_uncached(state), other))
+    stale = sim.step(state, cfg)
+    if "dt" not in change:
+        assert not _same(sim.step(state, other), stale)
+
+
+def test_cached_force_is_dropped_with_the_positions():
+    cfg = sim.SimConfig(dx=0.1, initial="kink", params={"v": 0.3})
+    state = sim.step(sim.init_profile(cfg), cfg)
+    moved = sim.step(state, cfg)
+    state.phi00 = moved.phi00    # reassigned, not edited in place
+    assert _same(sim.step(state, cfg), sim.step(_uncached(state), cfg))
+
+
+def test_run_evaluates_the_force_once_per_step(monkeypatch):
+    calls = []
+    real = sim.force
+
+    def counting(state, cfg):
+        calls.append(state.time)
+        return real(state, cfg)
+
+    monkeypatch.setattr(sim, "force", counting)
+    cfg = sim.SimConfig(dx=0.1, t_end=2.0, initial="kink")
+    steps = round(cfg.t_end / cfg.dt)
+    sim.run(cfg)
+    assert len(calls) == steps + 1
+
+
+def test_stepped_state_is_read_only_and_input_untouched():
+    cfg = sim.SimConfig(dx=0.1, initial="kink", params={"v": 0.3})
+    start = sim.init_profile(cfg)
+    before = [a.copy() for a in (start.phi00, start.phi11, start.pi00,
+                                 start.pi11)]
+    state = sim.step(start, cfg)
+    for name in ("phi00", "phi11", "pi00", "pi11"):
+        with pytest.raises(ValueError):
+            getattr(state, name)[3] = 0.0
+    for old, now in zip(before, (start.phi00, start.phi11, start.pi00,
+                                 start.pi11)):
+        assert np.array_equal(old, now)
+
+
 def test_second_sector_stays_zero():
     cfg = sim.SimConfig(dx=0.1, t_end=5.0, initial="kink")
     traj = sim.run(cfg)
@@ -146,6 +301,26 @@ def test_energy_drift_small():
     rep = sim.energy_drift_study(t_end=20.0)
     assert rep["max_relative_drift"] < 1e-5
     assert abs(rep["initial_energy"] - 2.0) < 5e-3
+
+
+def test_energy_drift_on_the_discrete_functional():
+    # the energy is the scheme's own functional: on the static kink it
+    # holds to rounding over the full 100 time units
+    rep = sim.energy_drift_study()
+    assert rep["max_relative_drift"] < 1e-10
+
+
+def test_periodic_energy_is_invariant_under_rotation():
+    # the wrap-around edge belongs to the gradient energy on a ring, so
+    # turning the ring leaves the energy alone
+    cfg = sim.SimConfig(dx=0.1, x_min=-5.0, x_max=5.0, boundary="periodic",
+                        initial="zero")
+    x = sim.grid(cfg)
+    phi = np.exp(-(x - 4.0) ** 2)
+    energies = [sim.total_energy(sim.FieldState(
+        x, np.roll(phi, k), 0.5 * np.roll(phi, k), 0 * x, 0 * x), cfg)
+        for k in range(0, len(x), 7)]
+    assert max(energies) - min(energies) < 1e-12 * energies[0]
 
 
 def test_boosted_kink_arrives_on_time():
