@@ -13,20 +13,27 @@ weight 2 there, which doubles its kinetic term relative to the final
 printed Lagrangian.  The printed final Lagrangian is the anchor, so
 weight 1 is the default and the weight-2 variant stays available for
 difference reports.
+
+Nothing before the last step depends on the potential, so the component
+Lagrangian in pair symbols is memoised per (eliminate, kinetic weight)
+and `lagrangian(V)` only specializes it.  No memo is keyed by a
+potential or an expression: each request may bring a new one, and such
+a memo would grow without bound.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from functools import cache
+from typing import Dict, Iterable, Optional, Tuple
 
-from .core import (Degree, GaussianRational, QI, QONE, X_WEIGHTED, coord,
-                   field, is_odd_field, pairjet, param)
+from .core import (Degree, GaussianRational, Generator, QI, coord, field,
+                   pairjet, param)
 from .derivations import (jet_partial, measure_shift, partial_theta,
                           superspace_operators, total_space, total_t)
-from .expr import GradedExpr, ONE_EXPR, ZERO_EXPR, gexp, scalar
+from .expr import GradedExpr, gexp, scalar
 from .potential import FunctionSymbol, specialize_potential, superspace_potential
-from .superfield import stage_map, superfield, variation_derivation
+from .superfield import stage_map, superfield
 
 _i = scalar(QI)
 _half = scalar(Fraction(1, 2))
@@ -90,6 +97,22 @@ def action_density(kinetic_weight: int = 1) -> GradedExpr:
 _JACOBIAN = 4  # dt dy = 4 x dt' dx under t = 2t', y = x**2
 
 
+@cache
+def _component_lagrangian(eliminate: bool,
+                          kinetic_weight: int) -> GradedExpr:
+    """The potential-free chain: density, stage map, and optionally the
+    auxiliary elimination, in pair symbols."""
+    if eliminate:
+        return eliminate_auxiliary(_component_lagrangian(False,
+                                                         kinetic_weight))
+    dens = action_density(kinetic_weight)
+    lag = scalar(_JACOBIAN) * gexp(coord("x")) * stage_map(dens)
+    xgen = coord("x")
+    if any(g is xgen for m in lag.terms for g, _ in m):
+        raise AssertionError("residual explicit measure coordinate")
+    return lag
+
+
 def lagrangian(V: Optional[FunctionSymbol] = None, eliminate: bool = False,
                kinetic_weight: int = 1) -> GradedExpr:
     """Second-stage Lagrangian.
@@ -97,32 +120,14 @@ def lagrangian(V: Optional[FunctionSymbol] = None, eliminate: bool = False,
     Generic (pair-symbol) form by default; V specializes the potential
     tower, eliminate removes the auxiliary pair by its field equations.
     """
-    dens = action_density(kinetic_weight)
-    lag = scalar(_JACOBIAN) * gexp(coord("x")) * stage_map(dens)
-    xgen = coord("x")
-    if any(g is xgen for m in lag.terms for g, _ in m):
-        raise AssertionError("residual explicit measure coordinate")
-    if eliminate:
-        lag = eliminate_auxiliary(lag)
-    if V is not None:
-        lag = specialize_potential(lag, V)
-    return lag
-
-
-def split_interaction(lag: GradedExpr) -> Tuple[GradedExpr, GradedExpr]:
-    """(kinetic, interaction): graded by powers of the coupling."""
-    al = param("alpha")
-    kin: Dict = {}
-    inter: Dict = {}
-    for m, c in lag.terms.items():
-        (inter if any(g is al for g, _ in m) else kin)[m] = c
-    return GradedExpr(kin), GradedExpr(inter)
+    lag = _component_lagrangian(bool(eliminate), kinetic_weight)
+    return lag if V is None else specialize_potential(lag, V)
 
 
 def auxiliary_solution(lag: Optional[GradedExpr] = None) -> Dict[str, GradedExpr]:
     """Solve the algebraic field equations of the two auxiliaries."""
     if lag is None:
-        lag = lagrangian()
+        lag = _component_lagrangian(False, 1)
     out: Dict[str, GradedExpr] = {}
     for base in ("A00", "A11"):
         gen = field(base, 0, 0, "x")
@@ -134,21 +139,27 @@ def auxiliary_solution(lag: Optional[GradedExpr] = None) -> Dict[str, GradedExpr
     return out
 
 
+def auxiliary_jets(exprs: Iterable[GradedExpr], sol: Dict[str, GradedExpr],
+                   stage: str = "x") -> Dict[Generator, GradedExpr]:
+    """Every auxiliary jet in exprs mapped to its prolonged solution."""
+    dt, dx = total_t(stage), total_space(stage)
+    mapping: Dict[Generator, GradedExpr] = {}
+    for e in exprs:
+        for g in e.generators():
+            if g.kind == "field" and g.base in sol and g not in mapping:
+                img = sol[g.base]
+                m, n = g.jet
+                for _ in range(m):
+                    img = dt(img)
+                for _ in range(n):
+                    img = dx(img)
+                mapping[g] = img
+    return mapping
+
+
 def eliminate_auxiliary(lag: GradedExpr) -> GradedExpr:
     """Substitute the auxiliary solutions, prolonged through jets."""
-    sol = auxiliary_solution(lag)
-    dt, dx = total_t("x"), total_space("x")
-    mapping = {}
-    for g in lag.generators():
-        if g.kind == "field" and g.base in sol:
-            img = sol[g.base]
-            m, n = g.jet
-            for _ in range(m):
-                img = dt(img)
-            for _ in range(n):
-                img = dx(img)
-            mapping[g] = img
-    return lag.substitute(mapping)
+    return lag.substitute(auxiliary_jets([lag], auxiliary_solution(lag)))
 
 
 # ----------------------------------------------------------------------

@@ -21,7 +21,8 @@ from . import serialize
 from .derivations import verify_structure_constants, verify_jacobi
 from .superfield import (closure_report, degree_audit, dimension_audit,
                          reality_check)
-from .potential import parse_potential, potential_components, series_pair
+from .potential import (check_potential_constraint, parse_potential,
+                        potential_components, series_pair)
 from .action import (berezin_layer, lagrangian, lagrangian_audit,
                      clifford_report, lorentz_spinor_report,
                      measure_invariance_report, nilpotency_report,
@@ -149,17 +150,21 @@ def run_check_potential(args) -> Tuple[bool, dict]:
     pair = potential_components(V, stage="x",
                                 truncation_order=args.truncation)
     ser = series_pair(V, stage="x", truncation_order=args.truncation)
+    constraint_ok = (check_potential_constraint(pair)["ok"]
+                     and check_potential_constraint(ser)["ok"])
     payload = {
         "potential": V.name,
         "closed": pair.closed,
+        "constraint_ok": constraint_ok,
         "v00": pair.v00, "v11": pair.v11,
         "series_v00": ser.v00, "series_v11": ser.v11,
     }
-    ok = True
+    ok = constraint_ok
     if V.kind == "cos":
         spec = reference.trigonometric_specialization()
-        ok = pair.v00 == spec["V00"] and pair.v11 == spec["V11"]
-        payload["matches_display"] = ok
+        matches = pair.v00 == spec["V00"] and pair.v11 == spec["V11"]
+        payload["matches_display"] = matches
+        ok = ok and matches
     return ok, payload
 
 
@@ -420,7 +425,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         else:
             _emit_report(ok, payload, args.format, sys.stdout)
         return 0 if ok else 1
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ValueError) else 1
 

@@ -17,11 +17,12 @@ stage jets f^(m,n) to 2z f^(m,n+1).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .core import (DEG00, DEG01, DEG10, DEG11, Degree, GaussianRational,
-                   Generator, HALF, QI, QONE, coord, field, fjet, pairjet,
-                   param, parity, trig)
+                   Generator, QI, QONE, coord, field, fjet, pairjet, param,
+                   parity, trig)
 from .expr import (GradedExpr, _exp_degree, gexp, scalar)
 
 ONE = GradedExpr.const(1)
@@ -310,6 +311,7 @@ def measure_shift() -> GeneratorDerivation:
 # superspace operators
 # ----------------------------------------------------------------------
 
+@cache
 def superspace_operators() -> Dict[str, Derivation]:
     """The seven named operators acting on first-stage superspace."""
     dt = total_t("y")

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from .core import Generator, coord, field, fjet, pairjet, trig
 from .derivations import jet_partial
@@ -302,17 +302,6 @@ def series_pair(V: FunctionSymbol, stage: str = "x",
     return PotentialPair(v00, v11, stage, truncation_order, False, V)
 
 
-def pair_series_display(pair: PotentialPair) -> Tuple[GradedExpr, GradedExpr]:
-    """Truncated series form of a pair, for rendering."""
-    T = pair.truncation_order
-    out = []
-    for e in (pair.v00, pair.v11):
-        e = trig_series(e, T)
-        mapping = {g: pair_series(g, T) for g in _pair_generators(e)}
-        out.append(e.substitute(mapping) if mapping else e)
-    return out[0], out[1]
-
-
 # ----------------------------------------------------------------------
 # the defining constraint
 # ----------------------------------------------------------------------
@@ -363,30 +352,6 @@ def check_potential_constraint(pair: PotentialPair) -> dict:
     return {"ok": ok, "residual_00": r1, "residual_11": r2,
             "edge_orders": sorted(edge), "closed": pair.closed,
             "stage": st}
-
-
-def exchange_behaviour(pair: PotentialPair) -> Optional[str]:
-    """How the pair behaves under swapping the two even fields.
-
-    Returns "fixed" if each slot maps to itself, "swap" if the slots
-    interchange, None otherwise.  Only meaningful at the second stage
-    where the two fields have equal scaling dimension.
-    """
-    st = pair.stage
-    f00, f11 = field("phi00", 0, 0, st), field("phi11", 0, 0, st)
-    sw: Dict[Generator, GradedExpr] = {f00: gexp(f11), f11: gexp(f00)}
-    if st == "x":
-        sw[trig("S00")] = gexp(trig("S11"))
-        sw[trig("S11")] = gexp(trig("S00"))
-        sw[trig("C00")] = gexp(trig("C11"))
-        sw[trig("C11")] = gexp(trig("C00"))
-    v00s = pair.v00.substitute(sw)
-    v11s = pair.v11.substitute(sw)
-    if v00s == pair.v00 and v11s == pair.v11:
-        return "fixed"
-    if v00s == pair.v11 and v11s == pair.v00:
-        return "swap"
-    return None
 
 
 # ----------------------------------------------------------------------

@@ -247,17 +247,6 @@ def interaction_z_slot() -> GradedExpr:
             - (f("psi10") * f("psi01") + y * f("lam10") * f("lam01")) * dvt11)
 
 
-def interaction_z_slot_printed() -> GradedExpr:
-    """Literal form of the same display (its last factor reads dvt00)."""
-    y = _c("y")
-    f = lambda b, m=0, n=0: _f(b, m, n, "y")
-    vt00, vt11 = _pj(1, 0, "y"), _pj(1, 1, "y")
-    dvt00 = _pj(2, 0, "y")
-    return (f("A00") * vt00 + f("A11") * vt11
-            - _i * (f("psi10") * f("lam10") + f("psi01") * f("lam01")) * dvt00
-            - (f("psi10") * f("psi01") + y * f("lam10") * f("lam01")) * dvt00)
-
-
 # ----------------------------------------------------------------------
 # component Lagrangian (second stage)
 # ----------------------------------------------------------------------

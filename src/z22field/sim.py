@@ -39,6 +39,9 @@ PROFILES = ("zero", "kink", "gaussian", "two-field-kink")
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
+# largest grid SimConfig accepts: 10^7 sites is 80 MB per field array
+MAX_SITES = 10 ** 7
+
 
 # ----------------------------------------------------------------------
 # configuration and state
@@ -79,6 +82,11 @@ class SimConfig:
                 f"alpha^2) < 4, here dx={dx} and alpha={self.alpha}")
         if self.x_max <= self.x_min:
             raise ValueError("empty spatial interval")
+        sites = (self.x_max - self.x_min) / dx
+        if sites > MAX_SITES:
+            raise ValueError(
+                f"dx={dx} gives {sites:.3g} grid sites on [{self.x_min}, "
+                f"{self.x_max}], more than the {MAX_SITES} allowed")
         if self.boundary not in BOUNDARIES:
             raise ValueError(f"unknown boundary {self.boundary!r}")
         if self.model not in MODELS:
@@ -279,11 +287,14 @@ def run(cfg: SimConfig, state: Optional[FieldState] = None) -> Trajectory:
     if state is None:
         state = init_profile(cfg)
     steps = int(round(cfg.t_end / cfg.dt))
-    times = [state.time]
+    t0 = state.time
+    times = [t0]
     energies = [total_energy(state, cfg)]
     snaps = [state]
     for k in range(steps):
         state = step(state, cfg)
+        # k dt from the start, free of the rounding a running sum gathers
+        state.time = t0 + (k + 1) * cfg.dt
         times.append(state.time)
         energies.append(total_energy(state, cfg))
         if cfg.output_stride and (k + 1) % cfg.output_stride == 0:

@@ -20,16 +20,20 @@ variations (the standard active/passive flip):
 
 The second-stage tables come from the first-stage ones through the ring
 map that rescales the measure coordinate and a subset of the fields.
+
+The first-stage table of each symmetry and the stage-map image of each
+jet are memoised with functools.cache: they are keyed by names and jet
+indices alone, so the memo stays as small as the field content.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from typing import Dict, List, Optional
 
 from .core import (DEG00, FIELD_BASES, GaussianRational, Generator, QI,
-                   QONE, X_WEIGHTED, coord, field, pairjet, param, parity,
-                   trig)
+                   X_WEIGHTED, coord, field, pairjet, param, parity, trig)
 from .derivations import (Derivation, GeneratorDerivation, STRUCTURE,
                           OP_DEGREE, fn_field_derivative, partial_theta,
                           superspace_operators, total_space, total_t)
@@ -114,19 +118,18 @@ def coordinate_variations(name: str, primed: bool = False) -> Dict[str, GradedEx
     return out
 
 
-_PRE_TABLE_CACHE: Dict[str, Dict[str, GradedExpr]] = {}
+@cache
+def _pre_table(name: str) -> Dict[str, GradedExpr]:
+    ops = superspace_operators()
+    eps = gexp(param(PARAM_OF[name]))
+    k = scalar(_KAPPA_FIELD[name])
+    return split_components(k * eps * ops[name].apply(superfield("y")))
 
 
 def variation_table(name: str, stage: str = "y",
                     primed: bool = False) -> Dict[str, GradedExpr]:
     """Variation of each component field, parameter included."""
-    if name not in _PRE_TABLE_CACHE:
-        ops = superspace_operators()
-        eps = gexp(param(PARAM_OF[name]))
-        k = scalar(_KAPPA_FIELD[name])
-        E = k * eps * ops[name].apply(superfield("y"))
-        _PRE_TABLE_CACHE[name] = split_components(E)
-    table = _PRE_TABLE_CACHE[name]
+    table = _pre_table(name)
     if stage == "x":
         mapped = {}
         for base, entry in table.items():
@@ -205,25 +208,15 @@ def variation_derivation(name: str, stage: str = "y", primed: bool = False,
 # stage map
 # ----------------------------------------------------------------------
 
-_STAGE_JET_CACHE: Dict[tuple, GradedExpr] = {}
-
-
+@cache
 def _stage_field_image(base: str, m: int, n: int) -> GradedExpr:
-    key = (base, m, n)
-    hit = _STAGE_JET_CACHE.get(key)
-    if hit is not None:
-        return hit
-    if m == 0 and n == 0:
-        img = gexp(field(base, 0, 0, "x"))
-        if base in X_WEIGHTED:
-            img = gexp(coord("x"), -1) * img
-    elif m > 0:
-        img = _HALF * total_t("x").apply(_stage_field_image(base, m - 1, n))
-    else:
-        img = (_HALF * gexp(coord("x"), -1)
-               * total_space("x").apply(_stage_field_image(base, 0, n - 1)))
-    _STAGE_JET_CACHE[key] = img
-    return img
+    if m > 0:
+        return _HALF * total_t("x").apply(_stage_field_image(base, m - 1, n))
+    if n > 0:
+        return (_HALF * gexp(coord("x"), -1)
+                * total_space("x").apply(_stage_field_image(base, 0, n - 1)))
+    img = gexp(field(base, 0, 0, "x"))
+    return gexp(coord("x"), -1) * img if base in X_WEIGHTED else img
 
 
 def stage_map(expr: GradedExpr) -> GradedExpr:

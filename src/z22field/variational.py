@@ -19,7 +19,7 @@ from .derivations import jet_partial, total_t, total_space
 from .superfield import (PARAM_OF, coordinate_variations,
                          prolonged_derivation, variation_table,
                          variation_derivation)
-from .action import auxiliary_solution, lagrangian
+from .action import auxiliary_jets, auxiliary_solution, lagrangian
 from . import reference
 
 BOSONS = ("phi00", "phi11")
@@ -355,20 +355,8 @@ def divergence_split(s: GradedExpr, stage: str = "x",
 
 def eliminated_variation(name: str, stage: str = "x"):
     """Variation with the auxiliaries traded for their algebraic solutions."""
-    sol = auxiliary_solution()
-    dt, dx = total_t(stage), total_space(stage)
     table = variation_table(name, stage)
-    mapping: Dict[Generator, GradedExpr] = {}
-    for entry in table.values():
-        for g in entry.generators():
-            if g.kind == "field" and g.base in sol and g not in mapping:
-                img = sol[g.base]
-                m, n = g.jet
-                for _ in range(m):
-                    img = dt(img)
-                for _ in range(n):
-                    img = dx(img)
-                mapping[g] = img
+    mapping = auxiliary_jets(table.values(), auxiliary_solution(), stage)
     table = {b: e.substitute(mapping) for b, e in table.items()
              if b not in AUXILIARY}
     return prolonged_derivation(table, stage, f"delta_{name}[onshell]")

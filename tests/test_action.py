@@ -1,5 +1,6 @@
 """Action pipeline: integrand, extraction, component Lagrangian."""
 
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,11 @@ from z22field.action import (auxiliary_solution, berezin_layer,
                              measure_invariance_report, nilpotency_report,
                              product_covariance_report, spinor_lagrangian)
 from z22field import reference
+from z22field.potential import parse_potential
+from z22field import action, derivations
+
+# the package re-exports the function `superfield` under the module's name
+superfield_module = importlib.import_module("z22field.superfield")
 
 
 # ----------------------------------------------------------------------
@@ -133,3 +139,46 @@ def test_spinor_form_matches_component_form():
 def test_spinor_lagrangian_equals_component_lagrangian():
     assert spinor_lagrangian() == lagrangian()
     assert spinor_lagrangian(eliminate=True) == lagrangian(eliminate=True)
+
+
+# ----------------------------------------------------------------------
+# the memoised potential-free stages
+# ----------------------------------------------------------------------
+
+def _clear_stage_caches():
+    derivations.superspace_operators.cache_clear()
+    superfield_module._pre_table.cache_clear()
+    superfield_module._stage_field_image.cache_clear()
+    action._component_lagrangian.cache_clear()
+
+
+def test_check_currents_builds_each_stage_once(monkeypatch):
+    from z22field import cli
+    _clear_stage_caches()
+    built = {"density": 0, "elimination": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            built[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(action, "action_density",
+                        counted("density", action.action_density))
+    monkeypatch.setattr(action, "eliminate_auxiliary",
+                        counted("elimination", action.eliminate_auxiliary))
+    ok, _ = cli.run_check_currents(
+        cli.build_parser().parse_args(["check-currents"]))
+    assert ok
+    assert derivations.superspace_operators.cache_info().misses == 1
+    assert built == {"density": 1, "elimination": 1}
+    assert action._component_lagrangian.cache_info().currsize == 2
+
+
+def test_specialising_leaves_the_cached_lagrangian_intact():
+    lagrangian(parse_potential("cos"), eliminate=True)
+    lagrangian(parse_potential("poly:0,0,1/2"), eliminate=False)
+    assert lagrangian(eliminate=True) == reference.lagrangian_eliminated()
+    assert lagrangian() == (reference.lagrangian_kinetic()
+                            + reference.lagrangian_interaction())
+    assert lagrangian(eliminate=True) is lagrangian(eliminate=True)

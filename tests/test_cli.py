@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from z22field import cli
 from z22field.cli import build_parser, build_sim_config, main
 
 
@@ -151,3 +152,43 @@ def test_report_all_writes_manifest(tmp_path, capsys):
         artifact = Path(row["artifact"])
         assert artifact.exists()
         assert json.loads(artifact.read_text())["ok"] is True
+
+
+def test_simulate_rejects_an_oversized_grid_with_exit_two(capsys):
+    # 2e12 sites: refused by SimConfig before any array exists
+    rc = main(["simulate", "--dx", "1e-12", "--dt", "1e-13", "--x-min", "-1",
+               "--x-max", "1", "--t-end", "0"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: dx=1e-12 gives")
+
+
+def test_failed_certificate_exits_one_without_traceback(monkeypatch, capsys):
+    def failing(args):
+        raise AssertionError("divergence certificate failed")
+
+    monkeypatch.setitem(cli._RUNNERS, "check-currents", failing)
+    rc = main(["check-currents"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == "error: divergence certificate failed\n"
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_check_potential_reports_the_pair_constraint(capsys):
+    rc = main(["check-potential", "--potential", "poly:0,0,1/2",
+               "--format", "json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 0 and doc["ok"] is True
+    assert doc["report"]["constraint_ok"] is True
+
+
+def test_check_potential_fails_on_a_broken_constraint(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "check_potential_constraint",
+                        lambda pair: {"ok": False})
+    rc = main(["check-potential", "--potential", "cos", "--format", "json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 1 and doc["ok"] is False
+    assert doc["report"]["constraint_ok"] is False
+    assert doc["report"]["matches_display"] is True

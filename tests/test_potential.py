@@ -1,14 +1,16 @@
 """Potential handling: parsing, series, closed forms, displayed pairs."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from z22field import GradedExpr, field, gexp, scalar
 from z22field.core import fjet, pairjet, trig
-from z22field.potential import (FunctionSymbol, parse_potential,
-                                potential_components, series_pair,
-                                specialize_potential, trig_series)
+from z22field.potential import (FunctionSymbol, check_potential_constraint,
+                                parse_potential, potential_components,
+                                series_pair, specialize_potential,
+                                trig_series)
 from z22field import reference
 
 
@@ -110,3 +112,31 @@ def test_rejects_bad_truncation():
         potential_components(parse_potential("cos"), truncation_order=-1)
     with pytest.raises(ValueError):
         potential_components(parse_potential("cos"), stage="w")
+
+
+# ----------------------------------------------------------------------
+# the defining pair constraint
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("build", [potential_components, series_pair])
+@pytest.mark.parametrize("stage", ["y", "x"])
+@pytest.mark.parametrize("spec", ["cos", "sin", "abstract", "poly:0,0,1/2",
+                                  "poly:1,-2,3/4,0,5"])
+def test_pairs_satisfy_the_defining_constraint(spec, stage, build):
+    rep = check_potential_constraint(build(parse_potential(spec), stage=stage))
+    assert rep["ok"], rep
+
+
+def test_constraint_rejects_tampered_pairs():
+    # at the first stage the odd-slot identity carries a measure factor,
+    # so swapping the slots breaks it
+    pair = potential_components(parse_potential("cos"), stage="y")
+    swapped = dataclasses.replace(pair, v00=pair.v11, v11=pair.v00)
+    assert not check_potential_constraint(swapped)["ok"]
+    # at the second stage both identities are symmetric under the swap,
+    # but not under a sign flip of one slot
+    pair = potential_components(parse_potential("cos"), stage="x")
+    swapped = dataclasses.replace(pair, v00=pair.v11, v11=pair.v00)
+    assert check_potential_constraint(swapped)["ok"]
+    flipped = dataclasses.replace(pair, v11=-pair.v11)
+    assert not check_potential_constraint(flipped)["ok"]

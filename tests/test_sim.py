@@ -340,3 +340,22 @@ def test_energy_converges_to_continuum_value():
         state = sim.init_profile(cfg)
         e = sim.total_energy(state, cfg)
         assert abs(e - 2.0) < tol, dx
+
+
+def test_run_times_are_whole_multiples_of_dt():
+    cfg = sim.SimConfig(alpha=0.0, dx=0.1, dt=0.04, x_min=-5.0, x_max=5.0,
+                        t_end=10.0, boundary="periodic", initial="gaussian",
+                        params={"amplitude": 0.1, "width": 0.5})
+    traj = sim.run(cfg)
+    assert len(traj.times) == round(cfg.t_end / cfg.dt) + 1
+    assert all(t == k * cfg.dt for k, t in enumerate(traj.times))
+    assert traj.final.time == 10.0
+
+
+def test_config_caps_the_grid_before_allocating():
+    with pytest.raises(ValueError, match=r"^dx=1e-12 gives 2e\+12 grid sites"):
+        sim.SimConfig(dx=1e-12, dt=1e-13, x_min=-1.0, x_max=1.0, t_end=0.0)
+    # the cap itself is accepted; SimConfig allocates nothing
+    cfg = sim.SimConfig(dx=1.0, x_min=0.0, x_max=float(sim.MAX_SITES),
+                        t_end=0.0)
+    assert cfg.x_max == sim.MAX_SITES
