@@ -18,7 +18,7 @@ from .core import (DEG00, DEG01, DEG10, DEG11, Degree, GaussianRational,
 from .expr import GradedExpr, gexp, scalar
 from .derivations import (bracket, superspace_operators,
                           verify_jacobi, verify_structure_constants)
-from .superfield import (closure_report, split_components, superfield,
+from .superfield import (closure_report, split_components,
                          variation_derivation, variation_table)
 from .potential import (FunctionSymbol, parse_potential, potential_components,
                         series_pair)
@@ -43,7 +43,7 @@ __all__ = [
     "matrices_from_tables", "noether", "pairjet", "param", "parity",
     "parse_potential", "potential_components", "printed_matrices",
     "reduce_onshell", "run", "scalar", "series_pair", "solved_forms",
-    "split_components", "step", "superfield", "superspace_operators",
+    "split_components", "step", "superspace_operators",
     "table_comparison_report", "trig", "variation_derivation",
     "variation_table", "verify_jacobi", "verify_structure_constants",
 ]

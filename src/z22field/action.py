@@ -7,16 +7,12 @@ variable redefinition, and assembles the component Lagrangian in both
 its generic (pair-symbol) and auxiliary-eliminated forms.
 
 Normalization: the integral sends a theta-theta slot B0 + z B1 to
-(1/2) B1, and the action carries an overall minus.  The kinetic block
-enters the engine integrand with weight 1; the source display carries
-weight 2 there, which doubles its kinetic term relative to the final
-printed Lagrangian.  The printed final Lagrangian is the anchor, so
-weight 1 is the default and the weight-2 variant stays available for
-difference reports.
+(1/2) B1, and the action carries an overall minus; the printed final
+Lagrangian is the anchor.
 
 Nothing before the last step depends on the potential, so the component
-Lagrangian in pair symbols is memoised per (eliminate, kinetic weight)
-and `lagrangian(V)` only specializes it.  No memo is keyed by a
+Lagrangian in pair symbols is memoised per `eliminate` flag and
+`lagrangian(V)` only specializes it.  No memo is keyed by a
 potential or an expression: each request may bring a new one, and such
 a memo would grow without bound.
 """
@@ -71,10 +67,9 @@ def measure_factor() -> GradedExpr:
     return gexp(coord("z")) * gexp(coord("y"), Fraction(-1, 2))
 
 
-def superspace_integrand(kinetic_weight: int = 1) -> GradedExpr:
+def superspace_integrand() -> GradedExpr:
     d10phi, d01phi = covariant_pair()
-    block = scalar(kinetic_weight) * d10phi * d01phi \
-        + gexp(param("alpha")) * superspace_potential()
+    block = d10phi * d01phi + gexp(param("alpha")) * superspace_potential()
     return measure_factor() * block
 
 
@@ -85,9 +80,9 @@ def berezin_layer(j: GradedExpr) -> GradedExpr:
     return _half * zslot
 
 
-def action_density(kinetic_weight: int = 1) -> GradedExpr:
+def action_density() -> GradedExpr:
     """First-stage density; the action is its (t, y) integral."""
-    return -berezin_layer(superspace_integrand(kinetic_weight))
+    return -berezin_layer(superspace_integrand())
 
 
 # ----------------------------------------------------------------------
@@ -98,14 +93,12 @@ _JACOBIAN = 4  # dt dy = 4 x dt' dx under t = 2t', y = x**2
 
 
 @cache
-def _component_lagrangian(eliminate: bool,
-                          kinetic_weight: int) -> GradedExpr:
+def _component_lagrangian(eliminate: bool) -> GradedExpr:
     """The potential-free chain: density, stage map, and optionally the
     auxiliary elimination, in pair symbols."""
     if eliminate:
-        return eliminate_auxiliary(_component_lagrangian(False,
-                                                         kinetic_weight))
-    dens = action_density(kinetic_weight)
+        return eliminate_auxiliary(_component_lagrangian(False))
+    dens = action_density()
     lag = scalar(_JACOBIAN) * gexp(coord("x")) * stage_map(dens)
     xgen = coord("x")
     if any(g is xgen for m in lag.terms for g, _ in m):
@@ -113,21 +106,21 @@ def _component_lagrangian(eliminate: bool,
     return lag
 
 
-def lagrangian(V: Optional[FunctionSymbol] = None, eliminate: bool = False,
-               kinetic_weight: int = 1) -> GradedExpr:
+def lagrangian(V: Optional[FunctionSymbol] = None,
+               eliminate: bool = False) -> GradedExpr:
     """Second-stage Lagrangian.
 
     Generic (pair-symbol) form by default; V specializes the potential
     tower, eliminate removes the auxiliary pair by its field equations.
     """
-    lag = _component_lagrangian(bool(eliminate), kinetic_weight)
+    lag = _component_lagrangian(bool(eliminate))
     return lag if V is None else specialize_potential(lag, V)
 
 
 def auxiliary_solution(lag: Optional[GradedExpr] = None) -> Dict[str, GradedExpr]:
     """Solve the algebraic field equations of the two auxiliaries."""
     if lag is None:
-        lag = _component_lagrangian(False, 1)
+        lag = _component_lagrangian(False)
     out: Dict[str, GradedExpr] = {}
     for base in ("A00", "A11"):
         gen = field(base, 0, 0, "x")
@@ -139,10 +132,10 @@ def auxiliary_solution(lag: Optional[GradedExpr] = None) -> Dict[str, GradedExpr
     return out
 
 
-def auxiliary_jets(exprs: Iterable[GradedExpr], sol: Dict[str, GradedExpr],
-                   stage: str = "x") -> Dict[Generator, GradedExpr]:
+def auxiliary_jets(exprs: Iterable[GradedExpr], sol: Dict[str, GradedExpr]
+                   ) -> Dict[Generator, GradedExpr]:
     """Every auxiliary jet in exprs mapped to its prolonged solution."""
-    dt, dx = total_t(stage), total_space(stage)
+    dt, dx = total_t("x"), total_space("x")
     mapping: Dict[Generator, GradedExpr] = {}
     for e in exprs:
         for g in e.generators():
@@ -249,8 +242,8 @@ def clifford_report() -> dict:
 Vec2 = Tuple[GradedExpr, GradedExpr]
 
 
-def spinor_vectors(stage: str = "x") -> Dict[str, Vec2]:
-    f = lambda b: gexp(field(b, 0, 0, stage))
+def spinor_vectors() -> Dict[str, Vec2]:
+    f = lambda b: gexp(field(b, 0, 0, "x"))
     return {"Psi10": (f("psi10"), f("lam10")),
             "Psi01": (f("lam01"), -f("psi01"))}
 
@@ -273,17 +266,17 @@ def bilinear(u: Vec2, m: Mat2, v: Vec2) -> GradedExpr:
     return pair_with(bar(u), mat_vec(m, v))
 
 
-def slashed(v: Vec2, stage: str = "x") -> Vec2:
-    dt, dx = total_t(stage), total_space(stage)
+def slashed(v: Vec2) -> Vec2:
+    dt, dx = total_t("x"), total_space("x")
     vt = (dt(v[0]), dt(v[1]))
     vx = (dx(v[0]), dx(v[1]))
     return (mat_vec(GAMMA0, vt)[0] + mat_vec(GAMMA1, vx)[0],
             mat_vec(GAMMA0, vt)[1] + mat_vec(GAMMA1, vx)[1])
 
 
-def fermion_bilinears(stage: str = "x") -> Dict[str, GradedExpr]:
+def fermion_bilinears() -> Dict[str, GradedExpr]:
     """The two chirality-paired bilinears entering the interaction."""
-    sp = spinor_vectors(stage)
+    sp = spinor_vectors()
     p10, p01 = sp["Psi10"], sp["Psi01"]
     b1 = bilinear(p10, GAMMA3, p01) - bilinear(p01, GAMMA3, p10)
     b2 = bilinear(p10, GAMMA3, p10) + bilinear(p01, GAMMA3, p01)
@@ -293,7 +286,7 @@ def fermion_bilinears(stage: str = "x") -> Dict[str, GradedExpr]:
 def spinor_lagrangian(eliminate: bool = False) -> GradedExpr:
     """The Lagrangian assembled from spinor blocks."""
     f = lambda b, m=0, n=0: gexp(field(b, m, n, "x"))
-    sp = spinor_vectors("x")
+    sp = spinor_vectors()
     p10, p01 = sp["Psi10"], sp["Psi01"]
     al = gexp(param("alpha"))
     v00, v11 = gexp(pairjet(1, 0, "x")), gexp(pairjet(1, 1, "x"))
@@ -303,7 +296,7 @@ def spinor_lagrangian(eliminate: bool = False) -> GradedExpr:
                    - f("phi11", 0, 1) * f("phi11", 0, 1))
     ferm = _i * (pair_with(bar(p10), slashed(p10))
                  + pair_with(bar(p01), slashed(p01)))
-    b = fermion_bilinears("x")
+    b = fermion_bilinears()
     inter = -(al * (b["mixed_chirality"] * dv00
                     - _i * b["same_chirality"] * dv11))
     if eliminate:
@@ -324,7 +317,7 @@ def lorentz_spinor_report() -> dict:
     def lhat(e: GradedExpr) -> GradedExpr:
         return gexp(coord("x")) * dt(e) + gexp(coord("t")) * dx(e)
 
-    sp = spinor_vectors("x")
+    sp = spinor_vectors()
     p10, p01 = sp["Psi10"], sp["Psi01"]
 
     def op(v: Vec2) -> Vec2:

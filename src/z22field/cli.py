@@ -246,27 +246,46 @@ _SIM_KEYS = ("alpha", "dx", "dt", "x_min", "x_max", "t_end", "boundary",
 _SIM_STR = ("boundary", "model", "initial")
 
 
-def _read_config_file(path: str) -> Dict[str, str]:
-    out: Dict[str, str] = {}
-    for raw in Path(path).read_text().splitlines():
+def _name_value(item: str, where: str) -> Tuple[str, float]:
+    """One `name=value` profile parameter; `where` names its source."""
+    name, sep, val = item.partition("=")
+    try:
+        if sep:
+            return name.strip(), float(val)
+    except ValueError:
+        pass
+    raise ValueError(f"{where} wants name=value, got {item!r}")
+
+
+def _read_config_file(path: str) -> List[Tuple[str, str, str]]:
+    """(key, value, line) for each `key = value` line."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ValueError(f"cannot read config file {path!r}: "
+                         f"{exc.strerror}") from None
+    out = []
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ValueError(f"bad config line {raw!r}")
         key, val = (p.strip() for p in line.split("=", 1))
-        out[key.replace("-", "_")] = val
+        out.append((key.replace("-", "_"), val, raw))
     return out
 
 
 def build_sim_config(args) -> sim.SimConfig:
     values: dict = {}
+    params: Dict[str, float] = {}
     if args.config:
-        for key, val in _read_config_file(args.config).items():
-            if key == "param" or key.startswith("param."):
-                name = key.split(".", 1)[1] if "." in key else val.split("=")[0]
-                values.setdefault("params", {})[name] = float(
-                    val.split("=", 1)[1] if "." not in key else val)
+        for key, val, raw in _read_config_file(args.config):
+            if key == "param":
+                name, num = _name_value(val, f"config line {raw!r}")
+                params[name] = num
+            elif key.startswith("param."):
+                params[key[len("param."):]] = float(val)
             elif key in _SIM_STR:
                 values[key] = val
             elif key in _SIM_KEYS:
@@ -277,13 +296,10 @@ def build_sim_config(args) -> sim.SimConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
-    params = values.setdefault("params", {})
-    for item in args.param or ():
-        if "=" not in item:
-            raise ValueError(f"--param wants name=value, got {item!r}")
-        name, val = item.split("=", 1)
-        params[name.strip()] = float(val)
-    return sim.SimConfig(**values)
+    for item in args.param:
+        name, num = _name_value(item, "--param")
+        params[name] = num
+    return sim.SimConfig(**values, params=params)
 
 
 def _write_snapshot(path: Path, state: sim.FieldState) -> None:
@@ -338,7 +354,7 @@ CHECKS: List[Tuple[str, Callable]] = [
 
 
 def run_report_all(args) -> int:
-    out_dir = Path(args.out or "reports")
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = []
     all_ok = True
@@ -362,6 +378,22 @@ def run_report_all(args) -> int:
 # argument parsing and dispatch
 # ----------------------------------------------------------------------
 
+_CHECK_FLAGS = {
+    "--format": dict(choices=FORMATS, default="text"),
+    "--potential": dict(default="abstract",
+                        help="abstract | cos | sin | poly:c0,c1,..."),
+    "--truncation": dict(type=int, default=4),
+    "--eliminate-aux": dict(action="store_true"),
+    "--generic": dict(action="store_true"),
+}
+# the flags each check's runner reads, besides --format
+_READS = {
+    "derive-lagrangian": ("--potential", "--eliminate-aux", "--generic"),
+    "check-potential": ("--potential", "--truncation"),
+    "check-currents": ("--generic",),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="z22field",
@@ -369,21 +401,16 @@ def build_parser() -> argparse.ArgumentParser:
                     "two-dimensional multiplet")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=FORMATS, default="text")
-        p.add_argument("--potential", default="abstract",
-                       help="abstract | cos | sin | poly:c0,c1,...")
-        p.add_argument("--truncation", type=int, default=4)
-        p.add_argument("--eliminate-aux", action="store_true")
-        p.add_argument("--generic", action="store_true")
-        p.add_argument("--out", default=None)
-        return p
+    def add(p, flags):
+        for flag in flags:
+            p.add_argument(flag, **_CHECK_FLAGS[flag])
 
     for name, _ in CHECKS:
-        if name == "numerics":
-            continue
-        common(sub.add_parser(name))
-    common(sub.add_parser("report-all"))
+        add(sub.add_parser(name), ("--format",) + _READS.get(name, ()))
+    ra = sub.add_parser("report-all")
+    ra.add_argument("--out", default="reports")
+    # the runners read these; report-all only forwards them
+    add(ra, ("--potential", "--truncation", "--eliminate-aux", "--generic"))
 
     s = sub.add_parser("simulate")
     s.add_argument("--config", default=None,
@@ -407,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-_RUNNERS = {name: runner for name, runner in CHECKS if name != "numerics"}
+_RUNNERS = dict(CHECKS)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

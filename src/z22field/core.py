@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Callable, NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Union
 
 Rat = Union[int, Fraction]
 
@@ -225,8 +225,6 @@ QONE = GaussianRational(1)
 QI = GaussianRational(0, 1)
 QZERO = GaussianRational(0)
 
-HALF = Fraction(1, 2)
-
 
 # ----------------------------------------------------------------------
 # generators
@@ -283,11 +281,6 @@ class Generator:
         return self.name
 
     # interning makes default identity hash/eq sufficient and fast
-
-    @property
-    def is_odd_square(self) -> bool:
-        """True when the generator anticommutes with itself."""
-        return parity(self.degree, self.degree) == 1
 
 
 def _intern(name, kind, degree, dim, nilpotent, eps_group, space, base,
@@ -387,14 +380,6 @@ def field(base: str, m: int = 0, n: int = 0, space: str = "y") -> Generator:
                    (rank, base, m, n))
 
 
-def is_odd_field(base: str) -> bool:
-    return _FIELD_DATA[base][3]
-
-
-def field_degree(base: str) -> Degree:
-    return _FIELD_DATA[base][0]
-
-
 # -- function-symbol jets ----------------------------------------------
 #
 # Three families, all of scaling dimension 0:
@@ -464,9 +449,5 @@ def pairjet(m: int, slot: int, space: str) -> Generator:
 # convenience handles
 # ----------------------------------------------------------------------
 
-T = coord("t")
 Y = coord("y")
-X = coord("x")
 ZC = coord("z")
-TH10 = coord("th10")
-TH01 = coord("th01")

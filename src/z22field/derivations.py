@@ -430,15 +430,14 @@ def _apply_layers(ops: Dict[str, Derivation], names: Sequence[str],
     return z1, z2
 
 
-def verify_structure_constants(probes: Optional[List[GradedExpr]] = None) -> List[dict]:
+def verify_structure_constants() -> List[dict]:
     """Check every bracket relation on a probe set of generators.
 
     Returns one report per relation: the bracket applied to each probe minus
     the expected right side, which must vanish identically.
     """
     ops = superspace_operators()
-    if probes is None:
-        probes = default_probe_set()
+    probes = default_probe_set()
     z1, z2 = _apply_layers(ops, _ORDER, probes)
     reports = []
     for (a, b), rhs in sorted(STRUCTURE.items(),
@@ -465,17 +464,17 @@ def verify_structure_constants(probes: Optional[List[GradedExpr]] = None) -> Lis
     return reports
 
 
-def verify_jacobi(probes: Optional[List[GradedExpr]] = None,
-                  names: Sequence[str] = ("H", "Z", "Q10", "Q01", "L11")) -> List[dict]:
-    """Graded Jacobi identity for every ordered triple of the listed operators.
+def verify_jacobi() -> List[dict]:
+    """Graded Jacobi identity for every ordered triple of the five symmetry
+    operators.
 
     Expands both sides into triple compositions and evaluates them through
     shared caches; the nested-bracket definition is exercised directly in
     the test suite against this expansion.
     """
     ops = superspace_operators()
-    if probes is None:
-        probes = default_probe_set()
+    probes = default_probe_set()
+    names = ("H", "Z", "Q10", "Q01", "L11")
     z1, z2 = _apply_layers(ops, names, probes)
     t3 = {}
     for n3 in names:

@@ -92,7 +92,7 @@ class WeylOp:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def apply(self, base: str, stage: str = "x") -> GradedExpr:
+    def apply(self, base: str) -> GradedExpr:
         """Act on the undifferentiated field of the given base."""
         out = GradedExpr.zero()
         t, x = coord("t"), coord("x")
@@ -102,7 +102,7 @@ class WeylOp:
                 e = e * gexp(t, a)
             if b:
                 e = e * gexp(x, b)
-            out = out + e * gexp(field(base, c, d, stage))
+            out = out + e * gexp(field(base, c, d, "x"))
         return out
 
 
@@ -181,7 +181,7 @@ def printed_matrices() -> Dict[str, MatrixOp]:
     return out
 
 
-def matrices_from_tables(stage: str = "x") -> Dict[str, MatrixOp]:
+def matrices_from_tables() -> Dict[str, MatrixOp]:
     """Extract each matrix from its variation table.
 
     Each stripped entry is i times the matrix row: every monomial must be
@@ -192,7 +192,7 @@ def matrices_from_tables(stage: str = "x") -> Dict[str, MatrixOp]:
     out: Dict[str, MatrixOp] = {}
     for name in ("H", "Z", "Q10", "Q01", "L11"):
         eps = param(PARAM_OF[name])
-        table = variation_table(name, stage)
+        table = variation_table(name, "x")
         entries: Dict[Tuple[int, int], Dict[Word, GaussianRational]] = {}
         for base, entry in table.items():
             row = _INDEX[base]
@@ -205,7 +205,7 @@ def matrices_from_tables(stage: str = "x") -> Dict[str, MatrixOp]:
                         a = e
                     elif g is x:
                         b = e
-                    elif g.kind == "field" and g.space == stage:
+                    elif g.kind == "field" and g.space == "x":
                         if jet is not None:
                             raise ValueError(f"{name}/{base}: not linear")
                         jet = g
@@ -226,11 +226,9 @@ def matrices_from_tables(stage: str = "x") -> Dict[str, MatrixOp]:
     return out
 
 
-def reconstruct_table(name: str, mats: Optional[Dict[str, MatrixOp]] = None,
-                      stage: str = "x") -> Dict[str, GradedExpr]:
+def reconstruct_table(name: str, mats: Dict[str, MatrixOp]
+                      ) -> Dict[str, GradedExpr]:
     """Rebuild the variation table as -i eps (M F) from a matrix."""
-    if mats is None:
-        mats = matrices_from_tables(stage)
     m = mats[name]
     eps = gexp(param(PARAM_OF[name]))
     minus_i = scalar(GaussianRational(0, -1))
@@ -239,7 +237,7 @@ def reconstruct_table(name: str, mats: Optional[Dict[str, MatrixOp]] = None,
         acc = GradedExpr.zero()
         for (r, c), w in m.entries.items():
             if r == row:
-                acc = acc + w.apply(MULTIPLET[c], stage)
+                acc = acc + w.apply(MULTIPLET[c])
         out[base] = minus_i * eps * acc
     return out
 
@@ -264,11 +262,9 @@ def matrix_comparison_report() -> Dict[str, dict]:
     return out
 
 
-def verify_matrix_relations(mats: Optional[Dict[str, MatrixOp]] = None
+def verify_matrix_relations(mats: Dict[str, MatrixOp]
                             ) -> Dict[Tuple[str, str], bool]:
     """Close every ordered pair against the structure constants."""
-    if mats is None:
-        mats = matrices_from_tables()
     names = ("H", "Z", "Q10", "Q01", "L11")
     out: Dict[Tuple[str, str], bool] = {}
     for i, a in enumerate(names):
@@ -281,8 +277,7 @@ def verify_matrix_relations(mats: Optional[Dict[str, MatrixOp]] = None
     return out
 
 
-def canonical_matrices(stage: str = "x"
-                       ) -> Tuple[Dict[str, MatrixOp], List[str]]:
+def canonical_matrices() -> Tuple[Dict[str, MatrixOp], List[str]]:
     """Table-extracted matrices with orientations pinned by closure.
 
     Extraction from a variation table fixes each matrix only up to the
@@ -290,7 +285,7 @@ def canonical_matrices(stage: str = "x"
     relations remove the ambiguity.  Returns the closed set and the
     names whose extracted orientation had to flip.
     """
-    mats = matrices_from_tables(stage)
+    mats = matrices_from_tables()
     flips: List[str] = []
     bad = sum(not ok for ok in verify_matrix_relations(mats).values())
     if bad:

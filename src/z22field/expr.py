@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Optional, Tuple, Union
 
-from .core import (DEG00, Degree, GaussianRational, Generator, QONE, QZERO,
+from .core import (DEG00, Degree, GaussianRational, Generator, QONE,
                    Y, ZC, coord, parity)
 
 Exponent = Union[int, Fraction]

@@ -18,6 +18,7 @@ reports at a finite order).
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional
@@ -31,58 +32,33 @@ from .expr import GradedExpr, ONE_EXPR, ZERO_EXPR, gexp, scalar
 _COS_CYCLE = ((1, "C00"), (-1, "S00"), (-1, "C00"), (1, "S00"))
 _SIN_CYCLE = ((1, "S00"), (1, "C00"), (-1, "S00"), (-1, "C00"))
 
+# `Fraction("1e999999999")` computes 10**999999999 before anything can
+# refuse it, so `poly:` coefficients are screened for their exponent first
+MAX_DECIMAL_EXPONENT = 1000
+_EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)")
+
 
 class FunctionSymbol:
     """A degree (0,0) function of one even argument, given by its
     derivative tower."""
 
-    def __init__(self, kind: str, coeffs: Optional[List[Fraction]] = None,
-                 max_order: Optional[int] = None):
+    def __init__(self, kind: str, coeffs: Optional[List[Fraction]] = None):
         if kind not in ("poly", "cos", "sin", "abstract"):
             raise ValueError(f"unknown potential kind {kind!r}")
         self.kind = kind
         self.coeffs = list(coeffs) if coeffs else []
         while self.coeffs and self.coeffs[-1] == 0:
             self.coeffs.pop()
-        self.max_order = max_order
         if kind == "poly":
             self.name = "poly:" + ",".join(str(c) for c in self.coeffs)
         else:
             self.name = kind
-
-    # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def polynomial(cls, coeffs) -> "FunctionSymbol":
-        return cls("poly", [Fraction(c) for c in coeffs])
-
-    @classmethod
-    def cosine(cls) -> "FunctionSymbol":
-        return cls("cos")
-
-    @classmethod
-    def sine(cls) -> "FunctionSymbol":
-        return cls("sin")
-
-    @classmethod
-    def abstract(cls) -> "FunctionSymbol":
-        return cls("abstract")
-
-    # -- the derivative tower -------------------------------------------
-
-    @property
-    def poly_degree(self) -> int:
-        return len(self.coeffs) - 1 if self.coeffs else -1
 
     def derivative(self, order: int, space: str = "x") -> GradedExpr:
         """order-th derivative evaluated on the (0,0) field, as an
         expression in that field and the trig/abstract symbols."""
         if order < 0:
             raise ValueError("derivative order must be >= 0")
-        if self.max_order is not None and order > self.max_order:
-            raise ValueError(
-                f"{self.name} supplies derivatives up to order "
-                f"{self.max_order}, requested {order}")
         if self.kind == "poly":
             out = ZERO_EXPR
             w = gexp(field("phi00", 0, 0, space))
@@ -106,24 +82,33 @@ class FunctionSymbol:
         return f"FunctionSymbol({self.name})"
 
 
+def _coefficient(tok: str) -> Fraction:
+    m = _EXPONENT.search(tok)
+    if m:
+        digits = m.group(1).replace("_", "").lstrip("0")
+        if (len(digits) > len(str(MAX_DECIMAL_EXPONENT))
+                or int(digits or 0) > MAX_DECIMAL_EXPONENT):
+            raise ValueError(f"{tok!r} has a decimal exponent beyond "
+                             f"{MAX_DECIMAL_EXPONENT}")
+    return Fraction(tok)
+
+
 def parse_potential(spec: str) -> FunctionSymbol:
     """CLI grammar: `poly:c0,c1,...` | `cos` | `sin` | `abstract`."""
     spec = spec.strip()
-    if spec == "cos":
-        return FunctionSymbol.cosine()
-    if spec == "sin":
-        return FunctionSymbol.sine()
-    if spec == "abstract":
-        return FunctionSymbol.abstract()
+    if spec in ("cos", "sin", "abstract"):
+        return FunctionSymbol(spec)
     if spec.startswith("poly:"):
         body = spec[len("poly:"):]
         if not body:
             raise ValueError("poly: needs at least one coefficient")
         try:
-            coeffs = [Fraction(tok.strip()) for tok in body.split(",")]
+            # inside the try: the name's str() refuses an integer past
+            # Python's digit limit
+            return FunctionSymbol(
+                "poly", [_coefficient(tok.strip()) for tok in body.split(",")])
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad polynomial coefficient in {spec!r}: {exc}")
-        return FunctionSymbol.polynomial(coeffs)
     raise ValueError(f"unknown potential spec {spec!r}")
 
 
@@ -136,8 +121,8 @@ def _fact(n: int) -> Fraction:
 
 
 def pair_series(g: Generator, truncation_order: int,
-                fsub: Optional[Callable[[int], GradedExpr]] = None,
-                space: Optional[str] = None) -> GradedExpr:
+                fsub: Optional[Callable[[int], GradedExpr]] = None
+                ) -> GradedExpr:
     """Defining series of one pair symbol, keeping powers of the (1,1)
     field up to truncation_order.
 
@@ -146,7 +131,7 @@ def pair_series(g: Generator, truncation_order: int,
     truncation_order = -1 to expand until the tower vanishes.
     """
     m, slot = g.jet
-    sp = space or g.space
+    sp = g.space
     if fsub is None:
         fsub = lambda k: gexp(fjet(k))
     f11 = gexp(field("phi11", 0, 0, sp))
@@ -247,7 +232,6 @@ class PotentialPair:
     stage: str
     truncation_order: int
     closed: bool
-    source: Optional[FunctionSymbol] = None
 
 
 def potential_components(V: FunctionSymbol, stage: str = "x",
@@ -262,14 +246,10 @@ def potential_components(V: FunctionSymbol, stage: str = "x",
         raise ValueError(f"unknown stage {stage!r}")
     if truncation_order < 0:
         raise ValueError("truncation_order must be >= 0")
-    if V.max_order is not None and 2 * truncation_order + 2 > V.max_order:
-        raise ValueError(
-            f"{V.name} cannot supply derivative order "
-            f"{2 * truncation_order + 2}")
     p00, p11 = pairjet(1, 0, stage), pairjet(1, 1, stage)
     if V.kind == "abstract":
         return PotentialPair(gexp(p00), gexp(p11), stage, truncation_order,
-                             True, V)
+                             True)
     v00 = specialize_potential(gexp(p00), V)
     v11 = specialize_potential(gexp(p11), V)
     if V.kind in ("cos", "sin"):
@@ -282,7 +262,7 @@ def potential_components(V: FunctionSymbol, stage: str = "x",
                 raise AssertionError(
                     f"closed form for {sym.name} disagrees with its series "
                     f"at order {truncation_order}")
-    return PotentialPair(v00, v11, stage, truncation_order, True, V)
+    return PotentialPair(v00, v11, stage, truncation_order, True)
 
 
 def series_pair(V: FunctionSymbol, stage: str = "x",
@@ -299,7 +279,7 @@ def series_pair(V: FunctionSymbol, stage: str = "x",
         lambda k: V.derivative(k, stage))
     v00 = pair_series(pairjet(1, 0, stage), truncation_order, fsub=fsub)
     v11 = pair_series(pairjet(1, 1, stage), truncation_order, fsub=fsub)
-    return PotentialPair(v00, v11, stage, truncation_order, False, V)
+    return PotentialPair(v00, v11, stage, truncation_order, False)
 
 
 # ----------------------------------------------------------------------

@@ -180,19 +180,11 @@ def latex(expr: GradedExpr) -> str:
     return out[1:] if out.startswith("+") else out
 
 
-# ----------------------------------------------------------------------
-# text
-# ----------------------------------------------------------------------
-
-def text(expr: GradedExpr) -> str:
-    return str(expr)
-
-
 def render(expr: GradedExpr, fmt: str) -> str:
     if fmt == "json":
         return to_json(expr)
     if fmt == "latex":
         return latex(expr)
     if fmt == "text":
-        return text(expr)
+        return str(expr)
     raise ValueError(f"unknown format {fmt!r}")

@@ -282,10 +282,10 @@ class Trajectory:
     final: FieldState
 
 
-def run(cfg: SimConfig, state: Optional[FieldState] = None) -> Trajectory:
-    """Evolve to t_end, recording the energy at every step."""
-    if state is None:
-        state = init_profile(cfg)
+def run(cfg: SimConfig) -> Trajectory:
+    """Evolve the initial profile to t_end, recording the energy at every
+    step."""
+    state = init_profile(cfg)
     steps = int(round(cfg.t_end / cfg.dt))
     t0 = state.time
     times = [t0]
@@ -308,8 +308,9 @@ def run(cfg: SimConfig, state: Optional[FieldState] = None) -> Trajectory:
 # measurements
 # ----------------------------------------------------------------------
 
-def kink_position(state: FieldState, level: float = math.pi / 2) -> float:
-    """Ascending level crossing of phi00, linearly interpolated."""
+def kink_position(state: FieldState) -> float:
+    """Ascending crossing of phi00 through pi/2, linearly interpolated."""
+    level = math.pi / 2
     phi = state.phi00
     below = phi[:-1] <= level
     above = phi[1:] > level

@@ -107,10 +107,10 @@ def _primed(name: str) -> str:
     return name + "p"
 
 
-def coordinate_variations(name: str, primed: bool = False) -> Dict[str, GradedExpr]:
+def coordinate_variations(name: str) -> Dict[str, GradedExpr]:
     """Action of one symmetry on the superspace coordinates."""
     ops = superspace_operators()
-    eps = gexp(param(_primed(PARAM_OF[name]) if primed else PARAM_OF[name]))
+    eps = gexp(param(PARAM_OF[name]))
     k = scalar(-_KAPPA_FIELD[name])
     out = {}
     for cn in ("t", "y", "z", "th10", "th01"):

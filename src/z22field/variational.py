@@ -29,51 +29,49 @@ AUXILIARY = ("A00", "A11")
 SYMMETRIES = ("H", "Z", "Q10", "Q01", "L11")
 
 _ONE = GaussianRational(1)
+# on-shell rewriting stops well before this; divergence certificates widen
+# their candidate pool at most this many times
+_ONSHELL_ROUNDS = 200
+_DIVERGENCE_ROUNDS = 3
 
 
 # ----------------------------------------------------------------------
 # field equations
 # ----------------------------------------------------------------------
 
-def _bases_present(lag: GradedExpr, stage: str) -> Tuple[str, ...]:
+def _bases_present(lag: GradedExpr) -> Tuple[str, ...]:
     found = {g.base for g in lag.generators()
-             if g.kind == "field" and g.space == stage}
+             if g.kind == "field" and g.space == "x"}
     return tuple(b for b in FIELD_BASES if b in found)
 
 
-def euler_lagrange(lag: GradedExpr, stage: str = "x",
-                   bases: Optional[Tuple[str, ...]] = None
-                   ) -> Dict[str, GradedExpr]:
+def euler_lagrange(lag: GradedExpr) -> Dict[str, GradedExpr]:
     """Rows E_f = d_f L - D_t d_{f_t} L - D_x d_{f_x} L."""
     for g in lag.generators():
         if g.kind == "field" and sum(g.jet) > 1:
             raise ValueError(f"{g.name}: the density must be first order")
-    if bases is None:
-        bases = _bases_present(lag, stage)
-    dt, dx = total_t(stage), total_space(stage)
+    dt, dx = total_t("x"), total_space("x")
     out = {}
-    for b in bases:
-        row = jet_partial(field(b, 0, 0, stage))(lag)
-        row = row - dt(jet_partial(field(b, 1, 0, stage))(lag))
-        row = row - dx(jet_partial(field(b, 0, 1, stage))(lag))
+    for b in _bases_present(lag):
+        row = jet_partial(field(b, 0, 0, "x"))(lag)
+        row = row - dt(jet_partial(field(b, 1, 0, "x"))(lag))
+        row = row - dx(jet_partial(field(b, 0, 1, "x"))(lag))
         out[b] = row
     return out
 
 
-def solved_forms(eqs: Optional[Dict[str, GradedExpr]] = None,
-                 stage: str = "x") -> Dict[Generator, GradedExpr]:
+def solved_forms() -> Dict[Generator, GradedExpr]:
     """Each dynamical equation solved for its leading time jet.
 
     Bosons are second order in time, fermions first; the leading
     coefficient is a nonzero scalar, so the rewrite is exact.
     """
-    if eqs is None:
-        eqs = euler_lagrange(lagrangian(eliminate=True), stage)
+    eqs = euler_lagrange(lagrangian(eliminate=True))
     out: Dict[Generator, GradedExpr] = {}
     for b, eq in eqs.items():
         if b in AUXILIARY:
             continue
-        lead = field(b, 2 if b in BOSONS else 1, 0, stage)
+        lead = field(b, 2 if b in BOSONS else 1, 0, "x")
         rest, coeff = eq.split_gen(lead)
         if set(coeff.terms.keys()) != {()}:
             raise AssertionError(f"{b} row is not linear in {lead.name}")
@@ -82,8 +80,8 @@ def solved_forms(eqs: Optional[Dict[str, GradedExpr]] = None,
 
 
 def reduce_onshell(e: GradedExpr,
-                   solved: Optional[Dict[Generator, GradedExpr]] = None,
-                   stage: str = "x", max_rounds: int = 200) -> GradedExpr:
+                   solved: Optional[Dict[Generator, GradedExpr]] = None
+                   ) -> GradedExpr:
     """Rewrite reducible time jets through the solved field equations.
 
     Every pass replaces a jet at or above its equation's time order by a
@@ -91,9 +89,9 @@ def reduce_onshell(e: GradedExpr,
     terminates.
     """
     if solved is None:
-        solved = solved_forms(stage=stage)
+        solved = solved_forms()
     order = {lead.base: lead.jet[0] for lead in solved}
-    dt, dx = total_t(stage), total_space(stage)
+    dt, dx = total_t("x"), total_space("x")
     images: Dict[Generator, GradedExpr] = {}
 
     def image(g: Generator) -> GradedExpr:
@@ -101,7 +99,7 @@ def reduce_onshell(e: GradedExpr,
         if hit is None:
             m, n = g.jet
             m0 = order[g.base]
-            hit = solved[field(g.base, m0, 0, stage)]
+            hit = solved[field(g.base, m0, 0, "x")]
             for _ in range(n):
                 hit = dx(hit)
             for _ in range(m - m0):
@@ -110,9 +108,9 @@ def reduce_onshell(e: GradedExpr,
         return hit
 
     cur = e
-    for _ in range(max_rounds):
+    for _ in range(_ONSHELL_ROUNDS):
         subs = {g: image(g) for g in cur.generators()
-                if g.kind == "field" and g.space == stage
+                if g.kind == "field" and g.space == "x"
                 and g.base in order and g.jet[0] >= order[g.base]}
         if not subs:
             return cur
@@ -131,21 +129,21 @@ def _mono_expr(mono) -> GradedExpr:
     return out
 
 
-def _lowered(mono, stage: str, which: str) -> List[tuple]:
+def _lowered(mono, which: str) -> List[tuple]:
     """Monomials obtained by trading one jet derivative of one factor."""
     outs = []
     for i, (g, e) in enumerate(mono):
-        if g.kind != "field" or g.space != stage:
+        if g.kind != "field" or g.space != "x":
             continue
         m, n = g.jet
         if which == "t":
             if m == 0:
                 continue
-            low = field(g.base, m - 1, n, stage)
+            low = field(g.base, m - 1, n, "x")
         else:
             if n == 0:
                 continue
-            low = field(g.base, m, n - 1, stage)
+            low = field(g.base, m, n - 1, "x")
         acc = GradedExpr.const(_ONE)
         for j, (gg, ee) in enumerate(mono):
             if j == i:
@@ -187,15 +185,15 @@ def _fn_antiderivatives(g: Generator) -> List[Tuple[Generator, str]]:
     return out
 
 
-def _chain_lowered(mono, stage: str, which: str) -> List[tuple]:
+def _chain_lowered(mono, which: str) -> List[tuple]:
     """Trade one first-order jet factor against a lowered function symbol.
 
     Inverts the chain rule: D(h) contributes g * jet, so a monomial
     carrying both g and the matching jet admits the candidate with h in
     place of g and one jet power removed.
     """
-    jet_of = {wf: field(wf, 1, 0, stage) if which == "t"
-              else field(wf, 0, 1, stage) for wf in ("phi00", "phi11")}
+    jet_of = {wf: field(wf, 1, 0, "x") if which == "t"
+              else field(wf, 0, 1, "x") for wf in ("phi00", "phi11")}
     outs = []
     for i, (g, e) in enumerate(mono):
         for h, wf in _fn_antiderivatives(g):
@@ -289,8 +287,7 @@ def _solve_sparse(columns: List[dict], rhs: dict) -> Optional[List]:
     return sol
 
 
-def divergence_split(s: GradedExpr, stage: str = "x",
-                     rounds: int = 3) -> Tuple[GradedExpr, GradedExpr]:
+def divergence_split(s: GradedExpr) -> Tuple[GradedExpr, GradedExpr]:
     """Write s = D_t K0 + D_x K1 exactly, raising if no form exists.
 
     Candidate monomials trade one time jet (toward K0) or one space jet
@@ -300,7 +297,7 @@ def divergence_split(s: GradedExpr, stage: str = "x",
     """
     if not s.terms:
         return GradedExpr.zero(), GradedExpr.zero()
-    dt, dx = total_t(stage), total_space(stage)
+    dt, dx = total_t("x"), total_space("x")
     tgen, xgen = coord("t"), coord("x")
     has_coord = any(g is tgen or g is xgen for g in s.generators())
 
@@ -309,13 +306,13 @@ def divergence_split(s: GradedExpr, stage: str = "x",
 
     def extend(monos) -> None:
         for mono in monos:
-            for mm in _lowered(mono, stage, "t"):
+            for mm in _lowered(mono, "t"):
                 seen0.setdefault(mm)
-            for mm in _lowered(mono, stage, "x"):
+            for mm in _lowered(mono, "x"):
                 seen1.setdefault(mm)
-            for mm in _chain_lowered(mono, stage, "t"):
+            for mm in _chain_lowered(mono, "t"):
                 seen0.setdefault(mm)
-            for mm in _chain_lowered(mono, stage, "x"):
+            for mm in _chain_lowered(mono, "x"):
                 seen1.setdefault(mm)
             if has_coord:
                 for mm in _raised(mono, "t"):
@@ -324,7 +321,7 @@ def divergence_split(s: GradedExpr, stage: str = "x",
                     seen1.setdefault(mm)
 
     extend(sorted(s.terms.keys(), key=_mono_sort_token))
-    for _ in range(rounds):
+    for _ in range(_DIVERGENCE_ROUNDS):
         cands0 = sorted(seen0, key=_mono_sort_token)
         cands1 = sorted(seen1, key=_mono_sort_token)
         cols = [dt(_mono_expr(m)).terms for m in cands0]
@@ -353,39 +350,37 @@ def divergence_split(s: GradedExpr, stage: str = "x",
 # Noether currents
 # ----------------------------------------------------------------------
 
-def eliminated_variation(name: str, stage: str = "x"):
+def eliminated_variation(name: str):
     """Variation with the auxiliaries traded for their algebraic solutions."""
-    table = variation_table(name, stage)
-    mapping = auxiliary_jets(table.values(), auxiliary_solution(), stage)
+    table = variation_table(name, "x")
+    mapping = auxiliary_jets(table.values(), auxiliary_solution())
     table = {b: e.substitute(mapping) for b, e in table.items()
              if b not in AUXILIARY}
-    return prolonged_derivation(table, stage, f"delta_{name}[onshell]")
+    return prolonged_derivation(table, "x", f"delta_{name}[onshell]")
 
 
-def noether(name: str, lag: Optional[GradedExpr] = None, stage: str = "x",
-            eliminate: bool = True) -> dict:
-    """Canonical current, boundary certificate, and their difference."""
-    if lag is None:
-        lag = lagrangian(eliminate=eliminate)
-    delta = (eliminated_variation(name, stage) if eliminate
-             else variation_derivation(name, stage))
+def noether(name: str) -> dict:
+    """Canonical current, boundary certificate, and their difference, for
+    the auxiliary-eliminated Lagrangian."""
+    lag = lagrangian(eliminate=True)
+    delta = eliminated_variation(name)
     eps = param(PARAM_OF[name])
-    dt, dx = total_t(stage), total_space(stage)
-    eqs = euler_lagrange(lag, stage)
+    dt, dx = total_t("x"), total_space("x")
+    eqs = euler_lagrange(lag)
     dl = delta(lag)
 
     n0 = GradedExpr.zero()
     n1 = GradedExpr.zero()
     onshell = GradedExpr.zero()
     for b in eqs:
-        df = delta(gexp(field(b, 0, 0, stage)))
-        n0 = n0 + df * jet_partial(field(b, 1, 0, stage))(lag)
-        n1 = n1 + df * jet_partial(field(b, 0, 1, stage))(lag)
+        df = delta(gexp(field(b, 0, 0, "x")))
+        n0 = n0 + df * jet_partial(field(b, 1, 0, "x"))(lag)
+        n1 = n1 + df * jet_partial(field(b, 0, 1, "x"))(lag)
         onshell = onshell + df * eqs[b]
     if dl != onshell + dt(n0) + dx(n1):
         raise AssertionError(f"chain-rule identity failed for {name}")
 
-    k0, k1 = divergence_split(dl, stage)
+    k0, k1 = divergence_split(dl)
     j0, j1 = n0 - k0, n1 - k1
     return {
         "name": name,
@@ -398,10 +393,8 @@ def noether(name: str, lag: Optional[GradedExpr] = None, stage: str = "x",
     }
 
 
-def current_table(lag: Optional[GradedExpr] = None, stage: str = "x",
-                  eliminate: bool = True,
-                  names: Tuple[str, ...] = SYMMETRIES) -> Dict[str, dict]:
-    return {name: noether(name, lag, stage, eliminate) for name in names}
+def current_table() -> Dict[str, dict]:
+    return {name: noether(name) for name in SYMMETRIES}
 
 
 def _anchor_scale(engine: GradedExpr,
@@ -413,19 +406,17 @@ def _anchor_scale(engine: GradedExpr,
     return None
 
 
-def current_comparison(data: Optional[Dict[str, dict]] = None,
-                       stage: str = "x") -> Dict[str, dict]:
+def current_comparison() -> Dict[str, dict]:
     """Engine currents against the hand-checked pairs, with conservation.
 
     The scale is pinned on the first shared monomial; any leftover
     difference must itself be a conserved pair (an improvement term) and
     is reported rather than discarded.
     """
-    if data is None:
-        data = current_table()
+    data = current_table()
     refs = reference.reference_currents()
-    solved = solved_forms(stage=stage)
-    dt, dx = total_t(stage), total_space(stage)
+    solved = solved_forms()
+    dt, dx = total_t("x"), total_space("x")
     out: Dict[str, dict] = {}
     for name, item in data.items():
         j0, j1 = item["current"]
@@ -438,31 +429,30 @@ def current_comparison(data: Optional[Dict[str, dict]] = None,
         else:
             res0 = j0 - scalar(scale) * r0
             res1 = j1 - scalar(scale) * r1
-        div = reduce_onshell(dt(j0) + dx(j1), solved, stage)
+        div = reduce_onshell(dt(j0) + dx(j1), solved)
         entry = {
             "scale": scale,
             "matches_reference": not res0.terms and not res1.terms,
             "conserved": not div.terms,
         }
         if res0.terms or res1.terms:
-            idiv = reduce_onshell(dt(res0) + dx(res1), solved, stage)
+            idiv = reduce_onshell(dt(res0) + dx(res1), solved)
             entry["improvement"] = (res0, res1)
             entry["improvement_conserved"] = not idiv.terms
         out[name] = entry
     return out
 
 
-def invariance_report(eliminate: bool = False, stage: str = "x",
-                      names: Tuple[str, ...] = SYMMETRIES) -> Dict[str, dict]:
+def invariance_report(eliminate: bool = False) -> Dict[str, dict]:
     """Exact divergence certificates for the five variations."""
     lag = lagrangian(eliminate=eliminate)
     out: Dict[str, dict] = {}
-    for name in names:
-        delta = (eliminated_variation(name, stage) if eliminate
-                 else variation_derivation(name, stage))
+    for name in SYMMETRIES:
+        delta = (eliminated_variation(name) if eliminate
+                 else variation_derivation(name, "x"))
         dl = delta(lag)
         try:
-            k0, k1 = divergence_split(dl, stage)
+            k0, k1 = divergence_split(dl)
             out[name] = {"ok": True, "boundary": (k0, k1)}
         except ValueError:
             out[name] = {"ok": False, "residual": dl}
@@ -492,24 +482,25 @@ def table_comparison_report() -> Dict[str, dict]:
 # equations of motion against the hand-checked displays
 # ----------------------------------------------------------------------
 
-def specialization_map(spec: Dict[str, GradedExpr],
-                       stage: str = "x") -> Dict[Generator, GradedExpr]:
+def specialization_map(spec: Dict[str, GradedExpr]
+                       ) -> Dict[Generator, GradedExpr]:
     """Name-keyed potential data as a generator substitution."""
     out: Dict[Generator, GradedExpr] = {}
     for m in range(0, 8):
         for slot in (0, 1):
-            g = pairjet(m, slot, stage)
+            g = pairjet(m, slot, "x")
             if g.name in spec:
                 out[g] = spec[g.name]
     return out
 
 
-def eom_table(eliminate: bool = True,
-              spec: Optional[Dict[str, GradedExpr]] = None,
-              stage: str = "x") -> Dict[str, GradedExpr]:
-    eqs = euler_lagrange(lagrangian(eliminate=eliminate), stage)
+def eom_table(spec: Optional[Dict[str, GradedExpr]] = None
+              ) -> Dict[str, GradedExpr]:
+    """Field equations of the auxiliary-eliminated Lagrangian, optionally
+    specialized to name-keyed potential data."""
+    eqs = euler_lagrange(lagrangian(eliminate=True))
     if spec is not None:
-        subs = specialization_map(spec, stage)
+        subs = specialization_map(spec)
         eqs = {b: e.substitute(subs) for b, e in eqs.items()}
     return eqs
 
@@ -558,7 +549,7 @@ def trig_eom_report() -> Dict[str, dict]:
     return rep
 
 
-def _sector_off(e: GradedExpr, keep: str, stage: str = "x") -> GradedExpr:
+def _sector_off(e: GradedExpr, keep: str) -> GradedExpr:
     """Shut off the complementary boson sector and all fermions."""
     other = "phi11" if keep == "phi00" else "phi00"
     sin_off = "S11" if keep == "phi00" else "S00"
@@ -574,23 +565,23 @@ def _sector_off(e: GradedExpr, keep: str, stage: str = "x") -> GradedExpr:
     return e.substitute(subs)
 
 
-def sine_gordon_reduction(stage: str = "x") -> Dict[str, dict]:
+def sine_gordon_reduction() -> Dict[str, dict]:
     """Single-field reductions of the trigonometric system, both sectors."""
-    eqs = eom_table(spec=reference.trigonometric_specialization(), stage=stage)
+    eqs = eom_table(spec=reference.trigonometric_specialization())
     ref00 = reference.sg_reduced_eom()
 
     def mirror(e: GradedExpr) -> GradedExpr:
         subs: Dict[Generator, GradedExpr] = {}
         for g in e.generators():
             if g.kind == "field" and g.base == "phi00":
-                subs[g] = gexp(field("phi11", g.jet[0], g.jet[1], stage))
+                subs[g] = gexp(field("phi11", g.jet[0], g.jet[1], "x"))
             elif g.kind == "fn" and g.base in ("S00", "C00"):
                 subs[g] = gexp(trig("S11" if g.base == "S00" else "C11"))
         return e.substitute(subs)
 
     out: Dict[str, dict] = {}
     for keep, ref in (("phi00", ref00), ("phi11", mirror(ref00))):
-        row = _sector_off(eqs[keep], keep, stage)
+        row = _sector_off(eqs[keep], keep)
         scale = _anchor_scale(row, ref)
         res = row - scalar(scale) * ref if scale is not None else row
         out[keep] = {"scale": scale, "exact": not res.terms, "residual": res}

@@ -192,3 +192,61 @@ def test_check_potential_fails_on_a_broken_constraint(monkeypatch, capsys):
     assert rc == 1 and doc["ok"] is False
     assert doc["report"]["constraint_ok"] is False
     assert doc["report"]["matches_display"] is True
+
+
+def test_config_param_line_without_a_value_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("dx = 0.2\nparam = v\n")
+    rc = main(["simulate", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == ("error: config line 'param = v' wants "
+                            "name=value, got 'v'\n")
+
+
+def test_config_param_line_sets_a_profile_parameter(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("param = v=0.25\nparam = w = 2\n")
+    parsed = build_sim_config(build_parser().parse_args(
+        ["simulate", "--config", str(cfg), "--param", "w=3"]))
+    assert parsed.params == {"v": 0.25, "w": 3.0}
+
+
+def test_missing_config_file_exits_two(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    rc = main(["simulate", "--config", str(missing)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"error: cannot read config file {str(missing)!r}")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-dmodule", "--potential", "cos"],
+    ["check-currents", "--truncation", "3"],
+    ["verify-tables", "--out", "x"],
+    ["report-all", "--format", "json"],
+])
+def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_numerics_is_a_subcommand(capsys):
+    rc = main(["numerics", "--format", "json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 0 and doc["ok"] is True
+    checks = doc["report"]["checks"]
+    assert len(checks) == 5 and all(v is True for v in checks.values())
+
+
+def test_report_all_forwards_the_potential(tmp_path, capsys):
+    rc = main(["report-all", "--potential", "cos", "--out", str(tmp_path)])
+    assert rc == 0
+    doc = json.loads((tmp_path / "derive-lagrangian.json").read_text())
+    assert doc["ok"] is True
+    assert doc["report"]["potential"] == "cos"

@@ -4,6 +4,7 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from z22field import GradedExpr, field, gexp, scalar
 from z22field.core import fjet, pairjet, trig
@@ -33,6 +34,31 @@ def test_parse_polynomial():
 def test_parse_rejects_garbage(bad):
     with pytest.raises(ValueError):
         parse_potential(bad)
+
+
+@pytest.mark.parametrize("spec", ["poly:1e999999999", "poly:1e-999999",
+                                  "poly:0,2E+0001001", "poly:1e1_000_000"])
+def test_parse_refuses_an_oversized_exponent(spec):
+    with pytest.raises(ValueError, match="decimal exponent") as exc:
+        parse_potential(spec)
+    assert repr(spec) in str(exc.value)
+
+
+def test_parse_keeps_exponents_up_to_the_bound():
+    V = parse_potential("poly:1e1000,25e-2")
+    assert V.coeffs == [Fraction(10) ** 1000, Fraction(1, 4)]
+
+
+_SPEC_CHARS = st.sampled_from("0123456789eE+-_./, ")
+
+
+@given(st.one_of(st.text(), st.text(_SPEC_CHARS).map("poly:".__add__)))
+def test_parse_either_parses_or_raises_value_error(spec):
+    try:
+        V = parse_potential(spec)
+    except ValueError:
+        return
+    assert V.kind in ("poly", "cos", "sin", "abstract")
 
 
 # ----------------------------------------------------------------------

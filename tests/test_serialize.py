@@ -7,7 +7,7 @@ import pytest
 from z22field import GradedExpr, coord, field, gexp, param, scalar
 from z22field.core import QI, Generator, pairjet, trig
 from z22field.serialize import (expr_from_json, json_terms, latex, render,
-                                text, to_json)
+                                to_json)
 
 
 def _resolve_factory(exprs):
@@ -48,7 +48,7 @@ def test_latex_zero():
 
 def test_render_dispatch():
     e = gexp(field("phi00", 0, 0, "x"))
-    assert render(e, "text") == text(e)
+    assert render(e, "text") == str(e)
     assert render(e, "json") == to_json(e)
     assert render(e, "latex") == latex(e)
     with pytest.raises(ValueError):
@@ -57,4 +57,4 @@ def test_render_dispatch():
 
 def test_text_matches_str():
     e = gexp(pairjet(1, 0, "x")) + scalar(2) * gexp(coord("x"), Fraction(1, 2))
-    assert text(e) == str(e)
+    assert render(e, "text") == str(e)

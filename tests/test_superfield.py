@@ -103,3 +103,10 @@ def test_stage_map_consistency_on_jets():
     mapped = stage_map(e)
     direct = total_t("x")(stage_map(gexp(field("phi00", 0, 0, "y"))))
     assert direct == mapped + mapped  # dt = 2 dt'
+
+
+def test_package_does_not_shadow_the_superfield_module():
+    import types
+    import z22field.superfield as m
+    assert isinstance(m, types.ModuleType)
+    assert m.superfield is superfield
