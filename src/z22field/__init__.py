@@ -30,7 +30,6 @@ from .variational import (current_comparison, divergence_split,
                           table_comparison_report)
 from .dmodule import (MatrixOp, WeylOp, canonical_matrices, dmodule_report,
                       matrices_from_tables, printed_matrices)
-from .sim import FieldState, SimConfig, Trajectory, init_profile, run, step
 
 __all__ = [
     "DEG00", "DEG01", "DEG10", "DEG11", "Degree", "FieldState",
@@ -49,3 +48,14 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+# the solver's names load it, and numpy, on first access
+_SIM_NAMES = ("FieldState", "SimConfig", "Trajectory", "init_profile", "run",
+              "step")
+
+
+def __getattr__(name: str):
+    if name in _SIM_NAMES:
+        from . import sim
+        return getattr(sim, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

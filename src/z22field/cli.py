@@ -5,8 +5,11 @@ Lagrangian pipeline, currents and invariance, the matrix realization,
 potential handling, the finite-difference solver, and a batch mode that
 runs the whole suite and writes a manifest.  Output is deterministic:
 maps are emitted in sorted order and rationals in lowest terms, so
-identical invocations produce byte-identical artifacts.
+identical invocations produce byte-identical artifacts.  The solver,
+and with it numpy, is imported only by the subcommands that run it.
 """
+
+from __future__ import annotations
 
 import argparse
 import json
@@ -32,7 +35,6 @@ from .variational import (current_comparison, generic_eom_report,
                           sine_gordon_reduction, table_comparison_report,
                           trig_eom_report)
 from .dmodule import dmodule_report
-from . import sim
 from . import reference
 
 FORMATS = ("json", "latex", "text", "csv")
@@ -219,6 +221,7 @@ def run_check_examples(args) -> Tuple[bool, dict]:
 
 
 def run_numerics(args) -> Tuple[bool, dict]:
+    from . import sim
     conv = sim.convergence_study()
     drift = sim.energy_drift_study()
     boost = sim.boosted_kink_study()
@@ -246,15 +249,20 @@ _SIM_KEYS = ("alpha", "dx", "dt", "x_min", "x_max", "t_end", "boundary",
 _SIM_STR = ("boundary", "model", "initial")
 
 
+def _number(kind: type, val: str, where: str):
+    """`kind(val)`; `where` names the source of `val`."""
+    try:
+        return kind(val)
+    except ValueError:
+        raise ValueError(f"{where} wants a number, got {val!r}") from None
+
+
 def _name_value(item: str, where: str) -> Tuple[str, float]:
     """One `name=value` profile parameter; `where` names its source."""
     name, sep, val = item.partition("=")
-    try:
-        if sep:
-            return name.strip(), float(val)
-    except ValueError:
-        pass
-    raise ValueError(f"{where} wants name=value, got {item!r}")
+    if not sep:
+        raise ValueError(f"{where} wants name=value, got {item!r}")
+    return name.strip(), _number(float, val.strip(), where)
 
 
 def _read_config_file(path: str) -> List[Tuple[str, str, str]]:
@@ -277,19 +285,22 @@ def _read_config_file(path: str) -> List[Tuple[str, str, str]]:
 
 
 def build_sim_config(args) -> sim.SimConfig:
+    from . import sim
     values: dict = {}
     params: Dict[str, float] = {}
     if args.config:
         for key, val, raw in _read_config_file(args.config):
+            where = f"config line {raw!r}"
             if key == "param":
-                name, num = _name_value(val, f"config line {raw!r}")
+                name, num = _name_value(val, where)
                 params[name] = num
             elif key.startswith("param."):
-                params[key[len("param."):]] = float(val)
+                params[key[len("param."):]] = _number(float, val, where)
             elif key in _SIM_STR:
                 values[key] = val
             elif key in _SIM_KEYS:
-                values[key] = int(val) if key == "output_stride" else float(val)
+                values[key] = _number(
+                    int if key == "output_stride" else float, val, where)
             else:
                 raise ValueError(f"unknown config key {key!r}")
     for key in _SIM_KEYS:
@@ -312,6 +323,7 @@ def _write_snapshot(path: Path, state: sim.FieldState) -> None:
 
 
 def run_simulate(args) -> int:
+    from . import sim
     cfg = build_sim_config(args)
     traj = sim.run(cfg)
     lines = ["time,energy"]
@@ -421,9 +433,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--x-min", dest="x_min", type=float, default=None)
     s.add_argument("--x-max", dest="x_max", type=float, default=None)
     s.add_argument("--t-end", dest="t_end", type=float, default=None)
-    s.add_argument("--boundary", choices=sim.BOUNDARIES, default=None)
-    s.add_argument("--model", choices=sim.MODELS, default=None)
-    s.add_argument("--initial", choices=sim.PROFILES, default=None)
+    # SimConfig names an unknown boundary, model or profile (exit 2)
+    for flag in ("--boundary", "--model", "--initial"):
+        s.add_argument(flag)
     s.add_argument("--output-stride", dest="output_stride", type=int,
                    default=None)
     s.add_argument("--param", action="append", default=[],

@@ -1,6 +1,9 @@
 """Command-line surface: dispatch, exit codes, determinism, artifacts."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -86,6 +89,7 @@ def test_simulate_cfl_violation_exits_two(capsys):
     (["--alpha", "nan"], "alpha must be finite"),
     (["--dx", "nan"], "dx must be finite"),
     (["--t-end", "-3"], "t_end must not be negative"),
+    (["--boundary", "bogus"], "unknown boundary 'bogus'"),
 ])
 def test_simulate_rejects_bad_input_with_exit_two(argv, message, capsys):
     rc = main(["simulate", *argv])
@@ -93,6 +97,42 @@ def test_simulate_rejects_bad_input_with_exit_two(argv, message, capsys):
     assert rc == 2
     assert captured.out == ""
     assert captured.err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("line, val", [
+    ("dx = abc", "abc"),
+    ("param.v = abc", "abc"),
+    ("output_stride = 2.5", "2.5"),
+])
+def test_config_value_that_is_not_a_number_names_its_line(
+        line, val, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"alpha = 1\n{line}\n")
+    rc = main(["simulate", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == (f"error: config line {line!r} wants a number, "
+                            f"got {val!r}\n")
+
+
+def test_symbolic_checks_do_not_import_numpy():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = ("import contextlib, io, sys\n"
+            "import z22field\n"
+            "from z22field import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    rc = cli.main(['verify-tables', '--format', 'json'])\n"
+            "assert rc == 0, rc\n"
+            "assert 'numpy' not in sys.modules\n"
+            "assert z22field.SimConfig is z22field.sim.SimConfig\n"
+            "assert 'numpy' in sys.modules\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_simulate_has_no_format_flag(capsys):

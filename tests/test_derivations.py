@@ -2,7 +2,10 @@
 
 from fractions import Fraction
 
+import pytest
+
 from z22field import GradedExpr, coord, field, gexp, scalar
+from z22field import derivations
 from z22field.core import QI, pairjet, trig
 from z22field.core import parity
 from z22field.derivations import (OP_DEGREE, STRUCTURE, _ORDER, bracket,
@@ -18,8 +21,40 @@ def test_structure_constants_all_relations():
 
 
 def test_jacobi_identity():
-    for r in verify_jacobi():
+    reports = verify_jacobi()
+    assert len(reports) == 7 ** 3
+    assert len({r["relation"] for r in reports}) == 7 ** 3
+    for r in reports:
         assert r["status"] == "ok", f"{r['relation']}: {r['residuals']}"
+
+
+NONZERO = [key for key, rhs in STRUCTURE.items() if rhs]
+
+
+def _failures():
+    return [r for r in verify_jacobi() if r["status"] == "fail"]
+
+
+@pytest.mark.parametrize("key", NONZERO, ids=lambda k: "%s,%s" % k)
+def test_jacobi_fails_on_a_flipped_structure_constant(key, monkeypatch):
+    assert len(NONZERO) == 12
+    monkeypatch.setitem(STRUCTURE, key,
+                        [(-c, name) for c, name in STRUCTURE[key]])
+    failed = _failures()
+    assert failed
+    assert all(r["residuals"] and all(r["residuals"].values())
+               for r in failed)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_jacobi_fails_when_the_flip_sign_ignores_parity(sign, monkeypatch):
+    def flip_ignoring_parity(a, b):
+        if (a, b) in STRUCTURE:
+            return STRUCTURE[(a, b)]
+        return [(c * sign, name) for c, name in STRUCTURE[(b, a)]]
+
+    monkeypatch.setattr(derivations, "bracket_value", flip_ignoring_parity)
+    assert _failures()
 
 
 def test_bracket_matches_componentwise_definition():
