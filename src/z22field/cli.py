@@ -313,13 +313,17 @@ def build_sim_config(args) -> sim.SimConfig:
     return sim.SimConfig(**values, params=params)
 
 
+def _rows(columns, sep: str) -> List[str]:
+    """One line per grid site; each column is read once, not per row
+    (the phi and pi fields of a state are derived arrays)."""
+    return [sep.join(map(repr, row))
+            for row in zip(*(c.tolist() for c in columns))]
+
+
 def _write_snapshot(path: Path, state: sim.FieldState) -> None:
-    with path.open("w") as fh:
-        fh.write("x,phi00,phi11,pi00,pi11\n")
-        for k in range(len(state.x)):
-            row = (state.x[k], state.phi00[k], state.phi11[k],
-                   state.pi00[k], state.pi11[k])
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    rows = _rows((state.x, state.phi00, state.phi11, state.pi00,
+                  state.pi11), ",")
+    path.write_text("x,phi00,phi11,pi00,pi11\n" + "\n".join(rows) + "\n")
 
 
 def run_simulate(args) -> int:
@@ -339,9 +343,7 @@ def run_simulate(args) -> int:
                 _write_snapshot(out_dir / f"snapshot_{idx:04d}.csv", snap)
         if args.profile_dump:
             final = traj.final
-            rows = [f"{float(final.x[k])!r} {float(final.phi00[k])!r} "
-                    f"{float(final.phi11[k])!r}"
-                    for k in range(len(final.x))]
+            rows = _rows((final.x, final.phi00, final.phi11), " ")
             (out_dir / "profile.dat").write_text(
                 "# x phi00 phi11\n" + "\n".join(rows) + "\n")
     else:

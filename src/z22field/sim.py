@@ -1,26 +1,31 @@
 """Finite-difference solver for the bosonic sector of the derived models.
 
-Evolves the coupled pair
+The coupled pair
 
     phi00_tt = phi00_xx - (alpha^2/2) sin(2 phi00) cos(2 phi11)
     phi11_tt = phi11_xx - (alpha^2/2) cos(2 phi00) sin(2 phi11)
 
-(or the massive linear variant) with a velocity-Verlet update on a
-uniform grid.  In u = phi00 + phi11 and v = phi00 - phi11 the coupling
-is (alpha^2/4)(sin 2u +- sin 2v), so the pair is two decoupled
-sine-Gordon equations, the force costs two sines per site, and the
-potential is (alpha^2/4)(sin^2 u + sin^2 v).  Fermions stay symbolic;
-they have no numeric classical representation.
+splits in u = phi00 + phi11 and v = phi00 - phi11 into two decoupled
+sine-Gordon equations, w_tt = w_xx - alpha^2 W(w) for w = u and w = v,
+with W(w) = (1/2) sin 2w (W(w) = w for the massive linear variant).
+The solver evolves that form with a velocity-Verlet update on a uniform
+grid: positions are one (2, N) array w = (u, v) and momenta one (2, N)
+array p = (pi00 + pi11, pi00 - pi11), so each force evaluation is one
+Laplacian and one sine over 2N sites.  The component fields phi00,
+phi11, pi00 and pi11 are derived from them as (1/2)(u +- v).  Fermions
+stay symbolic; they have no numeric classical representation.
 
 Each `step` evaluates `force` once: the force at the new positions,
 which closes one Verlet step, opens the next.  `step` keeps it on the
 state it returns, keyed by the inputs the force depends on, (model,
-boundary, alpha, dx), and by the position arrays it was computed at; a
+boundary, alpha, dx), and by the position array it was computed at; a
 state without that force (from `init_profile`, or built by hand) or
 stepped under a config with another key gets a fresh evaluation.
-`step` never writes into its input, and the field arrays of the state
-it returns are read-only, so an in-place edit raises instead of pairing
-new positions with an old force.
+`step` never writes into its input, and the arrays of the state it
+returns are read-only, so an in-place edit raises instead of pairing
+new positions with an old force.  It records the time as t0 + k dt,
+counting steps from the state's start, so a long run gathers no
+rounding from a running sum.
 
 `total_energy` is the scheme's own discrete energy, which the update
 conserves up to a bounded oscillation, and `SimConfig` refuses a time
@@ -37,10 +42,10 @@ MODELS = ("sine-gordon", "massive")
 BOUNDARIES = ("periodic", "fixed")
 PROFILES = ("zero", "kink", "gaussian", "two-field-kink")
 
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
-
 # largest grid SimConfig accepts: 10^7 sites is 80 MB per field array
 MAX_SITES = 10 ** 7
+# the 3-point stencil needs a site and both its neighbours
+MIN_SITES = 3
 
 
 # ----------------------------------------------------------------------
@@ -89,41 +94,86 @@ class SimConfig:
                 f"{self.x_max}], more than the {MAX_SITES} allowed")
         if self.boundary not in BOUNDARIES:
             raise ValueError(f"unknown boundary {self.boundary!r}")
+        n = _site_count(self)
+        if n < MIN_SITES:
+            raise ValueError(
+                f"dx={dx} gives {n} grid sites on [{self.x_min}, "
+                f"{self.x_max}], fewer than the {MIN_SITES} the stencil "
+                f"needs")
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}")
         if self.initial not in PROFILES:
             raise ValueError(f"unknown profile {self.initial!r}")
 
 
+def _half(a: np.ndarray) -> np.ndarray:
+    """(1/2) a, in place in the fresh array a, made read-only."""
+    a *= 0.5
+    a.flags.writeable = False
+    return a
+
+
 @dataclass
 class FieldState:
+    """The fields on the grid `x`, in the u/v basis.
+
+    `w` holds the rows u = phi00 + phi11 and v = phi00 - phi11, `p` their
+    momenta pi00 + pi11 and pi00 - pi11; `from_fields` builds a state
+    from the component fields, and `phi00`, `phi11`, `pi00`, `pi11`
+    derive them back.
+    """
     x: np.ndarray
-    phi00: np.ndarray
-    phi11: np.ndarray
-    pi00: np.ndarray
-    pi11: np.ndarray
+    w: np.ndarray
+    p: np.ndarray
     time: float = 0.0
-    # (key, phi00, phi11, f00, f11): the force that `step` computed at
-    # these positions, see the module docstring
+    # (key, w, f): the force that `step` computed at the positions w,
+    # see the module docstring
     cached_force: Optional[tuple] = dataclass_field(
         default=None, init=False, repr=False, compare=False)
+    # (t0, k, dt): `time` is t0 + k dt, k steps of dt after t0
+    clock: Optional[Tuple[float, int, float]] = dataclass_field(
+        default=None, init=False, repr=False, compare=False)
+
+    @classmethod
+    def from_fields(cls, x: np.ndarray, phi00: np.ndarray,
+                    phi11: np.ndarray, pi00: np.ndarray, pi11: np.ndarray,
+                    time: float = 0.0) -> "FieldState":
+        w, p = np.empty((2, len(x))), np.empty((2, len(x)))
+        for out, a, b in ((w, phi00, phi11), (p, pi00, pi11)):
+            np.add(a, b, out=out[0])
+            np.subtract(a, b, out=out[1])
+            out.flags.writeable = False
+        return cls(x, w, p, time).check()
+
+    phi00 = property(lambda self: _half(self.w[0] + self.w[1]))
+    phi11 = property(lambda self: _half(self.w[0] - self.w[1]))
+    pi00 = property(lambda self: _half(self.p[0] + self.p[1]))
+    pi11 = property(lambda self: _half(self.p[0] - self.p[1]))
 
     def check(self) -> "FieldState":
         n = len(self.x)
-        for name in ("phi00", "phi11", "pi00", "pi11"):
-            arr = getattr(self, name)
-            if len(arr) != n:
-                raise ValueError(f"{name}: length {len(arr)} != grid {n}")
-            if not np.all(np.isfinite(arr)):
-                raise RuntimeError(f"{name} lost finiteness at t={self.time}")
+        for name in ("w", "p"):
+            shape = getattr(self, name).shape
+            if shape != (2, n):
+                raise ValueError(f"{name}: shape {shape} != (2, {n})")
+        # one pass over both arrays: w.p is finite only if every entry
+        # is, since a NaN spreads through products and sums and an inf
+        # times a nonzero entry is inf, times zero NaN
+        if not math.isfinite(np.vdot(self.w, self.p)):
+            for name in ("phi00", "phi11", "pi00", "pi11"):
+                if not np.all(np.isfinite(getattr(self, name))):
+                    raise RuntimeError(
+                        f"{name} lost finiteness at t={self.time}")
         return self
 
 
-def grid(cfg: SimConfig) -> np.ndarray:
+def _site_count(cfg: SimConfig) -> int:
     n = int(round((cfg.x_max - cfg.x_min) / cfg.dx))
-    if cfg.boundary == "periodic":
-        return cfg.x_min + cfg.dx * np.arange(n)
-    return cfg.x_min + cfg.dx * np.arange(n + 1)
+    return n if cfg.boundary == "periodic" else n + 1
+
+
+def grid(cfg: SimConfig) -> np.ndarray:
+    return cfg.x_min + cfg.dx * np.arange(_site_count(cfg))
 
 
 # ----------------------------------------------------------------------
@@ -157,66 +207,58 @@ def init_profile(cfg: SimConfig) -> FieldState:
     zero = np.zeros_like(x)
     p = cfg.params
     if cfg.initial == "zero":
-        state = FieldState(x, zero.copy(), zero.copy(), zero.copy(),
-                           zero.copy())
+        fields = (zero, zero, zero, zero)
     elif cfg.initial == "kink":
         phi, pi = kink_closed_form(x, 0.0, cfg.alpha, p.get("v", 0.0),
                                    p.get("x0", 0.0))
-        state = FieldState(x, phi, zero.copy(), pi, zero.copy())
+        fields = (phi, zero, pi, zero)
     elif cfg.initial == "two-field-kink":
         phi, pi = kink_closed_form(x, 0.0, cfg.alpha, p.get("v", 0.0),
                                    p.get("x0", 0.0))
-        state = FieldState(x, phi, phi.copy(), pi, pi.copy())
+        fields = (phi, phi, pi, pi)
     elif cfg.initial == "gaussian":
         a = p.get("amplitude", 0.01)
         w = p.get("width", 1.0)
         x0 = p.get("x0", 0.0)
-        phi = a * np.exp(-((x - x0) / w) ** 2)
-        state = FieldState(x, phi, zero.copy(), zero.copy(), zero.copy())
+        fields = (a * np.exp(-((x - x0) / w) ** 2), zero, zero, zero)
     else:
         raise ValueError(f"unknown profile {cfg.initial!r}")
-    return state.check()
+    return FieldState.from_fields(x, *fields)
 
 
 # ----------------------------------------------------------------------
 # dynamics
 # ----------------------------------------------------------------------
 
-def _laplacian(phi: np.ndarray, cfg: SimConfig) -> np.ndarray:
-    """3-point Laplacian in a fresh array, built in place."""
+def _laplacian(w: np.ndarray, cfg: SimConfig) -> np.ndarray:
+    """3-point Laplacian along the last axis, in a fresh array."""
+    lap = np.empty_like(w)
+    np.add(w[..., 2:], w[..., :-2], out=lap[..., 1:-1])
     if cfg.boundary == "periodic":
-        lap = np.roll(phi, -1)
-        lap += np.roll(phi, 1)
-        lap -= 2.0 * phi
-    else:
-        lap = np.empty_like(phi)
-        lap[0] = lap[-1] = 0.0  # clamped ends: boundary values stay put
-        np.add(phi[2:], phi[:-2], out=lap[1:-1])
-        lap[1:-1] -= 2.0 * phi[1:-1]
+        np.add(w[..., 1], w[..., -1], out=lap[..., 0])
+        np.add(w[..., 0], w[..., -2], out=lap[..., -1])
+    lap -= w
+    lap -= w
     lap /= cfg.dx ** 2
+    if cfg.boundary == "fixed":
+        lap[..., 0] = lap[..., -1] = 0.0  # clamped ends stay put
     return lap
 
 
-def force(state: FieldState, cfg: SimConfig) -> Tuple[np.ndarray, np.ndarray]:
+def force(w: np.ndarray, cfg: SimConfig) -> np.ndarray:
+    """lap(w) - alpha^2 W(w) on both rows of w = (u, v)."""
+    f = _laplacian(w, cfg)
     a2 = cfg.alpha ** 2
-    phi00, phi11 = state.phi00, state.phi11
-    f00 = _laplacian(phi00, cfg)
-    f11 = _laplacian(phi11, cfg)
     if cfg.model == "sine-gordon":
-        # (alpha^2/2) sin 2a cos 2b = (alpha^2/4)(sin 2(a+b) + sin 2(a-b))
-        su = np.sin(2.0 * (phi00 + phi11))
-        sv = np.sin(2.0 * (phi00 - phi11))
-        q = 0.25 * a2
-        f00 -= q * (su + sv)
-        f11 -= q * (su - sv)
+        # (alpha^2/2) sin 2w in one scratch array: at N = 80 001 every
+        # fresh (2, N) temporary adds 1.3 MB to the peak footprint
+        s = np.multiply(w, 2.0)
+        f -= np.multiply(np.sin(s, out=s), 0.5 * a2, out=s)
     else:
-        f00 -= a2 * phi00
-        f11 -= a2 * phi11
+        f -= a2 * w
     if cfg.boundary == "fixed":
-        for f in (f00, f11):
-            f[0] = 0.0
-            f[-1] = 0.0
-    return f00, f11
+        f[..., 0] = f[..., -1] = 0.0
+    return f
 
 
 def step(state: FieldState, cfg: SimConfig) -> FieldState:
@@ -224,54 +266,56 @@ def step(state: FieldState, cfg: SimConfig) -> FieldState:
     dt = cfg.dt
     key = (cfg.model, cfg.boundary, cfg.alpha, cfg.dx)
     cached = state.cached_force
-    if (cached is not None and cached[0] == key
-            and cached[1] is state.phi00 and cached[2] is state.phi11):
-        f00, f11 = cached[3], cached[4]
+    if cached is not None and cached[0] == key and cached[1] is state.w:
+        f = cached[2]
     else:
-        f00, f11 = force(state, cfg)
-    h00 = state.pi00 + 0.5 * dt * f00
-    h11 = state.pi11 + 0.5 * dt * f11
-    phi00 = state.phi00 + dt * h00
-    phi11 = state.phi11 + dt * h11
-    g00, g11 = force(FieldState(state.x, phi00, phi11, h00, h11,
-                                state.time), cfg)
-    h00 += 0.5 * dt * g00
-    h11 += 0.5 * dt * g11
-    out = FieldState(state.x, phi00, phi11, h00, h11, state.time + dt)
-    for arr in (phi00, phi11, h00, h11):
-        arr.flags.writeable = False
-    out.cached_force = (key, phi00, phi11, g00, g11)
+        f = force(state.w, cfg)
+    p = f * (0.5 * dt)
+    p += state.p
+    w = p * dt
+    w += state.w
+    g = force(w, cfg)
+    p += (0.5 * dt) * g
+    w.flags.writeable = False
+    p.flags.writeable = False
+    # continue the clock of the input, or start one at its time if it
+    # has none, ran under another dt, or had its time reassigned
+    clock = state.clock
+    if clock is None or clock[2] != dt or (
+            clock[0] + clock[1] * dt != state.time):
+        clock = (state.time, 0, dt)
+    t0, k = clock[0], clock[1] + 1
+    out = FieldState(state.x, w, p, t0 + k * dt)
+    out.clock = (t0, k, dt)
+    out.cached_force = (key, w, g)
     return out.check()
-
-
-def potential_density(state: FieldState, cfg: SimConfig) -> np.ndarray:
-    a2 = cfg.alpha ** 2
-    if cfg.model == "sine-gordon":
-        su = np.sin(state.phi00 + state.phi11)
-        sv = np.sin(state.phi00 - state.phi11)
-        return 0.25 * a2 * (su * su + sv * sv)
-    return 0.5 * a2 * (state.phi00 ** 2 + state.phi11 ** 2)
 
 
 def total_energy(state: FieldState, cfg: SimConfig) -> float:
     """The discrete energy that the update conserves.
 
-    Kinetic and potential densities are summed with trapezoid weights;
-    the gradient energy is (1/2) sum (dphi)^2 / dx over the grid edges
-    whose differences make up the 3-point Laplacian, the wrap-around
-    edge included on a periodic ring.
+    In the u/v basis the density is (1/4) sum over both rows of
+    p^2 + alpha^2 V(w), with V(w) = sin^2 w (w^2 for the massive
+    model), summed with trapezoid weights; the gradient energy is
+    (1/4) sum (dw)^2 / dx over the grid edges whose differences make up
+    the 3-point Laplacian, the wrap-around edge included on a periodic
+    ring.
     """
-    dens = (0.5 * (state.pi00 ** 2 + state.pi11 ** 2)
-            + potential_density(state, cfg))
-    periodic = cfg.boundary == "periodic"
-    grad = 0.0
-    for phi in (state.phi00, state.phi11):
-        d = np.diff(phi)
-        grad += float(np.dot(d, d))
-        if periodic:
-            grad += float(phi[0] - phi[-1]) ** 2
-    sites = np.sum(dens) * cfg.dx if periodic else _trapezoid(dens, dx=cfg.dx)
-    return float(sites) + 0.5 * grad / cfg.dx
+    w, p = state.w, state.p
+    a2 = cfg.alpha ** 2
+    y = np.sin(w) if cfg.model == "sine-gordon" else w
+    sites = np.vdot(p, p) + a2 * np.vdot(y, y)
+    d = w[:, 1:] - w[:, :-1]
+    grad = np.vdot(d, d)
+    if cfg.boundary == "periodic":
+        d = w[:, 0] - w[:, -1]
+        grad += np.vdot(d, d)
+    else:
+        # trapezoid weights: half a cell at either end
+        ends = slice(None, None, w.shape[1] - 1)
+        pe, ye = p[:, ends], y[:, ends]
+        sites -= 0.5 * (np.vdot(pe, pe) + a2 * np.vdot(ye, ye))
+    return float(0.25 * (sites * cfg.dx + grad / cfg.dx))
 
 
 @dataclass
@@ -287,14 +331,11 @@ def run(cfg: SimConfig) -> Trajectory:
     step."""
     state = init_profile(cfg)
     steps = int(round(cfg.t_end / cfg.dt))
-    t0 = state.time
-    times = [t0]
+    times = [state.time]
     energies = [total_energy(state, cfg)]
     snaps = [state]
     for k in range(steps):
         state = step(state, cfg)
-        # k dt from the start, free of the rounding a running sum gathers
-        state.time = t0 + (k + 1) * cfg.dt
         times.append(state.time)
         energies.append(total_energy(state, cfg))
         if cfg.output_stride and (k + 1) % cfg.output_stride == 0:
@@ -373,7 +414,11 @@ def boosted_kink_study(v: float = 0.5, alpha: float = 1.0, dx: float = 0.05,
 def exchange_symmetry_study(alpha: float = 1.0, dx: float = 0.05,
                             dt: float = 0.02, t_end: float = 20.0,
                             span: Tuple[float, float] = (-20.0, 20.0)) -> dict:
-    """Mirror initial data must stay mirror under the exchange symmetry."""
+    """Mirror initial data must stay mirror under the exchange symmetry.
+
+    Exchanging phi00 and phi11 flips the sign of v, so mirror data has
+    v = 0, and its asymmetry is the larger of |v| and |p_v|.
+    """
     cfg = SimConfig(alpha=alpha, dx=dx, dt=dt, x_min=span[0], x_max=span[1],
                     t_end=t_end, initial="two-field-kink")
     state = init_profile(cfg)
@@ -381,8 +426,8 @@ def exchange_symmetry_study(alpha: float = 1.0, dx: float = 0.05,
     worst = 0.0
     for _ in range(steps):
         state = step(state, cfg)
-        gap = max(float(np.max(np.abs(state.phi00 - state.phi11))),
-                  float(np.max(np.abs(state.pi00 - state.pi11))))
+        gap = max(float(np.max(np.abs(state.w[1]))),
+                  float(np.max(np.abs(state.p[1]))))
         if gap > worst:
             worst = gap
     return {"max_asymmetry": worst}
@@ -405,8 +450,8 @@ def dispersion_study(mode: int = 8, alpha: float = 1.0,
                     model="massive", initial="zero")
     x = grid(cfg)
     wave = np.cos(k * x)
-    state = FieldState(x, amplitude * wave, np.zeros_like(x),
-                       np.zeros_like(x), np.zeros_like(x))
+    zero = np.zeros_like(x)
+    state = FieldState.from_fields(x, amplitude * wave, zero, zero, zero)
     omega_true = math.sqrt(alpha ** 2 + k ** 2)
     prev = 1.0
     t_cross = None

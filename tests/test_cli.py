@@ -154,6 +154,29 @@ def test_simulate_artifacts(tmp_path, capsys):
     assert header == "x,phi00,phi11,pi00,pi11"
 
 
+def test_snapshot_reads_each_derived_field_once(tmp_path, monkeypatch):
+    from z22field import sim
+    reads = []
+    for name in ("phi00", "phi11", "pi00", "pi11"):
+        prop = getattr(sim.FieldState, name)
+
+        def counted(state, prop=prop, name=name):
+            reads.append(name)
+            return prop.fget(state)
+        monkeypatch.setattr(sim.FieldState, name, property(counted))
+    cfg = sim.SimConfig(dx=0.2, x_min=-2.0, x_max=2.0, initial="kink",
+                        params={"v": 0.2})
+    state = sim.step(sim.init_profile(cfg), cfg)
+    reads.clear()
+    cli._write_snapshot(tmp_path / "snap.csv", state)
+    assert sorted(reads) == ["phi00", "phi11", "pi00", "pi11"]
+    lines = (tmp_path / "snap.csv").read_text().splitlines()
+    assert len(lines) == len(state.x) + 1
+    want = [float(state.x[4]), float(state.phi00[4]), float(state.phi11[4]),
+            float(state.pi00[4]), float(state.pi11[4])]
+    assert lines[5] == ",".join(repr(v) for v in want)
+
+
 def test_simulate_config_file(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("alpha = 1\ndx = 0.2\nt-end = 1\ninitial = kink\n"

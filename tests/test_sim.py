@@ -86,9 +86,11 @@ def test_two_sine_force_matches_the_product_form():
     x = sim.grid(cfg)
     k = 2.0 * math.pi / (cfg.x_max - cfg.x_min)
     a, b = 0.8 * np.sin(3 * k * x) + 0.3, np.cos(2 * k * x) - 1.1
-    f00, f11 = sim.force(sim.FieldState(x, a, b, 0 * x, 0 * x), cfg)
-    f00 -= sim._laplacian(a, cfg)
-    f11 -= sim._laplacian(b, cfg)
+    w = sim.FieldState.from_fields(x, a, b, 0 * x, 0 * x).w
+    f = sim.force(w, cfg)
+    assert f.shape == (2, len(x))
+    f -= sim._laplacian(w, cfg)
+    f00, f11 = 0.5 * (f[0] + f[1]), 0.5 * (f[0] - f[1])
     assert np.allclose(f00, -0.5 * np.sin(2 * a) * np.cos(2 * b),
                        rtol=0, atol=1e-14)
     assert np.allclose(f11, -0.5 * np.cos(2 * a) * np.sin(2 * b),
@@ -164,9 +166,41 @@ def test_kink_profile_matches_closed_form():
 def test_state_check_catches_nan():
     cfg = sim.SimConfig(initial="zero")
     state = sim.init_profile(cfg)
-    state.phi00[3] = math.nan
-    with pytest.raises(RuntimeError):
-        state.check()
+    with pytest.raises(ValueError):
+        state.w[0, 3] = math.nan    # read-only: no edit slips past check
+    phi = state.phi00.copy()
+    phi[3] = math.nan
+    with pytest.raises(RuntimeError, match="phi00"):
+        sim.FieldState.from_fields(state.x, phi, state.phi11, state.pi00,
+                                   state.pi11)
+
+
+def _with(state, name, site, value):
+    """`state` with one component field's entry at `site` replaced,
+    built directly so that no check runs before `step`."""
+    fields = {n: getattr(state, n).copy()
+              for n in ("phi00", "phi11", "pi00", "pi11")}
+    fields[name][site] = value
+    w = np.array((fields["phi00"] + fields["phi11"],
+                  fields["phi00"] - fields["phi11"]))
+    p = np.array((fields["pi00"] + fields["pi11"],
+                  fields["pi00"] - fields["pi11"]))
+    return sim.FieldState(state.x, w, p, state.time)
+
+
+@pytest.mark.parametrize("boundary,site", [("fixed", 0), ("fixed", -1),
+                                           ("fixed", 7), ("periodic", 7)])
+@pytest.mark.parametrize("name", ["phi00", "phi11", "pi00", "pi11"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_step_refuses_a_non_finite_field(boundary, site, name, bad):
+    # the single finiteness test of a step sees every field, a clamped
+    # end site included, where the force is zero and nothing spreads
+    cfg = sim.SimConfig(dx=0.1, x_min=-2.0, x_max=2.0, boundary=boundary,
+                        initial="two-field-kink", params={"v": 0.3})
+    state = _with(sim.init_profile(cfg), name, site, bad)
+    with pytest.raises(RuntimeError, match="lost finiteness"):
+        sim.step(state, cfg)
 
 
 # ----------------------------------------------------------------------
@@ -183,8 +217,9 @@ def test_run_is_deterministic():
 
 
 def _uncached(state):
-    return sim.FieldState(state.x, state.phi00, state.phi11, state.pi00,
-                          state.pi11, state.time)
+    fresh = sim.FieldState(state.x, state.w, state.p, state.time)
+    fresh.clock = state.clock
+    return fresh
 
 
 def _same(s1, s2):
@@ -220,7 +255,7 @@ def test_cached_force_is_dropped_with_the_positions():
     cfg = sim.SimConfig(dx=0.1, initial="kink", params={"v": 0.3})
     state = sim.step(sim.init_profile(cfg), cfg)
     moved = sim.step(state, cfg)
-    state.phi00 = moved.phi00    # reassigned, not edited in place
+    state.w = moved.w    # reassigned, not edited in place
     assert _same(sim.step(state, cfg), sim.step(_uncached(state), cfg))
 
 
@@ -228,9 +263,9 @@ def test_run_evaluates_the_force_once_per_step(monkeypatch):
     calls = []
     real = sim.force
 
-    def counting(state, cfg):
-        calls.append(state.time)
-        return real(state, cfg)
+    def counting(w, cfg):
+        calls.append(w.shape)
+        return real(w, cfg)
 
     monkeypatch.setattr(sim, "force", counting)
     cfg = sim.SimConfig(dx=0.1, t_end=2.0, initial="kink")
@@ -242,15 +277,14 @@ def test_run_evaluates_the_force_once_per_step(monkeypatch):
 def test_stepped_state_is_read_only_and_input_untouched():
     cfg = sim.SimConfig(dx=0.1, initial="kink", params={"v": 0.3})
     start = sim.init_profile(cfg)
-    before = [a.copy() for a in (start.phi00, start.phi11, start.pi00,
-                                 start.pi11)]
+    names = ("w", "p", "phi00", "phi11", "pi00", "pi11")
+    before = [getattr(start, n).copy() for n in names]
     state = sim.step(start, cfg)
-    for name in ("phi00", "phi11", "pi00", "pi11"):
+    for name in names:
         with pytest.raises(ValueError):
-            getattr(state, name)[3] = 0.0
-    for old, now in zip(before, (start.phi00, start.phi11, start.pi00,
-                                 start.pi11)):
-        assert np.array_equal(old, now)
+            getattr(state, name)[..., 3] = 0.0
+    for old, name in zip(before, names):
+        assert np.array_equal(old, getattr(start, name))
 
 
 def test_second_sector_stays_zero():
@@ -317,7 +351,7 @@ def test_periodic_energy_is_invariant_under_rotation():
                         initial="zero")
     x = sim.grid(cfg)
     phi = np.exp(-(x - 4.0) ** 2)
-    energies = [sim.total_energy(sim.FieldState(
+    energies = [sim.total_energy(sim.FieldState.from_fields(
         x, np.roll(phi, k), 0.5 * np.roll(phi, k), 0 * x, 0 * x), cfg)
         for k in range(0, len(x), 7)]
     assert max(energies) - min(energies) < 1e-12 * energies[0]
@@ -340,6 +374,76 @@ def test_energy_converges_to_continuum_value():
         state = sim.init_profile(cfg)
         e = sim.total_energy(state, cfg)
         assert abs(e - 2.0) < tol, dx
+
+
+def _phi_basis_energy(state, cfg):
+    """The discrete energy written in phi00, phi11: the reference form."""
+    a2 = cfg.alpha ** 2
+    phi00, phi11, pi00, pi11 = (state.phi00, state.phi11, state.pi00,
+                                state.pi11)
+    if cfg.model == "sine-gordon":
+        su, sv = np.sin(phi00 + phi11), np.sin(phi00 - phi11)
+        pot = 0.25 * a2 * (su * su + sv * sv)
+    else:
+        pot = 0.5 * a2 * (phi00 ** 2 + phi11 ** 2)
+    dens = 0.5 * (pi00 ** 2 + pi11 ** 2) + pot
+    periodic = cfg.boundary == "periodic"
+    grad = 0.0
+    for phi in (phi00, phi11):
+        d = np.diff(phi)
+        grad += float(np.dot(d, d))
+        if periodic:
+            grad += float(phi[0] - phi[-1]) ** 2
+    trapezoid = getattr(np, "trapezoid", None) or np.trapz
+    sites = (np.sum(dens) * cfg.dx if periodic
+             else trapezoid(dens, dx=cfg.dx))
+    return float(sites) + 0.5 * grad / cfg.dx
+
+
+@pytest.mark.parametrize("model", sim.MODELS)
+@pytest.mark.parametrize("boundary", sim.BOUNDARIES)
+def test_energy_matches_the_phi_basis_form(model, boundary):
+    cfg = sim.SimConfig(dx=0.1, x_min=-10.0, x_max=10.0, boundary=boundary,
+                        model=model, initial="zero")
+    x = sim.grid(cfg)
+    kink, kink_pi = sim.kink_closed_form(x, 0.0, 1.0, v=0.4, x0=-1.0)
+    bump = 0.6 * np.exp(-(x - 2.0) ** 2)
+    state = sim.FieldState.from_fields(x, kink, bump, kink_pi, 0.3 * bump)
+    for _ in range(3):
+        e, want = sim.total_energy(state, cfg), _phi_basis_energy(state, cfg)
+        assert abs(e - want) <= 1e-13 * abs(want), (e, want)
+        state = sim.step(state, cfg)
+
+
+def test_hand_stepped_times_are_whole_multiples_of_dt():
+    # the dispersion study's ring: a running sum of dt would end 1.15e-14
+    # past 300 dt here
+    dx = 16.0 * math.pi / 1005
+    cfg = sim.SimConfig(dx=dx, dt=0.4 * dx, x_min=-8.0 * math.pi,
+                        x_max=8.0 * math.pi, boundary="periodic",
+                        model="massive", initial="zero")
+    state = sim.init_profile(cfg)
+    for k in range(1, 301):
+        state = sim.step(state, cfg)
+        assert state.time == k * cfg.dt
+    # a reassigned time, or another dt, starts a new count from there
+    state.time = 1.0
+    assert sim.step(state, cfg).time == 1.0 + cfg.dt
+    other = sim.SimConfig(dx=dx, dt=0.3 * dx, x_min=-8.0 * math.pi,
+                          x_max=8.0 * math.pi, boundary="periodic",
+                          model="massive", initial="zero")
+    state = sim.step(sim.step(state, other), other)
+    assert state.time == 1.0 + 2 * other.dt
+
+
+@pytest.mark.parametrize("boundary,x_max", [("fixed", 0.05),
+                                            ("periodic", 0.1)])
+def test_config_needs_three_sites(boundary, x_max):
+    with pytest.raises(ValueError, match="fewer than the 3"):
+        sim.SimConfig(dx=0.05, x_min=0.0, x_max=x_max, boundary=boundary)
+    cfg = sim.SimConfig(dx=0.05, x_min=0.0, x_max=x_max + 0.05,
+                        boundary=boundary, t_end=1.0)
+    assert len(sim.run(cfg).final.x) == 3
 
 
 def test_run_times_are_whole_multiples_of_dt():
