@@ -245,8 +245,8 @@ def run_numerics(args) -> Tuple[bool, dict]:
 # ----------------------------------------------------------------------
 
 _SIM_KEYS = ("alpha", "dx", "dt", "x_min", "x_max", "t_end", "boundary",
-             "model", "initial", "output_stride")
-_SIM_STR = ("boundary", "model", "initial")
+             "initial", "output_stride")
+_SIM_STR = ("boundary", "initial")
 
 
 def _number(kind: type, val: str, where: str):
@@ -435,8 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--x-min", dest="x_min", type=float, default=None)
     s.add_argument("--x-max", dest="x_max", type=float, default=None)
     s.add_argument("--t-end", dest="t_end", type=float, default=None)
-    # SimConfig names an unknown boundary, model or profile (exit 2)
-    for flag in ("--boundary", "--model", "--initial"):
+    # SimConfig names an unknown boundary or profile (exit 2)
+    for flag in ("--boundary", "--initial"):
         s.add_argument(flag)
     s.add_argument("--output-stride", dest="output_stride", type=int,
                    default=None)

@@ -167,9 +167,6 @@ class GaussianRational:
 
     # -- predicates / hashing -------------------------------------------
 
-    def is_real(self) -> bool:
-        return self._b == 0
-
     def __bool__(self) -> bool:
         return self._a != 0 or self._b != 0
 

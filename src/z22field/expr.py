@@ -17,7 +17,7 @@ the two stages).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from .core import (DEG00, Degree, GaussianRational, Generator, QONE,
                    Y, ZC, coord, parity)
@@ -197,21 +197,6 @@ class GradedExpr:
             mono = ((Y, e // 2), (ZC, 1)) if e & 1 else ((Y, e // 2),)
             return GradedExpr({mono: QONE})
         return GradedExpr({((g, e),): QONE})
-
-    @staticmethod
-    def from_terms(pairs: Iterable) -> "GradedExpr":
-        terms = {}
-        for mono, c in pairs:
-            cc = _as_scalar(c)
-            if not cc:
-                continue
-            acc = terms.get(mono)
-            tot = cc if acc is None else acc + cc
-            if tot:
-                terms[mono] = tot
-            elif acc is not None:
-                del terms[mono]
-        return GradedExpr(terms)
 
     # -- ring operations -------------------------------------------------
 

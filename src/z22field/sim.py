@@ -6,20 +6,19 @@ The coupled pair
     phi11_tt = phi11_xx - (alpha^2/2) cos(2 phi00) sin(2 phi11)
 
 splits in u = phi00 + phi11 and v = phi00 - phi11 into two decoupled
-sine-Gordon equations, w_tt = w_xx - alpha^2 W(w) for w = u and w = v,
-with W(w) = (1/2) sin 2w (W(w) = w for the massive linear variant).
-The solver evolves that form with a velocity-Verlet update on a uniform
-grid: positions are one (2, N) array w = (u, v) and momenta one (2, N)
-array p = (pi00 + pi11, pi00 - pi11), so each force evaluation is one
-Laplacian and one sine over 2N sites.  The component fields phi00,
+sine-Gordon equations, w_tt = w_xx - (alpha^2/2) sin 2w for w = u and
+w = v.  The solver evolves that form with a velocity-Verlet update on a
+uniform grid: positions are one (2, N) array w = (u, v) and momenta one
+(2, N) array p = (pi00 + pi11, pi00 - pi11), so each force evaluation
+is one Laplacian and one sine over 2N sites.  The component fields phi00,
 phi11, pi00 and pi11 are derived from them as (1/2)(u +- v).  Fermions
 stay symbolic; they have no numeric classical representation.
 
 Each `step` evaluates `force` once: the force at the new positions,
 which closes one Verlet step, opens the next.  `step` keeps it on the
-state it returns, keyed by the inputs the force depends on, (model,
-boundary, alpha, dx), and by the position array it was computed at; a
-state without that force (from `init_profile`, or built by hand) or
+state it returns, keyed by the inputs the force depends on, (boundary,
+alpha, dx), and by the position array it was computed at; a state
+without that force (from `init_profile`, or built by hand) or
 stepped under a config with another key gets a fresh evaluation.
 `step` never writes into its input, and the arrays of the state it
 returns are read-only, so an in-place edit raises instead of pairing
@@ -29,7 +28,8 @@ rounding from a running sum.
 
 `total_energy` is the scheme's own discrete energy, which the update
 conserves up to a bounded oscillation, and `SimConfig` refuses a time
-step past the Verlet stability bound dt^2 (4/dx^2 + alpha^2) < 4.
+step past the Verlet stability bound dt^2 (4/dx^2 + alpha^2) < 4, and
+a t_end that `run` could not reach in whole steps of dt.
 """
 
 import math
@@ -38,7 +38,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-MODELS = ("sine-gordon", "massive")
 BOUNDARIES = ("periodic", "fixed")
 PROFILES = ("zero", "kink", "gaussian", "two-field-kink")
 
@@ -61,7 +60,6 @@ class SimConfig:
     x_max: float = 20.0
     t_end: float = 10.0
     boundary: str = "fixed"
-    model: str = "sine-gordon"
     initial: str = "kink"
     params: Dict[str, float] = dataclass_field(default_factory=dict)
     output_stride: int = 0
@@ -78,13 +76,19 @@ class SimConfig:
         if self.t_end < 0:
             raise ValueError(f"t_end must not be negative, got {self.t_end}")
         # Verlet is stable while dt^2 k < 4 for every frequency^2 k of the
-        # linearised force; k < 4/dx^2 + alpha^2 for both models, as both
-        # potentials curve by at most alpha^2
+        # linearised force; k < 4/dx^2 + alpha^2, as the potential curves
+        # by at most alpha^2
         dt, dx = self.dt, self.dx
         if not (2.0 * dt / dx) ** 2 + (self.alpha * dt) ** 2 < 4.0:
             raise ValueError(
                 f"dt={dt} is unstable: Verlet needs dt^2 (4/dx^2 + "
                 f"alpha^2) < 4, here dx={dx} and alpha={self.alpha}")
+        steps = round(self.t_end / dt)
+        if abs(steps * dt - self.t_end) > 1e-9 * self.t_end:
+            raise ValueError(
+                f"t_end={self.t_end} is not a whole number of steps of "
+                f"dt={dt}: it is {self.t_end / dt:.6g} steps, and "
+                f"{steps} steps end at t={steps * dt:.6g}")
         if self.x_max <= self.x_min:
             raise ValueError("empty spatial interval")
         sites = (self.x_max - self.x_min) / dx
@@ -100,8 +104,6 @@ class SimConfig:
                 f"dx={dx} gives {n} grid sites on [{self.x_min}, "
                 f"{self.x_max}], fewer than the {MIN_SITES} the stencil "
                 f"needs")
-        if self.model not in MODELS:
-            raise ValueError(f"unknown model {self.model!r}")
         if self.initial not in PROFILES:
             raise ValueError(f"unknown profile {self.initial!r}")
 
@@ -246,16 +248,12 @@ def _laplacian(w: np.ndarray, cfg: SimConfig) -> np.ndarray:
 
 
 def force(w: np.ndarray, cfg: SimConfig) -> np.ndarray:
-    """lap(w) - alpha^2 W(w) on both rows of w = (u, v)."""
+    """lap(w) - (alpha^2/2) sin 2w on both rows of w = (u, v)."""
     f = _laplacian(w, cfg)
-    a2 = cfg.alpha ** 2
-    if cfg.model == "sine-gordon":
-        # (alpha^2/2) sin 2w in one scratch array: at N = 80 001 every
-        # fresh (2, N) temporary adds 1.3 MB to the peak footprint
-        s = np.multiply(w, 2.0)
-        f -= np.multiply(np.sin(s, out=s), 0.5 * a2, out=s)
-    else:
-        f -= a2 * w
+    # the sine in one scratch array: at N = 80 001 every fresh (2, N)
+    # temporary adds 1.3 MB to the peak footprint
+    s = np.multiply(w, 2.0)
+    f -= np.multiply(np.sin(s, out=s), 0.5 * cfg.alpha ** 2, out=s)
     if cfg.boundary == "fixed":
         f[..., 0] = f[..., -1] = 0.0
     return f
@@ -264,7 +262,7 @@ def force(w: np.ndarray, cfg: SimConfig) -> np.ndarray:
 def step(state: FieldState, cfg: SimConfig) -> FieldState:
     """One velocity-Verlet update of the coupled system."""
     dt = cfg.dt
-    key = (cfg.model, cfg.boundary, cfg.alpha, cfg.dx)
+    key = (cfg.boundary, cfg.alpha, cfg.dx)
     cached = state.cached_force
     if cached is not None and cached[0] == key and cached[1] is state.w:
         f = cached[2]
@@ -295,15 +293,14 @@ def total_energy(state: FieldState, cfg: SimConfig) -> float:
     """The discrete energy that the update conserves.
 
     In the u/v basis the density is (1/4) sum over both rows of
-    p^2 + alpha^2 V(w), with V(w) = sin^2 w (w^2 for the massive
-    model), summed with trapezoid weights; the gradient energy is
-    (1/4) sum (dw)^2 / dx over the grid edges whose differences make up
-    the 3-point Laplacian, the wrap-around edge included on a periodic
-    ring.
+    p^2 + alpha^2 sin^2 w, summed with trapezoid weights; the gradient
+    energy is (1/4) sum (dw)^2 / dx over the grid edges whose differences
+    make up the 3-point Laplacian, the wrap-around edge included on a
+    periodic ring.
     """
     w, p = state.w, state.p
     a2 = cfg.alpha ** 2
-    y = np.sin(w) if cfg.model == "sine-gordon" else w
+    y = np.sin(w)
     sites = np.vdot(p, p) + a2 * np.vdot(y, y)
     d = w[:, 1:] - w[:, :-1]
     grad = np.vdot(d, d)
@@ -371,88 +368,79 @@ def l2_error(state: FieldState, exact: np.ndarray, dx: float) -> float:
 # acceptance studies
 # ----------------------------------------------------------------------
 
-def convergence_study(dxs: Tuple[float, ...] = (0.1, 0.05, 0.025),
-                      alpha: float = 1.0, t_end: float = 2.0,
-                      span: Tuple[float, float] = (-20.0, 20.0)) -> dict:
+def convergence_study() -> dict:
     """Static-kink L2 error under grid refinement; second order doubles
     the accuracy ratio to about four per halving."""
+    dxs = (0.1, 0.05, 0.025)
     errors = []
     for dx in dxs:
-        cfg = SimConfig(alpha=alpha, dx=dx, dt=0.4 * dx, x_min=span[0],
-                        x_max=span[1], t_end=t_end, initial="kink")
-        traj = run(cfg)
-        exact, _ = kink_closed_form(traj.final.x, 0.0, alpha)
+        traj = run(SimConfig(dx=dx, t_end=2.0))
+        exact, _ = kink_closed_form(traj.final.x, 0.0, 1.0)
         errors.append(l2_error(traj.final, exact, dx))
     ratios = [errors[k] / errors[k + 1] for k in range(len(errors) - 1)]
     return {"dxs": list(dxs), "errors": errors, "ratios": ratios}
 
 
-def energy_drift_study(alpha: float = 1.0, dx: float = 0.05,
-                       dt: float = 0.02, t_end: float = 100.0,
-                       span: Tuple[float, float] = (-20.0, 20.0)) -> dict:
-    cfg = SimConfig(alpha=alpha, dx=dx, dt=dt, x_min=span[0], x_max=span[1],
-                    t_end=t_end, initial="kink")
-    traj = run(cfg)
+def energy_drift_study() -> dict:
+    traj = run(SimConfig(dt=0.02, t_end=100.0))
     e0 = traj.energies[0]
     drift = float(np.max(np.abs(traj.energies - e0)) / abs(e0))
-    return {"initial_energy": float(e0), "continuum_energy": kink_energy(alpha),
+    return {"initial_energy": float(e0), "continuum_energy": kink_energy(1.0),
             "max_relative_drift": drift}
 
 
-def boosted_kink_study(v: float = 0.5, alpha: float = 1.0, dx: float = 0.05,
-                       dt: float = 0.02, t_end: float = 40.0,
-                       span: Tuple[float, float] = (-30.0, 30.0)) -> dict:
-    cfg = SimConfig(alpha=alpha, dx=dx, dt=dt, x_min=span[0], x_max=span[1],
-                    t_end=t_end, initial="kink", params={"v": v})
-    traj = run(cfg)
-    measured = kink_position(traj.final)
-    expected = v * t_end
+def boosted_kink_study() -> dict:
+    cfg = SimConfig(dt=0.02, x_min=-30.0, x_max=30.0, t_end=40.0,
+                    params={"v": 0.5})
+    measured = kink_position(run(cfg).final)
+    expected = cfg.params["v"] * cfg.t_end
     return {"measured_position": measured, "expected_position": expected,
-            "position_error": abs(measured - expected), "dx": dx}
+            "position_error": abs(measured - expected), "dx": cfg.dx}
 
 
-def exchange_symmetry_study(alpha: float = 1.0, dx: float = 0.05,
-                            dt: float = 0.02, t_end: float = 20.0,
-                            span: Tuple[float, float] = (-20.0, 20.0)) -> dict:
-    """Mirror initial data must stay mirror under the exchange symmetry.
+def exchange_symmetry_study() -> dict:
+    """Evolution commutes with the exchange phi00 <-> phi11.
 
-    Exchanging phi00 and phi11 flips the sign of v, so mirror data has
-    v = 0, and its asymmetry is the larger of |v| and |p_v|.
+    The exchange maps (u, v) to (u, -v).  Data far from mirror, a moving
+    kink in phi00 and a Gaussian in phi11, and its exchange are evolved
+    side by side; the asymmetry is the largest entry of the exchanged
+    first evolution minus the second.  Mirror data would not do: it has
+    v = 0, which any force that maps 0 to 0 keeps.
     """
-    cfg = SimConfig(alpha=alpha, dx=dx, dt=dt, x_min=span[0], x_max=span[1],
-                    t_end=t_end, initial="two-field-kink")
-    state = init_profile(cfg)
-    steps = int(round(t_end / dt))
-    worst = 0.0
-    for _ in range(steps):
-        state = step(state, cfg)
-        gap = max(float(np.max(np.abs(state.w[1]))),
-                  float(np.max(np.abs(state.p[1]))))
-        if gap > worst:
-            worst = gap
-    return {"max_asymmetry": worst}
+    cfg = SimConfig()
+    x = grid(cfg)
+    kink, kink_pi = kink_closed_form(x, 0.0, 1.0, v=0.3, x0=-2.0)
+    bump = 0.7 * np.exp(-(x - 3.0) ** 2)
+    a = FieldState.from_fields(x, kink, bump, kink_pi, -0.4 * bump)
+    flip = np.array([[1.0], [-1.0]])    # (u, v) -> (u, -v)
+    b = FieldState(x, flip * a.w, flip * a.p)
+    for _ in range(500):
+        a, b = step(a, cfg), step(b, cfg)
+    gap = max(float(np.max(np.abs(flip * a.w - b.w))),
+              float(np.max(np.abs(flip * a.p - b.p))))
+    return {"max_asymmetry": gap}
 
 
-def dispersion_study(mode: int = 8, alpha: float = 1.0,
-                     amplitude: float = 1e-3, dx_target: float = 0.05) -> dict:
-    """Standing-wave frequency of the massive model on a periodic ring.
+def dispersion_study() -> dict:
+    """Standing-wave frequency of small waves on a periodic ring.
 
-    The ring length is a whole number of wavelengths, the projection on
-    the chosen mode oscillates as cos(w t), and the first zero crossing
-    pins w.
+    At amplitude 1e-3 the force is linear to a part in 10^6, so mode k
+    oscillates at w^2 = alpha^2 + k^2.  The ring length is a whole number
+    of wavelengths, the projection on the mode oscillates as cos(w t),
+    and the first zero crossing pins w.
     """
+    mode, amplitude = 8, 1e-3
     length = 16.0 * math.pi
-    n = int(round(length / dx_target))
+    n = int(round(length / 0.05))
     dx = length / n
     k = 2.0 * math.pi * mode / length
-    cfg = SimConfig(alpha=alpha, dx=dx, dt=0.4 * dx, x_min=-length / 2,
-                    x_max=length / 2, t_end=0.0, boundary="periodic",
-                    model="massive", initial="zero")
+    cfg = SimConfig(dx=dx, x_min=-length / 2, x_max=length / 2, t_end=0.0,
+                    boundary="periodic")
     x = grid(cfg)
     wave = np.cos(k * x)
     zero = np.zeros_like(x)
     state = FieldState.from_fields(x, amplitude * wave, zero, zero, zero)
-    omega_true = math.sqrt(alpha ** 2 + k ** 2)
+    omega_true = math.sqrt(1.0 + k ** 2)
     prev = 1.0
     t_cross = None
     t = 0.0

@@ -142,7 +142,7 @@ def test_criterion_08_worked_examples():
 
 def test_criterion_09a_convergence():
     t0 = time.monotonic()
-    rep = sim.convergence_study(dxs=(0.1, 0.05, 0.025))
+    rep = sim.convergence_study()
     ok = len(rep["ratios"]) == 2 and all(3.5 <= r <= 4.5
                                          for r in rep["ratios"])
     _conclude(9, "numeric a: second-order convergence", ok, t0, 60.0)
@@ -150,23 +150,26 @@ def test_criterion_09a_convergence():
 
 def test_criterion_09b_energy_drift():
     t0 = time.monotonic()
-    rep = sim.energy_drift_study(alpha=1.0, dx=0.05, dt=0.02, t_end=100.0)
+    rep = sim.energy_drift_study()
     _conclude(9, "numeric b: energy drift",
               rep["max_relative_drift"] < 1e-5, t0, 60.0)
 
 
 def test_criterion_09c_boosted_kink():
     t0 = time.monotonic()
-    rep = sim.boosted_kink_study(v=0.5, t_end=40.0)
+    rep = sim.boosted_kink_study()
     _conclude(9, "numeric c: boosted kink position",
               rep["position_error"] < rep["dx"], t0, 60.0)
 
 
 def test_criterion_09d_exchange_symmetry():
+    # evolution commutes with phi00 <-> phi11 on data far from mirror,
+    # exactly: the exchange only flips signs, which rounding respects
     t0 = time.monotonic()
     rep = sim.exchange_symmetry_study()
-    _conclude(9, "numeric d: exchange symmetry",
-              rep["max_asymmetry"] < 1e-12, t0, 60.0)
+    _conclude(9, "numeric d: exchange commutes with evolution",
+              rep["max_asymmetry"] == 0.0, t0, 60.0)
+
 
 
 def _swap(state):
@@ -175,15 +178,15 @@ def _swap(state):
                                       state.pi11, state.pi00, state.time)
 
 
-@pytest.mark.parametrize("model", sim.MODELS)
-@pytest.mark.parametrize("boundary", sim.BOUNDARIES)
-def test_criterion_09d_exchange_commutes_with_evolution(model, boundary):
-    # mirror data keeps v = 0, where the study's asymmetry reads 0 for
-    # any kernel that maps 0 to 0; data far from mirror does not:
-    # evolving the exchanged data must give the exchanged evolution
+@pytest.mark.parametrize("boundary", sim.BOUNDARIES,
+                         ids=lambda b: f"{b}-sine-gordon")
+def test_criterion_09d_exchange_commutes_with_evolution(boundary):
+    # the study runs on fixed ends in the u/v basis; this check swaps the
+    # component fields themselves, on either boundary: evolving the
+    # exchanged data must give the exchanged evolution
     t0 = time.monotonic()
     cfg = sim.SimConfig(dx=0.1, dt=0.04, x_min=-10.0, x_max=10.0,
-                        boundary=boundary, model=model, initial="zero")
+                        boundary=boundary, initial="zero")
     x = sim.grid(cfg)
     kink, kink_pi = sim.kink_closed_form(x, 0.0, 1.0, v=0.3, x0=-2.0)
     bump = 0.7 * np.exp(-(x - 3.0) ** 2)
@@ -199,9 +202,8 @@ def test_criterion_09d_exchange_commutes_with_evolution(model, boundary):
               for n in ("phi00", "phi11", "pi00", "pi11"))
     # and the data stays far from mirror, where the check has teeth
     moved = float(np.max(np.abs(a.phi00 - a.phi11)))
-    _conclude(9, f"numeric d: exchange commutes with evolution, {model}, "
-              f"{boundary}", gap < 1e-12 and moved > 0.1, t0, 60.0)
-
+    _conclude(9, f"numeric d: exchange commutes with evolution, {boundary}",
+              gap < 1e-12 and moved > 0.1, t0, 60.0)
 
 def test_criterion_10_reality_and_degree_audits():
     t0 = time.monotonic()

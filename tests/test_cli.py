@@ -66,13 +66,13 @@ def test_check_potential_csv(capsys):
 
 
 def test_simulate_stdout_csv(capsys):
-    rc = main(["simulate", "--alpha", "1", "--dx", "0.2", "--t-end", "1",
+    rc = main(["simulate", "--alpha", "1", "--dx", "0.2", "--t-end", "2",
                "--initial", "kink"])
     out = capsys.readouterr().out
     assert rc == 0
     lines = out.strip().splitlines()
     assert lines[0] == "time,energy"
-    assert len(lines) == 2 + round(1.0 / (0.4 * 0.2))
+    assert len(lines) == 2 + round(2.0 / (0.4 * 0.2))
     t0, e0 = lines[1].split(",")
     assert float(t0) == 0.0
     assert abs(float(e0) - 2.0) < 5e-2
@@ -83,9 +83,20 @@ def test_simulate_cfl_violation_exits_two(capsys):
     assert rc == 2
 
 
+def test_simulate_refuses_a_t_end_between_steps(capsys):
+    # 1 / 0.07 is 14.29 steps: rounding to 14 would stop at t = 0.98
+    rc = main(["simulate", "--dx", "0.2", "--dt", "0.07", "--t-end", "1"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == ("error: t_end=1.0 is not a whole number of "
+                            "steps of dt=0.07: it is 14.2857 steps, and 14 "
+                            "steps end at t=0.98\n")
+
+
 @pytest.mark.parametrize("argv, message", [
-    (["--model", "massive", "--dx", "0.1", "--dt", "0.1", "--t-end", "200",
-      "--initial", "gaussian"], "dt=0.1 is unstable"),
+    (["--dx", "0.1", "--dt", "0.1", "--t-end", "200", "--initial",
+      "gaussian"], "dt=0.1 is unstable"),
     (["--alpha", "nan"], "alpha must be finite"),
     (["--dx", "nan"], "dx must be finite"),
     (["--t-end", "-3"], "t_end must not be negative"),
@@ -142,7 +153,7 @@ def test_simulate_has_no_format_flag(capsys):
 
 
 def test_simulate_artifacts(tmp_path, capsys):
-    rc = main(["simulate", "--dx", "0.2", "--t-end", "1", "--initial",
+    rc = main(["simulate", "--dx", "0.2", "--t-end", "2", "--initial",
                "kink", "--param", "v=0.2", "--output-stride", "5",
                "--profile-dump", "--out", str(tmp_path)])
     assert rc == 0
@@ -179,7 +190,7 @@ def test_snapshot_reads_each_derived_field_once(tmp_path, monkeypatch):
 
 def test_simulate_config_file(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("alpha = 1\ndx = 0.2\nt-end = 1\ninitial = kink\n"
+    cfg.write_text("alpha = 1\ndx = 0.2\nt-end = 2\ninitial = kink\n"
                    "param.v = 0.25\n# comment\n")
     rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
     assert rc == 0
@@ -276,6 +287,14 @@ def test_config_param_line_sets_a_profile_parameter(tmp_path):
     assert parsed.params == {"v": 0.25, "w": 3.0}
 
 
+def test_model_is_not_a_config_key(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model = sine-gordon\n")
+    rc = main(["simulate", "--config", str(cfg)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: unknown config key 'model'\n"
+
+
 def test_missing_config_file_exits_two(tmp_path, capsys):
     missing = tmp_path / "missing.cfg"
     rc = main(["simulate", "--config", str(missing)])
@@ -292,6 +311,7 @@ def test_missing_config_file_exits_two(tmp_path, capsys):
     ["check-currents", "--truncation", "3"],
     ["verify-tables", "--out", "x"],
     ["report-all", "--format", "json"],
+    ["simulate", "--model", "sine-gordon"],
 ])
 def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(argv):
     with pytest.raises(SystemExit) as exc:

@@ -124,18 +124,16 @@ def test_config_applies_the_verlet_bound():
     # dt^2 (4/dx^2 + alpha^2) < 4: the potential's curvature counts, so
     # dt = dx is refused even without one
     with pytest.raises(ValueError, match="dt"):
-        sim.SimConfig(model="massive", dx=0.1, dt=0.1)
+        sim.SimConfig(dx=0.1, dt=0.1)
     with pytest.raises(ValueError, match="dt"):
         sim.SimConfig(alpha=0.0, dx=0.1, dt=0.1)
     with pytest.raises(ValueError, match="dt"):
         sim.SimConfig(alpha=10.0, dx=0.1, dt=0.09)
     assert sim.SimConfig(alpha=10.0, dx=0.1, dt=0.08).dt == 0.08
-    assert sim.SimConfig(alpha=0.0, dx=0.1, dt=0.0999).dt == 0.0999
+    assert sim.SimConfig(alpha=0.0, dx=0.1, dt=0.0999, t_end=0.0).dt == 0.0999
 
 
 def test_config_rejects_unknown_names():
-    with pytest.raises(ValueError):
-        sim.SimConfig(model="kdv")
     with pytest.raises(ValueError):
         sim.SimConfig(boundary="absorbing")
     with pytest.raises(ValueError):
@@ -237,8 +235,8 @@ def test_cached_force_gives_the_fresh_step_bitwise():
     assert _same(sim.step(state, cfg), sim.step(_uncached(state), cfg))
 
 
-@pytest.mark.parametrize("change", [{"alpha": 2.0}, {"model": "massive"},
-                                    {"boundary": "periodic"},
+@pytest.mark.parametrize("change", [{"alpha": 2.0}, {"boundary": "periodic"},
+                                    {"dx": 0.2, "dt": 0.04},
                                     {"dx": 0.05, "dt": 0.04}])
 def test_cached_force_is_not_reused_under_another_config(change):
     base = dict(dx=0.1, x_min=-10.0, x_max=10.0, initial="kink")
@@ -247,7 +245,7 @@ def test_cached_force_is_not_reused_under_another_config(change):
     state = sim.step(sim.init_profile(cfg), cfg)
     assert _same(sim.step(state, other), sim.step(_uncached(state), other))
     stale = sim.step(state, cfg)
-    if "dt" not in change:
+    if other.dt == cfg.dt:
         assert not _same(sim.step(state, other), stale)
 
 
@@ -295,8 +293,24 @@ def test_second_sector_stays_zero():
 
 
 def test_exchange_symmetry_is_exact():
-    rep = sim.exchange_symmetry_study(dx=0.1, dt=0.04, t_end=4.0)
+    rep = sim.exchange_symmetry_study()
     assert rep["max_asymmetry"] == 0.0
+
+
+def test_exchange_symmetry_study_catches_a_kernel_that_breaks_it(
+        monkeypatch):
+    # phi11's row with the wrong sign of sin 2v, written in u/v: the u
+    # row gains sin 2v and the v row loses its sine
+    def broken(w, cfg):
+        f = sim._laplacian(w, cfg)
+        s = 0.5 * cfg.alpha ** 2 * np.sin(2.0 * w)
+        f[0] -= s[0] + s[1]
+        if cfg.boundary == "fixed":
+            f[..., 0] = f[..., -1] = 0.0
+        return f
+
+    monkeypatch.setattr(sim, "force", broken)
+    assert sim.exchange_symmetry_study()["max_asymmetry"] > 0.1
 
 
 def test_alpha_zero_gives_free_waves():
@@ -331,12 +345,6 @@ def test_convergence_is_second_order():
         assert 3.5 <= ratio <= 4.5, rep
 
 
-def test_energy_drift_small():
-    rep = sim.energy_drift_study(t_end=20.0)
-    assert rep["max_relative_drift"] < 1e-5
-    assert abs(rep["initial_energy"] - 2.0) < 5e-3
-
-
 def test_energy_drift_on_the_discrete_functional():
     # the energy is the scheme's own functional: on the static kink it
     # holds to rounding over the full 100 time units
@@ -355,11 +363,6 @@ def test_periodic_energy_is_invariant_under_rotation():
         x, np.roll(phi, k), 0.5 * np.roll(phi, k), 0 * x, 0 * x), cfg)
         for k in range(0, len(x), 7)]
     assert max(energies) - min(energies) < 1e-12 * energies[0]
-
-
-def test_boosted_kink_arrives_on_time():
-    rep = sim.boosted_kink_study(t_end=10.0, span=(-15.0, 15.0))
-    assert rep["position_error"] < rep["dx"]
 
 
 def test_dispersion_relation():
@@ -381,11 +384,8 @@ def _phi_basis_energy(state, cfg):
     a2 = cfg.alpha ** 2
     phi00, phi11, pi00, pi11 = (state.phi00, state.phi11, state.pi00,
                                 state.pi11)
-    if cfg.model == "sine-gordon":
-        su, sv = np.sin(phi00 + phi11), np.sin(phi00 - phi11)
-        pot = 0.25 * a2 * (su * su + sv * sv)
-    else:
-        pot = 0.5 * a2 * (phi00 ** 2 + phi11 ** 2)
+    su, sv = np.sin(phi00 + phi11), np.sin(phi00 - phi11)
+    pot = 0.25 * a2 * (su * su + sv * sv)
     dens = 0.5 * (pi00 ** 2 + pi11 ** 2) + pot
     periodic = cfg.boundary == "periodic"
     grad = 0.0
@@ -400,11 +400,10 @@ def _phi_basis_energy(state, cfg):
     return float(sites) + 0.5 * grad / cfg.dx
 
 
-@pytest.mark.parametrize("model", sim.MODELS)
 @pytest.mark.parametrize("boundary", sim.BOUNDARIES)
-def test_energy_matches_the_phi_basis_form(model, boundary):
+def test_energy_matches_the_phi_basis_form(boundary):
     cfg = sim.SimConfig(dx=0.1, x_min=-10.0, x_max=10.0, boundary=boundary,
-                        model=model, initial="zero")
+                        initial="zero")
     x = sim.grid(cfg)
     kink, kink_pi = sim.kink_closed_form(x, 0.0, 1.0, v=0.4, x0=-1.0)
     bump = 0.6 * np.exp(-(x - 2.0) ** 2)
@@ -419,9 +418,8 @@ def test_hand_stepped_times_are_whole_multiples_of_dt():
     # the dispersion study's ring: a running sum of dt would end 1.15e-14
     # past 300 dt here
     dx = 16.0 * math.pi / 1005
-    cfg = sim.SimConfig(dx=dx, dt=0.4 * dx, x_min=-8.0 * math.pi,
-                        x_max=8.0 * math.pi, boundary="periodic",
-                        model="massive", initial="zero")
+    cfg = sim.SimConfig(dx=dx, x_min=-8.0 * math.pi, x_max=8.0 * math.pi,
+                        t_end=0.0, boundary="periodic", initial="zero")
     state = sim.init_profile(cfg)
     for k in range(1, 301):
         state = sim.step(state, cfg)
@@ -430,8 +428,8 @@ def test_hand_stepped_times_are_whole_multiples_of_dt():
     state.time = 1.0
     assert sim.step(state, cfg).time == 1.0 + cfg.dt
     other = sim.SimConfig(dx=dx, dt=0.3 * dx, x_min=-8.0 * math.pi,
-                          x_max=8.0 * math.pi, boundary="periodic",
-                          model="massive", initial="zero")
+                          x_max=8.0 * math.pi, t_end=0.0,
+                          boundary="periodic", initial="zero")
     state = sim.step(sim.step(state, other), other)
     assert state.time == 1.0 + 2 * other.dt
 
