@@ -11,10 +11,10 @@ Normalization: the integral sends a theta-theta slot B0 + z B1 to
 Lagrangian is the anchor.
 
 Nothing before the last step depends on the potential, so the component
-Lagrangian in pair symbols is memoised per `eliminate` flag and
-`lagrangian(V)` only specializes it.  No memo is keyed by a
-potential or an expression: each request may bring a new one, and such
-a memo would grow without bound.
+Lagrangian in pair symbols is memoised per `eliminate` flag, the
+auxiliary solution once, and `lagrangian(V)` only specializes the
+former.  No memo is keyed by a potential or an expression: each request
+may bring a new one, and such a memo would grow without bound.
 """
 
 from __future__ import annotations
@@ -25,8 +25,9 @@ from typing import Dict, Iterable, Optional, Tuple
 
 from .core import (Degree, GaussianRational, Generator, QI, coord, field,
                    pairjet, param)
-from .derivations import (jet_partial, measure_shift, partial_theta,
-                          superspace_operators, total_space, total_t)
+from .derivations import (jet_partial, jet_prolongation, measure_shift,
+                          partial_theta, solve_linear, superspace_operators,
+                          total_space, total_t)
 from .expr import GradedExpr, gexp, scalar
 from .potential import FunctionSymbol, specialize_potential, superspace_potential
 from .superfield import stage_map, superfield
@@ -117,42 +118,26 @@ def lagrangian(V: Optional[FunctionSymbol] = None,
     return lag if V is None else specialize_potential(lag, V)
 
 
-def auxiliary_solution(lag: Optional[GradedExpr] = None) -> Dict[str, GradedExpr]:
-    """Solve the algebraic field equations of the two auxiliaries."""
-    if lag is None:
-        lag = _component_lagrangian(False)
-    out: Dict[str, GradedExpr] = {}
-    for base in ("A00", "A11"):
-        gen = field(base, 0, 0, "x")
-        eq = jet_partial(gen)(lag)
-        rest, coeff = eq.split_gen(gen)
-        if set(coeff.terms.keys()) != {()}:
-            raise AssertionError(f"{base} equation is not algebraic-linear")
-        out[base] = scalar(GaussianRational(-1) / coeff.terms[()]) * rest
-    return out
+@cache
+def auxiliary_solution() -> Dict[str, GradedExpr]:
+    """Solve the algebraic field equations of the two auxiliaries of the
+    component Lagrangian in pair symbols."""
+    lag = _component_lagrangian(False)
+    gens = {b: field(b, 0, 0, "x") for b in ("A00", "A11")}
+    return {b: solve_linear(jet_partial(g)(lag), g) for b, g in gens.items()}
 
 
-def auxiliary_jets(exprs: Iterable[GradedExpr], sol: Dict[str, GradedExpr]
-                   ) -> Dict[Generator, GradedExpr]:
+def auxiliary_jets(exprs: Iterable[GradedExpr]) -> Dict[Generator, GradedExpr]:
     """Every auxiliary jet in exprs mapped to its prolonged solution."""
-    dt, dx = total_t("x"), total_space("x")
-    mapping: Dict[Generator, GradedExpr] = {}
-    for e in exprs:
-        for g in e.generators():
-            if g.kind == "field" and g.base in sol and g not in mapping:
-                img = sol[g.base]
-                m, n = g.jet
-                for _ in range(m):
-                    img = dt(img)
-                for _ in range(n):
-                    img = dx(img)
-                mapping[g] = img
-    return mapping
+    sol = auxiliary_solution()
+    jet = jet_prolongation(sol, "x")
+    return {g: jet(g.base, *g.jet) for e in exprs for g in e.generators()
+            if g.kind == "field" and g.base in sol}
 
 
 def eliminate_auxiliary(lag: GradedExpr) -> GradedExpr:
     """Substitute the auxiliary solutions, prolonged through jets."""
-    return lag.substitute(auxiliary_jets([lag], auxiliary_solution(lag)))
+    return lag.substitute(auxiliary_jets([lag]))
 
 
 # ----------------------------------------------------------------------

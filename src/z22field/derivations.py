@@ -232,6 +232,33 @@ def _fn_chain(g: Generator, dm: int, dn: int, space: str) -> Optional[GradedExpr
     return out
 
 
+def jet_prolongation(table: Dict[str, GradedExpr], stage: str
+                     ) -> Callable[[str, int, int], GradedExpr]:
+    """(base, m, n) -> D_t^m D_space^n table[base] on the given stage.
+
+    Each jet is built from its neighbour of one lower order and memoised
+    for the life of the returned function.  Total derivatives commute,
+    so the order in which they are applied does not change the result.
+    """
+    dt, dsp = total_t(stage), total_space(stage)
+    memo: Dict[Tuple[str, int, int], GradedExpr] = {}
+
+    def jet(base: str, m: int, n: int) -> GradedExpr:
+        key = (base, m, n)
+        hit = memo.get(key)
+        if hit is None:
+            if m:
+                hit = dt.apply(jet(base, m - 1, n))
+            elif n:
+                hit = dsp.apply(jet(base, 0, n - 1))
+            else:
+                hit = table[base]
+            memo[key] = hit
+        return hit
+
+    return jet
+
+
 def jet_partial(gen: Generator) -> GeneratorDerivation:
     """Left partial derivative by a single jet variable.
 
@@ -251,6 +278,15 @@ def jet_partial(gen: Generator) -> GeneratorDerivation:
         return None
 
     return GeneratorDerivation(f"d/d{gen.name}", gen.degree, act)
+
+
+def solve_linear(eq: GradedExpr, gen: Generator) -> GradedExpr:
+    """The root in gen of eq = 0, for eq linear in gen with a scalar
+    coefficient."""
+    rest, coeff = eq.split_gen(gen)
+    if set(coeff.terms) != {()}:
+        raise AssertionError(f"equation is not linear in {gen.name}")
+    return scalar(GaussianRational(-1) / coeff.terms[()]) * rest
 
 
 def partial_z() -> GeneratorDerivation:

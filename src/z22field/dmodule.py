@@ -6,8 +6,12 @@ entries are polynomial-coefficient differential operators in t and x.
 The matrices extracted this way are compared entry-by-entry with the
 hand-checked displays, and their graded brackets are checked against the
 structure constants of the superspace algebra.
+
+The printed and the table-extracted matrix sets are memoised with
+functools.cache and shared, so no caller mutates them.
 """
 
+from functools import cache
 from math import comb, factorial
 from typing import Dict, List, Optional, Tuple
 
@@ -20,6 +24,15 @@ from .reference import MULTIPLET, matrix_realization_data
 Word = Tuple[int, int, int, int]  # t-power, x-power, dt-power, dx-power
 
 _ZERO = GaussianRational(0)
+
+
+def _accumulate(acc: dict, key, c: GaussianRational) -> None:
+    """acc[key] += c, dropping the key when the sum is zero."""
+    total = acc.get(key, _ZERO) + c
+    if total:
+        acc[key] = total
+    else:
+        acc.pop(key, None)
 
 
 # ----------------------------------------------------------------------
@@ -38,21 +51,13 @@ class WeylOp:
     def from_list(items) -> "WeylOp":
         out: Dict[Word, GaussianRational] = {}
         for c, w in items:
-            acc = out.get(w, _ZERO) + c
-            if not acc:
-                out.pop(w, None)
-            else:
-                out[w] = acc
+            _accumulate(out, w, c)
         return WeylOp(out)
 
     def __add__(self, other: "WeylOp") -> "WeylOp":
         out = dict(self.terms)
         for w, c in other.terms.items():
-            acc = out.get(w, _ZERO) + c
-            if not acc:
-                out.pop(w, None)
-            else:
-                out[w] = acc
+            _accumulate(out, w, c)
         return WeylOp(out)
 
     def __neg__(self) -> "WeylOp":
@@ -79,11 +84,7 @@ class WeylOp:
                         cl = comb(d1, l) * comb(b2, l) * factorial(l)
                         w = (a1 + a2 - k, b1 + b2 - l,
                              c1 + c2 - k, d1 + d2 - l)
-                        acc = out.get(w, _ZERO) + uv * GaussianRational(ck * cl)
-                        if not acc:
-                            out.pop(w, None)
-                        else:
-                            out[w] = acc
+                        _accumulate(out, w, uv * GaussianRational(ck * cl))
         return WeylOp(out)
 
     def __eq__(self, other) -> bool:
@@ -172,6 +173,7 @@ class MatrixOp:
 _INDEX = {b: k for k, b in enumerate(MULTIPLET)}
 
 
+@cache
 def printed_matrices() -> Dict[str, MatrixOp]:
     """The displayed matrices, straight from the frozen entry data."""
     out = {}
@@ -181,6 +183,7 @@ def printed_matrices() -> Dict[str, MatrixOp]:
     return out
 
 
+@cache
 def matrices_from_tables() -> Dict[str, MatrixOp]:
     """Extract each matrix from its variation table.
 
@@ -215,12 +218,7 @@ def matrices_from_tables() -> Dict[str, MatrixOp]:
                     raise ValueError(f"{name}/{base}: no field factor")
                 word = (a, b, jet.jet[0], jet.jet[1])
                 col = _INDEX[jet.base]
-                cell = entries.setdefault((row, col), {})
-                acc = cell.get(word, _ZERO) + c
-                if not acc:
-                    cell.pop(word, None)
-                else:
-                    cell[word] = acc
+                _accumulate(entries.setdefault((row, col), {}), word, c)
         out[name] = MatrixOp({rc: WeylOp(cell) for rc, cell in entries.items()},
                              OP_DEGREE[name])
     return out

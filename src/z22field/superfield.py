@@ -35,8 +35,9 @@ from typing import Dict, List, Optional
 from .core import (DEG00, FIELD_BASES, GaussianRational, Generator, QI,
                    X_WEIGHTED, coord, field, pairjet, param, parity, trig)
 from .derivations import (Derivation, GeneratorDerivation, STRUCTURE,
-                          OP_DEGREE, fn_field_derivative, partial_theta,
-                          superspace_operators, total_space, total_t)
+                          OP_DEGREE, fn_field_derivative, jet_prolongation,
+                          partial_theta, superspace_operators, total_space,
+                          total_t)
 from .expr import GradedExpr, gexp, scalar
 
 _I = scalar(QI)
@@ -154,34 +155,18 @@ def prolonged_derivation(table: Dict[str, GradedExpr], stage: str,
     Coordinates and parameters are inert; jets prolong through the total
     derivatives; function symbols chain through their field arguments.
     """
-    dt = total_t(stage)
-    dsp = total_space(stage)
-    cache: Dict[tuple, GradedExpr] = {}
-
-    def jet_image(base: str, m: int, n: int) -> GradedExpr:
-        key = (base, m, n)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        if m == 0 and n == 0:
-            img = table[base]
-        elif m > 0:
-            img = dt.apply(jet_image(base, m - 1, n))
-        else:
-            img = dsp.apply(jet_image(base, 0, n - 1))
-        cache[key] = img
-        return img
+    jet = jet_prolongation(table, stage)
 
     def act(g: Generator) -> Optional[GradedExpr]:
         if g.kind == "field" and g.space == stage:
             m, n = g.jet
-            return jet_image(g.base, m, n)
+            return jet(g.base, m, n)
         if g.kind == "fn":
             out = GradedExpr.zero()
             for which in ("phi00", "phi11"):
                 part = fn_field_derivative(g, which)
                 if part is not None and part.terms:
-                    out = out + part * jet_image(which, 0, 0)
+                    out = out + part * table[which]
             return out
         return None
 

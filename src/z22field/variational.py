@@ -8,18 +8,26 @@ built by prolongation the chain rule gives the exact polynomial identity
 A sparse exact linear solver certifies invariance by rewriting delta(L)
 as D_t K0 + D_x K1 with zero residual; the conserved current is j = N - K
 with the transformation parameter stripped off the left.
+
+The potential-free on-shell stages, `field_equations`, `solved_forms`
+and `action.auxiliary_solution`, are memoised with functools.cache, keyed
+by nothing and shared, so no caller mutates their dicts.  No memo is
+keyed by an expression: reductions and certificates take any input, and
+such a memo would grow without bound.
 """
 
-from typing import Dict, List, Optional, Tuple
+from functools import cache
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import (FIELD_BASES, GaussianRational, Generator, coord, field,
                    fjet, pairjet, param, trig)
 from .expr import GradedExpr, _mono_sort_token, gexp, scalar
-from .derivations import jet_partial, total_t, total_space
+from .derivations import (jet_partial, jet_prolongation, solve_linear,
+                          total_space, total_t)
 from .superfield import (PARAM_OF, coordinate_variations,
                          prolonged_derivation, variation_table,
                          variation_derivation)
-from .action import auxiliary_jets, auxiliary_solution, lagrangian
+from .action import auxiliary_jets, lagrangian
 from . import reference
 
 BOSONS = ("phi00", "phi11")
@@ -27,6 +35,9 @@ FERMIONS = ("psi10", "lam10", "psi01", "lam01")
 DYNAMICAL = BOSONS + FERMIONS
 AUXILIARY = ("A00", "A11")
 SYMMETRIES = ("H", "Z", "Q10", "Q01", "L11")
+# leading time order of each field equation: bosons are second order in
+# time, fermions first
+_TIME_ORDER = {b: 2 if b in BOSONS else 1 for b in DYNAMICAL}
 
 _ONE = GaussianRational(1)
 # on-shell rewriting stops well before this; divergence certificates widen
@@ -60,58 +71,38 @@ def euler_lagrange(lag: GradedExpr) -> Dict[str, GradedExpr]:
     return out
 
 
-def solved_forms() -> Dict[Generator, GradedExpr]:
-    """Each dynamical equation solved for its leading time jet.
+@cache
+def field_equations() -> Dict[str, GradedExpr]:
+    """Rows of the auxiliary-eliminated Lagrangian, by base name."""
+    return euler_lagrange(lagrangian(eliminate=True))
 
-    Bosons are second order in time, fermions first; the leading
-    coefficient is a nonzero scalar, so the rewrite is exact.
+
+@cache
+def solved_forms() -> Dict[str, GradedExpr]:
+    """Each dynamical equation solved for its leading time jet, by base
+    name: the value replaces field(b, _TIME_ORDER[b], 0, "x").
+
+    The leading coefficient is a nonzero scalar, so the rewrite is exact.
     """
-    eqs = euler_lagrange(lagrangian(eliminate=True))
-    out: Dict[Generator, GradedExpr] = {}
-    for b, eq in eqs.items():
-        if b in AUXILIARY:
-            continue
-        lead = field(b, 2 if b in BOSONS else 1, 0, "x")
-        rest, coeff = eq.split_gen(lead)
-        if set(coeff.terms.keys()) != {()}:
-            raise AssertionError(f"{b} row is not linear in {lead.name}")
-        out[lead] = scalar(GaussianRational(-1) / coeff.terms[()]) * rest
-    return out
+    return {b: solve_linear(eq, field(b, _TIME_ORDER[b], 0, "x"))
+            for b, eq in field_equations().items()}
 
 
-def reduce_onshell(e: GradedExpr,
-                   solved: Optional[Dict[Generator, GradedExpr]] = None
-                   ) -> GradedExpr:
+def reduce_onshell(e: GradedExpr) -> GradedExpr:
     """Rewrite reducible time jets through the solved field equations.
 
     Every pass replaces a jet at or above its equation's time order by a
     prolonged right side of strictly lower time order, so the loop
     terminates.
     """
-    if solved is None:
-        solved = solved_forms()
-    order = {lead.base: lead.jet[0] for lead in solved}
-    dt, dx = total_t("x"), total_space("x")
-    images: Dict[Generator, GradedExpr] = {}
-
-    def image(g: Generator) -> GradedExpr:
-        hit = images.get(g)
-        if hit is None:
-            m, n = g.jet
-            m0 = order[g.base]
-            hit = solved[field(g.base, m0, 0, "x")]
-            for _ in range(n):
-                hit = dx(hit)
-            for _ in range(m - m0):
-                hit = dt(hit)
-            images[g] = hit
-        return hit
-
+    solved = solved_forms()
+    jet = jet_prolongation(solved, "x")
     cur = e
     for _ in range(_ONSHELL_ROUNDS):
-        subs = {g: image(g) for g in cur.generators()
+        subs = {g: jet(g.base, g.jet[0] - _TIME_ORDER[g.base], g.jet[1])
+                for g in cur.generators()
                 if g.kind == "field" and g.space == "x"
-                and g.base in order and g.jet[0] >= order[g.base]}
+                and g.base in solved and g.jet[0] >= _TIME_ORDER[g.base]}
         if not subs:
             return cur
         cur = cur.substitute(subs)
@@ -129,6 +120,23 @@ def _mono_expr(mono) -> GradedExpr:
     return out
 
 
+def _traded(mono, i: int, new: Generator,
+            drop: Optional[Generator] = None) -> List[tuple]:
+    """mono with one power of factor i traded for new and, when drop is
+    given, one power of the first factor that is drop removed."""
+    acc = GradedExpr.const(_ONE)
+    for j, (g, e) in enumerate(mono):
+        if j == i:
+            acc = acc * gexp(new)
+            e -= 1
+        elif g is drop:
+            drop = None
+            e -= 1
+        if e:
+            acc = acc * gexp(g, e)
+    return list(acc.terms.keys())
+
+
 def _lowered(mono, which: str) -> List[tuple]:
     """Monomials obtained by trading one jet derivative of one factor."""
     outs = []
@@ -144,15 +152,7 @@ def _lowered(mono, which: str) -> List[tuple]:
             if n == 0:
                 continue
             low = field(g.base, m, n - 1, "x")
-        acc = GradedExpr.const(_ONE)
-        for j, (gg, ee) in enumerate(mono):
-            if j == i:
-                acc = acc * gexp(low)
-                if ee != 1:
-                    acc = acc * gexp(gg, ee - 1)
-            else:
-                acc = acc * gexp(gg, ee)
-        outs.extend(acc.terms.keys())
+        outs.extend(_traded(mono, i, low))
     return outs
 
 
@@ -198,22 +198,8 @@ def _chain_lowered(mono, which: str) -> List[tuple]:
     for i, (g, e) in enumerate(mono):
         for h, wf in _fn_antiderivatives(g):
             jg = jet_of[wf]
-            if not any(gg is jg for gg, _ in mono):
-                continue
-            acc = GradedExpr.const(_ONE)
-            removed = False
-            for j, (gg, ee) in enumerate(mono):
-                if j == i:
-                    acc = acc * gexp(h)
-                    if ee != 1:
-                        acc = acc * gexp(gg, ee - 1)
-                elif gg is jg and not removed:
-                    removed = True
-                    if ee != 1:
-                        acc = acc * gexp(gg, ee - 1)
-                else:
-                    acc = acc * gexp(gg, ee)
-            outs.extend(acc.terms.keys())
+            if any(gg is jg for gg, _ in mono):
+                outs.extend(_traded(mono, i, h, jg))
     return outs
 
 
@@ -271,15 +257,10 @@ def _solve_sparse(columns: List[dict], rhs: dict) -> Optional[List]:
                     col_rows[cj].add(r)
             b[r] = b[r] - f * b[pr]
 
-    for r in range(len(row_list)):
-        if r not in used and not table[r] and b[r]:
-            return None
-    # with Gauss-Jordan sweeps the unused rows must be consistent too
-    for r in range(len(row_list)):
-        if r not in used and table[r]:
-            # row still ties free columns only; rhs must already be zero
-            if b[r]:
-                return None
+    # an unpivoted row ties free columns only, which are pinned to zero,
+    # so its right side must already be zero
+    if any(b[r] for r in range(len(row_list)) if r not in used):
+        return None
 
     sol = [GaussianRational(0)] * len(columns)
     for ci, pr in pivot_of.items():
@@ -306,19 +287,12 @@ def divergence_split(s: GradedExpr) -> Tuple[GradedExpr, GradedExpr]:
 
     def extend(monos) -> None:
         for mono in monos:
-            for mm in _lowered(mono, "t"):
-                seen0.setdefault(mm)
-            for mm in _lowered(mono, "x"):
-                seen1.setdefault(mm)
-            for mm in _chain_lowered(mono, "t"):
-                seen0.setdefault(mm)
-            for mm in _chain_lowered(mono, "x"):
-                seen1.setdefault(mm)
-            if has_coord:
-                for mm in _raised(mono, "t"):
-                    seen0.setdefault(mm)
-                for mm in _raised(mono, "x"):
-                    seen1.setdefault(mm)
+            for which, seen in (("t", seen0), ("x", seen1)):
+                for mm in _lowered(mono, which) + _chain_lowered(mono, which):
+                    seen.setdefault(mm)
+                if has_coord:
+                    for mm in _raised(mono, which):
+                        seen.setdefault(mm)
 
     extend(sorted(s.terms.keys(), key=_mono_sort_token))
     for _ in range(_DIVERGENCE_ROUNDS):
@@ -353,7 +327,7 @@ def divergence_split(s: GradedExpr) -> Tuple[GradedExpr, GradedExpr]:
 def eliminated_variation(name: str):
     """Variation with the auxiliaries traded for their algebraic solutions."""
     table = variation_table(name, "x")
-    mapping = auxiliary_jets(table.values(), auxiliary_solution())
+    mapping = auxiliary_jets(table.values())
     table = {b: e.substitute(mapping) for b, e in table.items()
              if b not in AUXILIARY}
     return prolonged_derivation(table, "x", f"delta_{name}[onshell]")
@@ -366,7 +340,7 @@ def noether(name: str) -> dict:
     delta = eliminated_variation(name)
     eps = param(PARAM_OF[name])
     dt, dx = total_t("x"), total_space("x")
-    eqs = euler_lagrange(lag)
+    eqs = field_equations()
     dl = delta(lag)
 
     n0 = GradedExpr.zero()
@@ -406,6 +380,20 @@ def _anchor_scale(engine: GradedExpr,
     return None
 
 
+def _scaled_residuals(engine: Sequence[GradedExpr],
+                      ref: Sequence[GradedExpr]
+                      ) -> Tuple[Optional[GaussianRational],
+                                 Tuple[GradedExpr, ...]]:
+    """One scale, pinned on the first entry pair that shares a monomial,
+    and the residuals engine - scale * ref entry by entry; with no shared
+    monomial, None and the engine entries."""
+    scale = next((s for s in map(_anchor_scale, engine, ref)
+                  if s is not None), None)
+    if scale is None:
+        return None, tuple(engine)
+    return scale, tuple(e - scalar(scale) * r for e, r in zip(engine, ref))
+
+
 def current_comparison() -> Dict[str, dict]:
     """Engine currents against the hand-checked pairs, with conservation.
 
@@ -415,28 +403,19 @@ def current_comparison() -> Dict[str, dict]:
     """
     data = current_table()
     refs = reference.reference_currents()
-    solved = solved_forms()
     dt, dx = total_t("x"), total_space("x")
     out: Dict[str, dict] = {}
     for name, item in data.items():
         j0, j1 = item["current"]
-        r0, r1 = refs[name]
-        scale = _anchor_scale(j0, r0)
-        if scale is None:
-            scale = _anchor_scale(j1, r1)
-        if scale is None:
-            res0, res1 = j0, j1
-        else:
-            res0 = j0 - scalar(scale) * r0
-            res1 = j1 - scalar(scale) * r1
-        div = reduce_onshell(dt(j0) + dx(j1), solved)
+        scale, (res0, res1) = _scaled_residuals((j0, j1), refs[name])
+        div = reduce_onshell(dt(j0) + dx(j1))
         entry = {
             "scale": scale,
             "matches_reference": not res0.terms and not res1.terms,
             "conserved": not div.terms,
         }
         if res0.terms or res1.terms:
-            idiv = reduce_onshell(dt(res0) + dx(res1), solved)
+            idiv = reduce_onshell(dt(res0) + dx(res1))
             entry["improvement"] = (res0, res1)
             entry["improvement_conserved"] = not idiv.terms
         out[name] = entry
@@ -498,7 +477,7 @@ def eom_table(spec: Optional[Dict[str, GradedExpr]] = None
               ) -> Dict[str, GradedExpr]:
     """Field equations of the auxiliary-eliminated Lagrangian, optionally
     specialized to name-keyed potential data."""
-    eqs = euler_lagrange(lagrangian(eliminate=True))
+    eqs = field_equations()
     if spec is not None:
         subs = specialization_map(spec)
         eqs = {b: e.substitute(subs) for b, e in eqs.items()}
@@ -510,9 +489,7 @@ def eom_comparison(engine: Dict[str, GradedExpr],
     """Row-by-row match up to one recorded scale per row."""
     out: Dict[str, dict] = {}
     for b, ref_row in ref.items():
-        row = engine[b]
-        scale = _anchor_scale(row, ref_row)
-        res = row - scalar(scale) * ref_row if scale is not None else row
+        scale, (res,) = _scaled_residuals((engine[b],), (ref_row,))
         out[b] = {"scale": scale, "exact": not res.terms, "residual": res}
     return out
 
@@ -579,10 +556,5 @@ def sine_gordon_reduction() -> Dict[str, dict]:
                 subs[g] = gexp(trig("S11" if g.base == "S00" else "C11"))
         return e.substitute(subs)
 
-    out: Dict[str, dict] = {}
-    for keep, ref in (("phi00", ref00), ("phi11", mirror(ref00))):
-        row = _sector_off(eqs[keep], keep)
-        scale = _anchor_scale(row, ref)
-        res = row - scalar(scale) * ref if scale is not None else row
-        out[keep] = {"scale": scale, "exact": not res.terms, "residual": res}
-    return out
+    return eom_comparison({b: _sector_off(eqs[b], b) for b in BOSONS},
+                          {"phi00": ref00, "phi11": mirror(ref00)})

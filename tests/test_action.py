@@ -15,7 +15,7 @@ from z22field.action import (auxiliary_solution, berezin_layer,
                              product_covariance_report, spinor_lagrangian)
 from z22field import reference
 from z22field.potential import parse_potential
-from z22field import action, derivations
+from z22field import action, derivations, variational
 
 # the package re-exports the function `superfield` under the module's name
 superfield_module = importlib.import_module("z22field.superfield")
@@ -150,6 +150,9 @@ def _clear_stage_caches():
     superfield_module._pre_table.cache_clear()
     superfield_module._stage_field_image.cache_clear()
     action._component_lagrangian.cache_clear()
+    action.auxiliary_solution.cache_clear()
+    variational.field_equations.cache_clear()
+    variational.solved_forms.cache_clear()
 
 
 def test_check_currents_builds_each_stage_once(monkeypatch):
@@ -173,6 +176,12 @@ def test_check_currents_builds_each_stage_once(monkeypatch):
     assert derivations.superspace_operators.cache_info().misses == 1
     assert built == {"density": 1, "elimination": 1}
     assert action._component_lagrangian.cache_info().currsize == 2
+    ok, _ = cli.run_check_examples(
+        cli.build_parser().parse_args(["check-examples"]))
+    assert ok
+    for stage in (variational.field_equations, variational.solved_forms,
+                  action.auxiliary_solution):
+        assert stage.cache_info().misses == 1, stage.__name__
 
 
 def test_specialising_leaves_the_cached_lagrangian_intact():

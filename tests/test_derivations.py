@@ -9,8 +9,11 @@ from z22field import derivations
 from z22field.core import QI, pairjet, trig
 from z22field.core import parity
 from z22field.derivations import (OP_DEGREE, STRUCTURE, _ORDER, bracket,
-                                  superspace_operators, total_space, total_t,
-                                  verify_jacobi, verify_structure_constants)
+                                  jet_prolongation, superspace_operators,
+                                  total_space, total_t, verify_jacobi,
+                                  verify_structure_constants)
+from z22field.superfield import variation_table
+from z22field.variational import solved_forms
 
 
 def test_structure_constants_all_relations():
@@ -95,6 +98,29 @@ def test_total_derivatives_commute():
     e = (gexp(coord("t")) * gexp(field("phi00", 1, 1, "x"))
          + gexp(field("psi10", 0, 0, "x")) * gexp(field("lam10", 0, 0, "x")))
     assert dt(dx(e)) == dx(dt(e))
+
+
+def _power(d, e, k):
+    for _ in range(k):
+        e = d(e)
+    return e
+
+
+@pytest.mark.parametrize("table", [lambda: variation_table("L11", "x"),
+                                   solved_forms],
+                         ids=["L11-second-stage", "solved-forms"])
+def test_jet_prolongation_is_either_order_of_total_derivatives(table):
+    # the L11 table carries explicit t and x, the solved forms carry
+    # function symbols
+    table = table()
+    dt, dx = total_t("x"), total_space("x")
+    jet = jet_prolongation(table, "x")
+    for base, entry in table.items():
+        for m in range(4):
+            for n in range(4 - m):
+                got = jet(base, m, n)
+                assert got == _power(dt, _power(dx, entry, n), m), (base, m, n)
+                assert got == _power(dx, _power(dt, entry, m), n), (base, m, n)
 
 
 def test_total_derivative_leibniz():
