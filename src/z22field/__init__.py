@@ -2,7 +2,7 @@
 
 Layers, bottom up:
   core / expr        graded polynomial ring with exact scalars
-  derivations        graded derivations, superspace operators, brackets
+  derivations        graded derivations, superspace operators, their algebra
   superfield         component expansion, variation tables, closure
   potential          prepotential pairs, closed forms and series
   action             superspace action to component Lagrangian pipeline
@@ -16,8 +16,8 @@ from .core import (DEG00, DEG01, DEG10, DEG11, Degree, GaussianRational,
                    Generator, coord, field, fjet, pairjet, param, parity,
                    trig)
 from .expr import GradedExpr, gexp, scalar
-from .derivations import (bracket, superspace_operators,
-                          verify_jacobi, verify_structure_constants)
+from .derivations import (superspace_operators, verify_jacobi,
+                          verify_structure_constants)
 from .superfield import (closure_report, split_components,
                          variation_derivation, variation_table)
 from .potential import (FunctionSymbol, parse_potential, potential_components,
@@ -35,7 +35,7 @@ __all__ = [
     "DEG00", "DEG01", "DEG10", "DEG11", "Degree", "FieldState",
     "FunctionSymbol", "GaussianRational", "Generator", "GradedExpr",
     "MatrixOp", "SimConfig", "Trajectory", "WeylOp", "auxiliary_solution",
-    "berezin_layer", "bracket", "canonical_matrices", "closure_report",
+    "berezin_layer", "canonical_matrices", "closure_report",
     "coord", "current_comparison", "divergence_split", "dmodule_report",
     "eliminate_auxiliary", "euler_lagrange", "field", "fjet", "gexp",
     "init_profile", "invariance_report", "lagrangian", "lagrangian_audit",

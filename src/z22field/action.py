@@ -23,11 +23,11 @@ from fractions import Fraction
 from functools import cache
 from typing import Dict, Iterable, Optional, Tuple
 
-from .core import (Degree, GaussianRational, Generator, QI, coord, field,
-                   pairjet, param)
-from .derivations import (jet_partial, jet_prolongation, measure_shift,
-                          partial_theta, solve_linear, superspace_operators,
-                          total_space, total_t)
+from .core import (DEG00, Degree, GaussianRational, Generator, QI, coord,
+                   field, pairjet, param)
+from .derivations import (combine, jet_partial, jet_prolongation,
+                          partial_coord, partial_z, solve_linear,
+                          superspace_operators, total_space, total_t)
 from .expr import GradedExpr, gexp, scalar
 from .potential import FunctionSymbol, specialize_potential, superspace_potential
 from .superfield import stage_map, superfield
@@ -49,7 +49,7 @@ def covariant_pair() -> Tuple[GradedExpr, GradedExpr]:
 def theta_z_slots(w: GradedExpr) -> Tuple[GradedExpr, GradedExpr]:
     """theta10-theta01 component of w, split into z-free and z-linear
     layers."""
-    d10, d01 = partial_theta("th10"), partial_theta("th01")
+    d10, d01 = partial_coord("th10"), partial_coord("th01")
     ext = d10(d01(w)).restrict_theta()
     return ext.split_gen(coord("z"))
 
@@ -146,7 +146,9 @@ def eliminate_auxiliary(lag: GradedExpr) -> GradedExpr:
 
 def measure_invariance_report() -> dict:
     """Shift of the odd coordinate leaves z y**(-1/2) unchanged."""
-    shifted = measure_shift()(measure_factor())
+    shift = combine("delta_z-shift", DEG00,
+                    [(gexp(param("deltaz")), partial_z())])
+    shifted = shift(measure_factor())
     return {"ok": shifted.is_zero(), "residual": shifted}
 
 

@@ -138,11 +138,10 @@ def run_verify_tables(args) -> Tuple[bool, dict]:
 
 
 def run_derive_lagrangian(args) -> Tuple[bool, dict]:
-    V = None if args.generic else parse_potential(args.potential)
+    V = parse_potential(args.potential)
     lag = lagrangian(V=V, eliminate=args.eliminate_aux)
     audit = lagrangian_audit(lag)
-    payload = {"lagrangian": lag, "audit": audit,
-               "potential": "abstract" if V is None else V.name,
+    payload = {"lagrangian": lag, "audit": audit, "potential": V.name,
                "eliminated": bool(args.eliminate_aux)}
     return bool(audit["ok"]), payload
 
@@ -402,7 +401,7 @@ _CHECK_FLAGS = {
 }
 # the flags each check's runner reads, besides --format
 _READS = {
-    "derive-lagrangian": ("--potential", "--eliminate-aux", "--generic"),
+    "derive-lagrangian": ("--potential", "--eliminate-aux"),
     "check-potential": ("--potential", "--truncation"),
     "check-currents": ("--generic",),
 }
@@ -462,7 +461,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         ok, payload = runner(args)
         if args.command == "derive-lagrangian" and args.format in (
                 "latex", "text"):
-            print(serialize.render(payload["lagrangian"], args.format))
+            lag = payload["lagrangian"]
+            print(serialize.latex(lag) if args.format == "latex" else lag)
         else:
             _emit_report(ok, payload, args.format, sys.stdout)
         return 0 if ok else 1

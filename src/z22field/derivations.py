@@ -5,13 +5,17 @@ products through the graded Leibniz rule
 
     D(ab) = D(a) b + (-1)^parity(deg D, deg a) a D(b).
 
+A homogeneous coefficient times a derivation is again a derivation, so
+every superspace operator sum(c_i D_i) is one more generator action,
+g -> sum(c_i D_i(g)), built by `combine`.
+
 Total derivatives know the jet bookkeeping: the time derivative of a jet
 raises its first index, the space derivative its second, and function
 symbols chain through the formal field derivatives of their family.
 
-The odd coordinate derivatives act from the left; the degree-(1,1)
-coordinate derivative implements z**2 = y by sending y to 2z and first
-stage jets f^(m,n) to 2z f^(m,n+1).
+The coordinate derivatives act from the left; the degree-(1,1)
+coordinate derivative implements z**2 = y as the explicit z derivative
+plus 2z times the total derivative along y.
 """
 
 from __future__ import annotations
@@ -23,33 +27,17 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .core import (DEG00, DEG01, DEG10, DEG11, Degree, GaussianRational,
                    Generator, QI, QONE, QZERO, coord, field, fjet, pairjet,
-                   param, parity, trig)
+                   parity, trig)
 from .expr import (GradedExpr, _exp_degree, gexp, scalar)
 
 ONE = GradedExpr.const(1)
 
 
 # ----------------------------------------------------------------------
-# derivation classes
+# the derivation type
 # ----------------------------------------------------------------------
 
-class Derivation:
-    """Base interface: a graded operator acting on expressions."""
-
-    name: str
-    degree: Degree
-
-    def apply(self, expr: GradedExpr) -> GradedExpr:
-        raise NotImplementedError
-
-    def __call__(self, expr: GradedExpr) -> GradedExpr:
-        return self.apply(expr)
-
-    def __repr__(self) -> str:
-        return f"<{self.__class__.__name__} {self.name}>"
-
-
-class GeneratorDerivation(Derivation):
+class GeneratorDerivation:
     """Derivation given by a generator action plus graded Leibniz."""
 
     def __init__(self, name: str, degree: Degree,
@@ -57,6 +45,12 @@ class GeneratorDerivation(Derivation):
         self.name = name
         self.degree = degree
         self.action = action
+
+    def __call__(self, expr: GradedExpr) -> GradedExpr:
+        return self.apply(expr)
+
+    def __repr__(self) -> str:
+        return f"<GeneratorDerivation {self.name}>"
 
     def apply(self, expr: GradedExpr) -> GradedExpr:
         out = GradedExpr.zero()
@@ -66,18 +60,14 @@ class GeneratorDerivation(Derivation):
             for k, (g, e) in enumerate(mono):
                 img = self.action(g)
                 if img is not None and img.terms:
-                    if e != 1 and parity(deg, g.degree):
-                        # never reached in this ring: repeated factors are
-                        # even relative to every operator we build
-                        raise ValueError(
-                            f"power rule needs commuting factor: {g.name}^{e}")
                     coeff = c * e
                     if prefix_parity & 1:
                         coeff = -coeff
-                    term = GradedExpr({mono[:k]: coeff})
+                    # D(g^e) = e D(g) g^(e-1): g commutes with itself
+                    # whenever its powers survive
+                    term = GradedExpr({mono[:k]: coeff}) * img
                     if e != 1:
                         term = term * gexp(g, e - 1)
-                    term = term * img
                     if k + 1 < len(mono):
                         term = term * GradedExpr({mono[k + 1:]: QONE})
                     out = out + term
@@ -85,45 +75,28 @@ class GeneratorDerivation(Derivation):
         return out
 
 
-class CompositeDerivation(Derivation):
-    """Sum of coefficient * derivation pieces, e.g. a superspace operator."""
+def combine(name: str, degree: Degree,
+            pieces: Sequence[Tuple[GradedExpr, GeneratorDerivation]]
+            ) -> GeneratorDerivation:
+    """The derivation sum of coefficient * derivation over the pieces.
 
-    def __init__(self, name: str, degree: Degree,
-                 pieces: Sequence[Tuple[GradedExpr, Derivation]]):
-        self.name = name
-        self.degree = degree
-        self.pieces = list(pieces)
-        for cf, dv in self.pieces:
-            d = cf.degree()
-            if d is None or d + dv.degree != degree:
-                raise ValueError(f"inhomogeneous piece in {name}")
+    A homogeneous coefficient c times a derivation D is a derivation of
+    degree deg c + deg D, so the sum is fixed by its generator images.
+    """
+    for cf, dv in pieces:
+        d = cf.degree()
+        if d is None or d + dv.degree != degree:
+            raise ValueError(f"inhomogeneous piece in {name}")
 
-    def apply(self, expr: GradedExpr) -> GradedExpr:
-        out = GradedExpr.zero()
-        for cf, dv in self.pieces:
-            out = out + cf * dv.apply(expr)
+    def act(g: Generator) -> Optional[GradedExpr]:
+        out = None
+        for cf, dv in pieces:
+            img = dv.action(g)
+            if img is not None and img.terms:
+                out = cf * img if out is None else out + cf * img
         return out
 
-
-class BracketDerivation(Derivation):
-    """Graded commutator A B - (-1)^parity(degA, degB) B A."""
-
-    def __init__(self, a: Derivation, b: Derivation):
-        self.a = a
-        self.b = b
-        self.sign = -1 if parity(a.degree, b.degree) else 1
-        self.degree = a.degree + b.degree
-        bra = "{%s,%s}" if self.sign == 1 else "[%s,%s]"
-        self.name = bra % (a.name, b.name)
-
-    def apply(self, expr: GradedExpr) -> GradedExpr:
-        first = self.a.apply(self.b.apply(expr))
-        second = self.b.apply(self.a.apply(expr))
-        return first - scalar(self.sign) * second
-
-
-def bracket(a: Derivation, b: Derivation) -> BracketDerivation:
-    return BracketDerivation(a, b)
+    return GeneratorDerivation(name, degree, act)
 
 
 # ----------------------------------------------------------------------
@@ -179,6 +152,17 @@ def _fn_has_explicit_measure(g: Generator) -> bool:
     return g.base in ("S11y", "C11y") or g.base == "Vtpair"
 
 
+def fn_chain(g: Generator, image: Callable[[str], GradedExpr]) -> GradedExpr:
+    """Chain rule through a function symbol: the sum over phi00 and phi11
+    of its formal field derivative times image(field)."""
+    out = GradedExpr.zero()
+    for which in ("phi00", "phi11"):
+        part = fn_field_derivative(g, which)
+        if part is not None and part.terms:
+            out = out + part * image(which)
+    return out
+
+
 # ----------------------------------------------------------------------
 # total derivatives
 # ----------------------------------------------------------------------
@@ -194,7 +178,7 @@ def total_t(space: str) -> GeneratorDerivation:
             m, n = g.jet
             return gexp(field(g.base, m + 1, n, space))
         if g.kind == "fn":
-            return _fn_chain(g, 1, 0, space)
+            return _jet_chain(g, 1, 0, space)
         return None
 
     return GeneratorDerivation(f"D_t[{space}]", DEG00, act)
@@ -214,22 +198,17 @@ def total_space(space: str) -> GeneratorDerivation:
             if space == "y" and _fn_has_explicit_measure(g):
                 raise ValueError(
                     f"{g.name} carries explicit measure dependence")
-            return _fn_chain(g, 0, 1, space)
+            return _jet_chain(g, 0, 1, space)
         return None
 
     return GeneratorDerivation(f"D_{space}", DEG00, act)
 
 
-def _fn_chain(g: Generator, dm: int, dn: int, space: str) -> Optional[GradedExpr]:
-    """Chain rule for a total derivative through a function symbol."""
+def _jet_chain(g: Generator, dm: int, dn: int, space: str) -> GradedExpr:
+    """A total derivative through a function symbol of the given stage."""
     if g.space is not None and g.space != space:
         raise ValueError(f"{g.name} does not live in stage {space!r}")
-    out = GradedExpr.zero()
-    for which in ("phi00", "phi11"):
-        part = fn_field_derivative(g, which)
-        if part is not None and part.terms:
-            out = out + part * gexp(field(which, dm, dn, space))
-    return out
+    return fn_chain(g, lambda b: gexp(field(b, dm, dn, space)))
 
 
 def jet_prolongation(table: Dict[str, GradedExpr], stage: str
@@ -289,59 +268,22 @@ def solve_linear(eq: GradedExpr, gen: Generator) -> GradedExpr:
     return scalar(GaussianRational(-1) / coeff.terms[()]) * rest
 
 
+def partial_coord(name: str) -> GeneratorDerivation:
+    """Left derivative by the explicit occurrences of one coordinate."""
+    c = coord(name)
+
+    def act(g: Generator) -> Optional[GradedExpr]:
+        return ONE if g is c else None
+
+    return GeneratorDerivation(f"d_{name}", c.degree, act)
+
+
 def partial_z() -> GeneratorDerivation:
-    """Degree-(1,1) coordinate derivative with z**2 = y built in."""
-    zc, yc = coord("z"), coord("y")
-    two_z = scalar(2) * gexp(zc)
-
-    def act(g: Generator) -> Optional[GradedExpr]:
-        if g is zc:
-            return ONE
-        if g is yc:
-            return two_z
-        if g.kind == "field" and g.space == "y":
-            m, n = g.jet
-            return two_z * gexp(field(g.base, m, n + 1, "y"))
-        if g.kind == "fn":
-            if _fn_has_explicit_measure(g):
-                raise ValueError(
-                    f"{g.name} carries explicit measure dependence")
-            chain = _fn_chain(g, 0, 1, "y")
-            return two_z * chain if chain is not None else None
-        return None
-
-    return GeneratorDerivation("d_z", DEG11, act)
-
-
-def partial_theta(which: str) -> GeneratorDerivation:
-    """Left derivative by one of the nilpotent coordinates."""
-    th = coord(which)
-    deg = DEG10 if which == "th10" else DEG01
-
-    def act(g: Generator) -> Optional[GradedExpr]:
-        return ONE if g is th else None
-
-    return GeneratorDerivation(f"d_{which}", deg, act)
-
-
-def measure_shift() -> GeneratorDerivation:
-    """First-order shift of the degree-(1,1) coordinate by deltaz."""
-    zc, yc = coord("z"), coord("y")
-    dz = gexp(param("deltaz"))
-
-    def act(g: Generator) -> Optional[GradedExpr]:
-        if g is zc:
-            return dz
-        if g is yc:
-            return scalar(2) * gexp(zc) * dz
-        if g.kind == "field" and g.space == "y":
-            m, n = g.jet
-            return scalar(2) * gexp(zc) * dz * gexp(field(g.base, m, n + 1, "y"))
-        if g.kind == "fn" and _fn_has_explicit_measure(g):
-            raise ValueError(f"{g.name} carries explicit measure dependence")
-        return None
-
-    return GeneratorDerivation("delta_z-shift", DEG00, act)
+    """Degree-(1,1) coordinate derivative with z**2 = y built in: the
+    explicit z derivative plus 2z times the derivative along y."""
+    return combine("d_z", DEG11, [(ONE, partial_coord("z")),
+                                  (scalar(2) * gexp(coord("z")),
+                                   total_space("y"))])
 
 
 # ----------------------------------------------------------------------
@@ -349,12 +291,12 @@ def measure_shift() -> GeneratorDerivation:
 # ----------------------------------------------------------------------
 
 @cache
-def superspace_operators() -> Dict[str, Derivation]:
+def superspace_operators() -> Dict[str, GeneratorDerivation]:
     """The seven named operators acting on first-stage superspace."""
     dt = total_t("y")
     dz = partial_z()
-    d10 = partial_theta("th10")
-    d01 = partial_theta("th01")
+    d10 = partial_coord("th10")
+    d01 = partial_coord("th01")
     th10 = gexp(coord("th10"))
     th01 = gexp(coord("th01"))
     tqe = gexp(coord("t"))
@@ -362,21 +304,21 @@ def superspace_operators() -> Dict[str, Derivation]:
     i = scalar(QI)
     half = scalar(Fraction(1, 2))
 
-    ops: Dict[str, Derivation] = {}
-    ops["H"] = CompositeDerivation("H", DEG00, [(i, dt)])
-    ops["Z"] = CompositeDerivation("Z", DEG11, [(i, dz)])
-    ops["Q10"] = CompositeDerivation("Q10", DEG10, [
+    ops: Dict[str, GeneratorDerivation] = {}
+    ops["H"] = combine("H", DEG00, [(i, dt)])
+    ops["Z"] = combine("Z", DEG11, [(i, dz)])
+    ops["Q10"] = combine("Q10", DEG10, [
         (ONE, d10), (i * th10, dt), (half * th01, dz)])
-    ops["Q01"] = CompositeDerivation("Q01", DEG01, [
+    ops["Q01"] = combine("Q01", DEG01, [
         (ONE, d01), (i * th01, dt), (-(half * th10), dz)])
-    ops["L11"] = CompositeDerivation("L11", DEG11, [
+    ops["L11"] = combine("L11", DEG11, [
         (scalar(GaussianRational(0, -2)) * zq, dt),
         (-(i * half) * tqe, dz),
         (half * th01, d10),
         (-(half * th10), d01)])
-    ops["D10"] = CompositeDerivation("D10", DEG10, [
+    ops["D10"] = combine("D10", DEG10, [
         (ONE, d10), (-(i * th10), dt), (-(half * th01), dz)])
-    ops["D01"] = CompositeDerivation("D01", DEG01, [
+    ops["D01"] = combine("D01", DEG01, [
         (ONE, d01), (-(i * th01), dt), (half * th10, dz)])
     return ops
 

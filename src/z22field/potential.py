@@ -120,18 +120,16 @@ def _fact(n: int) -> Fraction:
     return Fraction(math.factorial(n))
 
 
-def pair_series(g: Generator, truncation_order: int,
+def pair_series(m: int, slot: int, sp: str, truncation_order: int,
                 fsub: Optional[Callable[[int], GradedExpr]] = None
                 ) -> GradedExpr:
-    """Defining series of one pair symbol, keeping powers of the (1,1)
-    field up to truncation_order.
+    """Defining series of the pair symbol pairjet(m, slot, sp), keeping
+    powers of the (1,1) field up to truncation_order.
 
     fsub maps a derivative order to its replacement; the default keeps
     the abstract F-family.  For a terminating fsub (a polynomial) pass
     truncation_order = -1 to expand until the tower vanishes.
     """
-    m, slot = g.jet
-    sp = g.space
     if fsub is None:
         fsub = lambda k: gexp(fjet(k))
     f11 = gexp(field("phi11", 0, 0, sp))
@@ -179,7 +177,8 @@ def specialize_potential(expr: GradedExpr, V: FunctionSymbol) -> GradedExpr:
         m, slot = g.jet
         sp = g.space
         if V.kind == "poly":
-            mapping[g] = pair_series(g, -1, fsub=lambda k: V.derivative(k, sp))
+            mapping[g] = pair_series(m, slot, sp, -1,
+                                     fsub=lambda k: V.derivative(k, sp))
         else:
             head = V.derivative(m + slot, sp)
             tail = trig(("C11y" if slot == 0 else "S11y") if sp == "y"
@@ -191,27 +190,14 @@ def specialize_potential(expr: GradedExpr, V: FunctionSymbol) -> GradedExpr:
 
 
 def trig_series(expr: GradedExpr, truncation_order: int) -> GradedExpr:
-    """Expand the (1,1)-field trig symbols into truncated power series."""
-    mapping: Dict[Generator, GradedExpr] = {}
-    for g in expr.generators():
-        if g.kind != "fn" or g.base not in ("S11y", "C11y", "S11", "C11"):
-            continue
-        sp = g.space
-        f11 = gexp(field("phi11", 0, 0, sp))
-        y = gexp(coord("y")) if sp == "y" else None
-        slot = 1 if g.base.startswith("S") else 0
-        acc = ZERO_EXPR
-        n = 0
-        while 2 * n + slot <= truncation_order:
-            p = 2 * n + slot
-            term = scalar(Fraction((-1) ** n) / _fact(p))
-            if p:
-                term = term * f11 ** p
-            if y is not None and n:
-                term = term * y ** n
-            acc = acc + term
-            n += 1
-        mapping[g] = acc
+    """Expand the (1,1)-field trig symbols into truncated power series:
+    the pair series of slot 1 (sine) or slot 0 (cosine) whose k-th
+    derivative head is (-1)^(k//2)."""
+    mapping = {g: pair_series(0, 1 if g.base.startswith("S") else 0, g.space,
+                              truncation_order,
+                              fsub=lambda k: scalar((-1) ** (k // 2)))
+               for g in expr.generators()
+               if g.kind == "fn" and g.base in ("S11y", "C11y", "S11", "C11")}
     return expr.substitute(mapping) if mapping else expr
 
 
@@ -255,7 +241,7 @@ def potential_components(V: FunctionSymbol, stage: str = "x",
     if V.kind in ("cos", "sin"):
         # recognize the closed form against the series it abbreviates
         for closed, sym in ((v00, p00), (v11, p11)):
-            want = pair_series(sym, truncation_order,
+            want = pair_series(*sym.jet, stage, truncation_order,
                                fsub=lambda k: V.derivative(k, stage))
             got = trig_series(closed, truncation_order)
             if got != want:
@@ -277,8 +263,8 @@ def series_pair(V: FunctionSymbol, stage: str = "x",
         raise ValueError(f"unknown stage {stage!r}")
     fsub = None if V.kind == "abstract" else (
         lambda k: V.derivative(k, stage))
-    v00 = pair_series(pairjet(1, 0, stage), truncation_order, fsub=fsub)
-    v11 = pair_series(pairjet(1, 1, stage), truncation_order, fsub=fsub)
+    v00 = pair_series(1, 0, stage, truncation_order, fsub=fsub)
+    v11 = pair_series(1, 1, stage, truncation_order, fsub=fsub)
     return PotentialPair(v00, v11, stage, truncation_order, False)
 
 

@@ -1,64 +1,16 @@
-"""Deterministic renderers for graded expressions.
+"""LaTeX rendering of graded expressions.
 
-Three output forms:
-  * json_terms / to_json   machine-readable, term order fixed by the
-                           canonical monomial order
-  * latex                  display form using the conventional field and
-                           coordinate symbols
-  * text                   ASCII one-liner (same as str())
-
-Coefficients serialize as a ["re", "im"] pair of rational strings so the
-output round-trips exactly.
+`latex` gives the display form, with the conventional field and
+coordinate symbols and the terms in canonical monomial order.  The text
+form is str() of the expression.
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 
 from .core import Generator
 from .expr import GradedExpr
-
-
-# ----------------------------------------------------------------------
-# json
-# ----------------------------------------------------------------------
-
-def json_terms(expr: GradedExpr) -> list:
-    out = []
-    for mono, c in expr.sorted_terms():
-        factors = []
-        for g, e in mono:
-            f = Fraction(e)
-            factors.append([g.name, f.numerator, f.denominator])
-        out.append({"coeff": [str(c.re), str(c.im)], "factors": factors})
-    return out
-
-
-def to_json(expr: GradedExpr) -> str:
-    return json.dumps(json_terms(expr), separators=(",", ":"))
-
-
-def expr_from_json(data, resolve) -> GradedExpr:
-    """Rebuild an expression from json_terms output.
-
-    resolve(name) must return the generator for a serialized name.
-    """
-    from .core import GaussianRational
-    total = GradedExpr.zero()
-    for item in data:
-        re_s, im_s = item["coeff"]
-        c = GaussianRational(Fraction(re_s), Fraction(im_s))
-        acc = GradedExpr.const(c)
-        for name, num, den in item["factors"]:
-            acc = acc * GradedExpr.gen(resolve(name), Fraction(num, den))
-        total = total + acc
-    return total
-
-
-# ----------------------------------------------------------------------
-# latex
-# ----------------------------------------------------------------------
 
 _LATEX_BASE = {
     "t": "t", "y": "y", "x": "x", "z": "z",
@@ -179,12 +131,3 @@ def latex(expr: GradedExpr) -> str:
     out = "".join(bits)
     return out[1:] if out.startswith("+") else out
 
-
-def render(expr: GradedExpr, fmt: str) -> str:
-    if fmt == "json":
-        return to_json(expr)
-    if fmt == "latex":
-        return latex(expr)
-    if fmt == "text":
-        return str(expr)
-    raise ValueError(f"unknown format {fmt!r}")

@@ -34,10 +34,9 @@ from typing import Dict, List, Optional
 
 from .core import (DEG00, FIELD_BASES, GaussianRational, Generator, QI,
                    X_WEIGHTED, coord, field, pairjet, param, parity, trig)
-from .derivations import (Derivation, GeneratorDerivation, STRUCTURE,
-                          OP_DEGREE, fn_field_derivative, jet_prolongation,
-                          partial_theta, superspace_operators, total_space,
-                          total_t)
+from .derivations import (GeneratorDerivation, STRUCTURE, OP_DEGREE,
+                          fn_chain, jet_prolongation, partial_coord,
+                          superspace_operators, total_space, total_t)
 from .expr import GradedExpr, gexp, scalar
 
 _I = scalar(QI)
@@ -75,8 +74,8 @@ def split_components(E: GradedExpr) -> Dict[str, GradedExpr]:
     Works for the superfield itself and for anything derived from it
     linearly (variations), returning the eight slot coefficients.
     """
-    d10 = partial_theta("th10")
-    d01 = partial_theta("th01")
+    d10 = partial_coord("th10")
+    d01 = partial_coord("th01")
     zc = coord("z")
     minus_i = scalar(GaussianRational(0, -1))
 
@@ -149,7 +148,7 @@ def variation_table(name: str, stage: str = "y",
 
 
 def prolonged_derivation(table: Dict[str, GradedExpr], stage: str,
-                         label: str = "delta") -> Derivation:
+                         label: str = "delta") -> GeneratorDerivation:
     """Even derivation on a stage's jet ring, built from a base-field table.
 
     Coordinates and parameters are inert; jets prolong through the total
@@ -162,19 +161,15 @@ def prolonged_derivation(table: Dict[str, GradedExpr], stage: str,
             m, n = g.jet
             return jet(g.base, m, n)
         if g.kind == "fn":
-            out = GradedExpr.zero()
-            for which in ("phi00", "phi11"):
-                part = fn_field_derivative(g, which)
-                if part is not None and part.terms:
-                    out = out + part * table[which]
-            return out
+            return fn_chain(g, table.__getitem__)
         return None
 
     return GeneratorDerivation(label, DEG00, act)
 
 
 def variation_derivation(name: str, stage: str = "y", primed: bool = False,
-                         parameter: Optional[GradedExpr] = None) -> Derivation:
+                         parameter: Optional[GradedExpr] = None
+                         ) -> GeneratorDerivation:
     """The variation as an even derivation on the stage's jet ring.
 
     With `parameter` given, the table's own parameter is stripped off and

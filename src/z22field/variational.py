@@ -9,11 +9,11 @@ A sparse exact linear solver certifies invariance by rewriting delta(L)
 as D_t K0 + D_x K1 with zero residual; the conserved current is j = N - K
 with the transformation parameter stripped off the left.
 
-The potential-free on-shell stages, `field_equations`, `solved_forms`
-and `action.auxiliary_solution`, are memoised with functools.cache, keyed
-by nothing and shared, so no caller mutates their dicts.  No memo is
-keyed by an expression: reductions and certificates take any input, and
-such a memo would grow without bound.
+The potential-free on-shell stages, `field_equations`, `solved_forms`,
+`generic_eom_report` and `action.auxiliary_solution`, are memoised with
+functools.cache, keyed by nothing and shared, so no caller mutates their
+dicts.  No memo is keyed by an expression: reductions and certificates
+take any input, and such a memo would grow without bound.
 """
 
 from functools import cache
@@ -494,6 +494,7 @@ def eom_comparison(engine: Dict[str, GradedExpr],
     return out
 
 
+@cache
 def generic_eom_report() -> Dict[str, dict]:
     return eom_comparison(eom_table(), reference.generic_eom())
 

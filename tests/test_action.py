@@ -153,6 +153,26 @@ def _clear_stage_caches():
     action.auxiliary_solution.cache_clear()
     variational.field_equations.cache_clear()
     variational.solved_forms.cache_clear()
+    variational.generic_eom_report.cache_clear()
+
+
+def test_check_examples_runs_each_eom_comparison_once(monkeypatch):
+    from z22field import cli
+    _clear_stage_caches()
+    compared = []
+    original = variational.eom_comparison
+
+    def counted(engine, ref):
+        compared.append(ref)
+        return original(engine, ref)
+
+    monkeypatch.setattr(variational, "eom_comparison", counted)
+    ok, _ = cli.run_check_examples(
+        cli.build_parser().parse_args(["check-examples"]))
+    assert ok
+    # generic, quadratic and the sine-Gordon reduction; the trigonometric
+    # rows read the generic scales from the cached stage
+    assert len(compared) == 3
 
 
 def test_check_currents_builds_each_stage_once(monkeypatch):

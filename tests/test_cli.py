@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from z22field import cli
+from z22field import cli, lagrangian, parse_potential
 from z22field.cli import build_parser, build_sim_config, main
 
 
@@ -46,10 +46,15 @@ def test_derive_lagrangian_latex(capsys):
     assert rc == 0
     assert r"\alpha" in out and r"\cos" in out
     assert "A_{00}" not in out  # eliminated
+    rc = main(["derive-lagrangian", "--potential", "cos",
+               "--eliminate-aux", "--format", "text"])
+    assert rc == 0
+    lag = lagrangian(parse_potential("cos"), eliminate=True)
+    assert capsys.readouterr().out == f"{lag}\n"
 
 
 def test_derive_lagrangian_generic_json(capsys):
-    rc = main(["derive-lagrangian", "--generic", "--format", "json"])
+    rc = main(["derive-lagrangian", "--format", "json"])
     data = json.loads(capsys.readouterr().out)
     assert rc == 0
     assert data["ok"] is True
@@ -312,6 +317,7 @@ def test_missing_config_file_exits_two(tmp_path, capsys):
     ["verify-tables", "--out", "x"],
     ["report-all", "--format", "json"],
     ["simulate", "--model", "sine-gordon"],
+    ["derive-lagrangian", "--generic"],
 ])
 def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(argv):
     with pytest.raises(SystemExit) as exc:

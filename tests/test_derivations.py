@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from z22field import GradedExpr, coord, field, gexp, scalar
+from z22field import DEG00, DEG10, GradedExpr, coord, field, gexp, scalar
 from z22field import derivations
 from z22field.core import QI, pairjet, trig
 from z22field.core import parity
-from z22field.derivations import (OP_DEGREE, STRUCTURE, _ORDER, bracket,
+from z22field.derivations import (OP_DEGREE, STRUCTURE, _ORDER, combine,
                                   jet_prolongation, superspace_operators,
                                   total_space, total_t, verify_jacobi,
                                   verify_structure_constants)
@@ -60,16 +60,30 @@ def test_jacobi_fails_when_the_flip_sign_ignores_parity(sign, monkeypatch):
     assert _failures()
 
 
-def test_bracket_matches_componentwise_definition():
-    ops = superspace_operators()
-    probe = (gexp(coord("th10")) * gexp(field("psi01", 0, 0, "y"))
-             + gexp(coord("z")) * gexp(field("phi11", 0, 0, "y")))
-    for a, b in (("Q10", "Q01"), ("Q10", "L11"), ("H", "Z"), ("D10", "Q10")):
-        br = bracket(ops[a], ops[b])
-        direct = ops[a](ops[b](probe))
-        rev = ops[b](ops[a](probe))
-        # the graded bracket folds the sign into the second composite
-        assert br(probe) in (direct - rev, direct + rev)
+# powers of the even generators, among them the (1,1) ones that the odd
+# operators see with parity 1
+POWER_BASES = [field("phi00", 0, 0, "y"), field("phi11", 0, 0, "y"),
+               field("A00", 0, 0, "y"), field("A11", 0, 0, "y"),
+               field("phi11", 1, 0, "y"), coord("t"), coord("y")]
+
+
+@pytest.mark.parametrize("name", _ORDER)
+def test_power_rule_agrees_with_leibniz(name):
+    op = superspace_operators()[name]
+    for g in POWER_BASES:
+        for e in (2, 3):
+            low = gexp(g, e - 1)
+            sign = scalar((-1) ** ((e - 1) * parity(op.degree, g.degree)))
+            want = op(low) * gexp(g) + sign * low * op(gexp(g))
+            assert op(gexp(g, e)) == want, (g.name, e)
+
+
+def test_combine_rejects_an_inhomogeneous_piece():
+    th01 = gexp(coord("th01"))
+    with pytest.raises(ValueError, match="inhomogeneous piece in bad"):
+        combine("bad", DEG10, [(th01, total_t("y"))])
+    with pytest.raises(ValueError, match="inhomogeneous piece in mixed"):
+        combine("mixed", DEG00, [(scalar(1) + th01, total_t("y"))])
 
 
 def test_covariant_derivatives_close_on_charges():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from z22field import GradedExpr, field, gexp, scalar
+from z22field import GradedExpr, coord, field, gexp, scalar
 from z22field.core import fjet, pairjet, trig
 from z22field.potential import (FunctionSymbol, check_potential_constraint,
                                 parse_potential, potential_components,
@@ -104,6 +104,19 @@ def test_sin_closed_form_agrees_with_series():
 # ----------------------------------------------------------------------
 # series behavior
 # ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("name,space", [("S11", "x"), ("C11", "x"),
+                                        ("S11y", "y"), ("C11y", "y")])
+def test_trig_series_to_third_order(name, space):
+    f11 = gexp(field("phi11", 0, 0, space))
+    # the first-stage symbols carry the measure: phi11**2 comes with y
+    y = gexp(coord("y")) if space == "y" else scalar(1)
+    if name.startswith("S"):
+        want = f11 - scalar(Fraction(1, 6)) * y * f11 ** 3
+    else:
+        want = scalar(1) - scalar(Fraction(1, 2)) * y * f11 ** 2
+    assert trig_series(gexp(trig(name)), 3) == want
+
 
 def test_abstract_series_truncates_in_the_odd_square():
     sp = series_pair(parse_potential("abstract"), stage="x",
