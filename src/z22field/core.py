@@ -362,6 +362,10 @@ X_WEIGHTED = frozenset({"phi11", "A00", "lam10", "lam01"})
 
 def field(base: str, m: int = 0, n: int = 0, space: str = "y") -> Generator:
     """Jet of a component field: m time derivatives, n space derivatives."""
+    name = base + "_" + "t" * m + space * n if m or n else base
+    hit = Generator._registry.get(("field", name, space))
+    if hit is not None:
+        return hit
     deg, dim_y, dim_x, odd = _FIELD_DATA[base]
     if space == "y":
         dim = dim_y + m + 2 * n
@@ -369,9 +373,6 @@ def field(base: str, m: int = 0, n: int = 0, space: str = "y") -> Generator:
         dim = dim_x + m + n
     else:
         raise ValueError(f"unknown space {space!r}")
-    name = base
-    if m or n:
-        name = base + "_" + "t" * m + space * n
     rank = _RANK_ODD_FIELD if odd else _RANK_EVEN_FIELD
     return _intern(name, "field", deg, dim, odd, None, space, base, (m, n),
                    (rank, base, m, n))

@@ -60,7 +60,7 @@ class GeneratorDerivation:
             for k, (g, e) in enumerate(mono):
                 img = self.action(g)
                 if img is not None and img.terms:
-                    coeff = c * e
+                    coeff = c if e == 1 else c * e
                     if prefix_parity & 1:
                         coeff = -coeff
                     # D(g^e) = e D(g) g^(e-1): g commutes with itself

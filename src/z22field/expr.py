@@ -155,7 +155,7 @@ def _mono_star_sign(m: Monomial) -> int:
 
 
 def _mono_sort_token(m: Monomial):
-    return tuple((g.sort_key, Fraction(e)) for g, e in m)
+    return tuple((g.sort_key, e) for g, e in m)
 
 
 # ----------------------------------------------------------------------
@@ -185,6 +185,8 @@ class GradedExpr:
 
     @staticmethod
     def gen(g: Generator, e: Exponent = 1) -> "GradedExpr":
+        if e == 1:
+            return GradedExpr({((g, 1),): QONE})
         e = _normalize_exp(Fraction(e) if not isinstance(e, int) else e)
         if e == 0:
             return GradedExpr({(): QONE})

@@ -261,6 +261,8 @@ def series_pair(V: FunctionSymbol, stage: str = "x",
     """
     if stage not in ("y", "x"):
         raise ValueError(f"unknown stage {stage!r}")
+    if truncation_order < 0:
+        raise ValueError("truncation_order must be >= 0")
     fsub = None if V.kind == "abstract" else (
         lambda k: V.derivative(k, stage))
     v00 = pair_series(1, 0, stage, truncation_order, fsub=fsub)

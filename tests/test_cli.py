@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from z22field import cli, lagrangian, parse_potential
+from z22field import GradedExpr, cli, lagrangian, parse_potential, reference
 from z22field.cli import build_parser, build_sim_config, main
 
 
@@ -253,6 +253,26 @@ def test_failed_certificate_exits_one_without_traceback(monkeypatch, capsys):
     assert rc == 1
     assert captured.err == "error: divergence certificate failed\n"
     assert "Traceback" not in captured.out + captured.err
+
+
+def test_check_currents_fails_on_a_wrong_reference_current(monkeypatch,
+                                                          capsys):
+    # with no shared monomial (Z) or the wrong pair (Q10), the leftover is
+    # conserved on-shell only because the engine current is; an
+    # improvement must be conserved identically
+    real = reference.reference_currents()
+    zero = (GradedExpr.zero(), GradedExpr.zero())
+    monkeypatch.setattr(reference, "reference_currents",
+                        lambda: {**real, "Z": zero, "Q10": real["H"]})
+    ok, payload = cli.run_check_currents(build_parser().parse_args(
+        ["check-currents"]))
+    cur = payload["currents"]
+    assert ok is False
+    assert cur["Z"]["scale"] is None
+    assert cur["Z"]["improvement_conserved"] is False
+    assert cur["Q10"]["improvement_conserved"] is False
+    assert main(["check-currents", "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out)["ok"] is False
 
 
 def test_check_potential_reports_the_pair_constraint(capsys):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from z22field import (DEG00, DEG01, DEG10, DEG11, GaussianRational,
                       GradedExpr, coord, field, gexp, param, parity, scalar)
 from z22field.core import QI, QONE, QZERO
-from z22field.expr import _mono_mul
+from z22field.expr import _mono_mul, _mono_sort_token
 
 
 # ----------------------------------------------------------------------
@@ -263,6 +263,43 @@ def test_canonical_order_is_stable():
     rhs = -(t * (psi * lam))
     assert lhs == rhs
     assert str(lhs) == str(rhs)
+
+
+def test_sort_token_orders_mixed_exponents_by_value():
+    y, x = coord("y"), coord("x")
+    f = field("phi00", 0, 0, "x")
+    exps = (Fraction(1, 2), 1, -1, Fraction(-1), Fraction(3, 2), 2)
+    monos = [((y, ey), (x, ex), (f, 1)) for ey in exps for ex in exps]
+    monos += [((y, ey),) for ey in exps] + [((x, -1),), ((x, 1), (f, 1))]
+
+    def fraction_token(m):
+        return tuple((g.sort_key, Fraction(e)) for g, e in m)
+
+    assert (sorted(monos, key=_mono_sort_token)
+            == sorted(monos, key=fraction_token))
+
+
+def test_field_returns_the_interned_generator():
+    g = field("lam01", 2, 1, "x")
+    assert field("lam01", 2, 1, "x") is g
+    assert field("phi11") is field("phi11", 0, 0, "y")
+    assert field("phi11", 0, 0, "x") is not field("phi11", 0, 0, "y")
+
+
+@pytest.mark.parametrize("args, error", [
+    (("phi00", 0, 0, "q"), ValueError),
+    (("phi00", 1, 0, "q"), ValueError),
+    (("nope",), KeyError),
+])
+def test_field_rejects_unknown_bases_and_spaces(args, error):
+    with pytest.raises(error):
+        field(*args)
+
+
+def test_unit_exponent_is_stored_as_int():
+    for g in (coord("y"), coord("th10"), field("psi10", 0, 0, "x")):
+        (mono,) = gexp(g, Fraction(1)).terms
+        assert mono == ((g, 1),) and type(mono[0][1]) is int
 
 
 def test_equality_ignores_construction_path():

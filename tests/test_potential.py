@@ -153,6 +153,13 @@ def test_rejects_bad_truncation():
         potential_components(parse_potential("cos"), stage="w")
 
 
+def test_series_pair_rejects_a_negative_truncation_order():
+    # the cos tower never terminates, so an unguarded negative order
+    # would never return
+    with pytest.raises(ValueError, match="truncation_order must be >= 0"):
+        series_pair(parse_potential("cos"), truncation_order=-1)
+
+
 # ----------------------------------------------------------------------
 # the defining pair constraint
 # ----------------------------------------------------------------------

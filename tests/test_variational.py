@@ -8,8 +8,9 @@ import pytest
 from z22field import GradedExpr, coord, field, gexp, param, scalar
 from z22field.core import GaussianRational, QI, trig
 from z22field.derivations import total_space, total_t
-from z22field.action import auxiliary_solution
-from z22field.variational import (SYMMETRIES, current_comparison,
+from z22field.action import auxiliary_solution, lagrangian
+from z22field.variational import (SYMMETRIES, _mono_expr,
+                                  current_comparison,
                                   divergence_split, euler_lagrange,
                                   eom_table, field_equations,
                                   generic_eom_report,
@@ -139,6 +140,25 @@ def test_noether_identity_residual_free():
         out = noether(name)
         j0, j1 = out["current"]
         assert not (j0.is_zero() and j1.is_zero()), name
+
+
+def test_term_keys_are_their_own_factor_products():
+    lag = lagrangian(eliminate=True)
+    keys = list(lag.terms)
+    for name in SYMMETRIES:
+        keys += list(noether(name)["delta_lagrangian"].terms)
+    # each key, and each key with one power of one field factor removed
+    # (the candidates of a divergence certificate)
+    monos = set(keys)
+    for mono in keys:
+        for i, (g, e) in enumerate(mono):
+            if g.kind == "field":
+                monos.add(mono[:i] + ((g, e - 1),) * (e > 1) + mono[i + 1:])
+    for mono in monos:
+        prod = scalar(1)
+        for g, e in mono:
+            prod = prod * gexp(g, e)
+        assert _mono_expr(mono) == prod, mono
 
 
 # ----------------------------------------------------------------------
