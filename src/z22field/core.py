@@ -422,23 +422,22 @@ def pairjet(m: int, slot: int, space: str) -> Generator:
     """
     if slot not in (0, 1):
         raise ValueError("slot must be 0 or 1")
+    if space == "y":
+        stem = "Vt"
+    elif space == "x":
+        stem = "V"
+    else:
+        raise ValueError(f"unknown space {space!r}")
+    if m == 0:
+        name = f"{stem}B{slot}"
+    else:
+        name = stem + ("00", "11")[slot] + (f"_{m - 1}" if m != 1 else "")
+    hit = Generator._registry.get(("fn", name, space))
+    if hit is not None:
+        return hit
     deg = DEG00 if slot == 0 else DEG11
     # first-stage odd slot: one surplus power of the dimension-1 field
     dim = Fraction(1) if (space == "y" and slot == 1) else Fraction(0)
-    stem = "Vt" if space == "y" else "V"
-    if space == "y":
-        names0 = {0: "VtB0", 1: "Vt00"}
-        names1 = {0: "VtB1", 1: "Vt11"}
-    elif space == "x":
-        names0 = {0: "VB0", 1: "V00"}
-        names1 = {0: "VB1", 1: "V11"}
-    else:
-        raise ValueError(f"unknown space {space!r}")
-    table = names0 if slot == 0 else names1
-    if m in table:
-        name = table[m]
-    else:
-        name = table[1] + f"_{m - 1}"
     return _intern(name, "fn", deg, dim, False, None, space, stem + "pair",
                    (m, slot), (_RANK_FN, stem + "pair", m, slot))
 

@@ -16,6 +16,23 @@ symbols chain through the formal field derivatives of their family.
 The coordinate derivatives act from the left; the degree-(1,1)
 coordinate derivative implements z**2 = y as the explicit z derivative
 plus 2z times the total derivative along y.
+
+`apply` is one pass over the terms.  Each derivation memoises the image
+of every generator it has met, as a list of (monomial, coefficient,
+packed degree mask) triples; generators are interned and finitely many,
+so the memo is keyed by generator only, never by an expression or a
+potential.  An action that raises stores nothing.  For the factor g**e
+of a monomial, with P the factors before it and R the monomial less one
+power of g, the Leibniz term of an image monomial m is
+
+    (-1)^(parity(deg D, deg P) + parity(deg m, deg P)) e c m*R,
+
+one monomial merge per image term.  The terms of one factor go into a
+local dict, which is merged into the result in place by the add rule of
+`GradedExpr.__add__`, so the result equals the three-product form
+prefix * D(g) * g**(e-1) * suffix term for term and in order.  The
+total derivatives, jet partials and coordinate partials are cached per
+stage name or generator, so their memos last for the whole process.
 """
 
 from __future__ import annotations
@@ -28,7 +45,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .core import (DEG00, DEG01, DEG10, DEG11, Degree, GaussianRational,
                    Generator, QI, QONE, QZERO, coord, field, fjet, pairjet,
                    parity, trig)
-from .expr import (GradedExpr, _exp_degree, gexp, scalar)
+from .expr import (_MASK_PARITY, GradedExpr, _mono_mask, _mono_mul, gexp,
+                   scalar)
 
 ONE = GradedExpr.const(1)
 
@@ -45,6 +63,9 @@ class GeneratorDerivation:
         self.name = name
         self.degree = degree
         self.action = action
+        self._mask = degree.a | degree.b << 1
+        # generator -> [(monomial, coefficient, degree mask), ...]
+        self._images: Dict[Generator, List[tuple]] = {}
 
     def __call__(self, expr: GradedExpr) -> GradedExpr:
         return self.apply(expr)
@@ -52,27 +73,59 @@ class GeneratorDerivation:
     def __repr__(self) -> str:
         return f"<GeneratorDerivation {self.name}>"
 
+    def _image(self, g: Generator) -> List[tuple]:
+        img = self.action(g)
+        terms = [] if img is None else [(m, c, _mono_mask(m))
+                                        for m, c in img.terms.items()]
+        self._images[g] = terms
+        return terms
+
     def apply(self, expr: GradedExpr) -> GradedExpr:
-        out = GradedExpr.zero()
-        deg = self.degree
+        out: dict = {}
+        images = self._images
+        dmask = self._mask
         for mono, c in expr.terms.items():
-            prefix_parity = 0
+            pmask = 0
             for k, (g, e) in enumerate(mono):
-                img = self.action(g)
-                if img is not None and img.terms:
+                img = images.get(g)
+                if img is None:
+                    img = self._image(g)
+                if img:
                     coeff = c if e == 1 else c * e
-                    if prefix_parity & 1:
-                        coeff = -coeff
                     # D(g^e) = e D(g) g^(e-1): g commutes with itself
                     # whenever its powers survive
-                    term = GradedExpr({mono[:k]: coeff}) * img
-                    if e != 1:
-                        term = term * gexp(g, e - 1)
-                    if k + 1 < len(mono):
-                        term = term * GradedExpr({mono[k + 1:]: QONE})
-                    out = out + term
-                prefix_parity += parity(deg, _exp_degree(g, e))
-        return out
+                    if e == 1:
+                        rest = mono[:k] + mono[k + 1:]
+                    else:
+                        rest = mono[:k] + ((g, e - 1),) + mono[k + 1:]
+                    term = {}
+                    for m2, c2, mask in img:
+                        hit = _mono_mul(m2, rest)
+                        if hit is None:
+                            continue
+                        sign, prod = hit
+                        cc = coeff * c2
+                        if sign ^ _MASK_PARITY[(dmask ^ mask) & pmask]:
+                            cc = -cc
+                        acc = term.get(prod)
+                        tot = cc if acc is None else acc + cc
+                        if tot:
+                            term[prod] = tot
+                        elif acc is not None:
+                            del term[prod]
+                    if not out:
+                        out = term
+                    else:
+                        for prod, cc in term.items():
+                            acc = out.get(prod)
+                            tot = cc if acc is None else acc + cc
+                            if tot:
+                                out[prod] = tot
+                            elif acc is not None:
+                                del out[prod]
+                if type(e) is int and e & 1:
+                    pmask ^= g.mask
+        return GradedExpr(out)
 
 
 def combine(name: str, degree: Degree,
@@ -167,6 +220,7 @@ def fn_chain(g: Generator, image: Callable[[str], GradedExpr]) -> GradedExpr:
 # total derivatives
 # ----------------------------------------------------------------------
 
+@cache
 def total_t(space: str) -> GeneratorDerivation:
     """Total time derivative for jets of the given stage."""
     tname = coord("t")
@@ -184,6 +238,7 @@ def total_t(space: str) -> GeneratorDerivation:
     return GeneratorDerivation(f"D_t[{space}]", DEG00, act)
 
 
+@cache
 def total_space(space: str) -> GeneratorDerivation:
     """Total derivative along the measure coordinate of the given stage."""
     cname = coord("y") if space == "y" else coord("x")
@@ -238,6 +293,7 @@ def jet_prolongation(table: Dict[str, GradedExpr], stage: str
     return jet
 
 
+@cache
 def jet_partial(gen: Generator) -> GeneratorDerivation:
     """Left partial derivative by a single jet variable.
 
@@ -268,6 +324,7 @@ def solve_linear(eq: GradedExpr, gen: Generator) -> GradedExpr:
     return scalar(GaussianRational(-1) / coeff.terms[()]) * rest
 
 
+@cache
 def partial_coord(name: str) -> GeneratorDerivation:
     """Left derivative by the explicit occurrences of one coordinate."""
     c = coord(name)

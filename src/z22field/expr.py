@@ -138,8 +138,21 @@ def _mono_degree(m: Monomial) -> Degree:
     return d
 
 
+def _mono_mask(m: Monomial) -> int:
+    """Degree of a monomial packed as a 2-bit mask, like Generator.mask."""
+    mask = 0
+    for g, e in m:
+        if type(e) is int and e & 1:
+            mask ^= g.mask
+    return mask
+
+
 def _mono_dim(m: Monomial) -> Fraction:
-    return sum((Fraction(e) * g.dim for g, e in m), Fraction(0))
+    d = Fraction(0)
+    for g, e in m:
+        if g.dim:
+            d += g.dim if e == 1 else e * g.dim
+    return d
 
 
 def _mono_star_sign(m: Monomial) -> int:

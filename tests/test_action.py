@@ -147,6 +147,10 @@ def test_spinor_lagrangian_equals_component_lagrangian():
 
 def _clear_stage_caches():
     derivations.superspace_operators.cache_clear()
+    derivations.total_t.cache_clear()
+    derivations.total_space.cache_clear()
+    derivations.jet_partial.cache_clear()
+    derivations.partial_coord.cache_clear()
     superfield_module._pre_table.cache_clear()
     superfield_module._stage_field_image.cache_clear()
     action._component_lagrangian.cache_clear()

@@ -1,5 +1,7 @@
 """Command-line surface: dispatch, exit codes, determinism, artifacts."""
 
+import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -359,3 +361,47 @@ def test_report_all_forwards_the_potential(tmp_path, capsys):
     doc = json.loads((tmp_path / "derive-lagrangian.json").read_text())
     assert doc["ok"] is True
     assert doc["report"]["potential"] == "cos"
+
+
+# ----------------------------------------------------------------------
+# pinned symbolic outputs
+# ----------------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _pinned_digests():
+    """`sha256sum` lines: digest, two spaces, `<subcommand>.json`."""
+    lines = (ROOT / "tests" / "symbolic_outputs.sha256").read_text()
+    out = {}
+    for line in lines.splitlines():
+        digest, name = line.split("  ")
+        out[name.removesuffix(".json")] = digest
+    return out
+
+
+def _certify_argv():
+    """The benchmark's certify commands, each with its `--format json`
+    argv, read from `benchmark/workloads.py`."""
+    spec = importlib.util.spec_from_file_location(
+        "_certify_workloads", ROOT / "benchmark" / "workloads.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return {cmd: mod.certify_argv(cmd) for cmd, _ in mod.CERTIFY}
+
+
+def test_every_certify_command_is_pinned():
+    assert list(_pinned_digests()) == list(_certify_argv())
+
+
+@pytest.mark.parametrize("command", list(_pinned_digests()))
+def test_symbolic_output_matches_its_pinned_digest(command):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "z22field.cli", *_certify_argv()[command]],
+        env=env, capture_output=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert (hashlib.sha256(proc.stdout).hexdigest()
+            == _pinned_digests()[command])

@@ -4,16 +4,20 @@ from fractions import Fraction
 
 import pytest
 
-from z22field import DEG00, DEG10, GradedExpr, coord, field, gexp, scalar
+from z22field import (DEG00, DEG10, GradedExpr, coord, field, gexp,
+                      lagrangian, parse_potential, scalar)
 from z22field import derivations
-from z22field.core import QI, pairjet, trig
+from z22field.core import QI, QONE, pairjet, trig
 from z22field.core import parity
-from z22field.derivations import (OP_DEGREE, STRUCTURE, _ORDER, combine,
-                                  jet_prolongation, superspace_operators,
-                                  total_space, total_t, verify_jacobi,
-                                  verify_structure_constants)
+from z22field.derivations import (OP_DEGREE, STRUCTURE, _ORDER,
+                                  GeneratorDerivation, combine, jet_partial,
+                                  jet_prolongation, partial_coord,
+                                  superspace_operators, total_space, total_t,
+                                  verify_jacobi, verify_structure_constants)
+from z22field.expr import _exp_degree
 from z22field.superfield import variation_table
-from z22field.variational import solved_forms
+from z22field.variational import (SYMMETRIES, eliminated_variation,
+                                  euler_lagrange, solved_forms)
 
 
 def test_structure_constants_all_relations():
@@ -180,3 +184,133 @@ def test_slot_swap_under_odd_field():
     want = (gexp(field("phi00", 1, 0, "x")) * gexp(pairjet(2, 1, "x"))
             + gexp(field("phi11", 1, 0, "x")) * gexp(pairjet(2, 0, "x")))
     assert got == want
+
+
+# ----------------------------------------------------------------------
+# the one-pass kernel against the three-product Leibniz form
+# ----------------------------------------------------------------------
+
+def _three_product_apply(d, expr):
+    """Graded Leibniz with each term built as the product
+    prefix * D(g) * g**(e-1) * suffix and added with `+`.  It calls the
+    action afresh for every factor, so it never reads the image memo."""
+    out = GradedExpr.zero()
+    for mono, c in expr.terms.items():
+        prefix_parity = 0
+        for k, (g, e) in enumerate(mono):
+            img = d.action(g)
+            if img is not None and img.terms:
+                coeff = c if e == 1 else c * e
+                if prefix_parity & 1:
+                    coeff = -coeff
+                term = GradedExpr({mono[:k]: coeff}) * img
+                if e != 1:
+                    term = term * gexp(g, e - 1)
+                if k + 1 < len(mono):
+                    term = term * GradedExpr({mono[k + 1:]: QONE})
+                out = out + term
+            prefix_parity += parity(d.degree, _exp_degree(g, e))
+    return out
+
+
+def _assert_same_terms_in_order(d, expr):
+    got = d.apply(expr)
+    want = _three_product_apply(d, expr)
+    # equal values in the same insertion order: the divergence solver's
+    # candidate order and every artifact follow the dict order
+    assert list(got.terms.items()) == list(want.terms.items()), d.name
+
+
+def _probes():
+    gens = [coord(n) for n in ("t", "y", "z", "th10", "th01")]
+    gens += [field(b, 0, 0, "y") for b in ("phi00", "phi11", "A00", "A11",
+                                           "psi10", "psi01", "lam10",
+                                           "lam01")]
+    return [gexp(g) for g in gens]
+
+
+def test_operators_match_the_three_product_form():
+    ops = superspace_operators()
+    images = []
+    for op in ops.values():
+        for p in _probes():
+            _assert_same_terms_in_order(op, p)
+            images.append(op.apply(p))
+    assert len(images) == 7 * 13
+    for op in ops.values():
+        for img in images:
+            _assert_same_terms_in_order(op, img)
+
+
+def _euler_lagrange_calls(lag, monkeypatch):
+    calls = []
+    original = GeneratorDerivation.apply
+
+    def recording(self, expr):
+        calls.append((self, expr))
+        return original(self, expr)
+
+    with monkeypatch.context() as m:
+        m.setattr(GeneratorDerivation, "apply", recording)
+        euler_lagrange(lag)
+    return calls
+
+
+@pytest.mark.parametrize("spec", [None, "cos", "poly:0,0,0,1"])
+def test_euler_lagrange_derivatives_match_the_three_product_form(
+        spec, monkeypatch):
+    V = parse_potential(spec) if spec else None
+    calls = _euler_lagrange_calls(lagrangian(V, eliminate=True), monkeypatch)
+    names = {d.name for d, _ in calls}
+    assert {"D_t[x]", "D_x"} <= names
+    assert any(n.startswith("d/d") for n in names)
+    for d, expr in calls:
+        _assert_same_terms_in_order(d, expr)
+
+
+@pytest.mark.parametrize("name", SYMMETRIES)
+def test_prolonged_variations_match_the_three_product_form(name):
+    _assert_same_terms_in_order(eliminated_variation(name),
+                                lagrangian(eliminate=True))
+
+
+# ----------------------------------------------------------------------
+# image memo and cached constructors
+# ----------------------------------------------------------------------
+
+def test_an_action_runs_once_per_generator():
+    seen = []
+
+    def act(g):
+        seen.append(g)
+        return gexp(coord("t")) if g.kind == "field" else None
+
+    d = GeneratorDerivation("counted", DEG00, act)
+    phi, psi = field("phi00", 0, 0, "x"), field("psi10", 0, 0, "x")
+    lam = field("lam10", 0, 0, "x")
+    e = (gexp(phi, 2) * gexp(psi) + gexp(phi) * gexp(lam)
+         + gexp(coord("x")) * gexp(psi) * gexp(lam))
+    first = d(e)
+    assert d(e) == first
+    assert d(gexp(phi) * gexp(coord("x"))) == gexp(coord("t")) * gexp(
+        coord("x"))
+    # x has no image and is looked up again, but never recomputed
+    assert len(seen) == len(set(seen)) == 4
+    assert set(seen) == {phi, psi, lam, coord("x")}
+
+
+def test_constructors_are_cached_per_stage_or_generator():
+    g = field("phi11", 0, 0, "x")
+    assert total_t("x") is total_t("x")
+    assert total_space("x") is total_space("x")
+    assert total_t("x") is not total_t("y")
+    assert jet_partial(g) is jet_partial(g)
+    assert partial_coord("th10") is partial_coord("th10")
+
+
+def test_a_raising_action_raises_again():
+    dy = total_space("y")
+    s11y = gexp(trig("S11y"))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="explicit measure"):
+            dy(s11y)

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from z22field import (DEG00, DEG01, DEG10, DEG11, GaussianRational,
                       GradedExpr, coord, field, gexp, param, parity, scalar)
 from z22field.core import QI, QONE, QZERO
-from z22field.expr import _mono_mul, _mono_sort_token
+from z22field.core import pairjet, trig
+from z22field.expr import _mono_dim, _mono_mul, _mono_sort_token
 
 
 # ----------------------------------------------------------------------
@@ -294,6 +295,35 @@ def test_field_returns_the_interned_generator():
 def test_field_rejects_unknown_bases_and_spaces(args, error):
     with pytest.raises(error):
         field(*args)
+
+
+def test_pairjet_returns_the_interned_generator():
+    g = pairjet(3, 1, "x")
+    assert pairjet(3, 1, "x") is g
+    assert g.name == "V11_2" and g.jet == (3, 1)
+    assert pairjet(0, 0, "y") is pairjet(0, 0, "y")
+    assert pairjet(1, 0, "y") is not pairjet(1, 0, "x")
+
+
+@pytest.mark.parametrize("args", [(1, 2, "x"), (1, -1, "y"), (0, 0, "q"),
+                                  (2, 1, None)])
+def test_pairjet_rejects_a_bad_slot_or_space(args):
+    with pytest.raises(ValueError):
+        pairjet(*args)
+
+
+def test_mono_dim_matches_the_fraction_formula():
+    y, x = coord("y"), coord("x")
+    lam = field("lam10", 0, 0, "y")
+    monos = [((y, 1),), ((y, 2),), ((y, Fraction(1, 2)),), ((y, -1),),
+             ((x, -1),), ((x, -1), (field("phi11", 1, 0, "x"), 2)),
+             ((coord("t"), 1), (y, Fraction(1, 2)), (lam, 1)),
+             ((y, -1), (field("A00", 0, 1, "y"), 1), (trig("S11y"), 1)),
+             ((coord("th10"), 1), (x, Fraction(-3, 2)), (lam, 1)), ()]
+    for m in monos:
+        want = sum((Fraction(e) * g.dim for g, e in m), Fraction(0))
+        got = _mono_dim(m)
+        assert got == want and type(got) is Fraction, m
 
 
 def test_unit_exponent_is_stored_as_int():
