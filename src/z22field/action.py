@@ -13,8 +13,9 @@ Lagrangian is the anchor.
 Nothing before the last step depends on the potential, so the component
 Lagrangian in pair symbols is memoised per `eliminate` flag, the
 auxiliary solution once, and `lagrangian(V)` only specializes the
-former.  No memo is keyed by a potential or an expression: each request
-may bring a new one, and such a memo would grow without bound.
+former, with the pair images that V builds once and keeps.  No memo is
+keyed by a potential or an expression: each request may bring a new
+one, and such a memo would grow without bound.
 """
 
 from __future__ import annotations

@@ -19,8 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
-from .core import (DEG00, Degree, GaussianRational, Generator, QONE,
-                   Y, ZC, coord, parity)
+from .core import (DEG00, DEG01, DEG10, DEG11, Degree, GaussianRational,
+                   Generator, QONE, Y, ZC, coord, parity)
 
 Exponent = Union[int, Fraction]
 Monomial = Tuple[Tuple[Generator, Exponent], ...]
@@ -48,6 +48,8 @@ def _normalize_exp(e: Exponent) -> Exponent:
 # swap-sign exponent of two packed degree masks m1, m2: the parity of
 # a1*a2 + b1*b2, i.e. of the number of set bits in m1 & m2
 _MASK_PARITY = (0, 1, 1, 0)
+# the degree packed in a mask a | b << 1
+_MASK_DEGREE = (DEG00, DEG10, DEG01, DEG11)
 
 
 def _mono_mul(m1: Monomial, m2: Monomial):
@@ -129,13 +131,6 @@ def _eps_overflow(mono: Monomial) -> bool:
                 return True
             counts[grp] = c
     return False
-
-
-def _mono_degree(m: Monomial) -> Degree:
-    d = DEG00
-    for g, e in m:
-        d = d + _exp_degree(g, e)
-    return d
 
 
 def _mono_mask(m: Monomial) -> int:
@@ -284,6 +279,16 @@ class GradedExpr:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("expression powers must be nonnegative integers")
+        if n and len(self.terms) == 1:
+            (mono, c), = self.terms.items()
+            if len(mono) == 1:
+                # (c g**e)**n = c**n g**(e*n): a generator commutes with
+                # itself, and gen folds z**2 and kills nilpotent squares
+                (g, e), = mono
+                for m in GradedExpr.gen(g, e * n).terms:
+                    if not _eps_overflow(m):
+                        return GradedExpr({m: c ** n})
+                return GradedExpr({})
         out = GradedExpr({(): QONE})
         for _ in range(n):
             out = out * self
@@ -307,12 +312,12 @@ class GradedExpr:
         """Common Z2 x Z2 degree of all terms, None when mixed; zero -> (0,0)."""
         out = None
         for mono in self.terms:
-            d = _mono_degree(mono)
+            m = _mono_mask(mono)
             if out is None:
-                out = d
-            elif out != d:
+                out = m
+            elif out != m:
                 return None
-        return out if out is not None else DEG00
+        return DEG00 if out is None else _MASK_DEGREE[out]
 
     def scaling_dim(self) -> Optional[Fraction]:
         """Common scaling dimension, None when mixed or zero."""
@@ -339,10 +344,15 @@ class GradedExpr:
 
     def substitute(self, mapping: dict) -> "GradedExpr":
         """Ring substitution generator -> expression, applied in one pass."""
-        out = GradedExpr({})
+        terms = {}
         for mono, c in self.terms.items():
-            acc = GradedExpr.const(c)
-            for g, e in mono:
+            # the factors before the first mapped one stay as they are: a
+            # prefix of a canonical monomial is canonical
+            k = 0
+            while k < len(mono) and mono[k][0] not in mapping:
+                k += 1
+            acc = GradedExpr({mono[:k]: c})
+            for g, e in mono[k:]:
                 img = mapping.get(g)
                 if img is None:
                     acc = acc * GradedExpr.gen(g, e)
@@ -350,8 +360,15 @@ class GradedExpr:
                     acc = acc * _expr_pow(img, e)
                 if not acc.terms:
                     break
-            out = out + acc
-        return out
+            # merged in place by the add-and-drop-zero rule of __add__
+            for m, ac in acc.terms.items():
+                prev = terms.get(m)
+                tot = ac if prev is None else prev + ac
+                if tot:
+                    terms[m] = tot
+                elif prev is not None:
+                    del terms[m]
+        return GradedExpr(terms)
 
     def restrict_theta(self) -> "GradedExpr":
         """Drop every term containing th10 or th01."""

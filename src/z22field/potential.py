@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional
 
-from .core import Generator, coord, field, fjet, pairjet, trig
+from .core import (GaussianRational, Generator, coord, field, fjet, pairjet,
+                   trig)
 from .derivations import jet_partial
 from .expr import GradedExpr, ONE_EXPR, ZERO_EXPR, gexp, scalar
 
@@ -46,13 +47,18 @@ class FunctionSymbol:
         if kind not in ("poly", "cos", "sin", "abstract"):
             raise ValueError(f"unknown potential kind {kind!r}")
         self.kind = kind
-        self.coeffs = list(coeffs) if coeffs else []
-        while self.coeffs and self.coeffs[-1] == 0:
-            self.coeffs.pop()
+        coeffs = list(coeffs) if coeffs else []
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        # a tuple, so the image memo below cannot go stale
+        self.coeffs = tuple(coeffs)
         if kind == "poly":
             self.name = "poly:" + ",".join(str(c) for c in self.coeffs)
         else:
             self.name = kind
+        # closed forms of the pair and F-symbols, keyed by generator; the
+        # memo lives and dies with this instance
+        self._images: Dict[Generator, GradedExpr] = {}
 
     def derivative(self, order: int, space: str = "x") -> GradedExpr:
         """order-th derivative evaluated on the (0,0) field, as an
@@ -60,23 +66,41 @@ class FunctionSymbol:
         if order < 0:
             raise ValueError("derivative order must be >= 0")
         if self.kind == "poly":
-            out = ZERO_EXPR
-            w = gexp(field("phi00", 0, 0, space))
+            # sum over k of c_k k!/(k-order)! phi00**(k-order), one
+            # monomial per k
+            f00 = field("phi00", 0, 0, space)
+            terms = {}
             for k in range(order, len(self.coeffs)):
                 c = self.coeffs[k]
-                if c == 0:
-                    continue
-                fall = Fraction(math.perm(k, order))
-                term = scalar(c * fall)
-                if k > order:
-                    term = term * w ** (k - order)
-                out = out + term
-            return out
+                if c:
+                    mono = ((f00, k - order),) if k > order else ()
+                    terms[mono] = GaussianRational(c * math.perm(k, order))
+            return GradedExpr(terms)
         if self.kind in ("cos", "sin"):
             cyc = _COS_CYCLE if self.kind == "cos" else _SIN_CYCLE
             sgn, sym = cyc[order % 4]
             return scalar(sgn) * gexp(trig(sym))
         return gexp(fjet(order))
+
+    def image(self, g: Generator) -> GradedExpr:
+        """Closed form of the pair symbol or F-symbol g for this
+        potential, built once per instance."""
+        img = self._images.get(g)
+        if img is None:
+            img = self._images[g] = self._closed_form(g)
+        return img
+
+    def _closed_form(self, g: Generator) -> GradedExpr:
+        if g.base == "F":
+            return self.derivative(g.jet[0], "x")
+        m, slot = g.jet
+        sp = g.space
+        if self.kind == "poly":
+            return pair_series(m, slot, sp, -1,
+                               fsub=lambda k: self.derivative(k, sp))
+        tail = trig(("C11y" if slot == 0 else "S11y") if sp == "y"
+                    else ("C11" if slot == 0 else "S11"))
+        return self.derivative(m + slot, sp) * gexp(tail)
 
     def __repr__(self) -> str:
         return f"FunctionSymbol({self.name})"
@@ -132,8 +156,8 @@ def pair_series(m: int, slot: int, sp: str, truncation_order: int,
     """
     if fsub is None:
         fsub = lambda k: gexp(fjet(k))
-    f11 = gexp(field("phi11", 0, 0, sp))
-    y = gexp(coord("y")) if sp == "y" else None
+    f11 = field("phi11", 0, 0, sp)
+    y = coord("y") if sp == "y" else None
     out = ZERO_EXPR
     n = 0
     while True:
@@ -146,23 +170,13 @@ def pair_series(m: int, slot: int, sp: str, truncation_order: int,
                 break
             n += 1
             continue
-        term = scalar(Fraction(1) / _fact(p)) * head
+        # the canonical monomial y**n phi11**p: coordinates sort first
+        mono = ((y, n),) if y is not None and n else ()
         if p:
-            term = term * f11 ** p
-        if y is not None and n:
-            term = term * y ** n
-        out = out + term
+            mono += ((f11, p),)
+        out = out + head * GradedExpr({mono: GaussianRational(1 / _fact(p))})
         n += 1
     return out
-
-
-def _pair_generators(expr: GradedExpr) -> List[Generator]:
-    return [g for g in expr.generators()
-            if g.kind == "fn" and g.base.endswith("pair")]
-
-
-def _f_generators(expr: GradedExpr) -> List[Generator]:
-    return [g for g in expr.generators() if g.kind == "fn" and g.base == "F"]
 
 
 def specialize_potential(expr: GradedExpr, V: FunctionSymbol) -> GradedExpr:
@@ -172,20 +186,9 @@ def specialize_potential(expr: GradedExpr, V: FunctionSymbol) -> GradedExpr:
     """
     if V.kind == "abstract":
         return expr
-    mapping: Dict[Generator, GradedExpr] = {}
-    for g in _pair_generators(expr):
-        m, slot = g.jet
-        sp = g.space
-        if V.kind == "poly":
-            mapping[g] = pair_series(m, slot, sp, -1,
-                                     fsub=lambda k: V.derivative(k, sp))
-        else:
-            head = V.derivative(m + slot, sp)
-            tail = trig(("C11y" if slot == 0 else "S11y") if sp == "y"
-                        else ("C11" if slot == 0 else "S11"))
-            mapping[g] = head * gexp(tail)
-    for g in _f_generators(expr):
-        mapping[g] = V.derivative(g.jet[0], "x")
+    mapping = {g: V.image(g) for g in expr.generators()
+               if g.kind == "fn"
+               and (g.base == "F" or g.base.endswith("pair"))}
     return expr.substitute(mapping) if mapping else expr
 
 

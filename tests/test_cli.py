@@ -370,9 +370,9 @@ def test_report_all_forwards_the_potential(tmp_path, capsys):
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _pinned_digests():
+def _pinned_digests(filename="symbolic_outputs.sha256"):
     """`sha256sum` lines: digest, two spaces, `<subcommand>.json`."""
-    lines = (ROOT / "tests" / "symbolic_outputs.sha256").read_text()
+    lines = (ROOT / "tests" / filename).read_text()
     out = {}
     for line in lines.splitlines():
         digest, name = line.split("  ")
@@ -390,18 +390,42 @@ def _certify_argv():
     return {cmd: mod.certify_argv(cmd) for cmd, _ in mod.CERTIFY}
 
 
+def _cold_cli_stdout(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "z22field.cli", *argv],
+        env=env, capture_output=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_every_certify_command_is_pinned():
     assert list(_pinned_digests()) == list(_certify_argv())
 
 
 @pytest.mark.parametrize("command", list(_pinned_digests()))
 def test_symbolic_output_matches_its_pinned_digest(command):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "z22field.cli", *_certify_argv()[command]],
-        env=env, capture_output=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert (hashlib.sha256(proc.stdout).hexdigest()
-            == _pinned_digests()[command])
+    stdout = _cold_cli_stdout(_certify_argv()[command])
+    assert hashlib.sha256(stdout).hexdigest() == _pinned_digests()[command]
+
+
+# A degree-8 polynomial with zero, negative and fractional coefficients:
+# its pair series run to the eighth derivative.  The same argv writes
+# `potential-out/` in CI.
+POLY8 = "poly:1,-2,3/4,0,5,-1/3,2,1/7,-3/2"
+POTENTIAL_ARGV = {
+    "derive-lagrangian": ["derive-lagrangian", "--potential", POLY8,
+                          "--eliminate-aux", "--format", "json"],
+    "check-potential": ["check-potential", "--potential", POLY8,
+                        "--format", "json"],
+}
+
+
+@pytest.mark.parametrize("command", list(POTENTIAL_ARGV))
+def test_potential_output_matches_its_pinned_digest(command):
+    pinned = _pinned_digests("potential_outputs.sha256")
+    assert list(pinned) == list(POTENTIAL_ARGV)
+    stdout = _cold_cli_stdout(POTENTIAL_ARGV[command])
+    assert hashlib.sha256(stdout).hexdigest() == pinned[command]

@@ -10,7 +10,8 @@ from z22field import (DEG00, DEG01, DEG10, DEG11, GaussianRational,
                       GradedExpr, coord, field, gexp, param, parity, scalar)
 from z22field.core import QI, QONE, QZERO
 from z22field.core import pairjet, trig
-from z22field.expr import _mono_dim, _mono_mul, _mono_sort_token
+from z22field.expr import (_expr_pow, _exp_degree, _mono_dim, _mono_mul,
+                           _mono_sort_token)
 
 
 # ----------------------------------------------------------------------
@@ -412,3 +413,126 @@ def test_mono_mul_sign_matches_pairwise_swaps(word):
         hit = _mono_mul(mono, ((g, e),))
         got = None if hit is None else ((s + hit[0]) & 1, hit[1])
     assert got == _reference_product(word)
+
+
+# ----------------------------------------------------------------------
+# one-step powers, prefix substitution and mask degrees against the
+# factor-by-factor forms
+# ----------------------------------------------------------------------
+
+def _repeated_product_pow(base, n):
+    out = GradedExpr({(): QONE})
+    for _ in range(n):
+        out = out * base
+    return out
+
+
+def _factor_by_factor_substitute(expr, mapping):
+    """Each term rebuilt from its coefficient one factor at a time and
+    added with `+`; integer powers of an image by repeated products."""
+    out = GradedExpr.zero()
+    for mono, c in expr.terms.items():
+        acc = GradedExpr.const(c)
+        for g, e in mono:
+            img = mapping.get(g)
+            if img is None:
+                acc = acc * GradedExpr.gen(g, e)
+            elif isinstance(e, int) and e >= 0:
+                acc = acc * _repeated_product_pow(img, e)
+            else:
+                acc = acc * _expr_pow(img, e)
+            if not acc.terms:
+                break
+        out = out + acc
+    return out
+
+
+def _same_terms_in_order(got, want):
+    return list(got.terms.items()) == list(want.terms.items())
+
+
+_Z, _TH10 = coord("z"), coord("th10")
+_POW_CASES = [
+    (gexp(_Z), n) for n in range(1, 6)] + [
+    (gexp(_TH10), 2),
+    (gexp(_TH10), 1),
+    (gexp(coord("y"), Fraction(1, 2)), 3),
+    (gexp(coord("x"), -1), 2),
+    (scalar(GaussianRational(Fraction(3, 2), -1))
+     * gexp(field("phi00", 0, 0, "x")), 3),
+    (scalar(-2) * gexp(field("psi10", 0, 0, "x")), 2),
+    (gexp(param("eps00")), 2),
+    (gexp(field("phi11", 0, 0, "y"), 2), 3),
+    (gexp(field("phi00", 0, 0, "x")) + gexp(coord("t")), 3),
+    (scalar(5), 2),
+] + [(b, 0) for b in (gexp(_Z), scalar(QI) * gexp(_TH10), GradedExpr.zero(),
+                      gexp(coord("y"), Fraction(-1, 2)))]
+
+
+@pytest.mark.parametrize("base,n", _POW_CASES)
+def test_power_matches_repeated_products(base, n):
+    assert _same_terms_in_order(base ** n, _repeated_product_pow(base, n))
+
+
+def test_power_folds_z_and_kills_nilpotent_squares():
+    assert gexp(_Z) ** 2 == gexp(coord("y"))
+    assert gexp(_Z) ** 3 == gexp(coord("y")) * gexp(_Z)
+    assert (gexp(_TH10) ** 2).is_zero()
+    assert (gexp(param("eps00")) ** 2).is_zero()
+
+
+def _substitution_source():
+    t, y = coord("t"), coord("y")
+    phi = field("phi00", 0, 0, "y")
+    psi, lam = field("psi10", 0, 0, "y"), field("lam10", 0, 0, "y")
+    return (scalar(3) * gexp(t) * gexp(y, Fraction(1, 2)) * gexp(phi, 2)
+            * gexp(psi) * gexp(lam)
+            - scalar(QI) * gexp(t, 2) * gexp(psi)
+            + gexp(y, -1) * gexp(phi) * gexp(lam)
+            + scalar(Fraction(1, 3)) * gexp(t) * gexp(phi, 3))
+
+
+@pytest.mark.parametrize("mapped", ["none", "first", "last", "middle",
+                                    "rational", "vanishing", "cancelling"])
+def test_substitute_matches_the_factor_by_factor_form(mapped):
+    t, y = coord("t"), coord("y")
+    phi, lam = field("phi00", 0, 0, "y"), field("lam10", 0, 0, "y")
+    x, psi = coord("x"), field("psi10", 0, 0, "y")
+    mapping = {
+        # an unused generator: no factor of the source is mapped
+        "none": {coord("z"): gexp(x)},
+        # t stands first in every term that holds it
+        "first": {t: scalar(2) * gexp(x) + gexp(phi)},
+        # lam stands last in every term that holds it
+        "last": {lam: gexp(psi) - scalar(Fraction(1, 2)) * gexp(lam)},
+        "middle": {phi: gexp(phi) + scalar(QI) * gexp(coord("th10"))},
+        # the y -> x**2 map takes rational and negative powers
+        "rational": {y: gexp(x, 2)},
+        # psi * psi vanishes, so terms holding psi and lam drop out
+        "vanishing": {lam: gexp(psi)},
+        "cancelling": {phi: gexp(psi) + gexp(lam)},
+    }[mapped]
+    src = _substitution_source()
+    if mapped == "cancelling":
+        # t*psi appears from two terms, cancels, and leaves the dict
+        src = gexp(t) * (gexp(phi) - gexp(psi) + gexp(lam))
+    got = src.substitute(mapping)
+    assert _same_terms_in_order(got,
+                                _factor_by_factor_substitute(src, mapping))
+    if mapped == "none":
+        assert _same_terms_in_order(got, src)
+
+
+def test_degree_matches_the_sum_of_factor_degrees():
+    src = _substitution_source()
+    for mono in src.terms:
+        e = GradedExpr({mono: QONE})
+        want = DEG00
+        for g, k in mono:
+            want = want + _exp_degree(g, k)
+        assert e.degree() == want and type(e.degree()) is type(DEG00)
+    assert src.degree() is None
+    assert GradedExpr.zero().degree() == DEG00
+    assert (gexp(field("psi10", 0, 0, "x")) * gexp(field("lam01", 0, 0, "x"))
+            ).degree() == DEG11
+    assert gexp(field("psi01", 0, 0, "x")).degree() == DEG01

@@ -1,18 +1,20 @@
 """Potential handling: parsing, series, closed forms, displayed pairs."""
 
 import dataclasses
+import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from z22field import GradedExpr, coord, field, gexp, scalar
+from z22field import GradedExpr, coord, field, gexp, lagrangian, scalar
+from z22field import potential, reference
 from z22field.core import fjet, pairjet, trig
 from z22field.potential import (FunctionSymbol, check_potential_constraint,
-                                parse_potential, potential_components,
-                                series_pair, specialize_potential,
-                                trig_series)
-from z22field import reference
+                                pair_series, parse_potential,
+                                potential_components, series_pair,
+                                specialize_potential, trig_series)
 
 
 # ----------------------------------------------------------------------
@@ -46,7 +48,7 @@ def test_parse_refuses_an_oversized_exponent(spec):
 
 def test_parse_keeps_exponents_up_to_the_bound():
     V = parse_potential("poly:1e1000,25e-2")
-    assert V.coeffs == [Fraction(10) ** 1000, Fraction(1, 4)]
+    assert V.coeffs == (Fraction(10) ** 1000, Fraction(1, 4))
 
 
 _SPEC_CHARS = st.sampled_from("0123456789eE+-_./, ")
@@ -186,3 +188,146 @@ def test_constraint_rejects_tampered_pairs():
     assert check_potential_constraint(swapped)["ok"]
     flipped = dataclasses.replace(pair, v11=-pair.v11)
     assert not check_potential_constraint(flipped)["ok"]
+
+
+# ----------------------------------------------------------------------
+# one-step towers and pair series against the product forms
+# ----------------------------------------------------------------------
+
+def _product_derivative(V, order, space="x"):
+    """A poly derivative built term by term, each power of the (0,0)
+    field by repeated multiplication, and added with `+`."""
+    if V.kind != "poly":
+        return V.derivative(order, space)
+    out = GradedExpr.zero()
+    w = gexp(field("phi00", 0, 0, space))
+    for k in range(order, len(V.coeffs)):
+        c = V.coeffs[k]
+        if c == 0:
+            continue
+        term = scalar(c * Fraction(math.perm(k, order)))
+        if k > order:
+            for _ in range(k - order):
+                term = term * w
+        out = out + term
+    return out
+
+
+def _three_product_pair_series(m, slot, sp, truncation_order, fsub):
+    """The pair series with each term built as the three products
+    (1/p!) * head, * phi11**p, * y**n."""
+    f11 = gexp(field("phi11", 0, 0, sp))
+    y = gexp(coord("y")) if sp == "y" else None
+    out = GradedExpr.zero()
+    n = 0
+    while True:
+        p = 2 * n + slot
+        if truncation_order >= 0 and p > truncation_order:
+            break
+        head = fsub(p + m)
+        if head.is_zero():
+            if truncation_order < 0:
+                break
+            n += 1
+            continue
+        term = scalar(Fraction(1, math.factorial(p))) * head
+        for _ in range(p):
+            term = term * f11
+        for _ in range(n if y is not None else 0):
+            term = term * y
+        out = out + term
+        n += 1
+    return out
+
+
+def _poly_spec(degree):
+    # a zero coefficient at k = 2, signs and denominators vary
+    coeffs = [Fraction(k - 2, k % 3 + 1) for k in range(degree)]
+    return "poly:" + ",".join(map(str, coeffs + [Fraction(-degree, 3)]))
+
+
+def _same_terms_in_order(got, want):
+    # equal values in the same insertion order: the artifacts and the
+    # divergence solver's candidates follow the dict order
+    return list(got.terms.items()) == list(want.terms.items())
+
+
+def _generic_pair_jets():
+    return sorted({g.jet for e in (False, True)
+                   for g in lagrangian(eliminate=e).generators()
+                   if g.kind == "fn" and g.base.endswith("pair")})
+
+
+@pytest.mark.parametrize("stage", ["x", "y"])
+@pytest.mark.parametrize("spec", [_poly_spec(d) for d in range(2, 9)]
+                         + ["cos", "sin"])
+def test_pair_images_match_the_product_form(spec, stage):
+    jets = _generic_pair_jets()
+    assert jets == [(1, 0), (1, 1), (2, 0), (2, 1)]
+    V = parse_potential(spec)
+    # a terminating tower expands to the end; the trig towers to the
+    # orders that check-potential compares
+    orders = [-1] if V.kind == "poly" else [0, 3, 6]
+    for k in range(11):
+        assert _same_terms_in_order(V.derivative(k, stage),
+                                    _product_derivative(V, k, stage)), k
+    for m, slot in jets:
+        for order in orders:
+            got = pair_series(m, slot, stage, order,
+                              fsub=lambda k: V.derivative(k, stage))
+            want = _three_product_pair_series(
+                m, slot, stage, order,
+                fsub=lambda k: _product_derivative(V, k, stage))
+            assert _same_terms_in_order(got, want), (m, slot, order)
+        if V.kind == "poly":
+            img = V.image(pairjet(m, slot, stage))
+            assert _same_terms_in_order(img, want), (m, slot)
+
+
+def test_abstract_pair_series_matches_the_product_form():
+    for m, slot in _generic_pair_jets():
+        for sp in ("x", "y"):
+            got = pair_series(m, slot, sp, 5)
+            want = _three_product_pair_series(m, slot, sp, 5,
+                                              fsub=lambda k: gexp(fjet(k)))
+            assert _same_terms_in_order(got, want), (m, slot, sp)
+
+
+# ----------------------------------------------------------------------
+# the per-instance image memo
+# ----------------------------------------------------------------------
+
+def test_coefficients_cannot_change_under_the_memo():
+    V = parse_potential("poly:0,0,1/2,0,0")
+    assert V.coeffs == (0, 0, Fraction(1, 2))
+    with pytest.raises(AttributeError):
+        V.coeffs.append(Fraction(1))
+
+
+def test_each_instance_keeps_its_own_pair_images():
+    spec = "poly:1,0,-1/2,0,1/24"
+    first, second = parse_potential(spec), parse_potential(spec)
+    lag = lagrangian(first, eliminate=True)
+    assert first._images and not second._images
+    assert lagrangian(second, eliminate=True) == lag
+    assert first._images.keys() == second._images.keys()
+    assert all(first._images[g] is not second._images[g]
+               for g in first._images)
+
+
+def test_a_request_builds_each_pair_image_once(monkeypatch):
+    calls = Counter()
+    original = potential.pair_series
+
+    def counted(m, slot, sp, truncation_order, fsub=None):
+        calls[m, slot, sp, truncation_order] += 1
+        return original(m, slot, sp, truncation_order, fsub)
+
+    monkeypatch.setattr(potential, "pair_series", counted)
+    V = parse_potential("poly:0,1,-1/2,1/3,0,2")
+    lagrangian(V, eliminate=True)
+    pair = potential_components(V, stage="x")
+    assert set(calls) == {(m, slot, "x", -1)
+                          for m, slot in _generic_pair_jets()}
+    assert set(calls.values()) == {1}
+    assert pair.v00 == specialize_potential(gexp(pairjet(1, 0, "x")), V)
