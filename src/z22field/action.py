@@ -26,7 +26,7 @@ from typing import Dict, Iterable, Optional, Tuple
 
 from .core import (DEG00, Degree, GaussianRational, Generator, QI, coord,
                    field, pairjet, param)
-from .derivations import (combine, jet_partial, jet_prolongation,
+from .derivations import (apply_many, combine, jet_partial, jet_prolongation,
                           partial_coord, partial_z, solve_linear,
                           superspace_operators, total_space, total_t)
 from .expr import GradedExpr, gexp, scalar
@@ -125,7 +125,9 @@ def auxiliary_solution() -> Dict[str, GradedExpr]:
     component Lagrangian in pair symbols."""
     lag = _component_lagrangian(False)
     gens = {b: field(b, 0, 0, "x") for b in ("A00", "A11")}
-    return {b: solve_linear(jet_partial(g)(lag), g) for b, g in gens.items()}
+    parts = apply_many([jet_partial(g) for g in gens.values()], lag)
+    return {b: solve_linear(eq, g)
+            for (b, g), eq in zip(gens.items(), parts)}
 
 
 def auxiliary_jets(exprs: Iterable[GradedExpr]) -> Dict[Generator, GradedExpr]:

@@ -250,13 +250,14 @@ class Generator:
     jet       () for coords/params, (m, n) for field jets, family-specific
               index tuple for function jets
     dim       scaling dimension as a Fraction
+    dim2      twice dim, an int: every dimension is a multiple of 1/2
     nilpotent True when the square vanishes identically
     eps_group truncation group tag for small parameters, else None
     mask      the degree (a, b) packed as the 2-bit int a | b << 1
     """
 
-    __slots__ = ("name", "kind", "degree", "mask", "dim", "nilpotent",
-                 "eps_group", "space", "base", "jet", "sort_key")
+    __slots__ = ("name", "kind", "degree", "mask", "dim", "dim2",
+                 "nilpotent", "eps_group", "space", "base", "jet", "sort_key")
 
     _registry: dict = {}
 
@@ -267,6 +268,10 @@ class Generator:
         self.degree = degree
         self.mask = degree.a | degree.b << 1
         self.dim = Fraction(dim)
+        self.dim2, rem = divmod(2 * self.dim.numerator, self.dim.denominator)
+        if rem:
+            raise ValueError(f"{name}: dimension {dim} is not a multiple "
+                             "of 1/2")
         self.nilpotent = nilpotent
         self.eps_group = eps_group
         self.space = space

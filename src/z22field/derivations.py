@@ -17,22 +17,28 @@ The coordinate derivatives act from the left; the degree-(1,1)
 coordinate derivative implements z**2 = y as the explicit z derivative
 plus 2z times the total derivative along y.
 
-`apply` is one pass over the terms.  Each derivation memoises the image
-of every generator it has met, as a list of (monomial, coefficient,
-packed degree mask) triples; generators are interned and finitely many,
-so the memo is keyed by generator only, never by an expression or a
-potential.  An action that raises stores nothing.  For the factor g**e
-of a monomial, with P the factors before it and R the monomial less one
-power of g, the Leibniz term of an image monomial m is
+`apply_many` applies a sequence of derivations to one expression in one
+walk over its terms, and `apply` is its one-derivation case.  Each
+derivation memoises the image of every generator it has met, as a list
+of (monomial, coefficient, packed mask) triples (see `_ImageMemo`);
+generators are interned and finitely many, so the memo is keyed by
+generator only, never by an expression or a potential.  An action that
+raises stores nothing.  A walk routes each distinct generator once,
+through a table local to the call, to the derivations with a nonzero
+image of it, so a factor that none of them moves costs one lookup.  For
+the factor g**e of a monomial, with P the factors before it and R the
+monomial less one power of g, the Leibniz term of an image monomial m is
 
     (-1)^(parity(deg D, deg P) + parity(deg m, deg P)) e c m*R,
 
-one monomial merge per image term.  The terms of one factor go into a
-local dict, which is merged into the result in place by the add rule of
-`GradedExpr.__add__`, so the result equals the three-product form
-prefix * D(g) * g**(e-1) * suffix term for term and in order.  The
-total derivatives, jet partials and coordinate partials are cached per
-stage name or generator, so their memos last for the whole process.
+one monomial merge per image term, and none when m or R is the empty
+monomial: a canonical monomial times 1 is itself.  The terms of one
+factor go into a local dict, which is merged into that derivation's
+result in place by the add rule of `GradedExpr.__add__`, so each result
+equals the three-product form prefix * D(g) * g**(e-1) * suffix term
+for term and in order.  The total derivatives, jet partials and
+coordinate partials are cached per stage name or generator, so their
+memos last for the whole process.
 """
 
 from __future__ import annotations
@@ -55,6 +61,30 @@ ONE = GradedExpr.const(1)
 # the derivation type
 # ----------------------------------------------------------------------
 
+class _ImageMemo(dict):
+    """generator -> [(monomial, coefficient, mask), ...] of one action,
+    filled on the first lookup of each generator.  The mask packs the
+    degree of the derivation plus that of the monomial, as in
+    Generator.mask; a unit coefficient is stored as None, so the walk
+    skips its product."""
+
+    __slots__ = ("action", "dmask")
+
+    def __init__(self, action: Callable[[Generator], Optional[GradedExpr]],
+                 dmask: int):
+        super().__init__()
+        self.action = action
+        self.dmask = dmask
+
+    def __missing__(self, g: Generator) -> List[tuple]:
+        img = self.action(g)
+        terms = [] if img is None else [
+            (m, None if c == QONE else c, self.dmask ^ _mono_mask(m))
+            for m, c in img.terms.items()]
+        self[g] = terms
+        return terms
+
+
 class GeneratorDerivation:
     """Derivation given by a generator action plus graded Leibniz."""
 
@@ -63,9 +93,7 @@ class GeneratorDerivation:
         self.name = name
         self.degree = degree
         self.action = action
-        self._mask = degree.a | degree.b << 1
-        # generator -> [(monomial, coefficient, degree mask), ...]
-        self._images: Dict[Generator, List[tuple]] = {}
+        self._images = _ImageMemo(action, degree.a | degree.b << 1)
 
     def __call__(self, expr: GradedExpr) -> GradedExpr:
         return self.apply(expr)
@@ -73,39 +101,55 @@ class GeneratorDerivation:
     def __repr__(self) -> str:
         return f"<GeneratorDerivation {self.name}>"
 
-    def _image(self, g: Generator) -> List[tuple]:
-        img = self.action(g)
-        terms = [] if img is None else [(m, c, _mono_mask(m))
-                                        for m, c in img.terms.items()]
-        self._images[g] = terms
-        return terms
-
     def apply(self, expr: GradedExpr) -> GradedExpr:
-        out: dict = {}
-        images = self._images
-        dmask = self._mask
-        for mono, c in expr.terms.items():
-            pmask = 0
-            for k, (g, e) in enumerate(mono):
-                img = images.get(g)
-                if img is None:
-                    img = self._image(g)
-                if img:
-                    coeff = c if e == 1 else c * e
-                    # D(g^e) = e D(g) g^(e-1): g commutes with itself
-                    # whenever its powers survive
-                    if e == 1:
-                        rest = mono[:k] + mono[k + 1:]
-                    else:
-                        rest = mono[:k] + ((g, e - 1),) + mono[k + 1:]
+        return apply_many((self,), expr)[0]
+
+
+def apply_many(derivations: Sequence[GeneratorDerivation],
+               expr: GradedExpr) -> List[GradedExpr]:
+    """Each derivation applied to expr, in one walk over its terms.
+
+    Result i equals what derivation i's own Leibniz pass gives, in value
+    and in term order.  The routing table lives for this call and is
+    keyed by generator: a factor that no derivation moves costs one
+    lookup, and the rest of a monomial is cut once for every derivation
+    that moves its factor.
+    """
+    # None until a derivation's first nonzero Leibniz term
+    outs: List[Optional[dict]] = [None] * len(derivations)
+    routes: Dict[Generator, list] = {}
+    for mono, c in expr.terms.items():
+        pmask = 0
+        for k, (g, e) in enumerate(mono):
+            route = routes.get(g)
+            if route is None:
+                # (index, image) of each derivation that moves g, in
+                # the order of the derivations
+                route = routes[g] = []
+                for i, d in enumerate(derivations):
+                    img = d._images[g]
+                    if img:
+                        route.append((i, img))
+            if route:
+                coeff = c if e == 1 else c * e
+                # D(g^e) = e D(g) g^(e-1): g commutes with itself
+                # whenever its powers survive
+                if e == 1:
+                    rest = mono[:k] + mono[k + 1:]
+                else:
+                    rest = mono[:k] + ((g, e - 1),) + mono[k + 1:]
+                for i, img in route:
                     term = {}
                     for m2, c2, mask in img:
-                        hit = _mono_mul(m2, rest)
+                        if m2 and rest:
+                            hit = _mono_mul(m2, rest)
+                        else:
+                            hit = (0, m2 or rest)
                         if hit is None:
                             continue
                         sign, prod = hit
-                        cc = coeff * c2
-                        if sign ^ _MASK_PARITY[(dmask ^ mask) & pmask]:
+                        cc = coeff if c2 is None else coeff * c2
+                        if sign ^ _MASK_PARITY[mask & pmask]:
                             cc = -cc
                         acc = term.get(prod)
                         tot = cc if acc is None else acc + cc
@@ -113,8 +157,9 @@ class GeneratorDerivation:
                             term[prod] = tot
                         elif acc is not None:
                             del term[prod]
+                    out = outs[i]
                     if not out:
-                        out = term
+                        outs[i] = term
                     else:
                         for prod, cc in term.items():
                             acc = out.get(prod)
@@ -123,9 +168,9 @@ class GeneratorDerivation:
                                 out[prod] = tot
                             elif acc is not None:
                                 del out[prod]
-                if type(e) is int and e & 1:
-                    pmask ^= g.mask
-        return GradedExpr(out)
+            if type(e) is int and e & 1:
+                pmask ^= g.mask
+    return list(map(GradedExpr, outs))
 
 
 def combine(name: str, degree: Degree,

@@ -142,12 +142,27 @@ def _mono_mask(m: Monomial) -> int:
     return mask
 
 
-def _mono_dim(m: Monomial) -> Fraction:
-    d = Fraction(0)
+def _mono_dim_ratio(m: Monomial) -> Tuple[int, int]:
+    """Scaling dimension of a monomial as integers (p, q), exactly p / q.
+
+    Generators carry twice their dimension as an int, so the sum is kept
+    over the common denominator 2k, where k multiplies the denominators
+    of the rational exponents met so far (k = 1 for integer exponents).
+    """
+    num, k = 0, 1
     for g, e in m:
-        if g.dim:
-            d += g.dim if e == 1 else e * g.dim
-    return d
+        d2 = g.dim2
+        if d2:
+            if type(e) is int:
+                num += e * d2 * k
+            else:
+                num = num * e.denominator + e.numerator * d2 * k
+                k *= e.denominator
+    return num, 2 * k
+
+
+def _mono_dim(m: Monomial) -> Fraction:
+    return Fraction(*_mono_dim_ratio(m))
 
 
 def _mono_star_sign(m: Monomial) -> int:
@@ -323,12 +338,12 @@ class GradedExpr:
         """Common scaling dimension, None when mixed or zero."""
         out = None
         for mono in self.terms:
-            d = _mono_dim(mono)
+            p, q = _mono_dim_ratio(mono)
             if out is None:
-                out = d
-            elif out != d:
+                out = (p, q)
+            elif p * out[1] != out[0] * q:
                 return None
-        return out
+        return None if out is None else Fraction(*out)
 
     def star(self) -> "GradedExpr":
         """Graded star: conjugate coefficients, reverse factor order."""

@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Optional
 
 from .core import (GaussianRational, Generator, coord, field, fjet, pairjet,
                    trig)
-from .derivations import jet_partial
+from .derivations import apply_many, jet_partial
 from .expr import GradedExpr, ONE_EXPR, ZERO_EXPR, gexp, scalar
 
 # derivative four-cycles for the trigonometric symbols; entry k is the
@@ -301,14 +301,15 @@ def check_potential_constraint(pair: PotentialPair) -> dict:
     the dropped edge orders are reported.
     """
     st = pair.stage
-    d00 = jet_partial(field("phi00", 0, 0, st))
-    d11 = jet_partial(field("phi11", 0, 0, st))
-    r1 = d00(pair.v00) - d11(pair.v11)
-    r2 = d11(pair.v00) - d00(pair.v11)
+    d = [jet_partial(field(b, 0, 0, st)) for b in ("phi00", "phi11")]
+    d00_v00, d11_v00 = apply_many(d, pair.v00)
+    d00_v11, d11_v11 = apply_many(d, pair.v11)
+    r1 = d00_v00 - d11_v11
     if st == "y":
         # first-stage slots pack explicit measure powers: the odd-slot
         # identity acquires one factor of the measure coordinate
-        r2 = d11(pair.v00) - gexp(coord("y")) * d00(pair.v11)
+        d00_v11 = gexp(coord("y")) * d00_v11
+    r2 = d11_v00 - d00_v11
     edge: List[int] = []
     if not pair.closed:
         cut = pair.truncation_order

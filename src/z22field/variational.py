@@ -22,8 +22,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .core import (FIELD_BASES, GaussianRational, Generator, coord, field,
                    fjet, pairjet, param, trig)
 from .expr import GradedExpr, _mono_sort_token, gexp, scalar
-from .derivations import (jet_partial, jet_prolongation, solve_linear,
-                          total_space, total_t)
+from .derivations import (apply_many, jet_partial, jet_prolongation,
+                          solve_linear, total_space, total_t)
 from .superfield import (PARAM_OF, coordinate_variations,
                          prolonged_derivation, variation_table,
                          variation_derivation)
@@ -50,25 +50,25 @@ _DIVERGENCE_ROUNDS = 3
 # field equations
 # ----------------------------------------------------------------------
 
-def _bases_present(lag: GradedExpr) -> Tuple[str, ...]:
-    found = {g.base for g in lag.generators()
-             if g.kind == "field" and g.space == "x"}
-    return tuple(b for b in FIELD_BASES if b in found)
-
-
 def euler_lagrange(lag: GradedExpr) -> Dict[str, GradedExpr]:
-    """Rows E_f = d_f L - D_t d_{f_t} L - D_x d_{f_x} L."""
+    """Rows E_f = d_f L - D_t d_{f_t} L - D_x d_{f_x} L.
+
+    One pass over the generators checks the order and finds the bases;
+    one walk takes all three jet partials of every base.
+    """
+    found = set()
     for g in lag.generators():
-        if g.kind == "field" and sum(g.jet) > 1:
-            raise ValueError(f"{g.name}: the density must be first order")
+        if g.kind == "field":
+            if sum(g.jet) > 1:
+                raise ValueError(f"{g.name}: the density must be first order")
+            if g.space == "x":
+                found.add(g.base)
+    bases = [b for b in FIELD_BASES if b in found]
+    parts = apply_many([jet_partial(field(b, m, n, "x")) for b in bases
+                        for m, n in ((0, 0), (1, 0), (0, 1))], lag)
     dt, dx = total_t("x"), total_space("x")
-    out = {}
-    for b in _bases_present(lag):
-        row = jet_partial(field(b, 0, 0, "x"))(lag)
-        row = row - dt(jet_partial(field(b, 1, 0, "x"))(lag))
-        row = row - dx(jet_partial(field(b, 0, 1, "x"))(lag))
-        out[b] = row
-    return out
+    return {b: parts[3 * k] - dt(parts[3 * k + 1]) - dx(parts[3 * k + 2])
+            for k, b in enumerate(bases)}
 
 
 @cache
@@ -342,13 +342,16 @@ def noether(name: str) -> dict:
     eqs = field_equations()
     dl = delta(lag)
 
+    # the momenta dL/db_t and dL/db_x of every base, in one walk
+    momenta = apply_many([jet_partial(field(b, m, n, "x")) for b in eqs
+                          for m, n in ((1, 0), (0, 1))], lag)
     n0 = GradedExpr.zero()
     n1 = GradedExpr.zero()
     onshell = GradedExpr.zero()
-    for b in eqs:
+    for k, b in enumerate(eqs):
         df = delta(gexp(field(b, 0, 0, "x")))
-        n0 = n0 + df * jet_partial(field(b, 1, 0, "x"))(lag)
-        n1 = n1 + df * jet_partial(field(b, 0, 1, "x"))(lag)
+        n0 = n0 + df * momenta[2 * k]
+        n1 = n1 + df * momenta[2 * k + 1]
         onshell = onshell + df * eqs[b]
     if dl != onshell + dt(n0) + dx(n1):
         raise AssertionError(f"chain-rule identity failed for {name}")

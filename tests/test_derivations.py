@@ -3,13 +3,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from z22field import (DEG00, DEG10, GradedExpr, coord, field, gexp,
-                      lagrangian, parse_potential, scalar)
-from z22field import derivations
+from z22field import (DEG00, DEG10, GaussianRational, GradedExpr, coord,
+                      field, gexp, lagrangian, param, parse_potential, scalar)
+from z22field import derivations, variational
 from z22field.core import QI, QONE, pairjet, trig
 from z22field.core import parity
-from z22field.derivations import (OP_DEGREE, STRUCTURE, _ORDER,
+from z22field.derivations import (ONE, OP_DEGREE, STRUCTURE, _ORDER,
                                   GeneratorDerivation, combine, jet_partial,
                                   jet_prolongation, partial_coord,
                                   superspace_operators, total_space, total_t,
@@ -242,16 +243,28 @@ def test_operators_match_the_three_product_form():
             _assert_same_terms_in_order(op, img)
 
 
-def _euler_lagrange_calls(lag, monkeypatch):
-    calls = []
-    original = GeneratorDerivation.apply
+def _assert_walk_matches(calls):
+    # each walk result equals the three-product form of its own
+    # derivation, in value and in insertion order
+    for d, expr, got in calls:
+        want = _three_product_apply(d, expr)
+        assert list(got.terms.items()) == list(want.terms.items()), d.name
 
-    def recording(self, expr):
-        calls.append((self, expr))
-        return original(self, expr)
+
+def _euler_lagrange_calls(lag, monkeypatch):
+    """(derivation, expression, result) of every derivation that enters a
+    walk while euler_lagrange runs; `apply` enters through the walk too."""
+    calls = []
+    original = derivations.apply_many
+
+    def recording(ders, expr):
+        outs = original(ders, expr)
+        calls.extend(zip(ders, [expr] * len(ders), outs))
+        return outs
 
     with monkeypatch.context() as m:
-        m.setattr(GeneratorDerivation, "apply", recording)
+        m.setattr(derivations, "apply_many", recording)
+        m.setattr(variational, "apply_many", recording)
         euler_lagrange(lag)
     return calls
 
@@ -261,11 +274,53 @@ def test_euler_lagrange_derivatives_match_the_three_product_form(
         spec, monkeypatch):
     V = parse_potential(spec) if spec else None
     calls = _euler_lagrange_calls(lagrangian(V, eliminate=True), monkeypatch)
-    names = {d.name for d, _ in calls}
+    names = {d.name for d, _, _ in calls}
     assert {"D_t[x]", "D_x"} <= names
     assert any(n.startswith("d/d") for n in names)
-    for d, expr in calls:
-        _assert_same_terms_in_order(d, expr)
+    _assert_walk_matches(calls)
+
+
+# random expressions over odd and even field jets, pair symbols, powers
+# of y**(1/2) and the eps parameters
+_WALK_GENS = ([field(b, m, n, "x") for b in ("phi00", "phi11", "A00", "A11",
+                                             "psi10", "psi01", "lam10",
+                                             "lam01")
+               for m, n in ((0, 0), (1, 0), (0, 1), (1, 1))]
+              + [pairjet(m, slot, "x") for m in range(4) for slot in (0, 1)]
+              + [param(p) for p in ("eps00", "eps11", "eps10", "eps01")])
+_FIRST_ORDER_PARTIALS = [jet_partial(field(b, m, n, "x"))
+                         for b in ("phi00", "phi11", "psi10", "lam01", "A11")
+                         for m, n in ((0, 0), (1, 0), (0, 1))]
+
+
+def _product(factors):
+    out = factors[0]
+    for f in factors[1:]:
+        out = out * f
+    return out
+
+
+_small = st.integers(-3, 3)
+_factors = st.one_of(
+    st.tuples(st.sampled_from(_WALK_GENS), st.integers(1, 3)).map(
+        lambda ge: gexp(*ge)),
+    st.sampled_from([k for k in range(-3, 4) if k]).map(
+        lambda k: gexp(coord("y"), Fraction(k, 2))))
+_terms = st.tuples(st.builds(GaussianRational, _small, _small),
+                   st.lists(_factors, max_size=5)).map(
+    lambda cf: _product([scalar(cf[0])] + cf[1]))
+_exprs = st.lists(_terms, min_size=1, max_size=6).map(
+    lambda ts: sum(ts, GradedExpr.zero()))
+_walks = st.lists(st.sampled_from(_FIRST_ORDER_PARTIALS), max_size=8).flatmap(
+    lambda ps: st.permutations(ps + [total_t("x"), total_space("x")]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_exprs, _walks)
+def test_a_walk_matches_each_derivation_alone(expr, ders):
+    outs = derivations.apply_many(ders, expr)
+    assert len(outs) == len(ders)
+    _assert_walk_matches(zip(ders, [expr] * len(ders), outs))
 
 
 @pytest.mark.parametrize("name", SYMMETRIES)
@@ -297,6 +352,32 @@ def test_an_action_runs_once_per_generator():
     # x has no image and is looked up again, but never recomputed
     assert len(seen) == len(set(seen)) == 4
     assert set(seen) == {phi, psi, lam, coord("x")}
+
+
+def test_a_walk_asks_each_action_once_per_generator():
+    seen = []
+
+    def counted(name, image):
+        def act(g):
+            seen.append((name, g))
+            return image if g.kind == "field" and g.base == name else None
+        return GeneratorDerivation("d/" + name, DEG00, act)
+
+    phi, psi = field("phi00", 0, 0, "x"), field("psi10", 0, 0, "x")
+    x = coord("x")
+    e = (gexp(phi, 2) * gexp(psi) + gexp(phi) * gexp(x)
+         + gexp(x) * gexp(psi))
+    ders = [counted("phi00", gexp(coord("t"))),
+            counted("psi10", gexp(field("psi10", 1, 0, "x"))),
+            counted("A00", ONE)]
+    assert derivations.apply_many([], e) == []
+    outs = derivations.apply_many(ders, e)
+    assert len(seen) == len(set(seen)) == 3 * 3
+    for d, got in zip(ders, outs):
+        assert list(got.terms.items()) == list(d.apply(e).terms.items())
+    assert outs[2] == GradedExpr.zero()
+    # each derivation keeps the images the walk looked up
+    assert len(seen) == 9
 
 
 def test_constructors_are_cached_per_stage_or_generator():

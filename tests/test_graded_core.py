@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from z22field import (DEG00, DEG01, DEG10, DEG11, GaussianRational,
                       GradedExpr, coord, field, gexp, param, parity, scalar)
-from z22field.core import QI, QONE, QZERO
+from z22field.core import QI, QONE, QZERO, Generator
 from z22field.core import pairjet, trig
 from z22field.expr import (_expr_pow, _exp_degree, _mono_dim, _mono_mul,
                            _mono_sort_token)
@@ -325,6 +325,54 @@ def test_mono_dim_matches_the_fraction_formula():
         want = sum((Fraction(e) * g.dim for g, e in m), Fraction(0))
         got = _mono_dim(m)
         assert got == want and type(got) is Fraction, m
+
+
+def _fraction_scaling_dim(e):
+    dims = {sum((Fraction(k) * g.dim for g, k in m), Fraction(0))
+            for m in e.terms}
+    return dims.pop() if len(dims) == 1 else None
+
+
+_measure_powers = st.builds(
+    lambda g, p, q: gexp(coord(g), Fraction(p, q)),
+    st.sampled_from(("y", "x")), st.integers(-4, 4).filter(bool),
+    st.integers(1, 6))
+
+
+@given(st.lists(st.tuples(exprs(), st.lists(_measure_powers, max_size=2)),
+                max_size=3))
+@settings(max_examples=80, deadline=None)
+def test_scaling_dim_matches_the_fraction_formula(parts):
+    e = GradedExpr.zero()
+    for body, powers in parts:
+        for p in powers:
+            body = body * p
+        e = e + body
+    got = e.scaling_dim()
+    assert got == _fraction_scaling_dim(e)
+    assert got is None or type(got) is Fraction
+
+
+def test_scaling_dim_compares_terms_exactly():
+    y, x = coord("y"), coord("x")
+    # y**(1/3) and x**(2/3) both have dimension -2/3, over unlike
+    # denominators
+    e = gexp(y, Fraction(1, 3)) + scalar(2) * gexp(x, Fraction(2, 3))
+    assert e.scaling_dim() == Fraction(-2, 3)
+    assert type(e.scaling_dim()) is Fraction
+    assert (e + gexp(x)).scaling_dim() is None
+    assert (gexp(y) + gexp(x)).scaling_dim() is None
+    assert (gexp(y) + gexp(x, 2)).scaling_dim() == -2
+    # equal dimensions kept over different denominators: -4/4 and -2/2
+    assert (gexp(y, Fraction(1, 2)) + gexp(x)).scaling_dim() == -1
+    assert GradedExpr.zero().scaling_dim() is None
+    assert scalar(3).scaling_dim() == 0
+
+
+def test_a_dimension_off_the_half_integer_grid_is_rejected():
+    with pytest.raises(ValueError, match="multiple of 1/2"):
+        Generator("q", "coord", DEG00, Fraction(1, 3), False, None, None,
+                  "q", (), (0, "q", 0, 0))
 
 
 def test_unit_exponent_is_stored_as_int():

@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from z22field import GradedExpr, coord, field, gexp, param, scalar
+from z22field import (GradedExpr, coord, field, gexp, param,
+                      parse_potential, scalar)
 from z22field.core import GaussianRational, QI, trig
 from z22field.derivations import total_space, total_t
 from z22field.action import auxiliary_solution, lagrangian
-from z22field.variational import (SYMMETRIES, _mono_expr,
+from z22field.variational import (DYNAMICAL, SYMMETRIES, _mono_expr,
                                   current_comparison,
                                   divergence_split, euler_lagrange,
                                   eom_table, field_equations,
@@ -53,6 +54,36 @@ def test_euler_lagrange_rejects_higher_jets():
     bad = _f("phi00", 2, 0) * _f("phi00")
     with pytest.raises(ValueError):
         euler_lagrange(bad)
+
+
+@pytest.mark.parametrize("jet", [("psi10", 1, 1, "x"), ("phi11", 0, 2, "x"),
+                                 ("A00", 2, 0, "y")])
+def test_euler_lagrange_rejects_a_second_order_factor_anywhere(jet):
+    # the order check runs over every generator, whatever the stage, and
+    # before any partial is taken
+    bad = _f("phi00", 1, 0) * _f("phi00") + gexp(field(*jet))
+    with pytest.raises(ValueError, match="first order"):
+        euler_lagrange(bad)
+
+
+# sha256 of the rows f"{b}={row}", sorted by base and joined by newlines,
+# of the auxiliary-eliminated Lagrangian
+_ROW_DIGESTS = {
+    None: "b278eb1b0a5a4c592287f782a4c6a5857df50770a5ac7bc62a36453f2a399378",
+    "cos": "9b32ad45a4337e8780a60c5576d21cd2090b6d16f876e83143c202cacc1e8de8",
+    "sin": "d11d0029e106cd4bbba913a5aee5a93069f65b4ad747c0dbb698ebde255387d9",
+    "poly:1,-2,3/4,0,5,-1/3,2,1/7,-3/2":
+        "b8c22e5fd5ad16a51317b94b17c1875dc0a1dfb465fd9b6c3bb8ec2b01b8ce6e",
+}
+
+
+@pytest.mark.parametrize("spec", list(_ROW_DIGESTS), ids=str)
+def test_euler_lagrange_rows_match_their_pinned_digest(spec):
+    V = parse_potential(spec) if spec else None
+    rows = euler_lagrange(lagrangian(V, eliminate=True))
+    assert sorted(rows) == sorted(DYNAMICAL)
+    text = "\n".join(f"{b}={rows[b]}" for b in sorted(rows))
+    assert hashlib.sha256(text.encode()).hexdigest() == _ROW_DIGESTS[spec]
 
 
 # ----------------------------------------------------------------------
