@@ -5,8 +5,8 @@ Lagrangian pipeline, currents and invariance, the matrix realization,
 potential handling, the finite-difference solver, and a batch mode that
 runs the whole suite and writes a manifest.  Output is deterministic:
 maps are emitted in sorted order and rationals in lowest terms, so
-identical invocations produce byte-identical artifacts.  The solver,
-and with it numpy, is imported only by the subcommands that run it.
+identical invocations produce byte-identical artifacts.  Each runner
+imports only the layers it calls, so numpy loads only with the solver.
 """
 
 from __future__ import annotations
@@ -14,28 +14,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .core import GaussianRational, coord, field
-from .expr import GradedExpr, gexp, scalar
+from .core import GaussianRational
+from .expr import GradedExpr
 from . import serialize
-from .derivations import verify_structure_constants, verify_jacobi
-from .superfield import (closure_report, degree_audit, dimension_audit,
-                         reality_check)
-from .potential import (check_potential_constraint, parse_potential,
-                        potential_components, series_pair)
-from .action import (berezin_layer, lagrangian, lagrangian_audit,
-                     clifford_report, lorentz_spinor_report,
-                     measure_invariance_report, nilpotency_report,
-                     product_covariance_report)
-from .variational import (current_comparison, generic_eom_report,
-                          invariance_report, quadratic_eom_report,
-                          sine_gordon_reduction, table_comparison_report,
-                          trig_eom_report)
-from .dmodule import dmodule_report
-from . import reference
 
 FORMATS = ("json", "latex", "text", "csv")
 
@@ -101,6 +87,14 @@ def _emit_report(ok: bool, payload: dict, fmt: str, out) -> None:
 # ----------------------------------------------------------------------
 
 def run_verify_algebra(args) -> Tuple[bool, dict]:
+    from .core import coord, field
+    from .expr import gexp, scalar
+    from .derivations import verify_structure_constants, verify_jacobi
+    from .superfield import (closure_report, degree_audit, dimension_audit,
+                             reality_check)
+    from .action import (berezin_layer, clifford_report,
+                         lorentz_spinor_report, measure_invariance_report,
+                         nilpotency_report, product_covariance_report)
     sc = verify_structure_constants()
     jac = verify_jacobi()
     clo = closure_report("y")
@@ -132,12 +126,15 @@ def run_verify_algebra(args) -> Tuple[bool, dict]:
 
 
 def run_verify_tables(args) -> Tuple[bool, dict]:
+    from .variational import table_comparison_report
     rep = table_comparison_report()
     ok = all(entry["ok"] for entry in rep.values())
     return ok, rep
 
 
 def run_derive_lagrangian(args) -> Tuple[bool, dict]:
+    from .potential import parse_potential
+    from .action import lagrangian, lagrangian_audit
     V = parse_potential(args.potential)
     lag = lagrangian(V=V, eliminate=args.eliminate_aux)
     audit = lagrangian_audit(lag)
@@ -147,6 +144,8 @@ def run_derive_lagrangian(args) -> Tuple[bool, dict]:
 
 
 def run_check_potential(args) -> Tuple[bool, dict]:
+    from .potential import (check_potential_constraint, parse_potential,
+                            potential_components, series_pair)
     V = parse_potential(args.potential)
     pair = potential_components(V, stage="x",
                                 truncation_order=args.truncation)
@@ -162,7 +161,8 @@ def run_check_potential(args) -> Tuple[bool, dict]:
     }
     ok = constraint_ok
     if V.kind == "cos":
-        spec = reference.trigonometric_specialization()
+        from .reference import trigonometric_specialization
+        spec = trigonometric_specialization()
         matches = pair.v00 == spec["V00"] and pair.v11 == spec["V11"]
         payload["matches_display"] = matches
         ok = ok and matches
@@ -170,6 +170,7 @@ def run_check_potential(args) -> Tuple[bool, dict]:
 
 
 def run_check_currents(args) -> Tuple[bool, dict]:
+    from .variational import current_comparison, invariance_report
     inv = invariance_report(eliminate=not args.generic)
     cur = current_comparison()
     cur_ok = all(e["conserved"]
@@ -187,6 +188,7 @@ def run_check_currents(args) -> Tuple[bool, dict]:
 
 
 def run_verify_dmodule(args) -> Tuple[bool, dict]:
+    from .dmodule import dmodule_report
     rep = dmodule_report()
     ok = (all(rep["relations_printed"].values())
           and all(rep["relations_canonical"].values())
@@ -196,6 +198,8 @@ def run_verify_dmodule(args) -> Tuple[bool, dict]:
 
 
 def run_check_examples(args) -> Tuple[bool, dict]:
+    from .variational import (generic_eom_report, quadratic_eom_report,
+                              sine_gordon_reduction, trig_eom_report)
     gen = generic_eom_report()
     quad = quadratic_eom_report()
     trig = trig_eom_report()
@@ -367,22 +371,35 @@ CHECKS: List[Tuple[str, Callable]] = [
 
 
 def run_report_all(args) -> int:
+    from . import __version__
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = []
+    rows = []
     all_ok = True
     for name, runner in CHECKS:
+        start = time.perf_counter()
         ok, payload = runner(args)
+        duration = time.perf_counter() - start
         all_ok = all_ok and ok
         artifact = out_dir / f"{name}.json"
         artifact.write_text(json.dumps(
             {"ok": ok, "report": _plain(payload, "text")},
             sort_keys=True, indent=2) + "\n")
-        manifest.append({"check": name, "status": "pass" if ok else "fail",
-                         "artifact": str(artifact)})
+        rows.append({"check": name, "status": "pass" if ok else "fail",
+                     "artifact": str(artifact),
+                     "duration_s": round(duration, 6)})
+    import platform
+    import numpy    # loaded by the numerics check
+    manifest = {
+        "versions": {"z22field": __version__,
+                     "python": platform.python_version(),
+                     "numpy": numpy.__version__},
+        "arguments": vars(args),
+        "checks": rows,
+    }
     (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2) + "\n")
-    for row in manifest:
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    for row in rows:
         print(f"{row['check']}: {row['status']}  ({row['artifact']})")
     return 0 if all_ok else 1
 

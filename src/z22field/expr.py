@@ -216,7 +216,9 @@ class GradedExpr:
         if not isinstance(e, int) or e < 0:
             if g.base not in _RATIONAL_EXP_OK:
                 raise ValueError(f"{g.name} does not admit exponent {e}")
-        elif e >= 2 and g.nilpotent:
+        elif e >= 2 and (g.nilpotent or g.eps_group is not None):
+            # a nilpotent square, or an eps group at order >= 2
+            # (`_eps_overflow` of the one-factor monomial)
             return GradedExpr({})
         if g is ZC and isinstance(e, int) and e >= 2:
             mono = ((Y, e // 2), (ZC, 1)) if e & 1 else ((Y, e // 2),)
@@ -299,11 +301,10 @@ class GradedExpr:
             if len(mono) == 1:
                 # (c g**e)**n = c**n g**(e*n): a generator commutes with
                 # itself, and gen folds z**2 and kills nilpotent squares
+                # and eps overflows
                 (g, e), = mono
-                for m in GradedExpr.gen(g, e * n).terms:
-                    if not _eps_overflow(m):
-                        return GradedExpr({m: c ** n})
-                return GradedExpr({})
+                return GradedExpr({m: c ** n
+                                   for m in GradedExpr.gen(g, e * n).terms})
         out = GradedExpr({(): QONE})
         for _ in range(n):
             out = out * self

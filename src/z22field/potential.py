@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 from .core import (GaussianRational, Generator, coord, field, fjet, pairjet,
                    trig)
@@ -208,8 +207,7 @@ def trig_series(expr: GradedExpr, truncation_order: int) -> GradedExpr:
 # potential pairs
 # ----------------------------------------------------------------------
 
-@dataclass
-class PotentialPair:
+class PotentialPair(NamedTuple):
     """The two slot functions of a potential at a given stage.
 
     closed marks exact pairs (terminating polynomial, recognized trig

@@ -342,6 +342,14 @@ def run(cfg: SimConfig) -> Trajectory:
     return Trajectory(np.array(times), np.array(energies), snaps, state)
 
 
+def _final(cfg: SimConfig) -> FieldState:
+    """The state `run(cfg)` ends in, with no energy or snapshot recorded."""
+    state = init_profile(cfg)
+    for _ in range(int(round(cfg.t_end / cfg.dt))):
+        state = step(state, cfg)
+    return state
+
+
 # ----------------------------------------------------------------------
 # measurements
 # ----------------------------------------------------------------------
@@ -374,9 +382,9 @@ def convergence_study() -> dict:
     dxs = (0.1, 0.05, 0.025)
     errors = []
     for dx in dxs:
-        traj = run(SimConfig(dx=dx, t_end=2.0))
-        exact, _ = kink_closed_form(traj.final.x, 0.0, 1.0)
-        errors.append(l2_error(traj.final, exact, dx))
+        final = _final(SimConfig(dx=dx, t_end=2.0))
+        exact, _ = kink_closed_form(final.x, 0.0, 1.0)
+        errors.append(l2_error(final, exact, dx))
     ratios = [errors[k] / errors[k + 1] for k in range(len(errors) - 1)]
     return {"dxs": list(dxs), "errors": errors, "ratios": ratios}
 
@@ -392,7 +400,7 @@ def energy_drift_study() -> dict:
 def boosted_kink_study() -> dict:
     cfg = SimConfig(dt=0.02, x_min=-30.0, x_max=30.0, t_end=40.0,
                     params={"v": 0.5})
-    measured = kink_position(run(cfg).final)
+    measured = kink_position(_final(cfg))
     expected = cfg.params["v"] * cfg.t_end
     return {"measured_position": measured, "expected_position": expected,
             "position_error": abs(measured - expected), "dx": cfg.dx}

@@ -10,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from z22field import GradedExpr, cli, lagrangian, parse_potential, reference
+import z22field
+from z22field import (GradedExpr, cli, lagrangian, parse_potential, potential,
+                      reference)
 from z22field.cli import build_parser, build_sim_config, main
 
 
@@ -134,23 +136,70 @@ def test_config_value_that_is_not_a_number_names_its_line(
                             f"got {val!r}\n")
 
 
-def test_symbolic_checks_do_not_import_numpy():
+_LAYERS = ("core", "expr", "derivations", "superfield", "potential",
+           "action", "variational", "dmodule", "reference", "serialize",
+           "cli", "sim")
+# the seven symbolic checks, as the certify benchmark runs them
+_CERTIFY = {
+    "verify-algebra": [], "verify-tables": [],
+    "derive-lagrangian": ["--potential", "cos", "--eliminate-aux"],
+    "check-potential": ["--potential", "poly:0,0,1/2"],
+    "check-currents": [], "verify-dmodule": [], "check-examples": [],
+}
+# layers a check must not load beyond numpy and dataclasses
+_CERTIFY_SKIPS = {
+    "check-potential": ("action", "variational", "dmodule", "reference"),
+    "verify-dmodule": ("variational", "action"),
+}
+
+
+def _load_cases():
+    """(id, code run in a fresh interpreter, modules it must not load)."""
+    yield ("import", "import z22field\n",
+           [f"z22field.{m}" for m in _LAYERS])
+    for cmd, flags in _CERTIFY.items():
+        argv = [cmd, *flags, "--format", "json"]
+        code = ("from z22field import cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    assert cli.main({argv!r}) == 0\n")
+        skips = [f"z22field.{m}" for m in _CERTIFY_SKIPS.get(cmd, ())]
+        yield cmd, code, ["numpy", "dataclasses", *skips]
+    yield ("init_profile",
+           "import z22field\n"
+           "z22field.init_profile(z22field.SimConfig())\n"
+           "assert z22field.SimConfig is z22field.sim.SimConfig\n"
+           "assert 'numpy' in sys.modules\n",
+           [f"z22field.{m}" for m in _LAYERS if m != "sim"])
+
+
+_LOAD_CASES = list(_load_cases())
+
+
+@pytest.mark.parametrize("code,unloaded", [c[1:] for c in _LOAD_CASES],
+                         ids=[c[0] for c in _LOAD_CASES])
+def test_each_process_loads_only_the_layers_it_runs(code, unloaded):
     src = str(Path(__file__).resolve().parent.parent / "src")
-    code = ("import contextlib, io, sys\n"
-            "import z22field\n"
-            "from z22field import cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    rc = cli.main(['verify-tables', '--format', 'json'])\n"
-            "assert rc == 0, rc\n"
-            "assert 'numpy' not in sys.modules\n"
-            "assert z22field.SimConfig is z22field.sim.SimConfig\n"
-            "assert 'numpy' in sys.modules\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import contextlib, io, sys\n" + code
+         + "print(' '.join(sys.modules))\n"],
+        env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    assert not set(unloaded) & set(proc.stdout.split())
+
+
+@pytest.mark.parametrize("name", z22field.__all__)
+def test_every_public_name_resolves_through_the_package(name):
+    layer = importlib.import_module(f"z22field.{z22field._HOME[name]}")
+    assert getattr(z22field, name) is getattr(layer, name)
+    assert name in dir(z22field)
+
+
+def test_an_unknown_package_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        z22field.no_such_name
 
 
 def test_simulate_has_no_format_flag(capsys):
@@ -224,15 +273,38 @@ def test_report_all_writes_manifest(tmp_path, capsys):
     rc = main(["report-all", "--out", str(tmp_path)])
     assert rc == 0
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    names = [row["check"] for row in manifest]
+    names = [row["check"] for row in manifest["checks"]]
     assert names == ["verify-algebra", "verify-tables", "derive-lagrangian",
                      "check-potential", "check-currents", "verify-dmodule",
                      "check-examples", "numerics"]
-    for row in manifest:
+    for row in manifest["checks"]:
         assert row["status"] == "pass"
         artifact = Path(row["artifact"])
         assert artifact.exists()
         assert json.loads(artifact.read_text())["ok"] is True
+
+
+def test_report_all_manifest_records_durations_versions_and_arguments(
+        tmp_path, monkeypatch, capsys):
+    import platform
+    import numpy
+    monkeypatch.setattr(cli, "CHECKS", [("first", lambda args: (True, {})),
+                                        ("second", lambda args: (False, {}))])
+    rc = main(["report-all", "--out", str(tmp_path), "--potential", "cos",
+               "--truncation", "3", "--generic"])
+    assert rc == 1
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["versions"] == {"z22field": z22field.__version__,
+                                    "python": platform.python_version(),
+                                    "numpy": numpy.__version__}
+    assert manifest["arguments"] == {
+        "command": "report-all", "out": str(tmp_path), "potential": "cos",
+        "truncation": 3, "eliminate_aux": False, "generic": True}
+    rows = manifest["checks"]
+    assert [(r["check"], r["status"]) for r in rows] == [("first", "pass"),
+                                                         ("second", "fail")]
+    for row in rows:
+        assert isinstance(row["duration_s"], float) and row["duration_s"] >= 0
 
 
 def test_simulate_rejects_an_oversized_grid_with_exit_two(capsys):
@@ -286,7 +358,7 @@ def test_check_potential_reports_the_pair_constraint(capsys):
 
 
 def test_check_potential_fails_on_a_broken_constraint(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "check_potential_constraint",
+    monkeypatch.setattr(potential, "check_potential_constraint",
                         lambda pair: {"ok": False})
     rc = main(["check-potential", "--potential", "cos", "--format", "json"])
     doc = json.loads(capsys.readouterr().out)

@@ -529,6 +529,18 @@ def test_power_folds_z_and_kills_nilpotent_squares():
     assert (gexp(param("eps00")) ** 2).is_zero()
 
 
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("name", ["eps00", "eps11", "eps10", "eps01", "epsL",
+                                  "deltaz"])
+def test_eps_power_built_directly_matches_repeated_product(name, k):
+    # the constructor applies the eps truncation that products apply
+    e = param(name)
+    assert gexp(e, k).is_zero()
+    assert _same_terms_in_order(gexp(e, k), gexp(e) ** k)
+    assert _same_terms_in_order(gexp(e, k), _repeated_product_pow(gexp(e), k))
+    assert (scalar(3) * gexp(e, k)).is_zero()
+
+
 def _substitution_source():
     t, y = coord("t"), coord("y")
     phi = field("phi00", 0, 0, "y")

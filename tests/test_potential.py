@@ -1,6 +1,5 @@
 """Potential handling: parsing, series, closed forms, displayed pairs."""
 
-import dataclasses
 import math
 from collections import Counter
 from fractions import Fraction
@@ -179,14 +178,14 @@ def test_constraint_rejects_tampered_pairs():
     # at the first stage the odd-slot identity carries a measure factor,
     # so swapping the slots breaks it
     pair = potential_components(parse_potential("cos"), stage="y")
-    swapped = dataclasses.replace(pair, v00=pair.v11, v11=pair.v00)
+    swapped = pair._replace(v00=pair.v11, v11=pair.v00)
     assert not check_potential_constraint(swapped)["ok"]
     # at the second stage both identities are symmetric under the swap,
     # but not under a sign flip of one slot
     pair = potential_components(parse_potential("cos"), stage="x")
-    swapped = dataclasses.replace(pair, v00=pair.v11, v11=pair.v00)
+    swapped = pair._replace(v00=pair.v11, v11=pair.v00)
     assert check_potential_constraint(swapped)["ok"]
-    flipped = dataclasses.replace(pair, v11=-pair.v11)
+    flipped = pair._replace(v11=-pair.v11)
     assert not check_potential_constraint(flipped)["ok"]
 
 

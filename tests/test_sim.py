@@ -272,6 +272,21 @@ def test_run_evaluates_the_force_once_per_step(monkeypatch):
     assert len(calls) == steps + 1
 
 
+def test_studies_that_read_only_the_final_state_compute_no_energy(
+        monkeypatch):
+    cfg = sim.SimConfig(dx=0.1, t_end=2.0, initial="kink",
+                        params={"v": 0.3})
+    final = sim.run(cfg).final
+
+    def refused(state, cfg):
+        raise AssertionError("energy computed and thrown away")
+
+    monkeypatch.setattr(sim, "total_energy", refused)
+    assert _same(sim._final(cfg), final)
+    sim.convergence_study()
+    sim.boosted_kink_study()
+
+
 def test_stepped_state_is_read_only_and_input_untouched():
     cfg = sim.SimConfig(dx=0.1, initial="kink", params={"v": 0.3})
     start = sim.init_profile(cfg)
