@@ -501,3 +501,25 @@ def test_potential_output_matches_its_pinned_digest(command):
     assert list(pinned) == list(POTENTIAL_ARGV)
     stdout = _cold_cli_stdout(POTENTIAL_ARGV[command])
     assert hashlib.sha256(stdout).hexdigest() == pinned[command]
+
+
+# The trigonometric kinds' outputs, JSON and LaTeX; the same argv writes
+# `trig-out/` in CI.
+TRIG_ARGV = {
+    "check-potential-cos": ["check-potential", "--potential", "cos",
+                            "--format", "json"],
+    "check-potential-sin": ["check-potential", "--potential", "sin",
+                            "--format", "json"],
+    "derive-lagrangian-sin": ["derive-lagrangian", "--potential", "sin",
+                              "--eliminate-aux", "--format", "json"],
+    "derive-lagrangian-cos.tex": ["derive-lagrangian", "--potential", "cos",
+                                  "--eliminate-aux", "--format", "latex"],
+}
+
+
+@pytest.mark.parametrize("command", list(TRIG_ARGV))
+def test_trig_output_matches_its_pinned_digest(command):
+    pinned = _pinned_digests("trig_outputs.sha256")
+    assert list(pinned) == list(TRIG_ARGV)
+    stdout = _cold_cli_stdout(TRIG_ARGV[command])
+    assert hashlib.sha256(stdout).hexdigest() == pinned[command]
