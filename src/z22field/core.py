@@ -12,6 +12,7 @@ back the same object, so identity comparison and dict keying are cheap.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple, Optional, Union
@@ -385,11 +386,11 @@ def field(base: str, m: int = 0, n: int = 0, space: str = "y") -> Generator:
 
 # -- function-symbol jets ----------------------------------------------
 #
-# Three families, all of scaling dimension 0:
+# Three families, of scaling dimension 0 but for the first-stage odd slot:
 #   fjet(k)          abstract derivative tower F, Fd1, Fd2, ... standing for
 #                    the k-th derivative of a scalar function of phi00
-#   trig(name)       sine/cosine symbols of phi00 (shared) and of the
-#                    (1,1) field (one version per stage)
+#   trig(name)       sines/cosines of phi00 (shared) and phi11 (per
+#                    stage), whose calculus lives only in TRIG below
 #   pairjet(m,s,sp)  derivative tower of a potential pair; s=0 was even
 #                    slot, s=1 the (1,1) slot, m counts derivatives with
 #                    one extra step for the undifferentiated body
@@ -400,22 +401,39 @@ def fjet(k: int) -> Generator:
                    (_RANK_FN, "F", k, 0))
 
 
-_TRIG_DATA = {
-    # name: (degree, space, dim); the first-stage odd-slot symbol packs one
-    # more power of the (1,1) field than of y**(1/2), hence dimension 1
-    "S00":  (DEG00, None, Fraction(0)),
-    "C00":  (DEG00, None, Fraction(0)),
-    "S11y": (DEG11, "y", Fraction(1)),
-    "C11y": (DEG00, "y", Fraction(0)),
-    "S11":  (DEG11, "x", Fraction(0)),
-    "C11":  (DEG00, "x", Fraction(0)),
+# One row per sine/cosine symbol: generator data; odd, 1 for a sine (0 at
+# zero field) and 0 for a cosine (1 there); LaTeX; the derivative by
+# `field`, sign * y**ypow * target; and a first-stage symbol's x-stage image
+# x**xpow * xname as (xname, xpow).  The first-stage odd-slot symbol packs
+# one more power of the (1,1) field than of y**(1/2), hence dimension 1.
+TrigRow = namedtuple("TrigRow", "degree space dim odd latex field sign "
+                     "target ypow x_image")
+TRIG = {
+    "S00":  TrigRow(DEG00, None, 0, 1, r"\sin\varphi_{00}",
+                    "phi00", 1, "C00", 0, None),
+    "C00":  TrigRow(DEG00, None, 0, 0, r"\cos\varphi_{00}",
+                    "phi00", -1, "S00", 0, None),
+    "S11y": TrigRow(DEG11, "y", 1, 1, r"\mathcal{S}_{11}",
+                    "phi11", 1, "C11y", 0, ("S11", -1)),
+    "C11y": TrigRow(DEG00, "y", 0, 0, r"\mathcal{C}_{11}",
+                    "phi11", -1, "S11y", 1, ("C11", 0)),
+    "S11":  TrigRow(DEG11, "x", 0, 1, r"\sin\varphi_{11}",
+                    "phi11", 1, "C11", 0, None),
+    "C11":  TrigRow(DEG00, "x", 0, 0, r"\cos\varphi_{11}",
+                    "phi11", -1, "S11", 0, None),
 }
 
 
 def trig(name: str) -> Generator:
-    deg, space, dim = _TRIG_DATA[name]
-    return _intern(name, "fn", deg, dim, False, None, space, name, (),
-                   (_RANK_FN, name, 0, 0))
+    row = TRIG[name]
+    return _intern(name, "fn", row.degree, row.dim, False, None, row.space,
+                   name, (), (_RANK_FN, name, 0, 0))
+
+
+def trig_of(base: str, space: Optional[str], odd: int) -> Generator:
+    """The sine (odd = 1) or cosine (odd = 0) of a field at a stage."""
+    return trig(next(n for n, r in TRIG.items()
+                     if (r.field, r.space, r.odd) == (base, space, odd)))
 
 
 def pairjet(m: int, slot: int, space: str) -> Generator:

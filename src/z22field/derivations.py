@@ -48,9 +48,9 @@ from functools import cache
 from itertools import product
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .core import (DEG00, DEG01, DEG10, DEG11, Degree, GaussianRational,
-                   Generator, QI, QONE, QZERO, coord, field, fjet, pairjet,
-                   parity, trig)
+from .core import (DEG00, DEG01, DEG10, DEG11, TRIG, Degree,
+                   GaussianRational, Generator, QI, QONE, QZERO, coord, field,
+                   fjet, pairjet, parity, trig)
 from .expr import (_MASK_PARITY, GradedExpr, _mono_mask, _mono_mul, gexp,
                    scalar)
 
@@ -205,9 +205,8 @@ def fn_field_derivative(g: Generator, which: str) -> Optional[GradedExpr]:
     """Formal derivative of a function symbol by phi00 or phi11.
 
     Encodes the derivative towers: the abstract family F only sees phi00;
-    the trig symbols rotate into each other (the first-stage pair picks up
-    explicit factors of y); potential pairs step their derivative index
-    with the two slots swapping under the (1,1) derivative.
+    trig symbols follow core.TRIG; potential pairs step their derivative
+    index with the two slots swapping under the (1,1) derivative.
     """
     if g.kind != "fn":
         return None
@@ -216,20 +215,14 @@ def fn_field_derivative(g: Generator, which: str) -> Optional[GradedExpr]:
         if which == "phi00":
             return gexp(fjet(g.jet[0] + 1))
         return None
-    if base == "S00":
-        return gexp(trig("C00")) if which == "phi00" else None
-    if base == "C00":
-        return -gexp(trig("S00")) if which == "phi00" else None
-    if base == "S11y":
-        return gexp(trig("C11y")) if which == "phi11" else None
-    if base == "C11y":
-        if which == "phi11":
-            return -(gexp(coord("y")) * gexp(trig("S11y")))
-        return None
-    if base == "S11":
-        return gexp(trig("C11")) if which == "phi11" else None
-    if base == "C11":
-        return -gexp(trig("S11")) if which == "phi11" else None
+    row = TRIG.get(base)
+    if row is not None:
+        if which != row.field:
+            return None
+        img = gexp(trig(row.target))
+        if row.ypow:
+            img = gexp(coord("y"), row.ypow) * img
+        return img if row.sign > 0 else -img
     if base.endswith("pair"):
         m, slot = g.jet
         space = g.space
@@ -244,10 +237,6 @@ def fn_field_derivative(g: Generator, which: str) -> Optional[GradedExpr]:
             return gexp(pairjet(m + 1, 0, space))
         return None
     raise ValueError(f"unknown function symbol {g.name}")
-
-
-def _fn_has_explicit_measure(g: Generator) -> bool:
-    return g.base in ("S11y", "C11y") or g.base == "Vtpair"
 
 
 def fn_chain(g: Generator, image: Callable[[str], GradedExpr]) -> GradedExpr:
@@ -295,7 +284,7 @@ def total_space(space: str) -> GeneratorDerivation:
             m, n = g.jet
             return gexp(field(g.base, m, n + 1, space))
         if g.kind == "fn":
-            if space == "y" and _fn_has_explicit_measure(g):
+            if space == "y" and g.space == "y":  # first-stage symbols pack y
                 raise ValueError(
                     f"{g.name} carries explicit measure dependence")
             return _jet_chain(g, 0, 1, space)

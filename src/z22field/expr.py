@@ -161,10 +161,6 @@ def _mono_dim_ratio(m: Monomial) -> Tuple[int, int]:
     return num, 2 * k
 
 
-def _mono_dim(m: Monomial) -> Fraction:
-    return Fraction(*_mono_dim_ratio(m))
-
-
 def _mono_star_sign(m: Monomial) -> int:
     """Sign exponent for reversing the factor order of a monomial."""
     # factors with even exponent contribute e_i*e_j = even to every pair,

@@ -7,7 +7,8 @@ splitting a function of phi00 + z*phi11 into even and odd powers of the
 FunctionSymbol supplies concrete replacements for that tower:
 
     poly:c0,c1,...   finite polynomial, exact closed forms
-    cos / sin        trigonometric, closed forms in the S/C symbols
+    cos / sin        the tower of a start symbol in core.TRIG, the one
+                     place the sine/cosine calculus lives
     abstract         keep the tower symbolic (generic mode)
 
 The pair symbols are exact objects; truncated power series are only
@@ -20,17 +21,28 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Callable, Dict, List, NamedTuple, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from .core import (GaussianRational, Generator, coord, field, fjet, pairjet,
-                   trig)
+from .core import (TRIG, GaussianRational, Generator, coord, field, fjet,
+                   pairjet, trig, trig_of)
 from .derivations import apply_many, jet_partial
 from .expr import GradedExpr, ONE_EXPR, ZERO_EXPR, gexp, scalar
 
-# derivative four-cycles for the trigonometric symbols; entry k is the
-# k-th derivative as (sign, symbol-name) acting on the (0,0) field
-_COS_CYCLE = ((1, "C00"), (-1, "S00"), (-1, "C00"), (1, "S00"))
-_SIN_CYCLE = ((1, "S00"), (1, "C00"), (-1, "S00"), (-1, "C00"))
+# a trigonometric kind is the tower of its start symbol in core.TRIG
+_TRIG_KINDS = {"cos": "C00", "sin": "S00"}
+# the (1,1)-field trig symbols and the pair slot of each: its parity
+_SLOT11 = {n: r.odd for n, r in TRIG.items() if r.field == "phi11"}
+
+
+def _tower(name: str, order: int) -> Tuple[int, str]:
+    """(sign, symbol) of the order-th field derivative of a trig symbol:
+    its rule in core.TRIG stepped order times, measure powers dropped."""
+    sign = 1
+    for _ in range(order):
+        row = TRIG[name]
+        sign, name = sign * row.sign, row.target
+    return sign, name
+
 
 # `Fraction("1e999999999")` computes 10**999999999 before anything can
 # refuse it, so `poly:` coefficients are screened for their exponent first
@@ -43,7 +55,7 @@ class FunctionSymbol:
     derivative tower."""
 
     def __init__(self, kind: str, coeffs: Optional[List[Fraction]] = None):
-        if kind not in ("poly", "cos", "sin", "abstract"):
+        if kind not in ("poly", "abstract") and kind not in _TRIG_KINDS:
             raise ValueError(f"unknown potential kind {kind!r}")
         self.kind = kind
         coeffs = list(coeffs) if coeffs else []
@@ -75,10 +87,9 @@ class FunctionSymbol:
                     mono = ((f00, k - order),) if k > order else ()
                     terms[mono] = GaussianRational(c * math.perm(k, order))
             return GradedExpr(terms)
-        if self.kind in ("cos", "sin"):
-            cyc = _COS_CYCLE if self.kind == "cos" else _SIN_CYCLE
-            sgn, sym = cyc[order % 4]
-            return scalar(sgn) * gexp(trig(sym))
+        if self.kind in _TRIG_KINDS:
+            sign, sym = _tower(_TRIG_KINDS[self.kind], order)
+            return scalar(sign) * gexp(trig(sym))
         return gexp(fjet(order))
 
     def image(self, g: Generator) -> GradedExpr:
@@ -97,9 +108,7 @@ class FunctionSymbol:
         if self.kind == "poly":
             return pair_series(m, slot, sp, -1,
                                fsub=lambda k: self.derivative(k, sp))
-        tail = trig(("C11y" if slot == 0 else "S11y") if sp == "y"
-                    else ("C11" if slot == 0 else "S11"))
-        return self.derivative(m + slot, sp) * gexp(tail)
+        return self.derivative(m + slot, sp) * gexp(trig_of("phi11", sp, slot))
 
     def __repr__(self) -> str:
         return f"FunctionSymbol({self.name})"
@@ -119,7 +128,7 @@ def _coefficient(tok: str) -> Fraction:
 def parse_potential(spec: str) -> FunctionSymbol:
     """CLI grammar: `poly:c0,c1,...` | `cos` | `sin` | `abstract`."""
     spec = spec.strip()
-    if spec in ("cos", "sin", "abstract"):
+    if spec == "abstract" or spec in _TRIG_KINDS:
         return FunctionSymbol(spec)
     if spec.startswith("poly:"):
         body = spec[len("poly:"):]
@@ -193,13 +202,11 @@ def specialize_potential(expr: GradedExpr, V: FunctionSymbol) -> GradedExpr:
 
 def trig_series(expr: GradedExpr, truncation_order: int) -> GradedExpr:
     """Expand the (1,1)-field trig symbols into truncated power series:
-    the pair series of slot 1 (sine) or slot 0 (cosine) whose k-th
-    derivative head is (-1)^(k//2)."""
-    mapping = {g: pair_series(0, 1 if g.base.startswith("S") else 0, g.space,
-                              truncation_order,
-                              fsub=lambda k: scalar((-1) ** (k // 2)))
-               for g in expr.generators()
-               if g.kind == "fn" and g.base in ("S11y", "C11y", "S11", "C11")}
+    the pair series of the symbol's parity slot, each head the sign of
+    its tower (the even symbols it asks for are 1 at zero field)."""
+    mapping = {g: pair_series(0, _SLOT11[g.base], g.space, truncation_order,
+                              fsub=lambda k, b=g.base: scalar(_tower(b, k)[0]))
+               for g in expr.generators() if g.base in _SLOT11}
     return expr.substitute(mapping) if mapping else expr
 
 
@@ -239,7 +246,7 @@ def potential_components(V: FunctionSymbol, stage: str = "x",
                              True)
     v00 = specialize_potential(gexp(p00), V)
     v11 = specialize_potential(gexp(p11), V)
-    if V.kind in ("cos", "sin"):
+    if V.kind in _TRIG_KINDS:
         # recognize the closed form against the series it abbreviates
         for closed, sym in ((v00, p00), (v11, p11)):
             want = pair_series(*sym.jet, stage, truncation_order,
@@ -276,14 +283,9 @@ def series_pair(V: FunctionSymbol, stage: str = "x",
 # ----------------------------------------------------------------------
 
 def _phi11_weight(mono, stage: str) -> int:
+    """Lowest power of the (1,1) field in a monomial; a sine counts one."""
     f11 = field("phi11", 0, 0, stage)
-    w = 0
-    for g, e in mono:
-        if g is f11:
-            w += e
-        elif g.kind == "fn" and g.base in ("S11y", "S11"):
-            w += e
-    return w
+    return sum(e if g is f11 else e * _SLOT11.get(g.base, 0) for g, e in mono)
 
 
 def _drop_high_orders(e: GradedExpr, stage: str, cut: int) -> GradedExpr:

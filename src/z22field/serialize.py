@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import Generator
+from .core import TRIG, Generator
 from .expr import GradedExpr
 
 _LATEX_BASE = {
@@ -25,9 +25,6 @@ _LATEX_BASE = {
     "A00": r"A_{00}", "A11": r"A_{11}",
     "psi10": r"\psi_{10}", "psi01": r"\psi_{01}",
     "lam10": r"\lambda_{10}", "lam01": r"\lambda_{01}",
-    "S00": r"\sin\varphi_{00}", "C00": r"\cos\varphi_{00}",
-    "S11": r"\sin\varphi_{11}", "C11": r"\cos\varphi_{11}",
-    "S11y": r"\mathcal{S}_{11}", "C11y": r"\mathcal{C}_{11}",
 }
 
 
@@ -74,7 +71,7 @@ def _latex_generator(g: Generator) -> str:
             if m == 2:
                 return r"\partial_{00}" + core
             return r"\partial_{00}^{%d}" % (m - 1) + core
-        return _LATEX_BASE.get(g.name, g.name)
+        return TRIG[g.name].latex
     return _LATEX_BASE.get(g.name, g.name)
 
 

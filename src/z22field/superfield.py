@@ -32,8 +32,8 @@ from fractions import Fraction
 from functools import cache
 from typing import Dict, List, Optional
 
-from .core import (DEG00, FIELD_BASES, GaussianRational, Generator, QI,
-                   X_WEIGHTED, coord, field, pairjet, param, parity, trig)
+from .core import (DEG00, FIELD_BASES, TRIG, GaussianRational, Generator,
+                   QI, X_WEIGHTED, coord, field, pairjet, param, parity, trig)
 from .derivations import (GeneratorDerivation, STRUCTURE, OP_DEGREE,
                           fn_chain, jet_prolongation, partial_coord,
                           superspace_operators, total_space, total_t)
@@ -222,17 +222,17 @@ def stage_map(expr: GradedExpr) -> GradedExpr:
             m, n = g.jet
             mapping[g] = _stage_field_image(g.base, m, n)
         elif g.kind == "fn":
-            if g.base == "S11y":
-                mapping[g] = gexp(coord("x"), -1) * gexp(trig("S11"))
-            elif g.base == "C11y":
-                mapping[g] = gexp(trig("C11"))
+            if g.base in TRIG and TRIG[g.base].x_image:
+                name, xpow = TRIG[g.base].x_image
+                img = gexp(trig(name))
+                mapping[g] = gexp(coord("x"), xpow) * img if xpow else img
             elif g.base == "Vtpair":
                 m, slot = g.jet
                 img = gexp(pairjet(m, slot, "x"))
                 if slot == 1:
                     img = gexp(coord("x"), -1) * img
                 mapping[g] = img
-            # shared symbols (F family, S00, C00) pass through unchanged
+            # shared symbols (F family, phi00 trig) pass through unchanged
     return expr.substitute(mapping)
 
 

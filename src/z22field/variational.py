@@ -19,8 +19,8 @@ certificates take any input, and such a memo would grow without bound.
 from functools import cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .core import (FIELD_BASES, GaussianRational, Generator, coord, field,
-                   fjet, pairjet, param, trig)
+from .core import (FIELD_BASES, TRIG, GaussianRational, Generator, coord,
+                   field, fjet, pairjet, param, trig, trig_of)
 from .expr import GradedExpr, _mono_sort_token, gexp, scalar
 from .derivations import (apply_many, jet_partial, jet_prolongation,
                           solve_linear, total_space, total_t)
@@ -174,12 +174,9 @@ def _fn_antiderivatives(g: Generator) -> List[Tuple[Generator, str]]:
     elif base == "F":
         if g.jet[0] >= 1:
             out.append((fjet(g.jet[0] - 1), "phi00"))
-    elif base in ("S00", "C00"):
-        out.append((trig("C00" if base == "S00" else "S00"), "phi00"))
-    elif base in ("S11", "C11"):
-        out.append((trig("C11" if base == "S11" else "S11"), "phi11"))
-    elif base in ("S11y", "C11y"):
-        out.append((trig("C11y" if base == "S11y" else "S11y"), "phi11"))
+    else:
+        out += [(trig(h), r.field) for h, r in TRIG.items()
+                if r.target == base]
     return out
 
 
@@ -533,16 +530,13 @@ def trig_eom_report() -> Dict[str, dict]:
 def _sector_off(e: GradedExpr, keep: str) -> GradedExpr:
     """Shut off the complementary boson sector and all fermions."""
     other = "phi11" if keep == "phi00" else "phi00"
-    sin_off = "S11" if keep == "phi00" else "S00"
-    cos_one = "C11" if keep == "phi00" else "C00"
     subs: Dict[Generator, GradedExpr] = {}
     for g in e.generators():
         if g.kind == "field" and (g.base == other or g.base in FERMIONS):
             subs[g] = GradedExpr.zero()
-        elif g.kind == "fn" and g.base == sin_off:
-            subs[g] = GradedExpr.zero()
-        elif g.kind == "fn" and g.base == cos_one:
-            subs[g] = GradedExpr.const(_ONE)
+        elif g.base in TRIG and TRIG[g.base].field == other:
+            # sines vanish at zero field and cosines are one
+            subs[g] = GradedExpr.const(1 - TRIG[g.base].odd)
     return e.substitute(subs)
 
 
@@ -556,8 +550,8 @@ def sine_gordon_reduction() -> Dict[str, dict]:
         for g in e.generators():
             if g.kind == "field" and g.base == "phi00":
                 subs[g] = gexp(field("phi11", g.jet[0], g.jet[1], "x"))
-            elif g.kind == "fn" and g.base in ("S00", "C00"):
-                subs[g] = gexp(trig("S11" if g.base == "S00" else "C11"))
+            elif g.base in TRIG:
+                subs[g] = gexp(trig_of("phi11", "x", TRIG[g.base].odd))
         return e.substitute(subs)
 
     return eom_comparison({b: _sector_off(eqs[b], b) for b in BOSONS},

@@ -10,8 +10,8 @@ from z22field import (DEG00, DEG01, DEG10, DEG11, GaussianRational,
                       GradedExpr, coord, field, gexp, param, parity, scalar)
 from z22field.core import QI, QONE, QZERO, Generator
 from z22field.core import pairjet, trig
-from z22field.expr import (_expr_pow, _exp_degree, _mono_dim, _mono_mul,
-                           _mono_sort_token)
+from z22field.expr import (_expr_pow, _exp_degree, _mono_dim_ratio,
+                           _mono_mul, _mono_sort_token)
 
 
 # ----------------------------------------------------------------------
@@ -323,7 +323,7 @@ def test_mono_dim_matches_the_fraction_formula():
              ((coord("th10"), 1), (x, Fraction(-3, 2)), (lam, 1)), ()]
     for m in monos:
         want = sum((Fraction(e) * g.dim for g, e in m), Fraction(0))
-        got = _mono_dim(m)
+        got = Fraction(*_mono_dim_ratio(m))
         assert got == want and type(got) is Fraction, m
 
 

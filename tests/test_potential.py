@@ -87,18 +87,14 @@ def test_higher_tower_matches_display():
     assert specialize_potential(gexp(pairjet(2, 1, "x")), V) == spec["V11_1"]
 
 
-@pytest.mark.parametrize("order", [2, 3, 5])
-def test_trig_closed_form_agrees_with_series(order):
+@pytest.mark.parametrize("order", range(7))
+@pytest.mark.parametrize("stage", ["x", "y"])
+@pytest.mark.parametrize("spec", ["cos", "sin"])
+def test_trig_closed_form_agrees_with_series(spec, stage, order):
     # potential_components re-derives the series internally and raises
     # on disagreement; surviving construction is the assertion
-    pair = potential_components(parse_potential("cos"), stage="x",
+    pair = potential_components(parse_potential(spec), stage=stage,
                                 truncation_order=order)
-    assert pair.closed
-
-
-def test_sin_closed_form_agrees_with_series():
-    pair = potential_components(parse_potential("sin"), stage="x",
-                                truncation_order=4)
     assert pair.closed
 
 
@@ -117,6 +113,16 @@ def test_trig_series_to_third_order(name, space):
     else:
         want = scalar(1) - scalar(Fraction(1, 2)) * y * f11 ** 2
     assert trig_series(gexp(trig(name)), 3) == want
+
+
+@pytest.mark.parametrize("name,space,power", [
+    ("S11", "x", 1), ("S11y", "y", 1), ("C11", "x", 0), ("C11y", "y", 0),
+    ("S00", "x", 0), ("C00", "y", 0)])
+def test_a_sine_of_the_odd_field_weighs_one_power_of_it(name, space, power):
+    # the edge orders of a series constraint report count (1,1)-field
+    # powers; a (1,1) sine starts at the first power, a cosine at none
+    mono = ((field("phi11", 0, 0, space), 2), (trig(name), 3))
+    assert potential._phi11_weight(mono, space) == 2 + 3 * power
 
 
 def test_abstract_series_truncates_in_the_odd_square():

@@ -7,10 +7,12 @@ import pytest
 
 from z22field import (GradedExpr, coord, field, gexp, param,
                       parse_potential, scalar)
-from z22field.core import GaussianRational, QI, trig
-from z22field.derivations import total_space, total_t
+from z22field.core import TRIG, GaussianRational, QI, fjet, pairjet, trig
+from z22field.derivations import fn_field_derivative, total_space, total_t
+from z22field.potential import specialize_potential
 from z22field.action import auxiliary_solution, lagrangian
-from z22field.variational import (DYNAMICAL, SYMMETRIES, _mono_expr,
+from z22field.variational import (DYNAMICAL, SYMMETRIES, _fn_antiderivatives,
+                                  _mono_expr,
                                   current_comparison,
                                   divergence_split, euler_lagrange,
                                   eom_table, field_equations,
@@ -84,6 +86,43 @@ def test_euler_lagrange_rows_match_their_pinned_digest(spec):
     assert sorted(rows) == sorted(DYNAMICAL)
     text = "\n".join(f"{b}={rows[b]}" for b in sorted(rows))
     assert hashlib.sha256(text.encode()).hexdigest() == _ROW_DIGESTS[spec]
+
+
+# degree 8, with zero, negative and fractional coefficients
+_POLY8 = "poly:1,-2,3/4,0,5,-1/3,2,1/7,-3/2"
+
+
+@pytest.mark.parametrize("spec", ["cos", "sin", "poly:0,0,1/2", _POLY8])
+def test_specialisation_commutes_with_the_field_equations(spec):
+    # specialising the generic rows gives the rows of the specialised
+    # Lagrangian, row by row
+    V = parse_potential(spec)
+    rows = euler_lagrange(lagrangian(V, eliminate=True))
+    generic = field_equations()
+    assert sorted(rows) == sorted(generic)
+    for b, row in rows.items():
+        assert specialize_potential(generic[b], V) == row, b
+
+
+# every function symbol the antiderivative pool may meet
+_FN_SYMBOLS = ([trig(n) for n in TRIG] + [fjet(k) for k in range(4)]
+               + [pairjet(m, s, sp) for m in range(4) for s in (0, 1)
+                  for sp in ("x", "y")])
+
+
+@pytest.mark.parametrize("g", _FN_SYMBOLS, ids=lambda g: g.name)
+def test_antiderivatives_invert_the_field_derivatives(g):
+    # each (h, f) in the pool of g has g in the support of dh/df ...
+    for h, f in _fn_antiderivatives(g):
+        d = fn_field_derivative(h, f)
+        assert d is not None and g in d.generators(), (h, f)
+    # ... and each function symbol in the support of dg/df has (g, f) in
+    # its pool
+    for f in ("phi00", "phi11"):
+        d = fn_field_derivative(g, f)
+        for h in (d.generators() if d is not None else ()):
+            if h.kind == "fn":
+                assert (g, f) in _fn_antiderivatives(h), (h, f)
 
 
 # ----------------------------------------------------------------------
