@@ -485,6 +485,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0 if ok else 1
     except (ValueError, RuntimeError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if getattr(args, "format", None) == "json":
+            print(json.dumps({"ok": False, "error": str(exc)}, sort_keys=True,
+                             indent=2))
         return 2 if isinstance(exc, ValueError) else 1
 
 

@@ -141,6 +141,9 @@ def apply_many(derivations: Sequence[GeneratorDerivation],
                 for i, img in route:
                     term = {}
                     for m2, c2, mask in img:
+                        # an image term and a cut monomial are both
+                        # canonical, so an empty one needs no merge; a
+                        # jet partial's image is the empty monomial
                         if m2 and rest:
                             hit = _mono_mul(m2, rest)
                         else:
@@ -483,12 +486,15 @@ def verify_structure_constants() -> List[dict]:
     gens = [coord(n) for n in ("t", "y", "z", "th10", "th01")]
     gens += [field(b, 0, 0, "y") for b in ("phi00", "phi11", "A00", "A11",
                                            "psi10", "psi01", "lam10", "lam01")]
-    probes = [gexp(g) for g in gens]
-    # single and double operator applications on the probes
-    z1 = {(n, i): ops[n].apply(p)
-          for n in _ORDER for i, p in enumerate(probes)}
-    z2 = {(n2, n1, i): ops[n2].apply(z1[(n1, i)])
-          for n2 in _ORDER for n1 in _ORDER for i in range(len(probes))}
+    seven = [ops[n] for n in _ORDER]
+    # single and double operator applications on the probes, the seven
+    # operators in one walk over each expression
+    z1, z2 = {}, {}
+    for i, g in enumerate(gens):
+        for n1, img in zip(_ORDER, apply_many(seven, gexp(g))):
+            z1[(n1, i)] = img
+            for n2, img2 in zip(_ORDER, apply_many(seven, img)):
+                z2[(n2, n1, i)] = img2
     reports = []
     for (a, b), rhs in sorted(STRUCTURE.items(),
                               key=lambda kv: (_ORDER.index(kv[0][0]),

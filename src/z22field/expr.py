@@ -53,54 +53,74 @@ _MASK_DEGREE = (DEG00, DEG10, DEG01, DEG11)
 
 
 def _mono_mul(m1: Monomial, m2: Monomial):
-    """Merge two canonical monomials.
+    """Merge two canonical monomials in one pass.
 
     Returns (sign_exponent, monomial) or None when the product vanishes;
-    sign_exponent is 0 or 1.
+    sign_exponent is 0 or 1.  The swap sign is bilinear mod 2, so it is
+    kept with one running mask: `placed` packs the degree of the odd m2
+    factors emitted so far, and each odd m1 factor emitted after them
+    crosses all of them at once.  Fractional exponents only sit on (0,0)
+    generators, so like even powers they carry no degree.
     """
+    if not m1 or not m2:
+        mono = m1 or m2
+        return None if _eps_overflow(mono) else (0, mono)
     n1, n2 = len(m1), len(m2)
-    # suffix degree masks of m1 for crossing signs; fractional exponents
-    # only sit on (0,0) generators, so like even powers they carry no degree
-    suffix = [0] * (n1 + 1)
-    acc = 0
-    for i in range(n1 - 1, -1, -1):
-        g, e = m1[i]
-        if type(e) is int and e & 1:
-            acc ^= g.mask
-        suffix[i] = acc
-
     out = []
-    sign = 0
+    sign = placed = 0
     i = j = 0
     z_seen = 0
-    while i < n1 or j < n2:
-        if j >= n2 or (i < n1 and m1[i][0].sort_key <= m2[j][0].sort_key):
-            if j < n2 and m1[i][0] is m2[j][0]:
-                g, e1 = m1[i]
-                e2 = m2[j][1]
-                # the m2 factor crosses what is left of m1 beyond position i
-                if type(e2) is int and e2 & 1:
-                    sign ^= _MASK_PARITY[g.mask & suffix[i + 1]]
-                e = _normalize_exp(e1 + e2)
-                i += 1
-                j += 1
-                if e == 0:
-                    continue
-                if g.nilpotent and (not isinstance(e, int) or e >= 2):
-                    return None
-                if g is ZC and isinstance(e, int) and e >= 2:
-                    z_seen = e
-                    continue
-                out.append((g, e))
-            else:
-                out.append(m1[i])
-                i += 1
-        else:
-            g, e = m2[j]
-            if type(e) is int and e & 1:
-                sign ^= _MASK_PARITY[g.mask & suffix[i]]
-            out.append((g, e))
+    while i < n1 and j < n2:
+        f1 = m1[i]
+        f2 = m2[j]
+        g = f1[0]
+        if g is f2[0]:
+            e1 = f1[1]
+            e2 = f2[1]
+            i += 1
             j += 1
+            cross = g.mask & placed
+            if cross and type(e1) is int and e1 & 1:
+                sign ^= _MASK_PARITY[cross]
+            if type(e2) is int and e2 & 1:
+                placed ^= g.mask
+            e = e1 + e2
+            if type(e) is not int and e.denominator == 1:
+                e = int(e)
+            if not e:
+                continue
+            if g.nilpotent and (type(e) is not int or e >= 2):
+                return None
+            if g is ZC and type(e) is int and e >= 2:
+                z_seen = e
+                continue
+            out.append((g, e))
+        elif g.sort_key <= f2[0].sort_key:
+            cross = g.mask & placed
+            if cross:
+                e1 = f1[1]
+                if type(e1) is int and e1 & 1:
+                    sign ^= _MASK_PARITY[cross]
+            out.append(f1)
+            i += 1
+        else:
+            e2 = f2[1]
+            if type(e2) is int and e2 & 1:
+                placed ^= f2[0].mask
+            out.append(f2)
+            j += 1
+    if j < n2:
+        # nothing of m1 is left for these m2 factors to cross
+        out.extend(m2[j:])
+    elif i < n1:
+        if placed:
+            rest = 0
+            for k in range(i, n1):
+                g, e = m1[k]
+                if type(e) is int and e & 1:
+                    rest ^= g.mask
+            sign ^= _MASK_PARITY[rest & placed]
+        out.extend(m1[i:])
 
     if z_seen:
         # z**2 -> y; the result is even so no extra signs appear
@@ -162,14 +182,18 @@ def _mono_dim_ratio(m: Monomial) -> Tuple[int, int]:
 
 
 def _mono_star_sign(m: Monomial) -> int:
-    """Sign exponent for reversing the factor order of a monomial."""
-    # factors with even exponent contribute e_i*e_j = even to every pair,
-    # and fractional exponents only sit on (0,0) generators
-    odd = [g.degree for g, e in m if isinstance(e, int) and (e & 1)]
-    s = 0
-    for a in range(len(odd)):
-        for b in range(a + 1, len(odd)):
-            s += parity(odd[a], odd[b])
+    """Sign exponent (0 or 1) for reversing the factor order of a monomial.
+
+    Every pair of odd factors swaps once; as in `_mono_mul`, a running
+    mask of the odd factors met so far stands in for the pairs.  Factors
+    with even exponent contribute e_i*e_j = even to every pair, and
+    fractional exponents only sit on (0,0) generators.
+    """
+    s = seen = 0
+    for g, e in m:
+        if type(e) is int and e & 1:
+            s ^= _MASK_PARITY[g.mask & seen]
+            seen ^= g.mask
     return s
 
 
@@ -301,8 +325,11 @@ class GradedExpr:
                 (g, e), = mono
                 return GradedExpr({m: c ** n
                                    for m in GradedExpr.gen(g, e * n).terms})
-        out = GradedExpr({(): QONE})
-        for _ in range(n):
+        if not n:
+            return GradedExpr({(): QONE})
+        # 1 * self is self, term for term and in order
+        out = GradedExpr(dict(self.terms))
+        for _ in range(n - 1):
             out = out * self
         return out
 
@@ -347,7 +374,7 @@ class GradedExpr:
         terms = {}
         for mono, c in self.terms.items():
             cc = c.conj()
-            if _mono_star_sign(mono) & 1:
+            if _mono_star_sign(mono):
                 cc = -cc
             terms[mono] = cc
         return GradedExpr(terms)

@@ -35,8 +35,9 @@ from typing import Dict, List, Optional
 from .core import (DEG00, FIELD_BASES, TRIG, GaussianRational, Generator,
                    QI, X_WEIGHTED, coord, field, pairjet, param, parity, trig)
 from .derivations import (GeneratorDerivation, STRUCTURE, OP_DEGREE,
-                          fn_chain, jet_prolongation, partial_coord,
-                          superspace_operators, total_space, total_t)
+                          apply_many, fn_chain, jet_prolongation,
+                          partial_coord, superspace_operators, total_space,
+                          total_t)
 from .expr import GradedExpr, gexp, scalar
 
 _I = scalar(QI)
@@ -260,7 +261,8 @@ def closure_report(stage: str = "y") -> List[dict]:
         eps_a = gexp(param(PARAM_OF[a]))
         eps_bp = gexp(param(_primed(PARAM_OF[b])))
         composite = eps_a * eps_bp
-        rhs_pieces = []
+        # the right side's derivations, built once for all probes
+        rhs = []
         for c_r, r in STRUCTURE[(a, b)]:
             # commuting the first parameter through the second operator
             # reverses the operator order, hence the overall minus:
@@ -269,16 +271,14 @@ def closure_report(stage: str = "y") -> List[dict]:
                      / _KAPPA_FIELD[r])
             if not p_ab:
                 coeff = -coeff
-            rhs_pieces.append((scalar(coeff) * composite, r))
+            rhs.append(variation_derivation(
+                r, stage, parameter=scalar(coeff) * composite))
         residuals = {}
         for fb in FIELD_BASES:
             probe = gexp(field(fb, 0, 0, stage))
-            lhs = Da.apply(Dbp.apply(probe)) - Dbp.apply(Da.apply(probe))
-            want = GradedExpr.zero()
-            for pexpr, r in rhs_pieces:
-                want = want + variation_derivation(r, stage,
-                                                   parameter=pexpr).apply(probe)
-            diff = lhs - want
+            da, dbp, *images = apply_many((Da, Dbp, *rhs), probe)
+            lhs = Da.apply(dbp) - Dbp.apply(da)
+            diff = lhs - sum(images, GradedExpr.zero())
             if not diff.is_zero():
                 residuals[fb] = str(diff)
         reports.append({

@@ -307,6 +307,18 @@ def test_report_all_manifest_records_durations_versions_and_arguments(
         assert isinstance(row["duration_s"], float) and row["duration_s"] >= 0
 
 
+def test_a_rejected_input_under_json_prints_a_json_error(capsys):
+    rc = main(["check-potential", "--potential", "poly:x", "--format",
+               "json"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    doc = json.loads(captured.out)
+    assert doc["ok"] is False
+    assert "bad polynomial coefficient in 'poly:x'" in doc["error"]
+    assert "'x'" in doc["error"]
+    assert captured.err == f"error: {doc['error']}\n"
+
+
 def test_simulate_rejects_an_oversized_grid_with_exit_two(capsys):
     # 2e12 sites: refused by SimConfig before any array exists
     rc = main(["simulate", "--dx", "1e-12", "--dt", "1e-13", "--x-min", "-1",

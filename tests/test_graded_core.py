@@ -4,14 +4,14 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from z22field import (DEG00, DEG01, DEG10, DEG11, GaussianRational,
                       GradedExpr, coord, field, gexp, param, parity, scalar)
 from z22field.core import QI, QONE, QZERO, Generator
 from z22field.core import pairjet, trig
 from z22field.expr import (_expr_pow, _exp_degree, _mono_dim_ratio,
-                           _mono_mul, _mono_sort_token)
+                           _mono_mul, _mono_sort_token, _mono_star_sign)
 
 
 # ----------------------------------------------------------------------
@@ -461,6 +461,37 @@ def test_mono_mul_sign_matches_pairwise_swaps(word):
         hit = _mono_mul(mono, ((g, e),))
         got = None if hit is None else ((s + hit[0]) & 1, hit[1])
     assert got == _reference_product(word)
+
+
+@given(st.lists(_factor, max_size=6), st.lists(_factor, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_mono_mul_of_two_monomials_matches_the_joined_word(word_a, word_b):
+    # several m2 factors are placed before the rest of m1 crosses them
+    a, b = _reference_product(word_a), _reference_product(word_b)
+    assume(a is not None and b is not None)
+    hit = _mono_mul(a[1], b[1])
+    got = None if hit is None else ((a[0] + b[0] + hit[0]) & 1, hit[1])
+    assert got == _reference_product(word_a + word_b)
+
+
+@given(st.lists(_factor, max_size=7))
+@settings(max_examples=200, deadline=None)
+def test_star_sign_matches_pairwise_swaps(word):
+    ref = _reference_product(word)
+    assume(ref is not None)
+    mono = ref[1]
+    pairs = sum(parity(_swap_degree(*mono[i]), _swap_degree(*mono[j]))
+                for i in range(len(mono)) for j in range(i + 1, len(mono)))
+    assert _mono_star_sign(mono) == pairs & 1
+
+
+def test_mono_mul_with_an_empty_operand_returns_the_other():
+    _, mono = _reference_product([(_Z, 1), (param("eps10"), 1),
+                                  (_Y, Fraction(1, 2)), (_ODD_JETS[0], 1)])
+    assert _mono_mul((), mono) == (0, mono) == _mono_mul(mono, ())
+    # a raw factor past its eps order still vanishes
+    eps_sq = ((param("eps00"), 2),)
+    assert _mono_mul((), eps_sq) is None and _mono_mul(eps_sq, ()) is None
 
 
 # ----------------------------------------------------------------------
