@@ -300,7 +300,7 @@ def spinor_lagrangian(eliminate: bool = False) -> GradedExpr:
 def lorentz_spinor_report() -> dict:
     """Boost variation of the spinor doublets in matrix form."""
     from .superfield import variation_table
-    tab = variation_table("L11", stage="x")
+    tab = variation_table("L11", "x")
     eps = gexp(param("epsL"))
     dt, dx = total_t("x"), total_space("x")
 

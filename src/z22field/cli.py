@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .core import GaussianRational
+from .core import GaussianRational, pairjet
 from .expr import GradedExpr
 from . import serialize
 
@@ -163,7 +163,10 @@ def run_check_potential(args) -> Tuple[bool, dict]:
     if V.kind == "cos":
         from .reference import trigonometric_specialization
         spec = trigonometric_specialization()
-        matches = pair.v00 == spec["V00"] and pair.v11 == spec["V11"]
+        # every displayed pair entry, V00 to V11_3
+        matches = all(spec[g.name] == V.image(g)
+                      for g in (pairjet(m, s, "x") for m in range(1, 5)
+                                for s in (0, 1)))
         payload["matches_display"] = matches
         ok = ok and matches
     return ok, payload

@@ -221,10 +221,10 @@ class GradedExpr:
 
     @staticmethod
     def const(c) -> "GradedExpr":
-        cc = _as_scalar(c)
-        if not cc:
-            return GradedExpr({})
-        return GradedExpr({(): cc})
+        cc = GaussianRational.coerce(c)
+        if cc is None:
+            raise TypeError(f"{c!r} is not an exact scalar")
+        return GradedExpr({(): cc}) if cc else GradedExpr({})
 
     @staticmethod
     def gen(g: Generator, e: Exponent = 1) -> "GradedExpr":
@@ -505,21 +505,13 @@ class GradedExpr:
 # helpers
 # ----------------------------------------------------------------------
 
-def _as_scalar(c) -> Optional[GaussianRational]:
-    if isinstance(c, GaussianRational):
-        return c
-    if isinstance(c, (int, Fraction)):
-        return GaussianRational(c)
-    return None
-
-
 def _as_expr(x) -> Optional[GradedExpr]:
     if isinstance(x, GradedExpr):
         return x
-    c = _as_scalar(x)
+    c = GaussianRational.coerce(x)
     if c is None:
         return None
-    return GradedExpr.const(c) if c else GradedExpr({})
+    return GradedExpr({(): c}) if c else GradedExpr({})
 
 
 def _expr_pow(expr: GradedExpr, e: Exponent) -> GradedExpr:

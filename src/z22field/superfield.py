@@ -21,9 +21,12 @@ variations (the standard active/passive flip):
 The second-stage tables come from the first-stage ones through the ring
 map that rescales the measure coordinate and a subset of the fields.
 
-The first-stage table of each symmetry and the stage-map image of each
-jet are memoised with functools.cache: they are keyed by names and jet
-indices alone, so the memo stays as small as the field content.
+`variation_table(name, stage)` is the one variation stage: memoised with
+functools.cache, its second-stage table maps the cached first-stage one.
+It and the stage-map image of each jet are keyed by names and jet
+indices alone, so the memos stay as small as the field content.  The
+closure check takes its independent copy of a variation through
+`variation_derivation`'s `parameter`, not through a second table.
 """
 
 from __future__ import annotations
@@ -120,32 +123,23 @@ def coordinate_variations(name: str) -> Dict[str, GradedExpr]:
 
 
 @cache
-def _pre_table(name: str) -> Dict[str, GradedExpr]:
-    ops = superspace_operators()
-    eps = gexp(param(PARAM_OF[name]))
-    k = scalar(_KAPPA_FIELD[name])
-    return split_components(k * eps * ops[name].apply(superfield("y")))
+def variation_table(name: str, stage: str) -> Dict[str, GradedExpr]:
+    """Variation of each component field, parameter included.
 
-
-def variation_table(name: str, stage: str = "y",
-                    primed: bool = False) -> Dict[str, GradedExpr]:
-    """Variation of each component field, parameter included."""
-    table = _pre_table(name)
-    if stage == "x":
-        mapped = {}
-        for base, entry in table.items():
-            img = stage_map(entry)
-            if base in X_WEIGHTED:
-                img = gexp(coord("x")) * img
-            mapped[base] = img
-        table = mapped
-    elif stage != "y":
+    The first-stage table is read off the superfield; the second-stage
+    table is the stage map of the cached first-stage one.  Tables are
+    shared, so no caller mutates them.
+    """
+    if stage == "y":
+        ops = superspace_operators()
+        eps = gexp(param(PARAM_OF[name]))
+        k = scalar(_KAPPA_FIELD[name])
+        return split_components(k * eps * ops[name].apply(superfield("y")))
+    if stage != "x":
         raise ValueError(f"unknown stage {stage!r}")
-    if primed:
-        src = param(PARAM_OF[name])
-        dst = gexp(param(_primed(PARAM_OF[name])))
-        table = {b: e.substitute({src: dst}) for b, e in table.items()}
-    return table
+    x = gexp(coord("x"))
+    return {b: x * stage_map(e) if b in X_WEIGHTED else stage_map(e)
+            for b, e in variation_table(name, "y").items()}
 
 
 def prolonged_derivation(table: Dict[str, GradedExpr], stage: str,
@@ -168,7 +162,7 @@ def prolonged_derivation(table: Dict[str, GradedExpr], stage: str,
     return GeneratorDerivation(label, DEG00, act)
 
 
-def variation_derivation(name: str, stage: str = "y", primed: bool = False,
+def variation_derivation(name: str, stage: str = "y",
                          parameter: Optional[GradedExpr] = None
                          ) -> GeneratorDerivation:
     """The variation as an even derivation on the stage's jet ring.
@@ -176,13 +170,12 @@ def variation_derivation(name: str, stage: str = "y", primed: bool = False,
     With `parameter` given, the table's own parameter is stripped off and
     replaced by that expression (used to state closure).
     """
-    base_table = variation_table(name, stage, primed)
+    base_table = variation_table(name, stage)
     if parameter is not None:
-        eps = param(_primed(PARAM_OF[name]) if primed else PARAM_OF[name])
+        eps = param(PARAM_OF[name])
         base_table = {b: parameter * e.strip_left(eps)
                       for b, e in base_table.items()}
-    label = f"delta_{name}" + ("'" if primed else "")
-    return prolonged_derivation(base_table, stage, label)
+    return prolonged_derivation(base_table, stage, f"delta_{name}")
 
 
 # ----------------------------------------------------------------------
@@ -247,20 +240,20 @@ def closure_report(stage: str = "y") -> List[dict]:
     For each unordered pair the commutator of the variations (independent
     parameter copies) must equal the variation along the bracket with the
     composite parameter fixed by the algebra; both sides are compared as
-    full expressions on every component field.
+    full expressions on every component field.  A pair with a nonzero
+    bracket also fails when its commutator vanishes on every field.
     """
     reports = []
     pairs = [(a, b) for i, a in enumerate(VAR_NAMES)
              for b in VAR_NAMES[i:]]
     derivs = {n: variation_derivation(n, stage) for n in VAR_NAMES}
-    derivs_p = {n: variation_derivation(n, stage, primed=True)
+    copies = {n: gexp(param(_primed(PARAM_OF[n]))) for n in VAR_NAMES}
+    derivs_p = {n: variation_derivation(n, stage, parameter=copies[n])
                 for n in VAR_NAMES}
     for a, b in pairs:
         Da, Dbp = derivs[a], derivs_p[b]
         p_ab = parity(OP_DEGREE[a], OP_DEGREE[b])
-        eps_a = gexp(param(PARAM_OF[a]))
-        eps_bp = gexp(param(_primed(PARAM_OF[b])))
-        composite = eps_a * eps_bp
+        composite = gexp(param(PARAM_OF[a])) * copies[b]
         # the right side's derivations, built once for all probes
         rhs = []
         for c_r, r in STRUCTURE[(a, b)]:
@@ -274,13 +267,20 @@ def closure_report(stage: str = "y") -> List[dict]:
             rhs.append(variation_derivation(
                 r, stage, parameter=scalar(coeff) * composite))
         residuals = {}
+        moved = False
         for fb in FIELD_BASES:
             probe = gexp(field(fb, 0, 0, stage))
             da, dbp, *images = apply_many((Da, Dbp, *rhs), probe)
             lhs = Da.apply(dbp) - Dbp.apply(da)
+            moved = moved or not lhs.is_zero()
             diff = lhs - sum(images, GradedExpr.zero())
             if not diff.is_zero():
                 residuals[fb] = str(diff)
+        if rhs and not moved:
+            # a commutator that vanishes on every probe matches any right
+            # side that vanishes too, e.g. when the parameter copies are
+            # not independent; a nonzero bracket must act
+            residuals["commutator"] = "0 on every field probe"
         reports.append({
             "pair": f"({a},{b})",
             "stage": stage,

@@ -14,6 +14,9 @@ and `action.auxiliary_solution` (keyed by nothing) and `eliminated_variation`
 (keyed by symmetry name) are memoised with functools.cache and shared, so no
 caller mutates them.  No memo is keyed by an expression: reductions and
 certificates take any input, and such a memo would grow without bound.
+The worked examples specialise `field_equations()` to a potential with
+`potential.specialize_potential`, unmemoised: no memo is keyed by a
+potential either.
 """
 
 from functools import cache
@@ -28,6 +31,7 @@ from .superfield import (PARAM_OF, coordinate_variations,
                          prolonged_derivation, variation_table,
                          variation_derivation)
 from .action import auxiliary_jets, lagrangian
+from .potential import parse_potential, specialize_potential
 from . import reference
 
 BOSONS = ("phi00", "phi11")
@@ -461,29 +465,6 @@ def table_comparison_report() -> Dict[str, dict]:
 # equations of motion against the hand-checked displays
 # ----------------------------------------------------------------------
 
-def specialization_map(spec: Dict[str, GradedExpr]
-                       ) -> Dict[Generator, GradedExpr]:
-    """Name-keyed potential data as a generator substitution."""
-    out: Dict[Generator, GradedExpr] = {}
-    for m in range(0, 8):
-        for slot in (0, 1):
-            g = pairjet(m, slot, "x")
-            if g.name in spec:
-                out[g] = spec[g.name]
-    return out
-
-
-def eom_table(spec: Optional[Dict[str, GradedExpr]] = None
-              ) -> Dict[str, GradedExpr]:
-    """Field equations of the auxiliary-eliminated Lagrangian, optionally
-    specialized to name-keyed potential data."""
-    eqs = field_equations()
-    if spec is not None:
-        subs = specialization_map(spec)
-        eqs = {b: e.substitute(subs) for b, e in eqs.items()}
-    return eqs
-
-
 def eom_comparison(engine: Dict[str, GradedExpr],
                    ref: Dict[str, GradedExpr]) -> Dict[str, dict]:
     """Row-by-row match up to one recorded scale per row."""
@@ -494,13 +475,21 @@ def eom_comparison(engine: Dict[str, GradedExpr],
     return out
 
 
+def _specialized_equations(spec: str) -> Dict[str, GradedExpr]:
+    """Field equations with the pair symbols of a parsed potential spec in
+    closed form; not memoised, since no memo is keyed by a potential."""
+    V = parse_potential(spec)
+    return {b: specialize_potential(e, V)
+            for b, e in field_equations().items()}
+
+
 @cache
 def generic_eom_report() -> Dict[str, dict]:
-    return eom_comparison(eom_table(), reference.generic_eom())
+    return eom_comparison(field_equations(), reference.generic_eom())
 
 
 def quadratic_eom_report() -> Dict[str, dict]:
-    return eom_comparison(eom_table(spec=reference.quadratic_specialization()),
+    return eom_comparison(_specialized_equations("poly:0,0,1/2"),
                           reference.quadratic_eom_printed())
 
 
@@ -513,7 +502,7 @@ def trig_eom_report() -> Dict[str, dict]:
     some fermion-term signs, so those residuals are expected; each one
     must vanish when the fermions are switched off.
     """
-    engine = eom_table(spec=reference.trigonometric_specialization())
+    engine = _specialized_equations("cos")
     printed = reference.sg_eom_printed()
     scales = {b: e["scale"] for b, e in generic_eom_report().items()}
     rep: Dict[str, dict] = {}
@@ -542,7 +531,7 @@ def _sector_off(e: GradedExpr, keep: str) -> GradedExpr:
 
 def sine_gordon_reduction() -> Dict[str, dict]:
     """Single-field reductions of the trigonometric system, both sectors."""
-    eqs = eom_table(spec=reference.trigonometric_specialization())
+    eqs = _specialized_equations("cos")
     ref00 = reference.sg_reduced_eom()
 
     def mirror(e: GradedExpr) -> GradedExpr:

@@ -151,7 +151,7 @@ def _clear_stage_caches():
     derivations.total_space.cache_clear()
     derivations.jet_partial.cache_clear()
     derivations.partial_coord.cache_clear()
-    superfield_module._pre_table.cache_clear()
+    superfield_module.variation_table.cache_clear()
     superfield_module._stage_field_image.cache_clear()
     action._component_lagrangian.cache_clear()
     action.auxiliary_solution.cache_clear()

@@ -379,6 +379,19 @@ def test_check_potential_fails_on_a_broken_constraint(monkeypatch, capsys):
     assert doc["report"]["matches_display"] is True
 
 
+def test_check_potential_fails_on_a_tampered_higher_display_entry(
+        monkeypatch, capsys):
+    # V11_2 is no slot function, so only the display comparison sees it
+    real = reference.trigonometric_specialization()
+    monkeypatch.setattr(reference, "trigonometric_specialization",
+                        lambda: {**real, "V11_2": -real["V11_2"]})
+    rc = main(["check-potential", "--potential", "cos", "--format", "json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 1 and doc["ok"] is False
+    assert doc["report"]["constraint_ok"] is True
+    assert doc["report"]["matches_display"] is False
+
+
 def test_config_param_line_without_a_value_exits_two(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("dx = 0.2\nparam = v\n")

@@ -1,5 +1,6 @@
 """Ring-level properties: sign rule, canonical form, star, exact scalars."""
 
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -130,6 +131,27 @@ def test_scalar_interoperates_with_int_and_fraction():
         GaussianRational(Fraction(1, 2), 3) / 0
     with pytest.raises(AttributeError):
         QONE.re = Fraction(2)
+
+
+@pytest.mark.parametrize("value", [0.5, 0.0, "2", None])
+def test_a_value_that_is_not_exact_is_no_scalar(value):
+    # a float or a string is refused, never read as zero
+    with pytest.raises(TypeError, match=re.escape(repr(value))):
+        GradedExpr.const(value)
+    with pytest.raises(TypeError):
+        scalar(value)
+    with pytest.raises(TypeError):
+        gexp(coord("t")) * value
+
+
+def test_exact_values_make_scalars():
+    assert scalar(Fraction(1, 2)).terms == {(): GaussianRational(
+        Fraction(1, 2))}
+    assert scalar(True) == scalar(1) and scalar(False).is_zero()
+    assert scalar(QI).terms == {(): QI}
+    assert scalar(0).terms == {} and scalar(QZERO).terms == {}
+    assert gexp(coord("t")) * Fraction(1, 2) == (
+        scalar(Fraction(1, 2)) * gexp(coord("t")))
 
 
 # ----------------------------------------------------------------------

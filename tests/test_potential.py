@@ -67,10 +67,16 @@ def test_parse_either_parses_or_raises_value_error(spec):
 # ----------------------------------------------------------------------
 
 def test_quadratic_pair_matches_display():
-    pair = potential_components(parse_potential("poly:0,0,1/2"), stage="x")
+    V = parse_potential("poly:0,0,1/2")
+    pair = potential_components(V, stage="x")
     spec = reference.quadratic_specialization()
     assert pair.v00 == spec["V00"]
     assert pair.v11 == spec["V11"]
+    # every displayed entry, V00 to V11_2
+    jets = [pairjet(m, s, "x") for m in range(1, 4) for s in (0, 1)]
+    assert {g.name for g in jets} == set(spec)
+    for g in jets:
+        assert V.image(g) == spec[g.name], g.name
 
 
 def test_trigonometric_pair_matches_display():

@@ -10,9 +10,10 @@ import pytest
 import sympy
 from scipy.integrate import quad
 
-from z22field import GradedExpr, field, gexp, param, reference, scalar, sim
+from z22field import GradedExpr, field, gexp, param, scalar, sim
 from z22field.core import trig
-from z22field.variational import FERMIONS, _anchor_scale, eom_table
+from z22field.variational import (FERMIONS, _anchor_scale,
+                                  _specialized_equations)
 
 
 # ----------------------------------------------------------------------
@@ -46,7 +47,7 @@ def test_engine_certifies_the_two_sine_split():
     # wave + (alpha^2/4)(sin 2u +- sin 2v), u = phi00 + phi11 and
     # v = phi00 - phi11, as a polynomial identity in the S/C symbols:
     # angle addition only, no S^2 + C^2 = 1
-    eqs = eom_table(spec=reference.trigonometric_specialization())
+    eqs = _specialized_equations("cos")
     s00, c00 = gexp(trig("S00")), gexp(trig("C00"))
     s11, c11 = gexp(trig("S11")), gexp(trig("C11"))
     sin2 = lambda s, c: scalar(2) * s * c

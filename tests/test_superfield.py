@@ -1,5 +1,7 @@
 """Component expansion, variation tables, closure, audits."""
 
+import importlib
+
 import pytest
 
 from z22field import GradedExpr, coord, field, gexp
@@ -9,7 +11,8 @@ from z22field.superfield import (VAR_NAMES, closure_report,
                                  dimension_audit, reality_check,
                                  split_components, stage_map, superfield,
                                  variation_derivation, variation_table)
-from z22field.derivations import total_t, total_space
+from z22field.cli import main
+from z22field.derivations import STRUCTURE, total_t, total_space
 from z22field import reference
 
 
@@ -52,6 +55,17 @@ def test_coordinate_variations(name):
         assert got[cn] == entry, f"{name}: {cn}"
 
 
+@pytest.mark.parametrize("stage", ["y", "x"])
+def test_variation_table_is_one_memoised_stage(stage):
+    for name in VAR_NAMES:
+        assert variation_table(name, stage) is variation_table(name, stage)
+
+
+def test_variation_table_rejects_an_unknown_stage():
+    with pytest.raises(ValueError, match="unknown stage"):
+        variation_table("H", "z")
+
+
 def test_table_entry_count():
     total = sum(len(variation_table(n, s))
                 for n in VAR_NAMES for s in ("y", "x"))
@@ -66,6 +80,30 @@ def test_table_entry_count():
 def test_variations_close_into_the_algebra(stage):
     for r in closure_report(stage):
         assert r["status"] == "ok", f"{r['pair']}@{stage}: {r['residuals']}"
+
+
+def test_closure_fails_when_the_parameter_copies_coincide(monkeypatch):
+    # one parameter for both variations truncates every two-parameter
+    # product to zero, so both sides vanish; a nonzero bracket must act
+    superfield_module = importlib.import_module("z22field.superfield")
+    monkeypatch.setattr(superfield_module, "_primed", lambda name: name)
+    acting = {f"({a},{b})" for i, a in enumerate(VAR_NAMES)
+              for b in VAR_NAMES[i:] if STRUCTURE[(a, b)]}
+    for stage in ("y", "x"):
+        failed = {r["pair"]: r["residuals"] for r in closure_report(stage)
+                  if r["status"] != "ok"}
+        assert set(failed) == acting, stage
+        assert all("commutator" in res for res in failed.values())
+    assert main(["verify-algebra", "--format", "json"]) == 1
+
+
+@pytest.mark.parametrize("stage", ["y", "x"])
+def test_a_flipped_bracket_fails_only_its_pair(monkeypatch, stage):
+    monkeypatch.setitem(STRUCTURE, ("Q10", "Q01"),
+                        [(-c, r) for c, r in STRUCTURE[("Q10", "Q01")]])
+    failed = [r["pair"] for r in closure_report(stage)
+              if r["status"] != "ok"]
+    assert failed == ["(Q10,Q01)"]
 
 
 @pytest.mark.parametrize("stage", ["y", "x"])

@@ -15,7 +15,7 @@ from z22field.variational import (DYNAMICAL, SYMMETRIES, _fn_antiderivatives,
                                   _mono_expr,
                                   current_comparison,
                                   divergence_split, euler_lagrange,
-                                  eom_table, field_equations,
+                                  field_equations,
                                   generic_eom_report,
                                   invariance_report, noether,
                                   quadratic_eom_report, reduce_onshell,
@@ -130,7 +130,7 @@ def test_antiderivatives_invert_the_field_derivatives(g):
 # ----------------------------------------------------------------------
 
 def test_solved_forms_annihilate_the_equations():
-    eqs = eom_table()
+    eqs = field_equations()
     for base, e in eqs.items():
         assert reduce_onshell(e).is_zero(), base
 
