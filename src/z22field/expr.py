@@ -61,6 +61,11 @@ def _mono_mul(m1: Monomial, m2: Monomial):
     factors emitted so far, and each odd m1 factor emitted after them
     crosses all of them at once.  Fractional exponents only sit on (0,0)
     generators, so like even powers they carry no degree.
+
+    An eps-group overflow is caught as it is emitted: a grouped factor
+    at exponent >= 2, or after another factor of its group (`grouped`
+    holds the groups emitted so far).  Only an empty operand is scanned
+    whole, so a raw factor such as (eps00, 2) still vanishes.
     """
     if not m1 or not m2:
         mono = m1 or m2
@@ -70,6 +75,7 @@ def _mono_mul(m1: Monomial, m2: Monomial):
     sign = placed = 0
     i = j = 0
     z_seen = 0
+    grouped = ()
     while i < n1 and j < n2:
         f1 = m1[i]
         f2 = m2[j]
@@ -94,6 +100,11 @@ def _mono_mul(m1: Monomial, m2: Monomial):
             if g is ZC and type(e) is int and e >= 2:
                 z_seen = e
                 continue
+            grp = g.eps_group
+            if grp is not None:
+                if e >= 2 or grp in grouped:
+                    return None
+                grouped += (grp,)
             out.append((g, e))
         elif g.sort_key <= f2[0].sort_key:
             cross = g.mask & placed
@@ -101,24 +112,46 @@ def _mono_mul(m1: Monomial, m2: Monomial):
                 e1 = f1[1]
                 if type(e1) is int and e1 & 1:
                     sign ^= _MASK_PARITY[cross]
+            grp = g.eps_group
+            if grp is not None:
+                if f1[1] >= 2 or grp in grouped:
+                    return None
+                grouped += (grp,)
             out.append(f1)
             i += 1
         else:
-            e2 = f2[1]
+            g, e2 = f2
             if type(e2) is int and e2 & 1:
-                placed ^= f2[0].mask
+                placed ^= g.mask
+            grp = g.eps_group
+            if grp is not None:
+                if e2 >= 2 or grp in grouped:
+                    return None
+                grouped += (grp,)
             out.append(f2)
             j += 1
     if j < n2:
         # nothing of m1 is left for these m2 factors to cross
-        out.extend(m2[j:])
+        tail = m2[j:]
+        for g, e in tail:
+            grp = g.eps_group
+            if grp is not None:
+                if e >= 2 or grp in grouped:
+                    return None
+                grouped += (grp,)
+        out.extend(tail)
     elif i < n1:
+        rest = 0
+        for k in range(i, n1):
+            g, e = m1[k]
+            if type(e) is int and e & 1:
+                rest ^= g.mask
+            grp = g.eps_group
+            if grp is not None:
+                if e >= 2 or grp in grouped:
+                    return None
+                grouped += (grp,)
         if placed:
-            rest = 0
-            for k in range(i, n1):
-                g, e = m1[k]
-                if type(e) is int and e & 1:
-                    rest ^= g.mask
             sign ^= _MASK_PARITY[rest & placed]
         out.extend(m1[i:])
 
@@ -134,10 +167,7 @@ def _mono_mul(m1: Monomial, m2: Monomial):
         s2, mono = merged
         return (sign ^ s2, mono)
 
-    mono = tuple(out)
-    if _eps_overflow(mono):
-        return None
-    return (sign, mono)
+    return (sign, tuple(out))
 
 
 def _eps_overflow(mono: Monomial) -> bool:
@@ -327,11 +357,42 @@ class GradedExpr:
                                    for m in GradedExpr.gen(g, e * n).terms})
         if not n:
             return GradedExpr({(): QONE})
+        if n == 2 and all(_mono_mask(m) in (0, 3) for m in self.terms):
+            return self._commuting_square()
         # 1 * self is self, term for term and in order
         out = GradedExpr(dict(self.terms))
         for _ in range(n - 1):
             out = out * self
         return out
+
+    def _commuting_square(self) -> "GradedExpr":
+        """self * self for a sum whose terms all have degree (0,0) or
+        (1,1): any two of them commute (_MASK_PARITY[m1 & m2] is 0), so
+        only the products i <= j are merged, the off-diagonal ones
+        doubled.  Each monomial first appears where it does in self *
+        self; a monomial whose running sum cancels before its last
+        contribution may be re-placed elsewhere."""
+        items = list(self.terms.items())
+        terms = {}
+        for i, (m1, c1) in enumerate(items):
+            for k in range(i, len(items)):
+                m2, c2 = items[k]
+                hit = _mono_mul(m1, m2)
+                if hit is None:
+                    continue
+                sign, mono = hit
+                c = c1 * c2
+                if k != i:
+                    c = c + c
+                if sign & 1:
+                    c = -c
+                acc = terms.get(mono)
+                tot = c if acc is None else acc + c
+                if tot:
+                    terms[mono] = tot
+                elif acc is not None:
+                    del terms[mono]
+        return GradedExpr(terms)
 
     # -- structure -------------------------------------------------------
 

@@ -26,7 +26,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 from .core import (TRIG, GaussianRational, Generator, coord, field, fjet,
                    pairjet, trig, trig_of)
 from .derivations import apply_many, jet_partial
-from .expr import GradedExpr, ONE_EXPR, ZERO_EXPR, gexp, scalar
+from .expr import GradedExpr, ONE_EXPR, ZERO_EXPR, _mono_mul, gexp, scalar
 
 # a trigonometric kind is the tower of its start symbol in core.TRIG
 _TRIG_KINDS = {"cos": "C00", "sin": "S00"}
@@ -67,15 +67,24 @@ class FunctionSymbol:
             self.name = "poly:" + ",".join(str(c) for c in self.coeffs)
         else:
             self.name = kind
-        # closed forms of the pair and F-symbols, keyed by generator; the
-        # memo lives and dies with this instance
+        # closed forms of the pair and F-symbols, keyed by generator, and
+        # the derivative heads, keyed by (order, space); both memos live
+        # and die with this instance, and no caller mutates what they hold
         self._images: Dict[Generator, GradedExpr] = {}
+        self._heads: Dict[Tuple[int, str], GradedExpr] = {}
 
     def derivative(self, order: int, space: str = "x") -> GradedExpr:
         """order-th derivative evaluated on the (0,0) field, as an
-        expression in that field and the trig/abstract symbols."""
-        if order < 0:
-            raise ValueError("derivative order must be >= 0")
+        expression in that field and the trig/abstract symbols; built
+        once per instance."""
+        head = self._heads.get((order, space))
+        if head is None:
+            if order < 0:
+                raise ValueError("derivative order must be >= 0")
+            head = self._heads[order, space] = self._head(order, space)
+        return head
+
+    def _head(self, order: int, space: str) -> GradedExpr:
         if self.kind == "poly":
             # sum over k of c_k k!/(k-order)! phi00**(k-order), one
             # monomial per k
@@ -161,12 +170,16 @@ def pair_series(m: int, slot: int, sp: str, truncation_order: int,
     fsub maps a derivative order to its replacement; the default keeps
     the abstract F-family.  For a terminating fsub (a polynomial) pass
     truncation_order = -1 to expand until the tower vanishes.
+
+    Built in one pass: each head monomial merges with y**n phi11**p into
+    one terms dict, by the add-and-drop-zero rule of GradedExpr.__add__,
+    so the terms come out in the order of the sum of products.
     """
     if fsub is None:
         fsub = lambda k: gexp(fjet(k))
     f11 = field("phi11", 0, 0, sp)
     y = coord("y") if sp == "y" else None
-    out = ZERO_EXPR
+    terms = {}
     n = 0
     while True:
         p = 2 * n + slot
@@ -182,9 +195,23 @@ def pair_series(m: int, slot: int, sp: str, truncation_order: int,
         mono = ((y, n),) if y is not None and n else ()
         if p:
             mono += ((f11, p),)
-        out = out + head * GradedExpr({mono: GaussianRational(1 / _fact(p))})
+        inv = GaussianRational(1 / _fact(p))
+        for hm, hc in head.terms.items():
+            hit = _mono_mul(hm, mono)
+            if hit is None:
+                continue
+            sign, prod = hit
+            c = hc * inv
+            if sign:
+                c = -c
+            acc = terms.get(prod)
+            tot = c if acc is None else acc + c
+            if tot:
+                terms[prod] = tot
+            elif acc is not None:
+                del terms[prod]
         n += 1
-    return out
+    return GradedExpr(terms)
 
 
 def specialize_potential(expr: GradedExpr, V: FunctionSymbol) -> GradedExpr:

@@ -509,8 +509,9 @@ def test_symbolic_output_matches_its_pinned_digest(command):
 
 
 # A degree-8 polynomial with zero, negative and fractional coefficients:
-# its pair series run to the eighth derivative.  The same argv writes
-# `potential-out/` in CI.
+# its pair series run to the eighth derivative.  Its check-potential and
+# sin's are also pinned at the series edges, truncation orders 0 and 6.
+# The same argv writes `potential-out/` in CI.
 POLY8 = "poly:1,-2,3/4,0,5,-1/3,2,1/7,-3/2"
 POTENTIAL_ARGV = {
     "derive-lagrangian": ["derive-lagrangian", "--potential", POLY8,
@@ -518,6 +519,12 @@ POTENTIAL_ARGV = {
     "check-potential": ["check-potential", "--potential", POLY8,
                         "--format", "json"],
 }
+POTENTIAL_ARGV.update({
+    f"{stem}-t{order}": ["check-potential", "--potential", spec,
+                         "--truncation", str(order), "--format", "json"]
+    for spec, stem in ((POLY8, "check-potential"),
+                       ("sin", "check-potential-sin"))
+    for order in (0, 6)})
 
 
 @pytest.mark.parametrize("command", list(POTENTIAL_ARGV))

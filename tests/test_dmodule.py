@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from z22field import GradedExpr, coord, field, gexp, scalar
+from z22field import dmodule
 from z22field.core import GaussianRational
 from z22field.derivations import total_space, total_t
 from z22field.dmodule import (MatrixOp, WeylOp, canonical_matrices,
@@ -109,6 +110,26 @@ def test_matrix_entries_respect_the_grading():
         for (r, c), op in m.entries.items():
             assert op, (name, r, c)
             assert 0 <= r < len(MULTIPLET) and 0 <= c < len(MULTIPLET)
+
+
+def test_the_report_closes_each_matrix_set_once(monkeypatch):
+    # the extracted set, the printed set and the closed set, whose
+    # closure is the last orientation trial
+    want = dmodule_report()
+    calls = []
+    original = dmodule.verify_matrix_relations
+
+    def counted(mats):
+        calls.append(mats)
+        return original(mats)
+
+    monkeypatch.setattr(dmodule, "verify_matrix_relations", counted)
+    dmodule._closed_orientations.cache_clear()
+    assert dmodule_report() == want
+    assert len(calls) == 3
+    canonical, _ = canonical_matrices()
+    assert canonical in calls and printed_matrices() in calls
+    assert matrices_from_tables() in calls
 
 
 def test_full_dmodule_report():

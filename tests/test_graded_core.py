@@ -12,7 +12,8 @@ from z22field import (DEG00, DEG01, DEG10, DEG11, GaussianRational,
 from z22field.core import QI, QONE, QZERO, Generator
 from z22field.core import pairjet, trig
 from z22field.expr import (_expr_pow, _exp_degree, _mono_dim_ratio,
-                           _mono_mul, _mono_sort_token, _mono_star_sign)
+                           _mono_mask, _mono_mul, _mono_sort_token,
+                           _mono_star_sign)
 
 
 # ----------------------------------------------------------------------
@@ -592,6 +593,99 @@ def test_eps_power_built_directly_matches_repeated_product(name, k):
     assert _same_terms_in_order(gexp(e, k), gexp(e) ** k)
     assert _same_terms_in_order(gexp(e, k), _repeated_product_pow(gexp(e), k))
     assert (scalar(3) * gexp(e, k)).is_zero()
+
+
+# Blocks of degree (0,0) or (1,1): any two products of them commute.
+# Fields, z (z**2 folds into y), (1,1) parameters, even fermion bilinears
+# and eps-group factors.
+_TH01, _PSI10, _LAM01 = coord("th01"), field("psi10", 0, 0, "y"), \
+    field("lam01", 0, 0, "y")
+_COMMUTING_BLOCKS = [
+    gexp(field("phi00", 0, 0, "y")), gexp(field("phi11", 0, 0, "y")),
+    gexp(field("phi00", 1, 0, "x")), gexp(_Z), gexp(coord("t")),
+    gexp(param("alpha")), gexp(param("deltaz")),
+    gexp(_PSI10) * gexp(field("psi01", 0, 0, "y")),
+    gexp(_PSI10) * gexp(field("lam10", 1, 0, "y")),
+    gexp(_TH10) * gexp(_TH01), gexp(_TH10) * gexp(_LAM01),
+    gexp(param("eps00")), gexp(param("eps11")), gexp(param("epsL")),
+    gexp(param("eps10")) * gexp(_PSI10),
+]
+# blocks of degree (1,0) or (0,1)
+_ODD_BLOCKS = [gexp(_TH10), gexp(_PSI10), gexp(_LAM01), gexp(param("eps01")),
+               gexp(_PSI10) * gexp(field("phi11", 0, 0, "y")),
+               gexp(_Z) * gexp(_TH01)]
+
+
+def _sum_of_products(draw, blocks, max_terms):
+    total = GradedExpr.zero()
+    for _ in range(draw(st.integers(0, max_terms))):
+        acc = scalar(draw(small_coeff))
+        for b in draw(st.lists(st.sampled_from(blocks), max_size=3)):
+            acc = acc * b
+        total = total + acc
+    return total
+
+
+@st.composite
+def commuting_sums(draw):
+    return _sum_of_products(draw, _COMMUTING_BLOCKS, 6)
+
+
+@st.composite
+def odd_or_mixed_sums(draw):
+    return _sum_of_products(draw, _COMMUTING_BLOCKS + _ODD_BLOCKS, 6)
+
+
+def _cancels_midway(e):
+    """True when, in e * e or in its i <= j form, the running sum of some
+    monomial reaches zero before its last contribution."""
+    items = list(e.terms.items())
+    for pairs in ([(i, k) for i in range(len(items))
+                   for k in range(len(items))],
+                  [(i, k) for i in range(len(items))
+                   for k in range(i, len(items))]):
+        sums, zeroed = {}, set()
+        for i, k in pairs:
+            hit = _mono_mul(items[i][0], items[k][0])
+            if hit is None:
+                continue
+            sign, mono = hit
+            if mono in zeroed:
+                return True
+            c = items[i][1] * items[k][1]
+            sums[mono] = sums.get(mono, QZERO) + (-c if sign else c)
+            if not sums[mono]:
+                zeroed.add(mono)
+    return False
+
+
+@given(commuting_sums())
+@settings(max_examples=150, deadline=None)
+def test_a_commuting_square_equals_the_product(e):
+    assert all(_mono_mask(m) in (0, 3) for m in e.terms)
+    assert e ** 2 == e * e
+    if not _cancels_midway(e):
+        assert _same_terms_in_order(e ** 2, e * e)
+
+
+def test_a_square_cancelling_midway_keeps_first_appearance_order():
+    # in e * e the t**2 sum runs -1, 0 (dropped), -1 (placed after t**3);
+    # the i <= j form sums -2, -1 and keeps t**2 where it first appears
+    t = gexp(coord("t"))
+    e = scalar(1) + t - t * t
+    assert _cancels_midway(e)
+    assert e ** 2 == e * e
+    order = [dict(m).get(coord("t"), 0) for m in (e ** 2).terms]
+    assert order == [0, 1, 2, 3, 4]
+    assert [dict(m).get(coord("t"), 0) for m in (e * e).terms] == [
+        0, 1, 3, 2, 4]
+
+
+@given(odd_or_mixed_sums())
+@settings(max_examples=100, deadline=None)
+def test_an_odd_or_mixed_square_keeps_the_product_order(e):
+    assume(any(_mono_mask(m) in (1, 2) for m in e.terms))
+    assert _same_terms_in_order(e ** 2, e * e)
 
 
 def _substitution_source():

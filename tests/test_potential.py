@@ -5,15 +5,17 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from z22field import GradedExpr, coord, field, gexp, lagrangian, scalar
 from z22field import potential, reference
-from z22field.core import fjet, pairjet, trig
+from z22field.action import lagrangian_audit
+from z22field.core import GaussianRational, fjet, pairjet, trig
 from z22field.potential import (FunctionSymbol, check_potential_constraint,
                                 pair_series, parse_potential,
                                 potential_components, series_pair,
                                 specialize_potential, trig_series)
+from z22field.variational import euler_lagrange
 
 
 # ----------------------------------------------------------------------
@@ -304,6 +306,60 @@ def test_abstract_pair_series_matches_the_product_form():
             assert _same_terms_in_order(got, want), (m, slot, sp)
 
 
+def _reference_pair_series(m, slot, sp, truncation_order, fsub=None):
+    """The fold pair_series replaced: a new expression per order,
+    out + head * (y**n phi11**p / p!)."""
+    if fsub is None:
+        fsub = lambda k: gexp(fjet(k))
+    f11 = field("phi11", 0, 0, sp)
+    y = coord("y") if sp == "y" else None
+    out = GradedExpr.zero()
+    n = 0
+    while True:
+        p = 2 * n + slot
+        if truncation_order >= 0 and p > truncation_order:
+            break
+        head = fsub(p + m)
+        if head.is_zero():
+            if truncation_order < 0:
+                break
+            n += 1
+            continue
+        mono = ((y, n),) if y is not None and n else ()
+        if p:
+            mono += ((f11, p),)
+        out = out + head * GradedExpr(
+            {mono: GaussianRational(Fraction(1, math.factorial(p)))})
+        n += 1
+    return out
+
+
+_small_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+_series_specs = st.one_of(
+    st.lists(_small_fractions, min_size=1, max_size=9).map(
+        lambda cs: "poly:" + ",".join(map(str, cs))),
+    st.sampled_from(["cos", "sin", "abstract"]))
+
+
+@given(_series_specs, st.sampled_from(["x", "y"]), st.integers(0, 3),
+       st.integers(0, 1), st.integers(-1, 6), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_pair_series_matches_the_fold(spec, stage, m, slot, order, odd):
+    V = parse_potential(spec)
+    # only a polynomial tower terminates, so only it expands to the end
+    assume(order >= 0 or V.kind == "poly")
+    fsub = None if V.kind == "abstract" else (
+        lambda k: V.derivative(k, stage))
+    if odd:
+        # a (1,0) factor in each head: an odd power of the (1,1) field
+        # then crosses it with a sign
+        psi, tower = gexp(field("psi10", 0, 0, stage)), fsub
+        fsub = lambda k: psi * (tower(k) if tower else gexp(fjet(k)))
+    got = pair_series(m, slot, stage, order, fsub=fsub)
+    want = _reference_pair_series(m, slot, stage, order, fsub=fsub)
+    assert _same_terms_in_order(got, want)
+
+
 # ----------------------------------------------------------------------
 # the per-instance image memo
 # ----------------------------------------------------------------------
@@ -324,6 +380,36 @@ def test_each_instance_keeps_its_own_pair_images():
     assert first._images.keys() == second._images.keys()
     assert all(first._images[g] is not second._images[g]
                for g in first._images)
+
+
+def test_each_instance_memoises_its_own_heads():
+    spec = "poly:1,0,-1/2,0,1/24"
+    first, second = parse_potential(spec), parse_potential(spec)
+    head = first.derivative(2, "y")
+    assert first.derivative(2, "y") is head
+    assert second.derivative(2, "y") is not head
+    assert second.derivative(2, "y") == head
+    assert first.derivative(2, "x") != head
+    with pytest.raises(ValueError, match="derivative order must be >= 0"):
+        first.derivative(-1)
+
+
+@pytest.mark.parametrize("spec", ["poly:1,-2,3/4,0,5,-1/3,2,1/7,-3/2",
+                                  "cos", "sin", "abstract"])
+def test_a_request_leaves_the_memoised_heads_as_built(spec):
+    # every call a request makes; no caller mutates a shared head
+    V = parse_potential(spec)
+    lag = lagrangian(V, eliminate=True)
+    assert lagrangian_audit(lag)["ok"]
+    potential_components(V, stage="x", truncation_order=6)
+    series_pair(V, stage="x", truncation_order=6)
+    euler_lagrange(lag)
+    fresh = parse_potential(spec)
+    assert V._heads or V.kind == "abstract"
+    for (order, space), head in V._heads.items():
+        assert _same_terms_in_order(head, fresh.derivative(order, space))
+    for g, img in V._images.items():
+        assert _same_terms_in_order(img, fresh.image(g))
 
 
 def test_a_request_builds_each_pair_image_once(monkeypatch):
