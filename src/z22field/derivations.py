@@ -18,16 +18,20 @@ coordinate derivative implements z**2 = y as the explicit z derivative
 plus 2z times the total derivative along y.
 
 `apply_many` applies a sequence of derivations to one expression in one
-walk over its terms, and `apply` is its one-derivation case.  Each
-derivation memoises the image of every generator it has met, as a list
-of (monomial, coefficient, packed mask) triples (see `_ImageMemo`);
-generators are interned and finitely many, so the memo is keyed by
-generator only, never by an expression or a potential.  An action that
-raises stores nothing.  A walk routes each distinct generator once,
-through a table local to the call, to the derivations with a nonzero
-image of it, so a factor that none of them moves costs one lookup.  For
-the factor g**e of a monomial, with P the factors before it and R the
-monomial less one power of g, the Leibniz term of an image monomial m is
+walk over its terms.  `apply` and `columns` walk one derivation: the
+first sums over the terms of an expression, the second keeps the image
+of each monomial of a list apart.  Each derivation memoises the image of
+every generator it has met, as a list of (monomial, coefficient, packed
+mask) triples (see `_ImageMemo`); generators are interned and finitely
+many, so the memo is keyed by generator only, never by an expression or
+a potential.  An action that raises stores nothing.  A walk of many
+derivations routes each distinct generator once, through a table local
+to the call, to the derivations with a nonzero image of it, so a factor
+that none of them moves costs one lookup; a walk of one derivation takes
+its memo, which holds each generator's route, as that table.  Every walk
+is `_walk`.  For the factor g**e of a monomial, with P the factors
+before it and R the monomial less one power of g, the Leibniz term of an
+image monomial m is
 
     (-1)^(parity(deg D, deg P) + parity(deg m, deg P)) e c m*R,
 
@@ -62,11 +66,12 @@ ONE = GradedExpr.const(1)
 # ----------------------------------------------------------------------
 
 class _ImageMemo(dict):
-    """generator -> [(monomial, coefficient, mask), ...] of one action,
-    filled on the first lookup of each generator.  The mask packs the
-    degree of the derivation plus that of the monomial, as in
-    Generator.mask; a unit coefficient is stored as None, so the walk
-    skips its product."""
+    """generator -> the route [(0, [(monomial, coefficient, mask), ...])]
+    of one action, or [] where its image is zero, filled on the first
+    lookup of each generator; a walk of this derivation alone reads it
+    as its routing table.  The mask packs the degree of the derivation
+    plus that of the monomial, as in Generator.mask; a unit coefficient
+    is stored as None, so the walk skips its product."""
 
     __slots__ = ("action", "dmask")
 
@@ -81,8 +86,8 @@ class _ImageMemo(dict):
         terms = [] if img is None else [
             (m, None if c == QONE else c, self.dmask ^ _mono_mask(m))
             for m, c in img.terms.items()]
-        self[g] = terms
-        return terms
+        route = self[g] = [(0, terms)] if terms else []
+        return route
 
 
 class GeneratorDerivation:
@@ -102,7 +107,15 @@ class GeneratorDerivation:
         return f"<GeneratorDerivation {self.name}>"
 
     def apply(self, expr: GradedExpr) -> GradedExpr:
-        return apply_many((self,), expr)[0]
+        return GradedExpr(
+            _walk(expr.terms.items(), self._images, (self,), [None])[0])
+
+    def columns(self, monos: Sequence[tuple]) -> List[dict]:
+        """The terms of D(m) for each canonical monomial m, each equal to
+        apply(GradedExpr({m: 1})).terms in value and order; no routing
+        table is built."""
+        return [_walk(((m, QONE),), self._images, (self,), [None])[0] or {}
+                for m in monos]
 
 
 def apply_many(derivations: Sequence[GeneratorDerivation],
@@ -116,20 +129,31 @@ def apply_many(derivations: Sequence[GeneratorDerivation],
     that moves its factor.
     """
     # None until a derivation's first nonzero Leibniz term
-    outs: List[Optional[dict]] = [None] * len(derivations)
-    routes: Dict[Generator, list] = {}
-    for mono, c in expr.terms.items():
+    outs = _walk(expr.terms.items(), {}, derivations,
+                 [None] * len(derivations))
+    return list(map(GradedExpr, outs))
+
+
+def _walk(terms, routes: Dict[Generator, list],
+          derivations: Sequence[GeneratorDerivation],
+          outs: List[Optional[dict]]) -> List[Optional[dict]]:
+    """outs with the Leibniz terms of each (monomial, coefficient) of
+    terms added to outs[i] for each (i, image) of the route of a factor:
+    the one rule of every walk.  A route missing from routes is built
+    from the derivations' image memos and kept there."""
+    for mono, c in terms:
         pmask = 0
         for k, (g, e) in enumerate(mono):
             route = routes.get(g)
             if route is None:
                 # (index, image) of each derivation that moves g, in
-                # the order of the derivations
-                route = routes[g] = []
+                # their order; a derivation alone keeps its own route
+                route = []
                 for i, d in enumerate(derivations):
-                    img = d._images[g]
-                    if img:
-                        route.append((i, img))
+                    own = d._images[g]
+                    if own:
+                        route.append((i, own[0][1]))
+                routes[g] = route
             if route:
                 coeff = c if e == 1 else c * e
                 # D(g^e) = e D(g) g^(e-1): g commutes with itself
@@ -173,7 +197,7 @@ def apply_many(derivations: Sequence[GeneratorDerivation],
                                 del out[prod]
             if type(e) is int and e & 1:
                 pmask ^= g.mask
-    return list(map(GradedExpr, outs))
+    return outs
 
 
 def combine(name: str, degree: Degree,

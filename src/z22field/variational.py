@@ -7,7 +7,14 @@ built by prolongation the chain rule gives the exact polynomial identity
 
 A sparse exact linear solver certifies invariance by rewriting delta(L)
 as D_t K0 + D_x K1 with zero residual; the conserved current is j = N - K
-with the transformation parameter stripped off the left.
+with the transformation parameter stripped off the left.  The solver
+returns the solution on the greedy column basis in candidate order, free
+columns pinned to zero.  A column with a private row (no other live
+column touches it) is in that basis, and dropping it changes no other
+column's membership, since no combination that uses it keeps that row
+at zero.  So such columns are peeled first, each valued by its private
+row and subtracted from the right side; Gauss-Jordan eliminates only
+the rest.
 
 The on-shell stages `field_equations`, `solved_forms`, `generic_eom_report`
 and `action.auxiliary_solution` (keyed by nothing) and `eliminated_variation`
@@ -22,9 +29,10 @@ potential either.
 from functools import cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .core import (FIELD_BASES, TRIG, GaussianRational, Generator, coord,
-                   field, fjet, pairjet, param, trig, trig_of)
-from .expr import GradedExpr, _mono_sort_token, gexp, scalar
+from .core import (FIELD_BASES, QONE, QZERO, TRIG, GaussianRational,
+                   Generator, coord, field, fjet, pairjet, param, trig,
+                   trig_of)
+from .expr import GradedExpr, _mono_mul, _mono_sort_token, gexp, scalar
 from .derivations import (apply_many, jet_partial, jet_prolongation,
                           solve_linear, total_space, total_t)
 from .superfield import (PARAM_OF, coordinate_variations,
@@ -43,7 +51,6 @@ SYMMETRIES = ("H", "Z", "Q10", "Q01", "L11")
 # time, fermions first
 _TIME_ORDER = {b: 2 if b in BOSONS else 1 for b in DYNAMICAL}
 
-_ONE = GaussianRational(1)
 # on-shell rewriting stops well before this; divergence certificates widen
 # their candidate pool at most this many times
 _ONSHELL_ROUNDS = 200
@@ -117,12 +124,6 @@ def reduce_onshell(e: GradedExpr) -> GradedExpr:
 # exact divergence certificates
 # ----------------------------------------------------------------------
 
-def _mono_expr(mono) -> GradedExpr:
-    # a term key, with or without some powers removed, is canonical: the
-    # ordered product of its factors gives it back
-    return GradedExpr({mono: _ONE})
-
-
 def _traded(mono, i: int, new: Generator,
             drop: Optional[Generator] = None) -> List[tuple]:
     """mono with one power of factor i traded for new and, when drop is
@@ -136,7 +137,8 @@ def _traded(mono, i: int, new: Generator,
             e -= 1
         if e:
             rest.append((g, e))
-    return list((gexp(new) * _mono_expr(tuple(rest))).terms)
+    hit = _mono_mul(((new, 1),), tuple(rest))
+    return [] if hit is None else [hit[1]]
 
 
 def _lowered(mono, which: str) -> List[tuple]:
@@ -159,9 +161,8 @@ def _lowered(mono, which: str) -> List[tuple]:
 
 
 def _raised(mono, which: str) -> List[tuple]:
-    g = coord("t") if which == "t" else coord("x")
-    e = gexp(g) * _mono_expr(mono)
-    return list(e.terms.keys())
+    hit = _mono_mul(((coord(which), 1),), mono)
+    return [] if hit is None else [hit[1]]
 
 
 def _fn_antiderivatives(g: Generator) -> List[Tuple[Generator, str]]:
@@ -184,6 +185,11 @@ def _fn_antiderivatives(g: Generator) -> List[Tuple[Generator, str]]:
     return out
 
 
+# the first-order jet of each chain field, by direction
+_CHAIN_JET = {"t": {wf: field(wf, 1, 0, "x") for wf in ("phi00", "phi11")},
+              "x": {wf: field(wf, 0, 1, "x") for wf in ("phi00", "phi11")}}
+
+
 def _chain_lowered(mono, which: str) -> List[tuple]:
     """Trade one first-order jet factor against a lowered function symbol.
 
@@ -191,8 +197,7 @@ def _chain_lowered(mono, which: str) -> List[tuple]:
     carrying both g and the matching jet admits the candidate with h in
     place of g and one jet power removed.
     """
-    jet_of = {wf: field(wf, 1, 0, "x") if which == "t"
-              else field(wf, 0, 1, "x") for wf in ("phi00", "phi11")}
+    jet_of = _CHAIN_JET[which]
     outs = []
     for i, (g, e) in enumerate(mono):
         for h, wf in _fn_antiderivatives(g):
@@ -203,67 +208,81 @@ def _chain_lowered(mono, which: str) -> List[tuple]:
 
 
 def _solve_sparse(columns: List[dict], rhs: dict) -> Optional[List]:
-    """Exact Gauss-Jordan; free variables pinned to zero.
-
-    Rows are indexed by monomials in canonical order and the first row
-    carrying a column becomes its pivot, so the outcome is deterministic.
-    """
-    universe = set(rhs)
-    for col in columns:
-        universe.update(col)
-    row_list = sorted(universe, key=_mono_sort_token)
-    row_index = {m: k for k, m in enumerate(row_list)}
-
-    table: List[Dict[int, GaussianRational]] = [dict() for _ in row_list]
-    col_rows: List[set] = [set() for _ in columns]
+    """The solution on the greedy column basis, free columns pinned to
+    zero, or None: columns with a private row are peeled off first."""
+    b = dict(rhs)
+    touching: Dict[tuple, set] = {}
     for ci, col in enumerate(columns):
-        for mono, c in col.items():
-            ri = row_index[mono]
-            table[ri][ci] = c
-            col_rows[ci].add(ri)
-    b = [GaussianRational(0)] * len(row_list)
-    for mono, c in rhs.items():
-        b[row_index[mono]] = c
-
-    pivot_of: Dict[int, int] = {}
-    used = set()
-    for ci in range(len(columns)):
-        live = sorted(r for r in col_rows[ci] if r not in used)
-        if not live:
+        for mono in col:
+            touching.setdefault(mono, set()).add(ci)
+    sol = [QZERO] * len(columns)
+    live = set(range(len(columns)))
+    private = [m for m, cis in touching.items() if len(cis) == 1]
+    while private:
+        r = private.pop()
+        if len(touching[r]) != 1:
             continue
-        pr = live[0]
-        used.add(pr)
-        pivot_of[ci] = pr
-        inv = _ONE / table[pr][ci]
-        for cj, v in list(table[pr].items()):
-            table[pr][cj] = v * inv
-        b[pr] = b[pr] * inv
-        for r in list(col_rows[ci]):
-            if r == pr:
-                continue
-            f = table[r].pop(ci)
-            col_rows[ci].discard(r)
-            for cj, v in table[pr].items():
-                if cj == ci:
-                    continue
-                w = table[r].get(cj, GaussianRational(0)) - f * v
-                if not w:
-                    if cj in table[r]:
-                        del table[r][cj]
-                        col_rows[cj].discard(r)
+        ci, = touching[r]
+        live.discard(ci)
+        col = columns[ci]
+        br = b.get(r)
+        if br:
+            x = sol[ci] = br / col[r]
+            for mono, c in col.items():
+                w = b.get(mono, QZERO) - x * c
+                if w:
+                    b[mono] = w
                 else:
-                    table[r][cj] = w
-                    col_rows[cj].add(r)
-            b[r] = b[r] - f * b[pr]
+                    b.pop(mono, None)
+        for mono in col:
+            touching[mono].discard(ci)
+            if len(touching[mono]) == 1:
+                private.append(mono)
+    return _gauss_jordan(columns, sorted(live), b, sol)
 
+
+def _gauss_jordan(columns: List[dict], live: List[int], rhs: dict,
+                  sol: List) -> Optional[List]:
+    """sol with the live columns solved by exact Gauss-Jordan in column
+    order, free ones pinned to zero, or None; a column's pivot is its
+    first unused row in canonical order."""
+    rows: Dict[tuple, Dict[int, GaussianRational]] = {
+        m: {} for m in sorted(set(rhs).union(*(columns[ci] for ci in live)),
+                              key=_mono_sort_token)}
+    for ci in live:
+        for mono, c in columns[ci].items():
+            rows[mono][ci] = c
+    b = {m: rhs.get(m, QZERO) for m in rows}
+    pivots: Dict[tuple, int] = {}
+    for ci in live:
+        pr = next((m for m, row in rows.items()
+                   if ci in row and m not in pivots), None)
+        if pr is None:
+            continue
+        pivots[pr] = ci
+        prow = rows[pr]
+        inv = QONE / prow[ci]
+        for cj in prow:
+            prow[cj] = prow[cj] * inv
+        b[pr] = b[pr] * inv
+        for m, row in rows.items():
+            if m == pr or ci not in row:
+                continue
+            f = row.pop(ci)
+            for cj, v in prow.items():
+                if cj != ci:
+                    w = row.get(cj, QZERO) - f * v
+                    if w:
+                        row[cj] = w
+                    else:
+                        row.pop(cj, None)
+            b[m] = b[m] - f * b[pr]
     # an unpivoted row ties free columns only, which are pinned to zero,
     # so its right side must already be zero
-    if any(b[r] for r in range(len(row_list)) if r not in used):
+    if any(b[m] for m in rows if m not in pivots):
         return None
-
-    sol = [GaussianRational(0)] * len(columns)
-    for ci, pr in pivot_of.items():
-        sol[ci] = b[pr]
+    for m, ci in pivots.items():
+        sol[ci] = b[m]
     return sol
 
 
@@ -272,8 +291,9 @@ def divergence_split(s: GradedExpr) -> Tuple[GradedExpr, GradedExpr]:
 
     Candidate monomials trade one time jet (toward K0) or one space jet
     (toward K1); when explicit coordinates appear, coordinate-raised
-    monomials join the pool.  Free coefficients are pinned to zero, so
-    the certificate is deterministic.
+    monomials join the pool.  Each derivation builds all its columns in
+    one walk.  Free coefficients are pinned to zero, so the certificate
+    is deterministic.
     """
     if not s.terms:
         return GradedExpr.zero(), GradedExpr.zero()
@@ -297,18 +317,12 @@ def divergence_split(s: GradedExpr) -> Tuple[GradedExpr, GradedExpr]:
     for _ in range(_DIVERGENCE_ROUNDS):
         cands0 = sorted(seen0, key=_mono_sort_token)
         cands1 = sorted(seen1, key=_mono_sort_token)
-        cols = [dt(_mono_expr(m)).terms for m in cands0]
-        cols += [dx(_mono_expr(m)).terms for m in cands1]
+        cols = dt.columns(cands0) + dx.columns(cands1)
         sol = _solve_sparse(cols, s.terms)
         if sol is not None:
-            k0 = GradedExpr.zero()
-            k1 = GradedExpr.zero()
-            for c, mono in zip(sol[:len(cands0)], cands0):
-                if c:
-                    k0 = k0 + scalar(c) * _mono_expr(mono)
-            for c, mono in zip(sol[len(cands0):], cands1):
-                if c:
-                    k1 = k1 + scalar(c) * _mono_expr(mono)
+            k0 = GradedExpr({m: c for m, c in zip(cands0, sol) if c})
+            k1 = GradedExpr({m: c for m, c in zip(cands1, sol[len(cands0):])
+                             if c})
             if dt(k0) + dx(k1) != s:
                 raise AssertionError("divergence certificate failed")
             return k0, k1
@@ -370,10 +384,6 @@ def noether(name: str) -> dict:
     }
 
 
-def current_table() -> Dict[str, dict]:
-    return {name: noether(name) for name in SYMMETRIES}
-
-
 def _anchor_scale(engine: GradedExpr,
                   ref: GradedExpr) -> Optional[GaussianRational]:
     for mono, c in ref.sorted_terms():
@@ -403,14 +413,19 @@ def current_comparison() -> Dict[str, dict]:
     The scale is pinned on the first shared monomial; any leftover
     difference must be an improvement term, conserved identically
     off-shell (a trivial law, Olver 4.3), and is reported rather than
-    discarded.  With no shared monomial it fails.
+    discarded.  With no shared monomial it fails, and so does a symmetry
+    with no divergence certificate, whose entry records why.
     """
-    data = current_table()
     refs = reference.reference_currents()
     dt, dx = total_t("x"), total_space("x")
     out: Dict[str, dict] = {}
-    for name, item in data.items():
-        j0, j1 = item["current"]
+    for name in SYMMETRIES:
+        try:
+            j0, j1 = noether(name)["current"]
+        except ValueError as exc:
+            out[name] = {"scale": None, "matches_reference": False,
+                         "conserved": False, "certificate": str(exc)}
+            continue
         scale, (res0, res1) = _scaled_residuals((j0, j1), refs[name])
         div = reduce_onshell(dt(j0) + dx(j1))
         entry = {

@@ -361,6 +361,40 @@ def test_check_currents_fails_on_a_wrong_reference_current(monkeypatch,
     assert json.loads(capsys.readouterr().out)["ok"] is False
 
 
+def test_check_currents_reports_a_failed_certificate(monkeypatch, capsys):
+    # doubling the phi00 image before prolongation keeps the chain-rule
+    # identity but leaves delta_H(L) with no exact divergence form
+    from z22field import variational
+    from z22field.action import auxiliary_jets
+    from z22field.superfield import prolonged_derivation, variation_table
+    real = variational.eliminated_variation
+
+    def broken(name):
+        if name != "H":
+            return real(name)
+        table = variation_table("H", "x")
+        mapping = auxiliary_jets(table.values())
+        table = {b: e.substitute(mapping) for b, e in table.items()
+                 if b not in variational.AUXILIARY}
+        table["phi00"] = GradedExpr.const(2) * table["phi00"]
+        return prolonged_derivation(table, "x", "delta_H[doubled]")
+
+    monkeypatch.setattr(variational, "eliminated_variation", broken)
+    assert main(["check-currents", "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    doc = json.loads(captured.out)
+    assert doc["ok"] is False
+    report = doc["report"]
+    assert report["invariance"]["H"]["ok"] is False
+    assert report["currents"]["H"] == {
+        "scale": None, "matches_reference": False, "conserved": False,
+        "certificate": "no exact divergence form found"}
+    for name in ("Z", "Q10", "Q01", "L11"):
+        assert report["invariance"][name]["ok"] is True
+        assert report["currents"][name]["conserved"] is True
+
+
 def test_check_potential_reports_the_pair_constraint(capsys):
     rc = main(["check-potential", "--potential", "poly:0,0,1/2",
                "--format", "json"])

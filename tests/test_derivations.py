@@ -253,18 +253,26 @@ def _assert_walk_matches(calls):
 
 def _euler_lagrange_calls(lag, monkeypatch):
     """(derivation, expression, result) of every derivation that enters a
-    walk while euler_lagrange runs; `apply` enters through the walk too."""
+    walk while euler_lagrange runs: the routed walk of `apply_many` and
+    the one-derivation walk of `apply`."""
     calls = []
     original = derivations.apply_many
+    original_apply = GeneratorDerivation.apply
 
     def recording(ders, expr):
         outs = original(ders, expr)
         calls.extend(zip(ders, [expr] * len(ders), outs))
         return outs
 
+    def recording_apply(d, expr):
+        out = original_apply(d, expr)
+        calls.append((d, expr, out))
+        return out
+
     with monkeypatch.context() as m:
         m.setattr(derivations, "apply_many", recording)
         m.setattr(variational, "apply_many", recording)
+        m.setattr(GeneratorDerivation, "apply", recording_apply)
         euler_lagrange(lag)
     return calls
 
@@ -321,6 +329,16 @@ def test_a_walk_matches_each_derivation_alone(expr, ders):
     outs = derivations.apply_many(ders, expr)
     assert len(outs) == len(ders)
     _assert_walk_matches(zip(ders, [expr] * len(ders), outs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_exprs, st.sampled_from(_FIRST_ORDER_PARTIALS
+                               + [total_t("x"), total_space("x")]))
+def test_columns_match_the_three_product_form(expr, d):
+    monos = list(expr.terms)
+    want = [list(_three_product_apply(d, GradedExpr({m: QONE})).terms.items())
+            for m in monos]
+    assert [list(col.items()) for col in d.columns(monos)] == want
 
 
 @pytest.mark.parametrize("name", SYMMETRIES)

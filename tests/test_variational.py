@@ -4,15 +4,19 @@ import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from z22field import variational
 from z22field import (GradedExpr, coord, field, gexp, param,
                       parse_potential, scalar)
-from z22field.core import TRIG, GaussianRational, QI, fjet, pairjet, trig
+from z22field.core import (TRIG, GaussianRational, QI, QONE, QZERO, fjet,
+                           pairjet, trig)
+from z22field.expr import _mono_sort_token
 from z22field.derivations import fn_field_derivative, total_space, total_t
 from z22field.potential import specialize_potential
 from z22field.action import auxiliary_solution, lagrangian
 from z22field.variational import (DYNAMICAL, SYMMETRIES, _fn_antiderivatives,
-                                  _mono_expr,
+                                  _solve_sparse,
                                   current_comparison,
                                   divergence_split, euler_lagrange,
                                   field_equations,
@@ -173,6 +177,211 @@ def test_divergence_split_rejects_non_divergence(s):
         divergence_split(s)
 
 
+def _reference_solve_sparse(columns, rhs):
+    """Plain exact Gauss-Jordan over every column, free variables pinned
+    to zero: the solver as it stood before columns with a private row
+    were peeled off first."""
+    universe = set(rhs)
+    for col in columns:
+        universe.update(col)
+    row_list = sorted(universe, key=_mono_sort_token)
+    row_index = {m: k for k, m in enumerate(row_list)}
+
+    table = [dict() for _ in row_list]
+    col_rows = [set() for _ in columns]
+    for ci, col in enumerate(columns):
+        for mono, c in col.items():
+            ri = row_index[mono]
+            table[ri][ci] = c
+            col_rows[ci].add(ri)
+    b = [QZERO] * len(row_list)
+    for mono, c in rhs.items():
+        b[row_index[mono]] = c
+
+    pivot_of = {}
+    used = set()
+    for ci in range(len(columns)):
+        live = sorted(r for r in col_rows[ci] if r not in used)
+        if not live:
+            continue
+        pr = live[0]
+        used.add(pr)
+        pivot_of[ci] = pr
+        inv = QONE / table[pr][ci]
+        for cj, v in list(table[pr].items()):
+            table[pr][cj] = v * inv
+        b[pr] = b[pr] * inv
+        for r in list(col_rows[ci]):
+            if r == pr:
+                continue
+            f = table[r].pop(ci)
+            col_rows[ci].discard(r)
+            for cj, v in table[pr].items():
+                if cj == ci:
+                    continue
+                w = table[r].get(cj, QZERO) - f * v
+                if not w:
+                    if cj in table[r]:
+                        del table[r][cj]
+                        col_rows[cj].discard(r)
+                else:
+                    table[r][cj] = w
+                    col_rows[cj].add(r)
+            b[r] = b[r] - f * b[pr]
+
+    if any(b[r] for r in range(len(row_list)) if r not in used):
+        return None
+    sol = [QZERO] * len(columns)
+    for ci, pr in pivot_of.items():
+        sol[ci] = b[pr]
+    return sol
+
+
+_ROWS = [((field("phi00", 0, 0, "x"), k),) for k in range(1, 9)]
+_gaussian = st.builds(GaussianRational, st.integers(-3, 3),
+                      st.integers(-3, 3))
+_nonzero = _gaussian.filter(bool)
+
+
+def _combination(cols, coeffs):
+    out = {}
+    for col, a in zip(cols, coeffs):
+        for mono, c in col.items():
+            w = out.get(mono, QZERO) + a * c
+            if w:
+                out[mono] = w
+            else:
+                out.pop(mono, None)
+    return out
+
+
+@st.composite
+def _systems(draw):
+    """Sparse systems over Q(i) whose columns are fresh, duplicates of
+    earlier ones or combinations of two earlier ones, with a right side
+    in the column span or drawn freely (often inconsistent)."""
+    rows = _ROWS[:draw(st.integers(1, len(_ROWS)))]
+
+    def fresh():
+        picks = draw(st.lists(st.sampled_from(rows), unique=True,
+                              max_size=len(rows)))
+        return {r: draw(_nonzero) for r in picks}
+
+    cols = []
+    for _ in range(draw(st.integers(0, 9))):
+        kind = draw(st.sampled_from(("fresh", "fresh", "copy", "combo")))
+        if kind == "fresh" or not cols:
+            cols.append(fresh())
+        elif kind == "copy":
+            cols.append(dict(draw(st.sampled_from(cols))))
+        else:
+            pair = draw(st.lists(st.sampled_from(cols), min_size=2,
+                                 max_size=2))
+            cols.append(_combination(pair, [draw(_nonzero), draw(_nonzero)]))
+    if cols and draw(st.booleans()):
+        rhs = _combination(cols, [draw(_gaussian) for _ in cols])
+    else:
+        rhs = fresh()
+    return cols, rhs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_systems())
+def test_peeling_returns_the_gauss_jordan_solution(system):
+    cols, rhs = system
+    want = _reference_solve_sparse(cols, rhs)
+    got = _solve_sparse(cols, rhs)
+    assert got == want
+    if got is not None:
+        assert _combination(cols, got) == rhs
+
+
+def test_a_private_row_is_peeled_off_before_elimination(monkeypatch):
+    # phi^1 is private to column 0 and phi^3 to column 2; the duplicate
+    # columns 1 and 3 share phi^2 and reach elimination, where the second
+    # copy is pinned to zero
+    r1, r2, r3 = _ROWS[:3]
+    two = GaussianRational(2)
+    cols = [{r1: two, r2: QONE}, {r2: QONE}, {r3: QI, r2: QONE}, {r2: QONE}]
+    rhs = {r1: QONE, r2: QONE, r3: QI}
+    sent = []
+    real = variational._gauss_jordan
+    monkeypatch.setattr(variational, "_gauss_jordan",
+                        lambda c, live, b, sol: sent.append(list(live))
+                        or real(c, live, b, sol))
+    got = _solve_sparse(cols, rhs)
+    assert got == _reference_solve_sparse(cols, rhs)
+    assert got == [GaussianRational(Fraction(1, 2)), GaussianRational(
+        Fraction(-1, 2)), QONE, QZERO]
+    assert sent == [[1, 3]]
+
+
+_K_GENS = ([field(b, m, n, "x") for b in ("phi00", "phi11", "psi10", "lam10")
+            for m, n in ((0, 0), (1, 0), (0, 1))]
+           + [trig(h) for h in ("S00", "C00", "S11", "C11")]
+           + [coord("t"), coord("x")])
+_k_terms = st.tuples(st.builds(GaussianRational, st.integers(-2, 2),
+                               st.integers(-2, 2)),
+                     st.lists(st.sampled_from(_K_GENS), min_size=1,
+                              max_size=3))
+_k_exprs = st.lists(_k_terms, max_size=3).map(
+    lambda ts: sum((scalar(c) * _product(gs) for c, gs in ts),
+                   GradedExpr.zero()))
+
+
+def _product(gens):
+    out = scalar(1)
+    for g in gens:
+        out = out * gexp(g)
+    return out
+
+
+def _split_terms(s):
+    try:
+        k0, k1 = divergence_split(s)
+    except ValueError as exc:
+        return str(exc)
+    return list(k0.terms.items()), list(k1.terms.items())
+
+
+@settings(max_examples=40, deadline=None)
+@given(_k_exprs, _k_exprs)
+def test_divergence_split_is_the_gauss_jordan_certificate(k0, k1):
+    s = total_t("x")(k0) + total_space("x")(k1)
+    got = _split_terms(s)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(variational, "_solve_sparse", _reference_solve_sparse)
+        want = _split_terms(s)
+    assert got == want
+
+
+def test_columns_reaching_elimination_are_pinned(monkeypatch):
+    # the work the peeling leaves to Gauss-Jordan, counted without timing:
+    # a regression to eliminating every column fails here
+    real = variational._gauss_jordan
+    counts = []
+
+    def counted(cols, live, b, sol):
+        counts[-1][1] = len(live)
+        return real(cols, live, b, sol)
+
+    def solve(cols, rhs):
+        counts.append([len(cols), None])
+        return _solve_sparse(cols, rhs)
+
+    monkeypatch.setattr(variational, "_gauss_jordan", counted)
+    monkeypatch.setattr(variational, "_solve_sparse", solve)
+    for eliminate, total, l11 in ((True, 359, 222), (False, 383, 238)):
+        counts.clear()
+        rep = invariance_report(eliminate=eliminate)
+        assert all(e["ok"] for e in rep.values())
+        # one solve per symmetry, L11's last; L11 is peeled whole
+        assert len(counts) == len(SYMMETRIES)
+        assert sum(n for n, _ in counts) == total
+        assert sum(k for _, k in counts) == 32
+        assert counts[-1] == [l11, 0]
+
+
 # ----------------------------------------------------------------------
 # conserved currents
 # ----------------------------------------------------------------------
@@ -228,7 +437,7 @@ def test_term_keys_are_their_own_factor_products():
         prod = scalar(1)
         for g, e in mono:
             prod = prod * gexp(g, e)
-        assert _mono_expr(mono) == prod, mono
+        assert GradedExpr({mono: QONE}) == prod, mono
 
 
 # ----------------------------------------------------------------------
