@@ -589,3 +589,20 @@ def test_trig_output_matches_its_pinned_digest(command):
     assert list(pinned) == list(TRIG_ARGV)
     stdout = _cold_cli_stdout(TRIG_ARGV[command])
     assert hashlib.sha256(stdout).hexdigest() == pinned[command]
+
+
+# check-currents with the invariance certificates of the generic
+# (pair-symbol) Lagrangian, which the certify list does not run; the same
+# argv writes `currents-out/` in CI.
+CURRENTS_ARGV = {
+    "check-currents-generic": ["check-currents", "--generic",
+                               "--format", "json"],
+}
+
+
+@pytest.mark.parametrize("command", list(CURRENTS_ARGV))
+def test_currents_output_matches_its_pinned_digest(command):
+    pinned = _pinned_digests("currents_outputs.sha256")
+    assert list(pinned) == list(CURRENTS_ARGV)
+    stdout = _cold_cli_stdout(CURRENTS_ARGV[command])
+    assert hashlib.sha256(stdout).hexdigest() == pinned[command]
