@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from typing import Dict, Iterable, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
 
 from .core import (DEG00, Degree, GaussianRational, Generator, QI, coord,
                    field, pairjet, param)
@@ -30,8 +30,12 @@ from .derivations import (apply_many, combine, jet_partial, jet_prolongation,
                           partial_coord, partial_z, solve_linear,
                           superspace_operators, total_space, total_t)
 from .expr import GradedExpr, gexp, scalar
-from .potential import FunctionSymbol, specialize_potential, superspace_potential
 from .superfield import stage_map, superfield
+
+# the functions that use `potential` import it, so a check that calls
+# none of them (verify-algebra) never loads it
+if TYPE_CHECKING:
+    from .potential import FunctionSymbol
 
 _i = scalar(QI)
 _half = scalar(Fraction(1, 2))
@@ -61,6 +65,7 @@ def kinetic_slots() -> Tuple[GradedExpr, GradedExpr]:
 
 
 def interaction_slots() -> Tuple[GradedExpr, GradedExpr]:
+    from .potential import superspace_potential
     return theta_z_slots(superspace_potential())
 
 
@@ -70,6 +75,7 @@ def measure_factor() -> GradedExpr:
 
 
 def superspace_integrand() -> GradedExpr:
+    from .potential import superspace_potential
     d10phi, d01phi = covariant_pair()
     block = d10phi * d01phi + gexp(param("alpha")) * superspace_potential()
     return measure_factor() * block
@@ -116,7 +122,10 @@ def lagrangian(V: Optional[FunctionSymbol] = None,
     tower, eliminate removes the auxiliary pair by its field equations.
     """
     lag = _component_lagrangian(bool(eliminate))
-    return lag if V is None else specialize_potential(lag, V)
+    if V is not None:
+        from .potential import specialize_potential
+        lag = specialize_potential(lag, V)
+    return lag
 
 
 @cache

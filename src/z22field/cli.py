@@ -21,7 +21,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .core import GaussianRational, pairjet
 from .expr import GradedExpr
-from . import serialize
 
 FORMATS = ("json", "latex", "text", "csv")
 
@@ -33,7 +32,10 @@ FORMATS = ("json", "latex", "text", "csv")
 def _plain(obj, fmt: str = "text"):
     """Recursively convert a report payload to json-safe data."""
     if isinstance(obj, GradedExpr):
-        return serialize.latex(obj) if fmt == "latex" else str(obj)
+        if fmt == "latex":
+            from .serialize import latex
+            return latex(obj)
+        return str(obj)
     if isinstance(obj, GaussianRational):
         return str(obj)
     if isinstance(obj, Fraction):
@@ -482,7 +484,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "derive-lagrangian" and args.format in (
                 "latex", "text"):
             lag = payload["lagrangian"]
-            print(serialize.latex(lag) if args.format == "latex" else lag)
+            if args.format == "latex":
+                from .serialize import latex
+                lag = latex(lag)
+            print(lag)
         else:
             _emit_report(ok, payload, args.format, sys.stdout)
         return 0 if ok else 1

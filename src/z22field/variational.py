@@ -19,14 +19,16 @@ the rest.
 The on-shell stages `field_equations`, `solved_forms`, `generic_eom_report`
 and `action.auxiliary_solution` (keyed by nothing) and `eliminated_variation`
 (keyed by symmetry name) are memoised with functools.cache and shared, so no
-caller mutates them.  No memo is keyed by an expression: reductions and
-certificates take any input, and such a memo would grow without bound.
+caller mutates them.  Reductions take any input and keep no memo.  The
+divergence certificates keep one bounded by the number of symmetries,
+keyed by the canonical term set: `noether` reads back the certificates
+`invariance_report` built, and a stream of other inputs only evicts.
 The worked examples specialise `field_equations()` to a potential with
 `potential.specialize_potential`, unmemoised: no memo is keyed by a
 potential either.
 """
 
-from functools import cache
+from functools import cache, lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import (FIELD_BASES, QONE, QZERO, TRIG, GaussianRational,
@@ -39,7 +41,6 @@ from .superfield import (PARAM_OF, coordinate_variations,
                          prolonged_derivation, variation_table,
                          variation_derivation)
 from .action import auxiliary_jets, lagrangian
-from .potential import parse_potential, specialize_potential
 from . import reference
 
 BOSONS = ("phi00", "phi11")
@@ -141,25 +142,6 @@ def _traded(mono, i: int, new: Generator,
     return [] if hit is None else [hit[1]]
 
 
-def _lowered(mono, which: str) -> List[tuple]:
-    """Monomials obtained by trading one jet derivative of one factor."""
-    outs = []
-    for i, (g, e) in enumerate(mono):
-        if g.kind != "field" or g.space != "x":
-            continue
-        m, n = g.jet
-        if which == "t":
-            if m == 0:
-                continue
-            low = field(g.base, m - 1, n, "x")
-        else:
-            if n == 0:
-                continue
-            low = field(g.base, m, n - 1, "x")
-        outs.extend(_traded(mono, i, low))
-    return outs
-
-
 def _raised(mono, which: str) -> List[tuple]:
     hit = _mono_mul(((coord(which), 1),), mono)
     return [] if hit is None else [hit[1]]
@@ -185,26 +167,9 @@ def _fn_antiderivatives(g: Generator) -> List[Tuple[Generator, str]]:
     return out
 
 
-# the first-order jet of each chain field, by direction
-_CHAIN_JET = {"t": {wf: field(wf, 1, 0, "x") for wf in ("phi00", "phi11")},
-              "x": {wf: field(wf, 0, 1, "x") for wf in ("phi00", "phi11")}}
-
-
-def _chain_lowered(mono, which: str) -> List[tuple]:
-    """Trade one first-order jet factor against a lowered function symbol.
-
-    Inverts the chain rule: D(h) contributes g * jet, so a monomial
-    carrying both g and the matching jet admits the candidate with h in
-    place of g and one jet power removed.
-    """
-    jet_of = _CHAIN_JET[which]
-    outs = []
-    for i, (g, e) in enumerate(mono):
-        for h, wf in _fn_antiderivatives(g):
-            jg = jet_of[wf]
-            if any(gg is jg for gg, _ in mono):
-                outs.extend(_traded(mono, i, h, jg))
-    return outs
+# the first-order jets of each chain field, toward K0 and toward K1
+_CHAIN_JETS = {wf: (field(wf, 1, 0, "x"), field(wf, 0, 1, "x"))
+               for wf in ("phi00", "phi11")}
 
 
 def _solve_sparse(columns: List[dict], rhs: dict) -> Optional[List]:
@@ -289,34 +254,59 @@ def _gauss_jordan(columns: List[dict], live: List[int], rhs: dict,
 def divergence_split(s: GradedExpr) -> Tuple[GradedExpr, GradedExpr]:
     """Write s = D_t K0 + D_x K1 exactly, raising if no form exists.
 
-    Candidate monomials trade one time jet (toward K0) or one space jet
-    (toward K1); when explicit coordinates appear, coordinate-raised
-    monomials join the pool.  Each derivation builds all its columns in
-    one walk.  Free coefficients are pinned to zero, so the certificate
-    is deterministic.
+    Certificates are memoised by the canonical term set of s, in a memo
+    bounded at one entry per symmetry: `noether` asks again for the ones
+    `invariance_report` built.  A failure is never stored, so it raises
+    on every call.
     """
     if not s.terms:
         return GradedExpr.zero(), GradedExpr.zero()
+    return _solved_split(frozenset(s.terms.items()))
+
+
+@lru_cache(maxsize=len(SYMMETRIES))
+def _solved_split(terms: frozenset) -> Tuple[GradedExpr, GradedExpr]:
+    """The certificate of the expression with these terms, checked.
+
+    Candidate monomials trade one time jet (toward K0) or one space jet
+    (toward K1), or invert the chain rule: D(h) contributes g * jet, so a
+    monomial carrying g and the matching first-order jet admits h in
+    place of g with one jet power removed.  When explicit coordinates
+    appear, coordinate-raised monomials join the pool.  One walk of each
+    monomial emits both directions; each derivation builds all its
+    columns in one walk.  Free coefficients are pinned to zero, so the
+    certificate is deterministic.
+    """
+    s = GradedExpr(dict(terms))
     dt, dx = total_t("x"), total_space("x")
     tgen, xgen = coord("t"), coord("x")
     has_coord = any(g is tgen or g is xgen for g in s.generators())
 
-    seen0: Dict[tuple, None] = {}
-    seen1: Dict[tuple, None] = {}
+    seen = (set(), set())   # K0 and K1 candidates, sorted before use
 
     def extend(monos) -> None:
         for mono in monos:
-            for which, seen in (("t", seen0), ("x", seen1)):
-                for mm in _lowered(mono, which) + _chain_lowered(mono, which):
-                    seen.setdefault(mm)
-                if has_coord:
-                    for mm in _raised(mono, which):
-                        seen.setdefault(mm)
+            for i, (g, _) in enumerate(mono):
+                if g.kind == "field" and g.space == "x":
+                    m, n = g.jet
+                    if m:
+                        seen[0].update(_traded(
+                            mono, i, field(g.base, m - 1, n, "x")))
+                    if n:
+                        seen[1].update(_traded(
+                            mono, i, field(g.base, m, n - 1, "x")))
+                for h, wf in _fn_antiderivatives(g):
+                    for pool, jg in zip(seen, _CHAIN_JETS[wf]):
+                        if any(gg is jg for gg, _ in mono):
+                            pool.update(_traded(mono, i, h, jg))
+            if has_coord:
+                for pool, which in zip(seen, "tx"):
+                    pool.update(_raised(mono, which))
 
-    extend(sorted(s.terms.keys(), key=_mono_sort_token))
+    extend(s.terms)
     for _ in range(_DIVERGENCE_ROUNDS):
-        cands0 = sorted(seen0, key=_mono_sort_token)
-        cands1 = sorted(seen1, key=_mono_sort_token)
+        cands0 = sorted(seen[0], key=_mono_sort_token)
+        cands1 = sorted(seen[1], key=_mono_sort_token)
         cols = dt.columns(cands0) + dx.columns(cands1)
         sol = _solve_sparse(cols, s.terms)
         if sol is not None:
@@ -326,10 +316,7 @@ def divergence_split(s: GradedExpr) -> Tuple[GradedExpr, GradedExpr]:
             if dt(k0) + dx(k1) != s:
                 raise AssertionError("divergence certificate failed")
             return k0, k1
-        produced = set()
-        for col in cols:
-            produced.update(col.keys())
-        extend(sorted(produced, key=_mono_sort_token))
+        extend({mono for col in cols for mono in col})
     raise ValueError("no exact divergence form found")
 
 
@@ -493,6 +480,7 @@ def eom_comparison(engine: Dict[str, GradedExpr],
 def _specialized_equations(spec: str) -> Dict[str, GradedExpr]:
     """Field equations with the pair symbols of a parsed potential spec in
     closed form; not memoised, since no memo is keyed by a potential."""
+    from .potential import parse_potential, specialize_potential
     V = parse_potential(spec)
     return {b: specialize_potential(e, V)
             for b, e in field_equations().items()}

@@ -348,7 +348,10 @@ def _split_terms(s):
 @given(_k_exprs, _k_exprs)
 def test_divergence_split_is_the_gauss_jordan_certificate(k0, k1):
     s = total_t("x")(k0) + total_space("x")(k1)
+    # each pass solves afresh, so the memo is never compared with itself
+    variational._solved_split.cache_clear()
     got = _split_terms(s)
+    variational._solved_split.cache_clear()
     with pytest.MonkeyPatch.context() as m:
         m.setattr(variational, "_solve_sparse", _reference_solve_sparse)
         want = _split_terms(s)
@@ -373,6 +376,7 @@ def test_columns_reaching_elimination_are_pinned(monkeypatch):
     monkeypatch.setattr(variational, "_solve_sparse", solve)
     for eliminate, total, l11 in ((True, 359, 222), (False, 383, 238)):
         counts.clear()
+        variational._solved_split.cache_clear()
         rep = invariance_report(eliminate=eliminate)
         assert all(e["ok"] for e in rep.values())
         # one solve per symmetry, L11's last; L11 is peeled whole
@@ -380,6 +384,59 @@ def test_columns_reaching_elimination_are_pinned(monkeypatch):
         assert sum(n for n, _ in counts) == total
         assert sum(k for _, k in counts) == 32
         assert counts[-1] == [l11, 0]
+
+
+def _count_splits(monkeypatch):
+    """Calls of divergence_split and solves of _solve_sparse, from now."""
+    counts = {"calls": 0, "solves": 0}
+    real_split, real_solve = divergence_split, _solve_sparse
+
+    def split(s):
+        counts["calls"] += 1
+        return real_split(s)
+
+    def solve(cols, rhs):
+        counts["solves"] += 1
+        return real_solve(cols, rhs)
+
+    monkeypatch.setattr(variational, "divergence_split", split)
+    monkeypatch.setattr(variational, "_solve_sparse", solve)
+    return counts
+
+
+def test_check_currents_solves_each_certificate_once(monkeypatch, capsys):
+    from z22field.cli import main
+    variational._solved_split.cache_clear()
+    counts = _count_splits(monkeypatch)
+    assert main(["check-currents", "--format", "json"]) == 0
+    capsys.readouterr()
+    # invariance_report and noether each ask for the five certificates;
+    # the second asks are memo hits
+    assert counts == {"calls": 10, "solves": 5}
+
+
+def test_a_failed_split_is_not_memoised(monkeypatch):
+    s = _f("phi00", 1, 0) * _f("phi11")
+    counts = _count_splits(monkeypatch)
+    solves = []
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            variational.divergence_split(s)
+        solves.append(counts["solves"])
+    # the second call runs the whole search again
+    assert solves[0] > 0 and solves[1] == 2 * solves[0]
+
+
+def test_the_certificate_memo_is_bounded_by_the_symmetries():
+    variational._solved_split.cache_clear()
+    dt = total_t("x")
+    for k in range(len(SYMMETRIES) + 1):
+        s = dt(_f("phi00", 0, k) * _f("phi11"))
+        r0, r1 = divergence_split(s)
+        assert dt(r0) + total_space("x")(r1) == s
+    info = variational._solved_split.cache_info()
+    assert info.misses == len(SYMMETRIES) + 1
+    assert info.currsize == len(SYMMETRIES)
 
 
 # ----------------------------------------------------------------------
