@@ -205,26 +205,16 @@ def run_verify_dmodule(args) -> Tuple[bool, dict]:
 def run_check_examples(args) -> Tuple[bool, dict]:
     from .variational import (generic_eom_report, quadratic_eom_report,
                               sine_gordon_reduction, trig_eom_report)
-    gen = generic_eom_report()
-    quad = quadratic_eom_report()
-    trig = trig_eom_report()
-    sg = sine_gordon_reduction()
-    payload = {
-        "generic": {b: {"scale": e["scale"], "exact": e["exact"]}
-                    for b, e in gen.items()},
-        "quadratic": {b: {"scale": e["scale"], "exact": e["exact"]}
-                      for b, e in quad.items()},
-        "trigonometric": {b: {"scale": e["scale"], "exact": e["exact"],
-                              "residual_fermionic": e["residual_fermionic"]}
-                          for b, e in trig.items()},
-        "sine_gordon": {b: {"scale": e["scale"], "exact": e["exact"]}
-                        for b, e in sg.items()},
-    }
-    ok = (all(e["exact"] for e in gen.values())
-          and all(e["exact"] for e in quad.values())
-          and all(e["exact"] or e["residual_fermionic"]
-                  for e in trig.values())
-          and all(e["exact"] for e in sg.values()))
+    sections = {"generic": generic_eom_report(),
+                "quadratic": quadratic_eom_report(),
+                "trigonometric": trig_eom_report(),
+                "sine_gordon": sine_gordon_reduction()}
+    payload = {sec: {b: {k: v for k, v in e.items() if k != "residual"}
+                     for b, e in rows.items()}
+               for sec, rows in sections.items()}
+    # a trigonometric row may miss only by its fermion terms
+    ok = all(e["exact"] or e.get("residual_fermionic", False)
+             for rows in payload.values() for e in rows.values())
     return ok, payload
 
 

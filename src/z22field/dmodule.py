@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Tuple
 from .core import GaussianRational, Degree, coord, field, param, parity
 from .expr import GradedExpr, gexp, scalar
 from .derivations import OP_DEGREE, bracket_value
-from .superfield import PARAM_OF, variation_table
+from .superfield import PARAM_OF, VAR_NAMES, variation_table
 from .reference import MULTIPLET, matrix_realization_data
 
 Word = Tuple[int, int, int, int]  # t-power, x-power, dt-power, dx-power
@@ -194,7 +194,7 @@ def matrices_from_tables() -> Dict[str, MatrixOp]:
     """
     t, x = coord("t"), coord("x")
     out: Dict[str, MatrixOp] = {}
-    for name in ("H", "Z", "Q10", "Q01", "L11"):
+    for name in VAR_NAMES:
         eps = param(PARAM_OF[name])
         table = variation_table(name, "x")
         entries: Dict[Tuple[int, int], Dict[Word, GaussianRational]] = {}
@@ -264,10 +264,9 @@ def matrix_comparison_report() -> Dict[str, dict]:
 def verify_matrix_relations(mats: Dict[str, MatrixOp]
                             ) -> Dict[Tuple[str, str], bool]:
     """Close every ordered pair against the structure constants."""
-    names = ("H", "Z", "Q10", "Q01", "L11")
     out: Dict[Tuple[str, str], bool] = {}
-    for i, a in enumerate(names):
-        for b in names[i:]:
+    for i, a in enumerate(VAR_NAMES):
+        for b in VAR_NAMES[i:]:
             lhs = mats[a].bracket(mats[b])
             rhs = MatrixOp({}, lhs.degree)
             for c, target in bracket_value(a, b):

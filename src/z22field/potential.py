@@ -259,18 +259,15 @@ def potential_components(V: FunctionSymbol, stage: str = "x",
                          truncation_order: int = 4) -> PotentialPair:
     """Slot functions of V at the requested stage.
 
-    Polynomials and trig potentials come back in closed form; the trig
-    closed form is accepted only after a term-by-term comparison with
-    the defining series at the requested order.
+    Every kind comes back in closed form (`abstract` as its own pair
+    symbols); the trig closed form is accepted only after a term-by-term
+    comparison with the defining series at the requested order.
     """
     if stage not in ("y", "x"):
         raise ValueError(f"unknown stage {stage!r}")
     if truncation_order < 0:
         raise ValueError("truncation_order must be >= 0")
     p00, p11 = pairjet(1, 0, stage), pairjet(1, 1, stage)
-    if V.kind == "abstract":
-        return PotentialPair(gexp(p00), gexp(p11), stage, truncation_order,
-                             True)
     v00 = specialize_potential(gexp(p00), V)
     v11 = specialize_potential(gexp(p11), V)
     if V.kind in _TRIG_KINDS:
@@ -298,8 +295,7 @@ def series_pair(V: FunctionSymbol, stage: str = "x",
         raise ValueError(f"unknown stage {stage!r}")
     if truncation_order < 0:
         raise ValueError("truncation_order must be >= 0")
-    fsub = None if V.kind == "abstract" else (
-        lambda k: V.derivative(k, stage))
+    fsub = lambda k: V.derivative(k, stage)
     v00 = pair_series(1, 0, stage, truncation_order, fsub=fsub)
     v11 = pair_series(1, 1, stage, truncation_order, fsub=fsub)
     return PotentialPair(v00, v11, stage, truncation_order, False)

@@ -531,7 +531,6 @@ def _gr(re=0, im=0) -> GaussianRational:
 
 def matrix_realization_data() -> Dict[str, Dict[Tuple[int, int], List]]:
     """Printed matrices as {(row, col): [(coeff, word), ...]}, 0-indexed."""
-    i = Fraction(1)
     h = {(k, k): [(_gr(0, Fraction(1, 2)), _DT)] for k in range(8)}
 
     z = {
@@ -575,5 +574,4 @@ def matrix_realization_data() -> Dict[str, Dict[Tuple[int, int], List]]:
         (6, 4): [(_gr(half), _ID)], (6, 5): list(boost),
         (7, 4): list(nboost), (7, 5): [(_gr(-half), _ID)],
     }
-    del i
     return {"H": h, "Z": z, "Q10": q10, "Q01": q01, "L11": l11}

@@ -28,8 +28,9 @@ rounding from a running sum.
 
 `total_energy` is the scheme's own discrete energy, which the update
 conserves up to a bounded oscillation, and `SimConfig` refuses a time
-step past the Verlet stability bound dt^2 (4/dx^2 + alpha^2) < 4, and
-a t_end that `run` could not reach in whole steps of dt.
+step past the Verlet stability bound dt^2 (4/dx^2 + alpha^2) < 4, a
+t_end that `run` could not reach in whole steps of dt or only in more
+than MAX_STEPS of them, and a profile parameter its profile never reads.
 """
 
 import math
@@ -39,10 +40,16 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 BOUNDARIES = ("periodic", "fixed")
-PROFILES = ("zero", "kink", "gaussian", "two-field-kink")
+# each initial profile and the parameters `init_profile` reads for it
+PROFILES = {"zero": (), "kink": ("v", "x0"),
+            "gaussian": ("amplitude", "width", "x0"),
+            "two-field-kink": ("v", "x0")}
 
 # largest grid SimConfig accepts: 10^7 sites is 80 MB per field array
 MAX_SITES = 10 ** 7
+# longest run SimConfig accepts: `run` records two Python floats per step,
+# about 64 bytes, so 10^6 steps hold 64 MB of trajectory
+MAX_STEPS = 10 ** 6
 # the 3-point stencil needs a site and both its neighbours
 MIN_SITES = 3
 
@@ -77,12 +84,18 @@ class SimConfig:
             raise ValueError(f"t_end must not be negative, got {self.t_end}")
         # Verlet is stable while dt^2 k < 4 for every frequency^2 k of the
         # linearised force; k < 4/dx^2 + alpha^2, as the potential curves
-        # by at most alpha^2
+        # by at most alpha^2; a term is squared only when it is below 2, so
+        # the squares cannot overflow
         dt, dx = self.dt, self.dx
-        if not (2.0 * dt / dx) ** 2 + (self.alpha * dt) ** 2 < 4.0:
+        r, a = 2.0 * dt / dx, abs(self.alpha * dt)
+        if not (r < 2.0 and a < 2.0 and r ** 2 + a ** 2 < 4.0):
             raise ValueError(
                 f"dt={dt} is unstable: Verlet needs dt^2 (4/dx^2 + "
                 f"alpha^2) < 4, here dx={dx} and alpha={self.alpha}")
+        if self.t_end / dt > MAX_STEPS:
+            raise ValueError(
+                f"t_end={self.t_end} at dt={dt} is {self.t_end / dt:.3g} "
+                f"steps, more than the {MAX_STEPS} allowed")
         steps = round(self.t_end / dt)
         if abs(steps * dt - self.t_end) > 1e-9 * self.t_end:
             raise ValueError(
@@ -106,6 +119,12 @@ class SimConfig:
                 f"needs")
         if self.initial not in PROFILES:
             raise ValueError(f"unknown profile {self.initial!r}")
+        reads = PROFILES[self.initial]
+        for name in self.params:
+            if name not in reads:
+                raise ValueError(
+                    f"profile {self.initial!r} reads no parameter "
+                    f"{name!r}; it reads {', '.join(reads) or 'none'}")
 
 
 def _half(a: np.ndarray) -> np.ndarray:

@@ -79,22 +79,12 @@ def split_components(E: GradedExpr) -> Dict[str, GradedExpr]:
     linearly (variations), returning the eight slot coefficients.
     """
     d10 = partial_coord("th10")
-    d01 = partial_coord("th01")
-    zc = coord("z")
+    e01 = partial_coord("th01").apply(E)
     minus_i = scalar(GaussianRational(0, -1))
-
-    body = E.restrict_theta()
-    c_phi00, c_phi11 = body.split_gen(zc)
-
-    t10 = d10.apply(E).restrict_theta()
-    a10, b10 = t10.split_gen(zc)
-
-    t01 = d01.apply(E).restrict_theta()
-    a01, b01 = t01.split_gen(zc)
-
-    t11 = d10.apply(d01.apply(E)).restrict_theta()
-    c_a11, c_a00 = t11.split_gen(zc)
-
+    # the body, th10, th01 and th10 th01 slots, each split in z
+    (c_phi00, c_phi11), (a10, b10), (a01, b01), (c_a11, c_a00) = (
+        t.restrict_theta().split_gen(coord("z"))
+        for t in (E, d10.apply(E), e01, d10.apply(e01)))
     return {
         "phi00": c_phi00, "phi11": c_phi11,
         "psi10": minus_i * a10, "lam01": b10,

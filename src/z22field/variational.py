@@ -7,7 +7,9 @@ built by prolongation the chain rule gives the exact polynomial identity
 
 A sparse exact linear solver certifies invariance by rewriting delta(L)
 as D_t K0 + D_x K1 with zero residual; the conserved current is j = N - K
-with the transformation parameter stripped off the left.  The solver
+with the transformation parameter stripped off the left.  The candidate
+pool for K0 and K1 is built once from the monomials of delta(L), and an
+expression that pool cannot absorb has no certificate.  The solver
 returns the solution on the greedy column basis in candidate order, free
 columns pinned to zero.  A column with a private row (no other live
 column touches it) is in that basis, and dropping it changes no other
@@ -37,7 +39,7 @@ from .core import (FIELD_BASES, QONE, QZERO, TRIG, GaussianRational,
 from .expr import GradedExpr, _mono_mul, _mono_sort_token, gexp, scalar
 from .derivations import (apply_many, jet_partial, jet_prolongation,
                           solve_linear, total_space, total_t)
-from .superfield import (PARAM_OF, coordinate_variations,
+from .superfield import (PARAM_OF, VAR_NAMES, coordinate_variations,
                          prolonged_derivation, variation_table,
                          variation_derivation)
 from .action import auxiliary_jets, lagrangian
@@ -47,15 +49,13 @@ BOSONS = ("phi00", "phi11")
 FERMIONS = ("psi10", "lam10", "psi01", "lam01")
 DYNAMICAL = BOSONS + FERMIONS
 AUXILIARY = ("A00", "A11")
-SYMMETRIES = ("H", "Z", "Q10", "Q01", "L11")
+SYMMETRIES = VAR_NAMES
 # leading time order of each field equation: bosons are second order in
 # time, fermions first
 _TIME_ORDER = {b: 2 if b in BOSONS else 1 for b in DYNAMICAL}
 
-# on-shell rewriting stops well before this; divergence certificates widen
-# their candidate pool at most this many times
+# on-shell rewriting stops well before this
 _ONSHELL_ROUNDS = 200
-_DIVERGENCE_ROUNDS = 3
 
 
 # ----------------------------------------------------------------------
@@ -273,9 +273,9 @@ def _solved_split(terms: frozenset) -> Tuple[GradedExpr, GradedExpr]:
     monomial carrying g and the matching first-order jet admits h in
     place of g with one jet power removed.  When explicit coordinates
     appear, coordinate-raised monomials join the pool.  One walk of each
-    monomial emits both directions; each derivation builds all its
-    columns in one walk.  Free coefficients are pinned to zero, so the
-    certificate is deterministic.
+    monomial of s emits both directions, and that one pool is solved
+    once: no certificate the engine meets needs a wider one.  Free
+    coefficients are pinned to zero, so the certificate is deterministic.
     """
     s = GradedExpr(dict(terms))
     dt, dx = total_t("x"), total_space("x")
@@ -283,41 +283,34 @@ def _solved_split(terms: frozenset) -> Tuple[GradedExpr, GradedExpr]:
     has_coord = any(g is tgen or g is xgen for g in s.generators())
 
     seen = (set(), set())   # K0 and K1 candidates, sorted before use
+    for mono in s.terms:
+        for i, (g, _) in enumerate(mono):
+            if g.kind == "field" and g.space == "x":
+                m, n = g.jet
+                if m:
+                    seen[0].update(_traded(
+                        mono, i, field(g.base, m - 1, n, "x")))
+                if n:
+                    seen[1].update(_traded(
+                        mono, i, field(g.base, m, n - 1, "x")))
+            for h, wf in _fn_antiderivatives(g):
+                for pool, jg in zip(seen, _CHAIN_JETS[wf]):
+                    if any(gg is jg for gg, _ in mono):
+                        pool.update(_traded(mono, i, h, jg))
+        if has_coord:
+            for pool, which in zip(seen, "tx"):
+                pool.update(_raised(mono, which))
 
-    def extend(monos) -> None:
-        for mono in monos:
-            for i, (g, _) in enumerate(mono):
-                if g.kind == "field" and g.space == "x":
-                    m, n = g.jet
-                    if m:
-                        seen[0].update(_traded(
-                            mono, i, field(g.base, m - 1, n, "x")))
-                    if n:
-                        seen[1].update(_traded(
-                            mono, i, field(g.base, m, n - 1, "x")))
-                for h, wf in _fn_antiderivatives(g):
-                    for pool, jg in zip(seen, _CHAIN_JETS[wf]):
-                        if any(gg is jg for gg, _ in mono):
-                            pool.update(_traded(mono, i, h, jg))
-            if has_coord:
-                for pool, which in zip(seen, "tx"):
-                    pool.update(_raised(mono, which))
-
-    extend(s.terms)
-    for _ in range(_DIVERGENCE_ROUNDS):
-        cands0 = sorted(seen[0], key=_mono_sort_token)
-        cands1 = sorted(seen[1], key=_mono_sort_token)
-        cols = dt.columns(cands0) + dx.columns(cands1)
-        sol = _solve_sparse(cols, s.terms)
-        if sol is not None:
-            k0 = GradedExpr({m: c for m, c in zip(cands0, sol) if c})
-            k1 = GradedExpr({m: c for m, c in zip(cands1, sol[len(cands0):])
-                             if c})
-            if dt(k0) + dx(k1) != s:
-                raise AssertionError("divergence certificate failed")
-            return k0, k1
-        extend({mono for col in cols for mono in col})
-    raise ValueError("no exact divergence form found")
+    cands0 = sorted(seen[0], key=_mono_sort_token)
+    cands1 = sorted(seen[1], key=_mono_sort_token)
+    sol = _solve_sparse(dt.columns(cands0) + dx.columns(cands1), s.terms)
+    if sol is None:
+        raise ValueError("no exact divergence form found")
+    k0 = GradedExpr({m: c for m, c in zip(cands0, sol) if c})
+    k1 = GradedExpr({m: c for m, c in zip(cands1, sol[len(cands0):]) if c})
+    if dt(k0) + dx(k1) != s:
+        raise AssertionError("divergence certificate failed")
+    return k0, k1
 
 
 # ----------------------------------------------------------------------

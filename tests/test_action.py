@@ -1,6 +1,5 @@
 """Action pipeline: integrand, extraction, component Lagrangian."""
 
-import importlib
 from fractions import Fraction
 
 import pytest
@@ -17,8 +16,7 @@ from z22field import reference
 from z22field.potential import parse_potential
 from z22field import action, derivations, variational
 
-# the package re-exports the function `superfield` under the module's name
-superfield_module = importlib.import_module("z22field.superfield")
+from conftest import clear_package_caches
 
 
 # ----------------------------------------------------------------------
@@ -145,24 +143,9 @@ def test_spinor_lagrangian_equals_component_lagrangian():
 # the memoised potential-free stages
 # ----------------------------------------------------------------------
 
-def _clear_stage_caches():
-    derivations.superspace_operators.cache_clear()
-    derivations.total_t.cache_clear()
-    derivations.total_space.cache_clear()
-    derivations.jet_partial.cache_clear()
-    derivations.partial_coord.cache_clear()
-    superfield_module.variation_table.cache_clear()
-    superfield_module._stage_field_image.cache_clear()
-    action._component_lagrangian.cache_clear()
-    action.auxiliary_solution.cache_clear()
-    variational.field_equations.cache_clear()
-    variational.solved_forms.cache_clear()
-    variational.generic_eom_report.cache_clear()
-
-
 def test_check_examples_runs_each_eom_comparison_once(monkeypatch):
     from z22field import cli
-    _clear_stage_caches()
+    clear_package_caches()
     compared = []
     original = variational.eom_comparison
 
@@ -181,7 +164,7 @@ def test_check_examples_runs_each_eom_comparison_once(monkeypatch):
 
 def test_check_currents_builds_each_stage_once(monkeypatch):
     from z22field import cli
-    _clear_stage_caches()
+    clear_package_caches()
     built = {"density": 0, "elimination": 0}
 
     def counted(name, fn):

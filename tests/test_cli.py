@@ -110,6 +110,11 @@ def test_simulate_refuses_a_t_end_between_steps(capsys):
     (["--dx", "nan"], "dx must be finite"),
     (["--t-end", "-3"], "t_end must not be negative"),
     (["--boundary", "bogus"], "unknown boundary 'bogus'"),
+    (["--dt", "1e200", "--dx", "1"], "dt=1e+200 is unstable"),
+    (["--alpha", "1e200"], "dt=0.020000000000000004 is unstable: Verlet "
+                           "needs dt^2 (4/dx^2 + alpha^2) < 4, here dx=0.05 "
+                           "and alpha=1e+200"),
+    (["--param", "w=3"], "profile 'kink' reads no parameter 'w'"),
 ])
 def test_simulate_rejects_bad_input_with_exit_two(argv, message, capsys):
     rc = main(["simulate", *argv])
@@ -117,6 +122,15 @@ def test_simulate_rejects_bad_input_with_exit_two(argv, message, capsys):
     assert rc == 2
     assert captured.out == ""
     assert captured.err.startswith(f"error: {message}")
+
+
+def test_simulate_refuses_a_run_past_max_steps_before_running():
+    # built only: code without the cap would run 5e301 steps
+    args = build_parser().parse_args(["simulate", "--t-end", "1e300"])
+    with pytest.raises(ValueError) as exc:
+        build_sim_config(args)
+    assert str(exc.value) == ("t_end=1e+300 at dt=0.020000000000000004 is "
+                              "5e+301 steps, more than the 1000000 allowed")
 
 
 @pytest.mark.parametrize("line, val", [
@@ -443,10 +457,10 @@ def test_config_param_line_without_a_value_exits_two(tmp_path, capsys):
 
 def test_config_param_line_sets_a_profile_parameter(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("param = v=0.25\nparam = w = 2\n")
+    cfg.write_text("param = v=0.25\nparam = x0 = 2\n")
     parsed = build_sim_config(build_parser().parse_args(
-        ["simulate", "--config", str(cfg), "--param", "w=3"]))
-    assert parsed.params == {"v": 0.25, "w": 3.0}
+        ["simulate", "--config", str(cfg), "--param", "x0=3"]))
+    assert parsed.params == {"v": 0.25, "x0": 3.0}
 
 
 def test_model_is_not_a_config_key(tmp_path, capsys):

@@ -411,6 +411,23 @@ def test_equality_ignores_construction_path():
     assert scalar(0) * a == GradedExpr.zero()
 
 
+@pytest.mark.parametrize("prefix, sign", [
+    ("th10", -1),   # same sector as eps10: anticommutes
+    ("z", -1),      # the (1,1) coordinate anticommutes with eps10 too
+    ("th01", 1),    # cross sector: commutes
+])
+def test_strip_left_moves_the_factor_past_its_prefix(prefix, sign):
+    # coordinates sort before parameters, so eps10 stands second in the
+    # stored monomial and leaves through the prefix
+    g = param("eps10")
+    e = gexp(coord(prefix)) * gexp(g)
+    (mono,) = e.terms
+    assert mono[0][0] is coord(prefix) and mono[1][0] is g
+    r = e.strip_left(g)
+    assert r == scalar(sign) * gexp(coord(prefix))
+    assert gexp(g) * r == e
+
+
 # ----------------------------------------------------------------------
 # monomial merge sign against a brute-force pairwise-swap reference
 # ----------------------------------------------------------------------

@@ -15,6 +15,7 @@ from z22field.potential import (FunctionSymbol, check_potential_constraint,
                                 pair_series, parse_potential,
                                 potential_components, series_pair,
                                 specialize_potential, trig_series)
+from z22field.superfield import stage_map
 from z22field.variational import euler_lagrange
 
 
@@ -93,6 +94,20 @@ def test_higher_tower_matches_display():
     V = parse_potential("cos")
     assert specialize_potential(gexp(pairjet(2, 0, "x")), V) == spec["V00_1"]
     assert specialize_potential(gexp(pairjet(2, 1, "x")), V) == spec["V11_1"]
+
+
+@pytest.mark.parametrize("spec", ["cos", "sin", "poly:1,-2,3/4,0,5"])
+def test_stage_map_commutes_with_specialisation_at_stage_y(spec):
+    # the closed form of a first-stage pair symbol, mapped to the second
+    # stage, is the closed form of its image: the x powers that the stage
+    # map gives the first-stage (1,1) trig symbols and the odd pair slot
+    # must agree
+    V = parse_potential(spec)
+    for m in range(5):
+        for s in (0, 1):
+            g = gexp(pairjet(m, s, "y"))
+            assert (stage_map(specialize_potential(g, V))
+                    == specialize_potential(stage_map(g), V)), (m, s)
 
 
 @pytest.mark.parametrize("order", range(7))

@@ -141,6 +141,62 @@ def test_config_rejects_unknown_names():
         sim.SimConfig(initial="breather")
 
 
+@pytest.mark.parametrize("kwargs, named", [
+    (dict(dt=1e200, dx=1.0), "dt=1e+200"),
+    (dict(alpha=1e200), "alpha=1e+200"),
+    (dict(alpha=-1e200), "alpha=-1e+200"),
+    (dict(dt=1e-100, dx=1e-300, t_end=0.0), "dx=1e-300"),
+])
+def test_config_refuses_a_verlet_bound_past_float_range(kwargs, named):
+    # the squares in the bound overflow a float; that is refused as
+    # unstable, never raised as OverflowError
+    with pytest.raises(ValueError, match="is unstable") as exc:
+        sim.SimConfig(**kwargs)
+    assert named in str(exc.value)
+
+
+def test_config_caps_the_step_count_without_running():
+    # dt = 0.25 is exact in binary, so 250 000 is exactly MAX_STEPS steps
+    cap = sim.MAX_STEPS * 0.25
+    assert sim.SimConfig(dx=1.0, dt=0.25, t_end=cap).t_end == cap
+    with pytest.raises(ValueError, match=r"t_end=250000\.25 at dt=0\.25 is "
+                                         r"1e\+06 steps, more than the "):
+        sim.SimConfig(dx=1.0, dt=0.25, t_end=cap + 0.25)
+    with pytest.raises(ValueError, match=r"^t_end=1e\+300 at dt="):
+        sim.SimConfig(t_end=1e300)
+    # a step so short that t_end / dt overflows to inf
+    with pytest.raises(ValueError, match="inf steps"):
+        sim.SimConfig(dt=1e-320)
+    # the longest study run, energy_drift_study's 5 000 steps, is admitted
+    assert sim.SimConfig(dt=0.02, t_end=100.0).t_end == 100.0
+
+
+def test_every_profile_reads_each_parameter_it_admits():
+    base = dict(dx=0.5, x_min=-5.0, x_max=5.0, t_end=0.0)
+    for profile, names in sim.PROFILES.items():
+        plain = sim.init_profile(sim.SimConfig(initial=profile, **base))
+        for name in names:
+            moved = sim.init_profile(sim.SimConfig(
+                initial=profile, params={name: 0.5}, **base))
+            assert not (np.array_equal(moved.w, plain.w)
+                        and np.array_equal(moved.p, plain.p)), (profile, name)
+
+
+@pytest.mark.parametrize("profile, params, message", [
+    ("kink", {"w": 3.0}, "profile 'kink' reads no parameter 'w'; it reads "
+                         "v, x0"),
+    ("gaussian", {"v": 0.1}, "profile 'gaussian' reads no parameter 'v'; "
+                             "it reads amplitude, width, x0"),
+    ("zero", {"x0": 1.0}, "profile 'zero' reads no parameter 'x0'; it "
+                          "reads none"),
+])
+def test_config_rejects_a_parameter_its_profile_never_reads(
+        profile, params, message):
+    with pytest.raises(ValueError) as exc:
+        sim.SimConfig(initial=profile, params=params)
+    assert str(exc.value) == message
+
+
 def test_config_default_timestep():
     cfg = sim.SimConfig(dx=0.1)
     assert cfg.dt == pytest.approx(0.04)
