@@ -115,6 +115,12 @@ def test_simulate_refuses_a_t_end_between_steps(capsys):
                            "needs dt^2 (4/dx^2 + alpha^2) < 4, here dx=0.05 "
                            "and alpha=1e+200"),
     (["--param", "w=3"], "profile 'kink' reads no parameter 'w'"),
+    (["--param", "v=nan", "--t-end", "0"],
+     "profile parameter v must be finite, got nan"),
+    (["--param", "x0=inf", "--t-end", "0"],
+     "profile parameter x0 must be finite, got inf"),
+    (["--alpha", "1e155", "--dt", "1e-156", "--t-end", "0"],
+     "alpha=1e+155 is too large: its square overflows a float"),
 ])
 def test_simulate_rejects_bad_input_with_exit_two(argv, message, capsys):
     rc = main(["simulate", *argv])

@@ -3,6 +3,7 @@ of the kink energy and the symbolic residual of the kink profile are
 established independently before the integrator is trusted."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -153,6 +154,33 @@ def test_config_refuses_a_verlet_bound_past_float_range(kwargs, named):
     with pytest.raises(ValueError, match="is unstable") as exc:
         sim.SimConfig(**kwargs)
     assert named in str(exc.value)
+
+
+@pytest.mark.parametrize("alpha", [1e155, -1e155, 1e200])
+def test_config_refuses_an_alpha_whose_square_overflows(alpha):
+    # dt is small enough for the Verlet bound, but force and
+    # total_energy square alpha
+    with pytest.raises(ValueError) as exc:
+        sim.SimConfig(alpha=alpha, dt=1e-3 / abs(alpha), t_end=0.0)
+    assert str(exc.value) == (f"alpha={alpha} is too large: its square "
+                              f"overflows a float")
+
+
+def test_config_admits_an_alpha_whose_square_is_finite():
+    cfg = sim.SimConfig(alpha=1e150, dt=1e-153, t_end=0.0, initial="zero")
+    assert cfg.alpha == 1e150
+    assert sim.total_energy(sim.init_profile(cfg), cfg) == 0.0
+
+
+@pytest.mark.parametrize("profile, name", [
+    (profile, name) for profile, names in sim.PROFILES.items()
+    for name in names])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_config_refuses_a_non_finite_profile_parameter(profile, name, bad):
+    with pytest.raises(ValueError) as exc:
+        sim.SimConfig(initial=profile, params={name: bad}, t_end=0.0)
+    assert str(exc.value) == (f"profile parameter {name} must be finite, "
+                              f"got {bad}")
 
 
 def test_config_caps_the_step_count_without_running():
@@ -318,9 +346,9 @@ def test_run_evaluates_the_force_once_per_step(monkeypatch):
     calls = []
     real = sim.force
 
-    def counting(w, cfg):
+    def counting(w, cfg, s=None):
         calls.append(w.shape)
-        return real(w, cfg)
+        return real(w, cfg, s)
 
     monkeypatch.setattr(sim, "force", counting)
     cfg = sim.SimConfig(dx=0.1, t_end=2.0, initial="kink")
@@ -342,6 +370,144 @@ def test_studies_that_read_only_the_final_state_compute_no_energy(
     assert _same(sim._final(cfg), final)
     sim.convergence_study()
     sim.boosted_kink_study()
+
+
+def _parent_laplacian(w, cfg):
+    """`_laplacian`, verbatim, so the reference below shares no kernel
+    arithmetic with the code under test."""
+    lap = np.empty_like(w)
+    np.add(w[..., 2:], w[..., :-2], out=lap[..., 1:-1])
+    if cfg.boundary == "periodic":
+        np.add(w[..., 1], w[..., -1], out=lap[..., 0])
+        np.add(w[..., 0], w[..., -2], out=lap[..., -1])
+    lap -= w
+    lap -= w
+    lap /= cfg.dx ** 2
+    if cfg.boundary == "fixed":
+        lap[..., 0] = lap[..., -1] = 0.0  # clamped ends stay put
+    return lap
+
+
+def _parent_force(w, cfg):
+    """`force` before it took a scratch argument, verbatim."""
+    f = _parent_laplacian(w, cfg)
+    # the sine in one scratch array: at N = 80 001 every fresh (2, N)
+    # temporary adds 1.3 MB to the peak footprint
+    s = np.multiply(w, 2.0)
+    f -= np.multiply(np.sin(s, out=s), 0.5 * cfg.alpha ** 2, out=s)
+    if cfg.boundary == "fixed":
+        f[..., 0] = f[..., -1] = 0.0
+    return f
+
+
+def _parent_step(state, cfg):
+    """`step` with five fresh temporaries, verbatim: the reference the
+    scratch-sharing step must match bit for bit."""
+    dt = cfg.dt
+    key = (cfg.boundary, cfg.alpha, cfg.dx)
+    cached = state.cached_force
+    if cached is not None and cached[0] == key and cached[1] is state.w:
+        f = cached[2]
+    else:
+        f = _parent_force(state.w, cfg)
+    p = f * (0.5 * dt)
+    p += state.p
+    w = p * dt
+    w += state.w
+    g = _parent_force(w, cfg)
+    p += (0.5 * dt) * g
+    w.flags.writeable = False
+    p.flags.writeable = False
+    clock = state.clock
+    if clock is None or clock[2] != dt or (
+            clock[0] + clock[1] * dt != state.time):
+        clock = (state.time, 0, dt)
+    t0, k = clock[0], clock[1] + 1
+    out = sim.FieldState(state.x, w, p, t0 + k * dt)
+    out.clock = (t0, k, dt)
+    out.cached_force = (key, w, g)
+    return out.check()
+
+
+def _kink_and_bump(cfg):
+    # a moving kink in phi00 beside a Gaussian in phi11: both rows of
+    # w = (u, v) carry distinct data
+    x = sim.grid(cfg)
+    kink, kink_pi = sim.kink_closed_form(x, 0.0, cfg.alpha, v=0.3, x0=-2.0)
+    bump = 0.7 * np.exp(-(x - 3.0) ** 2)
+    return sim.FieldState.from_fields(x, kink, bump, kink_pi, -0.4 * bump)
+
+
+def _assert_same_arrays(a, b):
+    assert np.array_equal(a.w, b.w)
+    assert np.array_equal(a.p, b.p)
+    assert np.array_equal(a.cached_force[2], b.cached_force[2])
+    assert a.time == b.time
+
+
+@pytest.mark.parametrize("boundary, x_max", [("fixed", 20.0),
+                                             ("periodic", 20.05)])
+def test_step_matches_the_five_temporary_step_bitwise(boundary, x_max):
+    cfg = sim.SimConfig(x_max=x_max, boundary=boundary)
+    start = _kink_and_bump(cfg)
+    assert start.w.shape == (2, 801)
+    a = b = start
+    for _ in range(200):
+        a, b = sim.step(a, cfg), _parent_step(b, cfg)
+        _assert_same_arrays(a, b)
+
+
+def _big_config():
+    # the N = 80 001 two-field kink of the benchmark's evolve workload
+    return sim.SimConfig(dx=0.005, x_min=-200.0, x_max=200.0, t_end=0.0,
+                         initial="two-field-kink")
+
+
+def test_step_matches_the_five_temporary_step_bitwise_at_n80k():
+    cfg = _big_config()
+    a = b = sim.init_profile(cfg)
+    assert a.w.shape == (2, 80001)
+    for _ in range(5):
+        a, b = sim.step(a, cfg), _parent_step(b, cfg)
+        _assert_same_arrays(a, b)
+
+
+def _arrays(state):
+    return (state.w, state.p) + (
+        (state.cached_force[2],) if state.cached_force else ())
+
+
+def test_stepped_arrays_share_no_memory():
+    cfg = sim.SimConfig(dx=0.1, initial="two-field-kink",
+                        params={"v": 0.3})
+    start = sim.step(sim.init_profile(cfg), cfg)
+    out = sim.step(start, cfg)
+    after = sim.step(out, cfg)
+    mine = _arrays(out)
+    assert len(mine) == 3
+    for i, a in enumerate(mine):
+        for b in mine[i + 1:] + _arrays(start) + _arrays(after):
+            assert not np.shares_memory(a, b)
+    # stepping one input twice gives equal states
+    _assert_same_arrays(sim.step(start, cfg), out)
+
+
+def test_one_big_step_allocates_at_most_four_field_arrays():
+    # the new p, the new w, the new force and one scratch; a fifth
+    # temporary adds 1.3 MB to the solver's peak footprint
+    cfg = _big_config()
+    state = sim.step(sim.init_profile(cfg), cfg)
+    budget = 4 * state.w.nbytes * 1.01
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        nxt = sim.step(state, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert nxt.cached_force is not None
+    assert peak <= budget, peak / state.w.nbytes
 
 
 def test_stepped_state_is_read_only_and_input_untouched():
@@ -373,9 +539,9 @@ def test_exchange_symmetry_study_catches_a_kernel_that_breaks_it(
         monkeypatch):
     # phi11's row with the wrong sign of sin 2v, written in u/v: the u
     # row gains sin 2v and the v row loses its sine
-    def broken(w, cfg):
+    def broken(w, cfg, s=None):
         f = sim._laplacian(w, cfg)
-        s = 0.5 * cfg.alpha ** 2 * np.sin(2.0 * w)
+        s = np.multiply(0.5 * cfg.alpha ** 2, np.sin(2.0 * w), out=s)
         f[0] -= s[0] + s[1]
         if cfg.boundary == "fixed":
             f[..., 0] = f[..., -1] = 0.0
