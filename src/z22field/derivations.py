@@ -37,8 +37,9 @@ image monomial m is
 
 one monomial merge per image term, and none when m or R is the empty
 monomial: a canonical monomial times 1 is itself.  The terms of one
-factor go into a local dict, which is merged into that derivation's
-result in place by the add rule of `GradedExpr.__add__`, so each result
+factor go into a local dict (summed inline, the one hot loop that does
+not call `_add_terms`), which is merged into that derivation's result
+by `_add_terms`, the merge rule of every expression, so each result
 equals the three-product form prefix * D(g) * g**(e-1) * suffix term
 for term and in order.  The total derivatives, jet partials and
 coordinate partials are cached per stage name or generator, so their
@@ -55,8 +56,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .core import (DEG00, DEG01, DEG10, DEG11, TRIG, Degree,
                    GaussianRational, Generator, QI, QONE, QZERO, coord, field,
                    fjet, pairjet, parity, trig)
-from .expr import (_MASK_PARITY, GradedExpr, _mono_mask, _mono_mul, gexp,
-                   scalar)
+from .expr import (_MASK_PARITY, GradedExpr, _add_terms, _mono_mask,
+                   _mono_mul, gexp, scalar)
 
 ONE = GradedExpr.const(1)
 
@@ -178,6 +179,8 @@ def _walk(terms, routes: Dict[Generator, list],
                         cc = coeff if c2 is None else coeff * c2
                         if sign ^ _MASK_PARITY[mask & pmask]:
                             cc = -cc
+                        # the rule of `_add_terms`, inline: fed by a
+                        # generator, this loop ran about 7% slower
                         acc = term.get(prod)
                         tot = cc if acc is None else acc + cc
                         if tot:
@@ -188,13 +191,7 @@ def _walk(terms, routes: Dict[Generator, list],
                     if not out:
                         outs[i] = term
                     else:
-                        for prod, cc in term.items():
-                            acc = out.get(prod)
-                            tot = cc if acc is None else acc + cc
-                            if tot:
-                                out[prod] = tot
-                            elif acc is not None:
-                                del out[prod]
+                        _add_terms(out, term.items())
             if type(e) is int and e & 1:
                 pmask ^= g.mask
     return outs

@@ -5,7 +5,8 @@ is rewritten as delta(F) = -i eps (M F), with M an 8x8 matrix whose
 entries are polynomial-coefficient differential operators in t and x.
 The matrices extracted this way are compared entry-by-entry with the
 hand-checked displays, and their graded brackets are checked against the
-structure constants of the superspace algebra.
+structure constants of the superspace algebra.  Operator words are
+merged by `expr._add_terms`, the merge rule of every expression.
 
 The printed and the table-extracted matrix sets, and the extracted set
 closed by orientation with its bracket relations, are memoised with
@@ -17,23 +18,12 @@ from math import comb, factorial
 from typing import Dict, List, Optional, Tuple
 
 from .core import GaussianRational, Degree, coord, field, param, parity
-from .expr import GradedExpr, gexp, scalar
+from .expr import GradedExpr, _add_terms, gexp, scalar
 from .derivations import OP_DEGREE, bracket_value
 from .superfield import PARAM_OF, VAR_NAMES, variation_table
 from .reference import MULTIPLET, matrix_realization_data
 
 Word = Tuple[int, int, int, int]  # t-power, x-power, dt-power, dx-power
-
-_ZERO = GaussianRational(0)
-
-
-def _accumulate(acc: dict, key, c: GaussianRational) -> None:
-    """acc[key] += c, dropping the key when the sum is zero."""
-    total = acc.get(key, _ZERO) + c
-    if total:
-        acc[key] = total
-    else:
-        acc.pop(key, None)
 
 
 # ----------------------------------------------------------------------
@@ -50,16 +40,10 @@ class WeylOp:
 
     @staticmethod
     def from_list(items) -> "WeylOp":
-        out: Dict[Word, GaussianRational] = {}
-        for c, w in items:
-            _accumulate(out, w, c)
-        return WeylOp(out)
+        return WeylOp(_add_terms({}, ((w, c) for c, w in items)))
 
     def __add__(self, other: "WeylOp") -> "WeylOp":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            _accumulate(out, w, c)
-        return WeylOp(out)
+        return WeylOp(_add_terms(dict(self.terms), other.terms.items()))
 
     def __neg__(self) -> "WeylOp":
         return WeylOp({w: -c for w, c in self.terms.items()})
@@ -85,7 +69,7 @@ class WeylOp:
                         cl = comb(d1, l) * comb(b2, l) * factorial(l)
                         w = (a1 + a2 - k, b1 + b2 - l,
                              c1 + c2 - k, d1 + d2 - l)
-                        _accumulate(out, w, uv * GaussianRational(ck * cl))
+                        _add_terms(out, ((w, uv * GaussianRational(ck * cl)),))
         return WeylOp(out)
 
     def __eq__(self, other) -> bool:
@@ -219,7 +203,7 @@ def matrices_from_tables() -> Dict[str, MatrixOp]:
                     raise ValueError(f"{name}/{base}: no field factor")
                 word = (a, b, jet.jet[0], jet.jet[1])
                 col = _INDEX[jet.base]
-                _accumulate(entries.setdefault((row, col), {}), word, c)
+                _add_terms(entries.setdefault((row, col), {}), ((word, c),))
         out[name] = MatrixOp({rc: WeylOp(cell) for rc, cell in entries.items()},
                              OP_DEGREE[name])
     return out

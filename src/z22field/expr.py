@@ -6,7 +6,9 @@ GaussianRational coefficients.  Multiplication reorders factors with the
 (-1)^(a1*a2+b1*b2) swap sign, folds the square of the degree-(1,1)
 coordinate z into y, kills squares of nilpotent generators, and drops any
 monomial that is second order or higher in one group of infinitesimal
-parameters.
+parameters; `_eps_overflow` is that one truncation check.  Every builder
+merges terms by `_add_terms`, the one rule that keeps each monomial in
+its first place and no zero coefficient in a terms dict.
 
 Exponents are positive integers except on the measure coordinates y and x,
 which may carry arbitrary nonzero rationals (negative and fractional
@@ -60,12 +62,9 @@ def _mono_mul(m1: Monomial, m2: Monomial):
     kept with one running mask: `placed` packs the degree of the odd m2
     factors emitted so far, and each odd m1 factor emitted after them
     crosses all of them at once.  Fractional exponents only sit on (0,0)
-    generators, so like even powers they carry no degree.
-
-    An eps-group overflow is caught as it is emitted: a grouped factor
-    at exponent >= 2, or after another factor of its group (`grouped`
-    holds the groups emitted so far).  Only an empty operand is scanned
-    whole, so a raw factor such as (eps00, 2) still vanishes.
+    generators, so like even powers they carry no degree.  The merged
+    monomial passes `_eps_overflow` once, so a raw factor such as
+    (eps00, 2) still vanishes.
     """
     if not m1 or not m2:
         mono = m1 or m2
@@ -75,7 +74,6 @@ def _mono_mul(m1: Monomial, m2: Monomial):
     sign = placed = 0
     i = j = 0
     z_seen = 0
-    grouped = ()
     while i < n1 and j < n2:
         f1 = m1[i]
         f2 = m2[j]
@@ -100,11 +98,6 @@ def _mono_mul(m1: Monomial, m2: Monomial):
             if g is ZC and type(e) is int and e >= 2:
                 z_seen = e
                 continue
-            grp = g.eps_group
-            if grp is not None:
-                if e >= 2 or grp in grouped:
-                    return None
-                grouped += (grp,)
             out.append((g, e))
         elif g.sort_key <= f2[0].sort_key:
             cross = g.mask & placed
@@ -112,48 +105,22 @@ def _mono_mul(m1: Monomial, m2: Monomial):
                 e1 = f1[1]
                 if type(e1) is int and e1 & 1:
                     sign ^= _MASK_PARITY[cross]
-            grp = g.eps_group
-            if grp is not None:
-                if f1[1] >= 2 or grp in grouped:
-                    return None
-                grouped += (grp,)
             out.append(f1)
             i += 1
         else:
             g, e2 = f2
             if type(e2) is int and e2 & 1:
                 placed ^= g.mask
-            grp = g.eps_group
-            if grp is not None:
-                if e2 >= 2 or grp in grouped:
-                    return None
-                grouped += (grp,)
             out.append(f2)
             j += 1
     if j < n2:
         # nothing of m1 is left for these m2 factors to cross
-        tail = m2[j:]
-        for g, e in tail:
-            grp = g.eps_group
-            if grp is not None:
-                if e >= 2 or grp in grouped:
-                    return None
-                grouped += (grp,)
-        out.extend(tail)
+        out.extend(m2[j:])
     elif i < n1:
-        rest = 0
-        for k in range(i, n1):
-            g, e = m1[k]
-            if type(e) is int and e & 1:
-                rest ^= g.mask
-            grp = g.eps_group
-            if grp is not None:
-                if e >= 2 or grp in grouped:
-                    return None
-                grouped += (grp,)
+        tail = m1[i:]
         if placed:
-            sign ^= _MASK_PARITY[rest & placed]
-        out.extend(m1[i:])
+            sign ^= _MASK_PARITY[_mono_mask(tail) & placed]
+        out.extend(tail)
 
     if z_seen:
         # z**2 -> y; the result is even so no extra signs appear
@@ -167,20 +134,49 @@ def _mono_mul(m1: Monomial, m2: Monomial):
         s2, mono = merged
         return (sign ^ s2, mono)
 
-    return (sign, tuple(out))
+    return None if _eps_overflow(out) else (sign, tuple(out))
 
 
 def _eps_overflow(mono: Monomial) -> bool:
-    """True when any infinitesimal-parameter group appears at order >= 2."""
-    counts = {}
+    """True when any infinitesimal-parameter group appears at order >= 2:
+    the one truncation check of the ring.  Eps parameters only carry
+    positive integer exponents."""
+    seen = ()
     for g, e in mono:
         grp = g.eps_group
         if grp is not None:
-            c = counts.get(grp, 0) + e
-            if c >= 2:
+            if e >= 2 or grp in seen:
                 return True
-            counts[grp] = c
+            seen += (grp,)
     return False
+
+
+def _add_terms(terms: dict, items) -> dict:
+    """terms with each (monomial, coefficient) of items added in place:
+    the one merge rule of the ring.  A monomial keeps the place where it
+    first appears; one whose sum reaches zero is dropped, and placed last
+    if it comes back, so a terms dict never holds a zero coefficient."""
+    for mono, c in items:
+        acc = terms.get(mono)
+        if acc is not None:
+            c = acc + c
+        if c:
+            terms[mono] = c
+        elif acc is not None:
+            del terms[mono]
+    return terms
+
+
+def _products(items1, items2):
+    """(monomial, signed coefficient) of each nonvanishing product of a
+    term of items1 by a term of items2, row by row; items2 is iterated
+    once per term of items1."""
+    for m1, c1 in items1:
+        for m2, c2 in items2:
+            hit = _mono_mul(m1, m2)
+            if hit is not None:
+                c = c1 * c2
+                yield hit[1], -c if hit[0] else c
 
 
 def _mono_mask(m: Monomial) -> int:
@@ -266,9 +262,7 @@ class GradedExpr:
         if not isinstance(e, int) or e < 0:
             if g.base not in _RATIONAL_EXP_OK:
                 raise ValueError(f"{g.name} does not admit exponent {e}")
-        elif e >= 2 and (g.nilpotent or g.eps_group is not None):
-            # a nilpotent square, or an eps group at order >= 2
-            # (`_eps_overflow` of the one-factor monomial)
+        elif g.nilpotent and e >= 2 or _eps_overflow(((g, e),)):
             return GradedExpr({})
         if g is ZC and isinstance(e, int) and e >= 2:
             mono = ((Y, e // 2), (ZC, 1)) if e & 1 else ((Y, e // 2),)
@@ -283,17 +277,7 @@ class GradedExpr:
             return NotImplemented
         if not self.terms:
             return GradedExpr(dict(o.terms))
-        if not o.terms:
-            return GradedExpr(dict(self.terms))
-        terms = dict(self.terms)
-        for mono, c in o.terms.items():
-            acc = terms.get(mono)
-            tot = c if acc is None else acc + c
-            if tot:
-                terms[mono] = tot
-            elif acc is not None:
-                del terms[mono]
-        return GradedExpr(terms)
+        return GradedExpr(_add_terms(dict(self.terms), o.terms.items()))
 
     __radd__ = __add__
 
@@ -316,25 +300,8 @@ class GradedExpr:
         o = _as_expr(other)
         if o is None:
             return NotImplemented
-        if not self.terms or not o.terms:
-            return GradedExpr({})
-        terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in o.terms.items():
-                hit = _mono_mul(m1, m2)
-                if hit is None:
-                    continue
-                sign, mono = hit
-                c = c1 * c2
-                if sign & 1:
-                    c = -c
-                acc = terms.get(mono)
-                tot = c if acc is None else acc + c
-                if tot:
-                    terms[mono] = tot
-                elif acc is not None:
-                    del terms[mono]
-        return GradedExpr(terms)
+        return GradedExpr(_add_terms({}, _products(self.terms.items(),
+                                                   o.terms.items())))
 
     def __rmul__(self, other):
         # scalars commute with everything; graded factors use __mul__
@@ -375,23 +342,8 @@ class GradedExpr:
         items = list(self.terms.items())
         terms = {}
         for i, (m1, c1) in enumerate(items):
-            for k in range(i, len(items)):
-                m2, c2 = items[k]
-                hit = _mono_mul(m1, m2)
-                if hit is None:
-                    continue
-                sign, mono = hit
-                c = c1 * c2
-                if k != i:
-                    c = c + c
-                if sign & 1:
-                    c = -c
-                acc = terms.get(mono)
-                tot = c if acc is None else acc + c
-                if tot:
-                    terms[mono] = tot
-                elif acc is not None:
-                    del terms[mono]
+            _add_terms(terms, _products(items[i:i + 1], items[i:i + 1]))
+            _add_terms(terms, _products(((m1, c1 + c1),), items[i + 1:]))
         return GradedExpr(terms)
 
     # -- structure -------------------------------------------------------
@@ -460,14 +412,7 @@ class GradedExpr:
                     acc = acc * _expr_pow(img, e)
                 if not acc.terms:
                     break
-            # merged in place by the add-and-drop-zero rule of __add__
-            for m, ac in acc.terms.items():
-                prev = terms.get(m)
-                tot = ac if prev is None else prev + ac
-                if tot:
-                    terms[m] = tot
-                elif prev is not None:
-                    del terms[m]
+            _add_terms(terms, acc.terms.items())
         return GradedExpr(terms)
 
     def restrict_theta(self) -> "GradedExpr":

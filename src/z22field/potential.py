@@ -26,7 +26,8 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 from .core import (TRIG, GaussianRational, Generator, coord, field, fjet,
                    pairjet, trig, trig_of)
 from .derivations import apply_many, jet_partial
-from .expr import GradedExpr, ONE_EXPR, ZERO_EXPR, _mono_mul, gexp, scalar
+from .expr import (GradedExpr, ONE_EXPR, ZERO_EXPR, _add_terms, _products,
+                   gexp, scalar)
 
 # a trigonometric kind is the tower of its start symbol in core.TRIG
 _TRIG_KINDS = {"cos": "C00", "sin": "S00"}
@@ -171,9 +172,9 @@ def pair_series(m: int, slot: int, sp: str, truncation_order: int,
     the abstract F-family.  For a terminating fsub (a polynomial) pass
     truncation_order = -1 to expand until the tower vanishes.
 
-    Built in one pass: each head monomial merges with y**n phi11**p into
-    one terms dict, by the add-and-drop-zero rule of GradedExpr.__add__,
-    so the terms come out in the order of the sum of products.
+    Built in one pass: each head monomial merges with y**n phi11**p
+    through `_products` into one terms dict, by `_add_terms`, so the
+    terms come out in the order of the sum of products.
     """
     if fsub is None:
         fsub = lambda k: gexp(fjet(k))
@@ -196,20 +197,7 @@ def pair_series(m: int, slot: int, sp: str, truncation_order: int,
         if p:
             mono += ((f11, p),)
         inv = GaussianRational(1 / _fact(p))
-        for hm, hc in head.terms.items():
-            hit = _mono_mul(hm, mono)
-            if hit is None:
-                continue
-            sign, prod = hit
-            c = hc * inv
-            if sign:
-                c = -c
-            acc = terms.get(prod)
-            tot = c if acc is None else acc + c
-            if tot:
-                terms[prod] = tot
-            elif acc is not None:
-                del terms[prod]
+        _add_terms(terms, _products(head.terms.items(), ((mono, inv),)))
         n += 1
     return GradedExpr(terms)
 

@@ -36,7 +36,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .core import (FIELD_BASES, QONE, QZERO, TRIG, GaussianRational,
                    Generator, coord, field, fjet, pairjet, param, trig,
                    trig_of)
-from .expr import GradedExpr, _mono_mul, _mono_sort_token, gexp, scalar
+from .expr import (GradedExpr, _add_terms, _mono_mul, _mono_sort_token,
+                   gexp, scalar)
 from .derivations import (apply_many, jet_partial, jet_prolongation,
                           solve_linear, total_space, total_t)
 from .superfield import (PARAM_OF, VAR_NAMES, coordinate_variations,
@@ -193,12 +194,7 @@ def _solve_sparse(columns: List[dict], rhs: dict) -> Optional[List]:
         br = b.get(r)
         if br:
             x = sol[ci] = br / col[r]
-            for mono, c in col.items():
-                w = b.get(mono, QZERO) - x * c
-                if w:
-                    b[mono] = w
-                else:
-                    b.pop(mono, None)
+            _add_terms(b, ((mono, -(x * c)) for mono, c in col.items()))
         for mono in col:
             touching[mono].discard(ci)
             if len(touching[mono]) == 1:
@@ -234,13 +230,8 @@ def _gauss_jordan(columns: List[dict], live: List[int], rhs: dict,
             if m == pr or ci not in row:
                 continue
             f = row.pop(ci)
-            for cj, v in prow.items():
-                if cj != ci:
-                    w = row.get(cj, QZERO) - f * v
-                    if w:
-                        row[cj] = w
-                    else:
-                        row.pop(cj, None)
+            _add_terms(row, ((cj, -(f * v)) for cj, v in prow.items()
+                             if cj != ci))
             b[m] = b[m] - f * b[pr]
     # an unpivoted row ties free columns only, which are pinned to zero,
     # so its right side must already be zero

@@ -11,9 +11,9 @@ from z22field import (DEG00, DEG01, DEG10, DEG11, GaussianRational,
                       GradedExpr, coord, field, gexp, param, parity, scalar)
 from z22field.core import QI, QONE, QZERO, Generator
 from z22field.core import pairjet, trig
-from z22field.expr import (_expr_pow, _exp_degree, _mono_dim_ratio,
-                           _mono_mask, _mono_mul, _mono_sort_token,
-                           _mono_star_sign)
+from z22field.expr import (_add_terms, _expr_pow, _exp_degree,
+                           _mono_dim_ratio, _mono_mask, _mono_mul,
+                           _mono_sort_token, _mono_star_sign)
 
 
 # ----------------------------------------------------------------------
@@ -439,10 +439,14 @@ _EVEN = [coord("t"), field("phi00", 1, 0, "y"), field("phi11", 0, 1, "y"),
          field("A11", 0, 0, "x"), param("alpha"), param("eps00"),
          param("eps11")]
 _NILPOTENT = [coord("th10"), coord("th01"), param("eps10"), param("eps01")]
+# the eps groups the lists above leave out: two primed copies (group
+# e2), deltaz (group dz), and epsL, one more generator of group e
+_EPS = [param("eps00p"), param("eps11p"), param("deltaz"), param("epsL")]
 
 _factor = st.one_of(
     st.tuples(st.sampled_from(_ODD_JETS + _NILPOTENT + [_Z]), st.just(1)),
     st.tuples(st.sampled_from(_EVEN), st.integers(1, 3)),
+    st.tuples(st.sampled_from(_EPS), st.integers(1, 2)),
     st.tuples(st.sampled_from([_Y, _X]),
               st.fractions(min_value=-3, max_value=3, max_denominator=3)
               .filter(bool).map(lambda e: int(e) if e.denominator == 1
@@ -525,6 +529,11 @@ def test_star_sign_matches_pairwise_swaps(word):
     assert _mono_star_sign(mono) == pairs & 1
 
 
+def test_the_factor_strategy_draws_every_eps_group():
+    assert {g.eps_group for g in _EVEN + _NILPOTENT + _EPS} - {None} == {
+        "e", "e2", "dz"}
+
+
 def test_mono_mul_with_an_empty_operand_returns_the_other():
     _, mono = _reference_product([(_Z, 1), (param("eps10"), 1),
                                   (_Y, Fraction(1, 2)), (_ODD_JETS[0], 1)])
@@ -532,6 +541,50 @@ def test_mono_mul_with_an_empty_operand_returns_the_other():
     # a raw factor past its eps order still vanishes
     eps_sq = ((param("eps00"), 2),)
     assert _mono_mul((), eps_sq) is None and _mono_mul(eps_sq, ()) is None
+
+
+# ----------------------------------------------------------------------
+# the one merge rule against a reference that tracks each monomial's
+# running sum
+# ----------------------------------------------------------------------
+
+_MONOS = [(), ((coord("t"), 1),), ((coord("t"), 2),), ((_Y, 1),)]
+_entries = st.tuples(st.sampled_from(_MONOS),
+                     st.integers(-2, 2).map(GaussianRational))
+
+
+def _reference_add(start, items):
+    """The sum of each monomial, nonzero ones only, ordered by the step at
+    which its running sum last turned from zero to nonzero (the entries
+    of start count as steps before the first item)."""
+    stream = list(start.items()) + list(items)
+    sums, placed = {}, {}
+    for step, (mono, c) in enumerate(stream):
+        before = sums.get(mono, QZERO)
+        sums[mono] = before + c
+        if not before and sums[mono]:
+            placed[mono] = step
+    return sorted(((m, c) for m, c in sums.items() if c),
+                  key=lambda mc: placed[mc[0]])
+
+
+@given(st.lists(_entries, max_size=4), st.lists(_entries, max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_add_terms_matches_the_running_sum_reference(start, items):
+    start = _add_terms({}, start)
+    assert all(start.values())
+    want = _reference_add(start, items)
+    terms = dict(start)
+    assert _add_terms(terms, items) is terms
+    assert list(terms.items()) == want
+
+
+def test_add_terms_places_a_cancelled_monomial_anew():
+    t, t2 = _MONOS[1], _MONOS[2]
+    one = GaussianRational(1)
+    terms = _add_terms({}, [(t, one), (t2, one), (t, -one), (t, one)])
+    assert list(terms) == [t2, t]
+    assert _add_terms({t: one}, [((), QZERO)]) == {t: one}
 
 
 # ----------------------------------------------------------------------
