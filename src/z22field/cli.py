@@ -327,6 +327,9 @@ def _write_snapshot(path: Path, state: sim.FieldState) -> None:
 def run_simulate(args) -> int:
     from . import sim
     cfg = build_sim_config(args)
+    if not args.out and (args.profile_dump or cfg.output_stride):
+        flag = "--profile-dump" if args.profile_dump else "--output-stride"
+        raise ValueError(f"{flag} writes files under --out, which is not set")
     traj = sim.run(cfg)
     lines = ["time,energy"]
     lines += [f"{float(t)!r},{float(e)!r}"

@@ -81,25 +81,20 @@ def _latex_frac(f: Fraction) -> str:
     return r"\tfrac{%d}{%d}" % (f.numerator, f.denominator)
 
 
+def _latex_signed(f: Fraction, unit: str) -> str:
+    """f * unit with its sign in front; a unit magnitude is the unit alone."""
+    mag = "" if abs(f) == 1 else _latex_frac(abs(f))
+    return ("+" if f > 0 else "-") + mag + unit
+
+
 def _latex_coeff(c) -> str:
     """Render a Gaussian rational as a latex prefix (sign included)."""
-    if c.im == 0:
-        f = c.re
-        if f == 1:
-            return "+"
-        if f == -1:
-            return "-"
-        return ("+" if f > 0 else "-") + _latex_frac(abs(f))
-    if c.re == 0:
-        f = c.im
-        if f == 1:
-            return "+i"
-        if f == -1:
-            return "-i"
-        return ("+" if f > 0 else "-") + _latex_frac(abs(f)) + "i"
-    return "+\\left(%s%si\\right)" % (
-        _latex_frac(c.re),
-        ("+" if c.im > 0 else "-") + _latex_frac(abs(c.im)))
+    if not c.im:
+        return _latex_signed(c.re, "")
+    if not c.re:
+        return _latex_signed(c.im, "i")
+    re = ("-" if c.re < 0 else "") + _latex_frac(abs(c.re))
+    return "+\\left(%s%s\\right)" % (re, _latex_signed(c.im, "i"))
 
 
 def latex(expr: GradedExpr) -> str:

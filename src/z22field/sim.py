@@ -229,8 +229,10 @@ def kink_closed_form(x: np.ndarray, t: float, alpha: float, v: float = 0.0,
         raise ValueError("kink velocity must satisfy |v| < 1")
     gamma = 1.0 / math.sqrt(1.0 - v * v)
     u = alpha * gamma * (x - x0 - v * t)
-    phi = 2.0 * np.arctan(np.exp(u))
-    pi = -v * alpha * gamma / np.cosh(u)
+    # far in the tail exp and cosh overflow to inf, whose limits are exact
+    with np.errstate(over="ignore"):
+        phi = 2.0 * np.arctan(np.exp(u))
+        pi = -v * alpha * gamma / np.cosh(u)
     return phi, pi
 
 
@@ -380,7 +382,12 @@ def run(cfg: SimConfig) -> Trajectory:
     state = init_profile(cfg)
     steps = int(round(cfg.t_end / cfg.dt))
     times = [state.time]
-    energies = [total_energy(state, cfg)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        energies = [total_energy(state, cfg)]
+    if not math.isfinite(energies[0]):
+        raise ValueError(f"the initial energy is {energies[0]} at alpha="
+                         f"{cfg.alpha}: alpha or the profile parameters are "
+                         f"too large for a float")
     snaps = [state]
     for k in range(steps):
         state = step(state, cfg)

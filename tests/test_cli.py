@@ -121,6 +121,8 @@ def test_simulate_refuses_a_t_end_between_steps(capsys):
      "profile parameter x0 must be finite, got inf"),
     (["--alpha", "1e155", "--dt", "1e-156", "--t-end", "0"],
      "alpha=1e+155 is too large: its square overflows a float"),
+    (["--alpha", "1e154", "--dt", "1e-156", "--t-end", "0"],
+     "the initial energy is inf at alpha=1e+154"),
 ])
 def test_simulate_rejects_bad_input_with_exit_two(argv, message, capsys):
     rc = main(["simulate", *argv])
@@ -243,6 +245,30 @@ def test_simulate_artifacts(tmp_path, capsys):
     assert snaps
     header = snaps[0].read_text().splitlines()[0]
     assert header == "x,phi00,phi11,pi00,pi11"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--profile-dump"], "--profile-dump"),
+    (["--output-stride", "5"], "--output-stride"),
+])
+def test_simulate_refuses_a_file_flag_without_out(argv, flag, capsys):
+    rc = main(["simulate", "--t-end", "0", *argv])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == (f"error: {flag} writes files under --out, which "
+                            f"is not set\n")
+
+
+def test_simulate_refuses_an_output_stride_key_without_out(tmp_path,
+                                                           capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("t-end = 0\noutput_stride = 5\n")
+    rc = main(["simulate", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "--output-stride writes files under --out" in captured.err
 
 
 def test_snapshot_reads_each_derived_field_once(tmp_path, monkeypatch):

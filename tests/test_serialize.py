@@ -81,5 +81,16 @@ def test_a_coefficient_with_real_and_imaginary_parts_is_bracketed():
     # a later term keeps its bracket behind a plus
     d = GaussianRational(Fraction(-2, 3), Fraction(1, 5))
     assert latex(f00 + scalar(d) * f11) == (
-        r"\varphi_{00}+\left(\tfrac{-2}{3}+\tfrac{1}{5}i\right)\,"
+        r"\varphi_{00}+\left(-\tfrac{2}{3}+\tfrac{1}{5}i\right)\,"
         r"\dot{\varphi_{11}}")
+
+
+@pytest.mark.parametrize("re, im, want", [
+    (-1, 1, r"\left(-1+i\right)"),
+    (1, -1, r"\left(1-i\right)"),
+])
+def test_a_unit_part_of_a_complex_coefficient_is_written_bare(re, im, want):
+    f00 = gexp(field("phi00", 0, 0, "x"))
+    assert latex(scalar(GaussianRational(re, im)) * f00) == (
+        want + r"\,\varphi_{00}")
+    assert latex(scalar(GaussianRational(re, im))) == want

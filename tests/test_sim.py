@@ -246,6 +246,25 @@ def test_kink_profile_matches_closed_form():
     assert not state.phi11.any()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_steep_kink_takes_its_far_tail_limits_without_warnings():
+    # alpha * |x - x0| reaches 800 at the ends: exp and cosh overflow
+    cfg = sim.SimConfig(alpha=40.0, dx=0.01, dt=0.002, t_end=0.01)
+    state = sim.init_profile(cfg)
+    assert state.phi00[-1] == math.pi
+    assert state.pi00[0] == 0.0 and state.pi00[-1] == 0.0
+    assert math.isfinite(sim.run(cfg).energies[-1])
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(alpha=1e154, dt=1e-156, t_end=0.0),
+    dict(initial="gaussian", params={"amplitude": 1e200}, t_end=0.0),
+])
+def test_run_refuses_a_non_finite_initial_energy(kwargs):
+    with pytest.raises(ValueError, match="the initial energy is inf at alpha"):
+        sim.run(sim.SimConfig(**kwargs))
+
+
 def test_state_check_catches_nan():
     cfg = sim.SimConfig(initial="zero")
     state = sim.init_profile(cfg)
