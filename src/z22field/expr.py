@@ -403,16 +403,14 @@ class GradedExpr:
             k = 0
             while k < len(mono) and mono[k][0] not in mapping:
                 k += 1
-            acc = GradedExpr({mono[:k]: c})
+            acc = {mono[:k]: c}
             for g, e in mono[k:]:
                 img = mapping.get(g)
-                if img is None:
-                    acc = acc * GradedExpr.gen(g, e)
-                else:
-                    acc = acc * _expr_pow(img, e)
-                if not acc.terms:
+                f = GradedExpr.gen(g, e) if img is None else _expr_pow(img, e)
+                acc = _add_terms({}, _products(acc.items(), f.terms.items()))
+                if not acc:
                     break
-            _add_terms(terms, acc.terms.items())
+            _add_terms(terms, acc.items())
         return GradedExpr(terms)
 
     def restrict_theta(self) -> "GradedExpr":

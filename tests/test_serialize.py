@@ -83,14 +83,7 @@ def test_a_coefficient_with_real_and_imaginary_parts_is_bracketed():
     assert latex(f00 + scalar(d) * f11) == (
         r"\varphi_{00}+\left(-\tfrac{2}{3}+\tfrac{1}{5}i\right)\,"
         r"\dot{\varphi_{11}}")
-
-
-@pytest.mark.parametrize("re, im, want", [
-    (-1, 1, r"\left(-1+i\right)"),
-    (1, -1, r"\left(1-i\right)"),
-])
-def test_a_unit_part_of_a_complex_coefficient_is_written_bare(re, im, want):
-    f00 = gexp(field("phi00", 0, 0, "x"))
-    assert latex(scalar(GaussianRational(re, im)) * f00) == (
-        want + r"\,\varphi_{00}")
-    assert latex(scalar(GaussianRational(re, im))) == want
+    # a unit part is written bare, also as a constant term
+    assert latex(scalar(GaussianRational(-1, 1)) * f00) == (
+        r"\left(-1+i\right)\,\varphi_{00}")
+    assert latex(scalar(GaussianRational(1, -1))) == r"\left(1-i\right)"
