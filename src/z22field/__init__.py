@@ -35,7 +35,7 @@ _LAYERS = {
                     "euler_lagrange", "invariance_report", "noether",
                     "reduce_onshell", "solved_forms",
                     "table_comparison_report"),
-    "dmodule": ("MatrixOp", "WeylOp", "canonical_matrices", "dmodule_report",
+    "dmodule": ("canonical_matrices", "dmodule_report",
                 "matrices_from_tables", "printed_matrices"),
     "sim": ("FieldState", "SimConfig", "Trajectory", "init_profile", "run",
             "step"),
