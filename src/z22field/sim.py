@@ -95,6 +95,9 @@ class SimConfig:
             raise ValueError("dx and dt must be positive")
         if self.t_end < 0:
             raise ValueError(f"t_end must not be negative, got {self.t_end}")
+        if self.output_stride < 0:
+            raise ValueError(f"output_stride must not be negative, got "
+                             f"{self.output_stride}")
         # Verlet is stable while dt^2 k < 4 for every frequency^2 k of the
         # linearised force; k < 4/dx^2 + alpha^2, as the potential curves
         # by at most alpha^2; a term is squared only when it is below 2, so

@@ -260,6 +260,26 @@ def test_simulate_refuses_a_file_flag_without_out(argv, flag, capsys):
                             f"is not set\n")
 
 
+@pytest.mark.parametrize("how", ["flag", "key"])
+def test_simulate_refuses_a_negative_output_stride(how, tmp_path, capsys):
+    # Python's % takes the divisor's sign: -3 would write every third step
+    out = tmp_path / "out"
+    argv = ["simulate", "--dx", "0.2", "--t-end", "0.4", "--out", str(out)]
+    if how == "flag":
+        argv += ["--output-stride", "-3"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("output_stride = -3\n")
+        argv += ["--config", str(cfg)]
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == ("error: output_stride must not be negative, "
+                            "got -3\n")
+    assert not out.exists()
+
+
 def test_simulate_refuses_an_output_stride_key_without_out(tmp_path,
                                                            capsys):
     cfg = tmp_path / "run.cfg"
