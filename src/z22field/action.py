@@ -59,16 +59,6 @@ def theta_z_slots(w: GradedExpr) -> Tuple[GradedExpr, GradedExpr]:
     return ext.split_gen(coord("z"))
 
 
-def kinetic_slots() -> Tuple[GradedExpr, GradedExpr]:
-    d10phi, d01phi = covariant_pair()
-    return theta_z_slots(d10phi * d01phi)
-
-
-def interaction_slots() -> Tuple[GradedExpr, GradedExpr]:
-    from .potential import superspace_potential
-    return theta_z_slots(superspace_potential())
-
-
 def measure_factor() -> GradedExpr:
     """z y**(-1/2), the invariant half-density of the odd coordinate."""
     return gexp(coord("z")) * gexp(coord("y"), Fraction(-1, 2))

@@ -7,13 +7,14 @@ import pytest
 from z22field import GradedExpr, coord, field, gexp, param, scalar
 from z22field.core import QI, GaussianRational, pairjet
 from z22field.action import (auxiliary_solution, berezin_layer,
-                             clifford_report, eliminate_auxiliary,
-                             kinetic_slots, interaction_slots, lagrangian,
+                             clifford_report, covariant_pair,
+                             eliminate_auxiliary, lagrangian,
                              lagrangian_audit, lorentz_spinor_report,
                              measure_invariance_report, nilpotency_report,
-                             product_covariance_report, spinor_lagrangian)
+                             product_covariance_report, spinor_lagrangian,
+                             theta_z_slots)
 from z22field import reference
-from z22field.potential import parse_potential
+from z22field.potential import parse_potential, superspace_potential
 from z22field import action, derivations, variational
 
 from conftest import clear_package_caches
@@ -37,12 +38,13 @@ def test_integration_kills_theta_free_terms():
 
 
 def test_kinetic_slots_match_reference_body():
-    body, zslot = kinetic_slots()
+    d10phi, d01phi = covariant_pair()
+    body, zslot = theta_z_slots(d10phi * d01phi)
     assert body == reference.kinetic_body()
 
 
 def test_interaction_slots_match_reference_body():
-    body, zslot = interaction_slots()
+    body, zslot = theta_z_slots(superspace_potential())
     assert body == reference.interaction_body()
     assert zslot == reference.interaction_z_slot()
 

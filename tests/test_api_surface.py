@@ -12,7 +12,6 @@ HOOKS = {"__init__.__getattr__", "__init__.__dir__"}
 # displays and rewritings that only tests read today; the list may only
 # shrink: a name here that gains a caller in the package fails the test
 TEST_ONLY = {
-    "action.kinetic_slots", "action.interaction_slots",
     "action.spinor_lagrangian",
     "reference.kinetic_body", "reference.interaction_body",
     "reference.interaction_z_slot", "reference.lagrangian_kinetic",
