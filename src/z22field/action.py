@@ -329,6 +329,6 @@ def lorentz_spinor_report() -> dict:
 def lagrangian_audit(lag: GradedExpr) -> dict:
     deg = lag.degree()
     dim = lag.scaling_dim()
-    real = lag.star() == lag
+    real = lag.is_real()
     return {"ok": deg == Degree(0, 0) and dim == Fraction(2) and real,
             "degree": deg, "dimension": dim, "real": real}

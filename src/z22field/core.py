@@ -121,6 +121,16 @@ class GaussianRational:
 
     def __mul__(self, other):
         if type(other) is not GaussianRational:
+            if type(other) is int:
+                # gcd(a, b, d) = 1 makes gcd(k a, k b, d) = gcd(k, d), so
+                # the scaled triple reduces by that alone
+                d = self._d
+                if d != 1:
+                    g = gcd(other, d)
+                    if g != 1:
+                        other //= g
+                        d //= g
+                return _triple(self._a * other, self._b * other, d)
             other = GaussianRational.coerce(other)
             if other is None:
                 return NotImplemented
@@ -148,8 +158,9 @@ class GaussianRational:
             return NotImplemented
         return o / self
 
+    # a sign change, here and in conj, keeps a normalised triple normalised
     def __neg__(self):
-        return _reduced(-self._a, -self._b, self._d)
+        return _triple(-self._a, -self._b, self._d)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -164,7 +175,7 @@ class GaussianRational:
         return out
 
     def conj(self) -> "GaussianRational":
-        return _reduced(self._a, -self._b, self._d)
+        return _triple(self._a, -self._b, self._d)
 
     # -- predicates / hashing -------------------------------------------
 
@@ -217,6 +228,18 @@ def _reduced(a: int, b: int, d: int) -> GaussianRational:
     z = object.__new__(GaussianRational)
     z._a, z._b, z._d = a, b, d
     return z
+
+
+def _triple(a: int, b: int, d: int) -> GaussianRational:
+    """Scalar (a + b*i)/d from a triple that is already normalised."""
+    z = object.__new__(GaussianRational)
+    z._a, z._b, z._d = a, b, d
+    return z
+
+
+def ratio(p: int, q: int) -> GaussianRational:
+    """The real scalar p/q of two integers, q > 0, in lowest terms."""
+    return _reduced(p, 0, q)
 
 
 QONE = GaussianRational(1)

@@ -25,13 +25,16 @@ every generator it has met, as a list of (monomial, coefficient, packed
 mask) triples (see `_ImageMemo`); generators are interned and finitely
 many, so the memo is keyed by generator only, never by an expression or
 a potential.  An action that raises stores nothing.  A walk of many
-derivations routes each distinct generator once, through a table local
-to the call, to the derivations with a nonzero image of it, so a factor
-that none of them moves costs one lookup; a walk of one derivation takes
-its memo, which holds each generator's route, as that table.  Every walk
-is `_walk`.  For the factor g**e of a monomial, with P the factors
-before it and R the monomial less one power of g, the Leibniz term of an
-image monomial m is
+derivations routes each distinct generator once to the derivations with
+a nonzero image of it, so a factor that none of them moves costs one
+lookup.  Its table lives in `_routes`, a least-recently-used memo keyed
+by the tuple of derivation objects alone and bounded at ROUTE_TABLES
+tuples, so repeated walks of one tuple (the jet partials of every
+Euler-Lagrange request) route each generator once between them; a walk
+of one derivation takes its memo, which holds each generator's route,
+as that table.  Every walk is `_walk`.  For the factor g**e of a
+monomial, with P the factors before it and R the monomial less one power
+of g, the Leibniz term of an image monomial m is
 
     (-1)^(parity(deg D, deg P) + parity(deg m, deg P)) e c m*R,
 
@@ -49,7 +52,7 @@ memos last for the whole process.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from itertools import product
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -60,6 +63,9 @@ from .expr import (_MASK_PARITY, GradedExpr, _add_terms, _mono_mask,
                    _mono_mul, gexp, scalar)
 
 ONE = GradedExpr.const(1)
+
+# how many derivation tuples keep their routing tables (see `_routes`)
+ROUTE_TABLES = 8
 
 
 # ----------------------------------------------------------------------
@@ -124,15 +130,30 @@ def apply_many(derivations: Sequence[GeneratorDerivation],
     """Each derivation applied to expr, in one walk over its terms.
 
     Result i equals what derivation i's own Leibniz pass gives, in value
-    and in term order.  The routing table lives for this call and is
-    keyed by generator: a factor that no derivation moves costs one
+    and in term order.  The routing table is keyed by generator and kept
+    by `_routes` for the tuple of derivations, so the next walk of the
+    same tuple reuses it: a factor that no derivation moves costs one
     lookup, and the rest of a monomial is cut once for every derivation
     that moves its factor.
     """
+    derivations = tuple(derivations)
     # None until a derivation's first nonzero Leibniz term
-    outs = _walk(expr.terms.items(), {}, derivations,
+    outs = _walk(expr.terms.items(), _routes(derivations), derivations,
                  [None] * len(derivations))
     return list(map(GradedExpr, outs))
+
+
+@lru_cache(maxsize=ROUTE_TABLES)
+def _routes(derivations: Tuple[GeneratorDerivation, ...]
+            ) -> Dict[Generator, list]:
+    """The routing table of walks of these derivations, filled by `_walk`.
+
+    Keyed by the derivation objects alone, which hash by identity, and
+    never by an expression or a potential; the route of a generator is
+    fixed by the derivations' image memos, so a table never goes stale.
+    The least recently used of more than ROUTE_TABLES tuples is dropped.
+    """
+    return {}
 
 
 def _walk(terms, routes: Dict[Generator, list],

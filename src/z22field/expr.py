@@ -183,8 +183,10 @@ def _mono_mask(m: Monomial) -> int:
     """Degree of a monomial packed as a 2-bit mask, like Generator.mask."""
     mask = 0
     for g, e in m:
-        if type(e) is int and e & 1:
-            mask ^= g.mask
+        # a fractional exponent only sits on a (0,0) generator, mask 0
+        gm = g.mask
+        if gm and e & 1:
+            mask ^= gm
     return mask
 
 
@@ -213,13 +215,14 @@ def _mono_star_sign(m: Monomial) -> int:
     Every pair of odd factors swaps once; as in `_mono_mul`, a running
     mask of the odd factors met so far stands in for the pairs.  Factors
     with even exponent contribute e_i*e_j = even to every pair, and
-    fractional exponents only sit on (0,0) generators.
+    fractional exponents only sit on (0,0) generators, whose mask is 0.
     """
     s = seen = 0
     for g, e in m:
-        if type(e) is int and e & 1:
-            s ^= _MASK_PARITY[g.mask & seen]
-            seen ^= g.mask
+        gm = g.mask
+        if gm and e & 1:
+            s ^= _MASK_PARITY[gm & seen]
+            seen ^= gm
     return s
 
 
@@ -282,16 +285,18 @@ class GradedExpr:
     __radd__ = __add__
 
     def __sub__(self, other):
+        # self + (-other) in one pass, without the negated temporary
         o = _as_expr(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return GradedExpr(_add_terms(dict(self.terms),
+                                     ((m, -c) for m, c in o.terms.items())))
 
     def __rsub__(self, other):
         o = _as_expr(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o - self
 
     def __neg__(self):
         return GradedExpr({m: -c for m, c in self.terms.items()})
@@ -391,6 +396,16 @@ class GradedExpr:
                 cc = -cc
             terms[mono] = cc
         return GradedExpr(terms)
+
+    def is_real(self) -> bool:
+        """Whether self.star() == self, read term by term without building
+        the star: by the sign rule of `star`, a coefficient must be
+        imaginary where its monomial reverses with a sign and real
+        elsewhere, i.e. the other numerator of its triple is zero."""
+        for mono, c in self.terms.items():
+            if c._a if _mono_star_sign(mono) else c._b:
+                return False
+        return True
 
     # -- substitution ----------------------------------------------------
 

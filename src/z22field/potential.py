@@ -23,8 +23,8 @@ import re
 from fractions import Fraction
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from .core import (TRIG, GaussianRational, Generator, coord, field, fjet,
-                   pairjet, trig, trig_of)
+from .core import (TRIG, Generator, coord, field, fjet, pairjet, ratio,
+                   trig, trig_of)
 from .derivations import apply_many, jet_partial
 from .expr import (GradedExpr, ONE_EXPR, ZERO_EXPR, _add_terms, _products,
                    gexp, scalar)
@@ -88,14 +88,15 @@ class FunctionSymbol:
     def _head(self, order: int, space: str) -> GradedExpr:
         if self.kind == "poly":
             # sum over k of c_k k!/(k-order)! phi00**(k-order), one
-            # monomial per k
+            # monomial per k, its coefficient built from integers
             f00 = field("phi00", 0, 0, space)
             terms = {}
             for k in range(order, len(self.coeffs)):
                 c = self.coeffs[k]
                 if c:
                     mono = ((f00, k - order),) if k > order else ()
-                    terms[mono] = GaussianRational(c * math.perm(k, order))
+                    terms[mono] = ratio(c.numerator * math.perm(k, order),
+                                        c.denominator)
             return GradedExpr(terms)
         if self.kind in _TRIG_KINDS:
             sign, sym = _tower(_TRIG_KINDS[self.kind], order)
@@ -158,10 +159,6 @@ def parse_potential(spec: str) -> FunctionSymbol:
 # pair symbols: series expansion and concrete replacement
 # ----------------------------------------------------------------------
 
-def _fact(n: int) -> Fraction:
-    return Fraction(math.factorial(n))
-
-
 def pair_series(m: int, slot: int, sp: str, truncation_order: int,
                 fsub: Optional[Callable[[int], GradedExpr]] = None
                 ) -> GradedExpr:
@@ -196,7 +193,7 @@ def pair_series(m: int, slot: int, sp: str, truncation_order: int,
         mono = ((y, n),) if y is not None and n else ()
         if p:
             mono += ((f11, p),)
-        inv = GaussianRational(1 / _fact(p))
+        inv = ratio(1, math.factorial(p))
         _add_terms(terms, _products(head.terms.items(), ((mono, inv),)))
         n += 1
     return GradedExpr(terms)
@@ -359,5 +356,5 @@ def superspace_potential() -> GradedExpr:
         if k:
             nk = nk * nil
         layer = gexp(pairjet(k, 0, "y")) + z * gexp(pairjet(k, 1, "y"))
-        out = out + scalar(Fraction(1) / _fact(k)) * nk * layer
+        out = out + scalar(ratio(1, math.factorial(k))) * nk * layer
     return out

@@ -346,7 +346,8 @@ def step(state: FieldState, cfg: SimConfig) -> FieldState:
 
 
 def total_energy(state: FieldState, cfg: SimConfig) -> float:
-    """The discrete energy that the update conserves.
+    """The scheme's own discrete energy, which velocity Verlet holds only
+    up to a bounded O(dt^2) oscillation, not exactly.
 
     In the u/v basis the density is (1/4) sum over both rows of
     p^2 + alpha^2 sin^2 w, summed with trapezoid weights; the gradient

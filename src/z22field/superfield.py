@@ -286,7 +286,7 @@ def closure_report(stage: str = "y") -> List[dict]:
 
 def reality_check() -> bool:
     phi = superfield("y")
-    return (phi.star() - phi).is_zero()
+    return phi.is_real()
 
 
 def degree_audit(stage: str = "y") -> List[str]:

@@ -115,6 +115,23 @@ def test_lagrangian_audit(eliminate):
     assert audit["ok"], audit
 
 
+@pytest.mark.parametrize("spec", ["abstract", "cos", "poly:0,0,0,1"])
+@pytest.mark.parametrize("eliminate", [False, True])
+def test_the_reality_test_agrees_with_the_star(spec, eliminate):
+    lag = lagrangian(parse_potential(spec), eliminate=eliminate)
+    assert lag.is_real() and lag.star() == lag
+    for bad in (scalar(QI) * lag, lag + scalar(QI) * gexp(
+            field("psi10", 0, 0, "x")) * gexp(field("psi01", 0, 0, "x"))):
+        assert not bad.is_real() and bad.star() != bad
+
+
+def test_the_audit_refuses_an_imaginary_lagrangian():
+    audit = lagrangian_audit(scalar(QI) * lagrangian(eliminate=True))
+    assert audit["real"] is False and audit["ok"] is False
+    # degree and dimension still pass: reality alone fails it
+    assert audit["degree"] == (0, 0) and audit["dimension"] == 2
+
+
 def test_measure_invariance():
     assert measure_invariance_report()["ok"]
 

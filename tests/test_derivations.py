@@ -288,6 +288,21 @@ def test_euler_lagrange_derivatives_match_the_three_product_form(
     _assert_walk_matches(calls)
 
 
+@pytest.mark.parametrize("spec", [None, "cos", "poly:0,0,0,1"])
+def test_euler_lagrange_walks_match_again_on_warm_routes(spec, monkeypatch):
+    # the second call reads the routing table the first one filled
+    V = parse_potential(spec) if spec else None
+    lag = lagrangian(V, eliminate=True)
+    derivations._routes.cache_clear()
+    cold = _euler_lagrange_calls(lag, monkeypatch)
+    hits = derivations._routes.cache_info().hits
+    warm = _euler_lagrange_calls(lag, monkeypatch)
+    assert derivations._routes.cache_info().hits > hits
+    _assert_walk_matches(warm)
+    assert [list(out.terms.items()) for _, _, out in warm] == [
+        list(out.terms.items()) for _, _, out in cold]
+
+
 # random expressions over odd and even field jets, pair symbols, powers
 # of y**(1/2) and the eps parameters
 _WALK_GENS = ([field(b, m, n, "x") for b in ("phi00", "phi11", "A00", "A11",
@@ -396,6 +411,51 @@ def test_a_walk_asks_each_action_once_per_generator():
     assert outs[2] == GradedExpr.zero()
     # each derivation keeps the images the walk looked up
     assert len(seen) == 9
+
+
+def _route_probe():
+    phi, psi = field("phi00", 0, 0, "x"), field("psi10", 1, 0, "x")
+    return (gexp(phi, 3) * gexp(psi) + gexp(coord("x")) * gexp(phi)
+            + gexp(pairjet(1, 0, "x")) * gexp(psi))
+
+
+def test_a_warm_walk_equals_a_cold_one():
+    ders = (_FIRST_ORDER_PARTIALS + [total_t("x"), total_space("x")])
+    e = _route_probe()
+    derivations._routes.cache_clear()
+    cold = derivations.apply_many(ders, e)
+    assert derivations._routes.cache_info().currsize == 1
+    warm = derivations.apply_many(list(ders), e)
+    assert derivations._routes.cache_info().hits == 1
+    assert [list(o.terms.items()) for o in warm] == [
+        list(o.terms.items()) for o in cold]
+    _assert_walk_matches(zip(ders, [e] * len(ders), warm))
+
+
+def test_the_route_memo_keeps_at_most_its_bound():
+    bound = derivations.ROUTE_TABLES
+    e = _route_probe()
+    derivations._routes.cache_clear()
+    tuples = [(total_t("x"), jet_partial(field("phi00", m, 0, "x")))
+              for m in range(bound + 3)]
+    for ders in tuples:
+        derivations.apply_many(ders, e)
+        assert derivations._routes.cache_info().currsize <= bound
+    assert derivations._routes.cache_info().currsize == bound
+    assert derivations._routes.cache_info().maxsize == bound
+    # the oldest tuples were dropped, and a walk of one rebuilds its table
+    misses = derivations._routes.cache_info().misses
+    again = derivations.apply_many(tuples[0], e)
+    assert derivations._routes.cache_info().misses == misses + 1
+    assert again == [d.apply(e) for d in tuples[0]]
+
+
+def test_clearing_the_package_caches_empties_the_route_memo():
+    from conftest import clear_package_caches
+    derivations.apply_many([total_t("x"), total_space("x")], _route_probe())
+    assert derivations._routes.cache_info().currsize >= 1
+    clear_package_caches()
+    assert derivations._routes.cache_info().currsize == 0
 
 
 def test_constructors_are_cached_per_stage_or_generator():

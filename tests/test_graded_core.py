@@ -87,13 +87,17 @@ def _agrees(z, ref):
 wide = st.fractions(min_value=-300, max_value=300, max_denominator=60)
 
 
-@given(wide, wide, wide, wide, st.integers(0, 5))
-def test_scalar_matches_fraction_pair_reference(p, q, r, s, n):
+@given(wide, wide, wide, wide, st.integers(0, 5),
+       st.one_of(st.integers(-12, 12), st.integers(-10 ** 30, 10 ** 30)))
+def test_scalar_matches_fraction_pair_reference(p, q, r, s, n, k):
     x, y = GaussianRational(p, q), GaussianRational(r, s)
     _agrees(x, (p, q))
     _agrees(x + y, (p + r, q + s))
     _agrees(x - y, (p - r, q - s))
     _agrees(x * y, _ref_mul((p, q), (r, s)))
+    # the integer fast path, zero and negative factors included
+    _agrees(x * k, (p * k, q * k))
+    _agrees(k * x, (k * p, k * q))
     _agrees(-x, (-p, -q))
     _agrees(x.conj(), (p, -q))
     _agrees(x ** n, _ref_pow((p, q), n))
@@ -101,6 +105,39 @@ def test_scalar_matches_fraction_pair_reference(p, q, r, s, n):
     if norm:
         _agrees(x / y, ((p * r + q * s) / norm, (q * r - p * s) / norm))
     assert (x == y) == ((p, q) == (r, s))
+
+
+@pytest.mark.parametrize("k", [0, 1, -1, 3, -4, 6, 12, -36, 10 ** 20])
+def test_integer_factors_scale_the_triple(k):
+    x = GaussianRational(Fraction(3, 4), Fraction(-5, 6))
+    assert (x._a, x._b, x._d) == (9, -10, 12)
+    ref = GaussianRational(Fraction(3, 4) * k, Fraction(-5, 6) * k)
+    for got in (x * k, k * x):
+        assert got == ref and (got._a, got._b, got._d) == (ref._a, ref._b,
+                                                           ref._d)
+        assert type(got._a) is int and type(got._d) is int
+        assert got._d > 0 and gcd(got._a, got._b, got._d) == 1
+
+
+def test_negation_and_conjugation_keep_the_triple_normalised():
+    x = GaussianRational(Fraction(3, 4), Fraction(-5, 6))
+    assert ((-x)._a, (-x)._b, (-x)._d) == (-9, 10, 12)
+    assert (x.conj()._a, x.conj()._b, x.conj()._d) == (9, 10, 12)
+    assert -(-x) == x and x.conj().conj() == x
+    y = GaussianRational(Fraction(-7, 10))
+    assert ((-y)._a, (-y)._b, (-y)._d) == (7, 0, 10)
+    assert y.conj() is not y and y.conj() == y
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_a_bool_factor_takes_the_coerce_path(flag):
+    # bool is a subclass of int, but `type(k) is int` keeps it on the
+    # coerce path, which reads it as the Fraction 1 or 0
+    x = GaussianRational(Fraction(3, 4), Fraction(-5, 6))
+    for got in (x * flag, flag * x):
+        assert got == (x if flag else QZERO)
+        assert all(type(v) is int for v in (got._a, got._b, got._d))
+        assert got._d > 0 and gcd(got._a, got._b, got._d) == 1
 
 
 def test_scalar_triple_is_normalised():
@@ -266,6 +303,26 @@ def test_star_is_an_involutive_antihomomorphism(a, b):
     assert a.star().star() == a
     assert (a + b).star() == a.star() + b.star()
     assert (a * b).star() == b.star() * a.star()
+
+
+@given(exprs(), exprs())
+@settings(max_examples=80, deadline=None)
+def test_difference_is_the_sum_of_the_negation_in_order(a, b):
+    assert list((a - b).terms.items()) == list((a + (-b)).terms.items())
+    assert (a - a).terms == {}
+    # a scalar on the left goes through __rsub__
+    assert list((3 - a).terms.items()) == list(
+        (scalar(3) + (-a)).terms.items())
+
+
+@given(exprs())
+@settings(max_examples=80, deadline=None)
+def test_is_real_agrees_with_the_star(e):
+    i = scalar(QI)
+    # e + e* is real and i(e - e*) too; i(e + e*) is real only when zero
+    for x in (e, e + e.star(), i * (e - e.star()), i * (e + e.star())):
+        assert x.is_real() == (x.star() == x)
+    assert (e + e.star()).is_real() and (i * (e - e.star())).is_real()
 
 
 @given(exprs())
