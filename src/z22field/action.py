@@ -1,8 +1,8 @@
 """Superspace action pipeline.
 
 Builds the invariant integrand from the covariant derivative pair and
-the superspace potential, performs the theta and z extraction that
-defines the integral, transports the resulting density through the
+the superspace potential, integrates it through the superfield's one
+reader of the theta-theta slot, transports the density through the
 variable redefinition, and assembles the component Lagrangian in both
 its generic (pair-symbol) and auxiliary-eliminated forms.
 
@@ -27,10 +27,10 @@ from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
 from .core import (DEG00, Degree, GaussianRational, Generator, QI, coord,
                    field, pairjet, param)
 from .derivations import (apply_many, combine, jet_partial, jet_prolongation,
-                          partial_coord, partial_z, solve_linear,
-                          superspace_operators, total_space, total_t)
+                          partial_z, solve_linear, superspace_operators,
+                          total_space, total_t)
 from .expr import GradedExpr, gexp, scalar
-from .superfield import stage_map, superfield
+from .superfield import stage_map, superfield, theta_theta_layers
 
 # the functions that use `potential` import it, so a check that calls
 # none of them (verify-algebra) never loads it
@@ -51,14 +51,6 @@ def covariant_pair() -> Tuple[GradedExpr, GradedExpr]:
     return ops["D10"](phi), ops["D01"](phi)
 
 
-def theta_z_slots(w: GradedExpr) -> Tuple[GradedExpr, GradedExpr]:
-    """theta10-theta01 component of w, split into z-free and z-linear
-    layers."""
-    d10, d01 = partial_coord("th10"), partial_coord("th01")
-    ext = d10(d01(w)).restrict_theta()
-    return ext.split_gen(coord("z"))
-
-
 def measure_factor() -> GradedExpr:
     """z y**(-1/2), the invariant half-density of the odd coordinate."""
     return gexp(coord("z")) * gexp(coord("y"), Fraction(-1, 2))
@@ -73,9 +65,7 @@ def superspace_integrand() -> GradedExpr:
 
 def berezin_layer(j: GradedExpr) -> GradedExpr:
     """The integral definition: half the z-linear theta-theta slot."""
-    body, zslot = theta_z_slots(j)
-    del body
-    return _half * zslot
+    return _half * theta_theta_layers(j)[1]
 
 
 def action_density() -> GradedExpr:

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .core import GaussianRational, pairjet
+from .core import pairjet
 from .expr import GradedExpr
 
 FORMATS = ("json", "latex", "text", "csv")
@@ -35,10 +36,6 @@ def _plain(obj, fmt: str = "text"):
         if fmt == "latex":
             from .serialize import latex
             return latex(obj)
-        return str(obj)
-    if isinstance(obj, GaussianRational):
-        return str(obj)
-    if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, dict):
         return {_key(k): _plain(v, fmt) for k, v in sorted(
@@ -205,9 +202,10 @@ def run_verify_dmodule(args) -> Tuple[bool, dict]:
 def run_check_examples(args) -> Tuple[bool, dict]:
     from .variational import (generic_eom_report, quadratic_eom_report,
                               sine_gordon_reduction, trig_eom_report)
-    sections = {"generic": generic_eom_report(),
+    generic = generic_eom_report()
+    sections = {"generic": generic,
                 "quadratic": quadratic_eom_report(),
-                "trigonometric": trig_eom_report(),
+                "trigonometric": trig_eom_report(generic),
                 "sine_gordon": sine_gordon_reduction()}
     payload = {sec: {b: {k: v for k, v in e.items() if k != "residual"}
                      for b, e in rows.items()}
@@ -483,7 +481,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(lag)
         else:
             _emit_report(ok, payload, args.format, sys.stdout)
+        sys.stdout.flush()
         return 0 if ok else 1
+    except BrokenPipeError:
+        # the reader left: the null device takes the interpreter's last flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, RuntimeError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if getattr(args, "format", None) == "json":

@@ -56,7 +56,7 @@ from functools import cache, lru_cache
 from itertools import product
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .core import (DEG00, DEG01, DEG10, DEG11, TRIG, Degree,
+from .core import (DEG00, DEG01, DEG10, DEG11, FIELD_BASES, TRIG, Degree,
                    GaussianRational, Generator, QI, QONE, QZERO, coord, field,
                    fjet, pairjet, parity, trig)
 from .expr import (_MASK_PARITY, GradedExpr, _add_terms, _mono_mask,
@@ -526,8 +526,7 @@ def verify_structure_constants() -> List[dict]:
     """
     ops = superspace_operators()
     gens = [coord(n) for n in ("t", "y", "z", "th10", "th01")]
-    gens += [field(b, 0, 0, "y") for b in ("phi00", "phi11", "A00", "A11",
-                                           "psi10", "psi01", "lam10", "lam01")]
+    gens += [field(b, 0, 0, "y") for b in FIELD_BASES]
     seven = [ops[n] for n in _ORDER]
     # single and double operator applications on the probes, the seven
     # operators in one walk over each expression

@@ -13,12 +13,11 @@ from the variation tables are compared row by row with the hand-checked
 displays, and their graded brackets are checked against the structure
 constants of the superspace algebra.
 
-The printed and the table-extracted matrix sets, and the extracted set
-closed by orientation with its bracket relations, are memoised with
-functools.cache and shared, so no caller mutates them.
+The module keeps no memo: `dmodule_report` builds the printed and the
+extracted sets once and passes them to each check, so it closes each of
+its three sets once.
 """
 
-from functools import cache
 from typing import Dict, List, Tuple
 
 from .core import GaussianRational, Generator, coord, field, param, parity
@@ -29,6 +28,7 @@ from .superfield import (PARAM_OF, VAR_NAMES, prolonged_derivation,
 from .reference import MULTIPLET, matrix_realization_data
 
 Rows = Dict[str, GradedExpr]  # base of F -> (M F) at that base
+Relations = Dict[Tuple[str, str], bool]  # ordered pair -> bracket closes
 
 _INDEX = {b: k for k, b in enumerate(MULTIPLET)}
 
@@ -54,7 +54,6 @@ def _jet(mono: tuple, where: str) -> Generator:
 # construction
 # ----------------------------------------------------------------------
 
-@cache
 def printed_matrices() -> Dict[str, Rows]:
     """The displayed matrices, straight from the frozen entry data."""
     t, x = coord("t"), coord("x")
@@ -69,7 +68,6 @@ def printed_matrices() -> Dict[str, Rows]:
     return out
 
 
-@cache
 def matrices_from_tables() -> Dict[str, Rows]:
     """Extract each matrix from its variation table.
 
@@ -100,10 +98,9 @@ def reconstruct_table(name: str, mats: Dict[str, Rows]) -> Rows:
 # verification
 # ----------------------------------------------------------------------
 
-def matrix_comparison_report() -> Dict[str, dict]:
+def matrix_comparison_report(printed: Dict[str, Rows],
+                             derived: Dict[str, Rows]) -> Dict[str, dict]:
     """Extracted matrices against the displays, cell by cell."""
-    printed = printed_matrices()
-    derived = matrices_from_tables()
     out: Dict[str, dict] = {}
     for name, pm in printed.items():
         dm = derived[name]
@@ -119,8 +116,7 @@ def matrix_comparison_report() -> Dict[str, dict]:
     return out
 
 
-def verify_matrix_relations(mats: Dict[str, Rows]
-                            ) -> Dict[Tuple[str, str], bool]:
+def verify_matrix_relations(mats: Dict[str, Rows]) -> Relations:
     """Close every ordered pair against the structure constants.
 
     One walk over each row r of M_a F applies the prolonged derivations
@@ -131,7 +127,7 @@ def verify_matrix_relations(mats: Dict[str, Rows]
     derivs = [prolonged_derivation(mats[n], "x", f"M_{n}") for n in VAR_NAMES]
     prods = {a: {r: apply_many(derivs, row) for r, row in mats[a].items()}
              for a in VAR_NAMES}
-    out: Dict[Tuple[str, str], bool] = {}
+    out: Relations = {}
     for i, a in enumerate(VAR_NAMES):
         for j in range(i, len(VAR_NAMES)):
             b = VAR_NAMES[j]
@@ -145,25 +141,17 @@ def verify_matrix_relations(mats: Dict[str, Rows]
     return out
 
 
-def canonical_matrices() -> Tuple[Dict[str, Rows], List[str]]:
-    """Table-extracted matrices with orientations pinned by closure.
+def canonical_matrices(mats: Dict[str, Rows]) -> Tuple[
+        Dict[str, Rows], List[str], Relations, Relations]:
+    """Orientations of a matrix set pinned by closure.
 
     Extraction from a variation table fixes each matrix only up to the
     sign convention pairing it with its parameter; the graded bracket
-    relations remove the ambiguity.  Returns the best set found and the
-    names whose extracted orientation had to flip; when no choice closes,
-    the report's canonical relations name the pairs that stay open.
+    relations remove the ambiguity.  Returns the best set found, the
+    names whose orientation had to flip, and the relations of `mats` and
+    of the best set (the last accepted trial, so each set is closed once);
+    when no choice closes, the latter name the pairs that stay open.
     """
-    mats, flips, _, _ = _closed_orientations()
-    return dict(mats), list(flips)
-
-
-@cache
-def _closed_orientations():
-    """canonical_matrices, plus the relations of the extracted set and of
-    the best one: the best set is the last accepted trial, so each set is
-    closed once."""
-    mats = matrices_from_tables()
     first = rel = verify_matrix_relations(mats)
     flips: List[str] = []
     bad = sum(not ok for ok in rel.values())
@@ -178,24 +166,21 @@ def _closed_orientations():
                 flips.append(name)
             if not bad:
                 break
-    return mats, tuple(flips), first, rel
+    return mats, flips, first, rel
 
 
 def dmodule_report() -> dict:
     """Full D-module check: displays, tables, and bracket closure."""
     printed = printed_matrices()
     derived = matrices_from_tables()
-    canonical, flips = canonical_matrices()
-    _, _, rel_derived, rel_canonical = _closed_orientations()
-    table_ok = all(
-        reconstruct_table(name, derived) == variation_table(name, "x")
-        for name in printed
-    )
+    canonical, flips, rel_derived, rel_canonical = canonical_matrices(derived)
+    table_ok = all(reconstruct_table(n, derived) == variation_table(n, "x")
+                   for n in printed)
     return {
-        "comparison": matrix_comparison_report(),
-        "relations_derived": dict(rel_derived),
+        "comparison": matrix_comparison_report(printed, derived),
+        "relations_derived": rel_derived,
         "relations_printed": verify_matrix_relations(printed),
-        "relations_canonical": dict(rel_canonical),
+        "relations_canonical": rel_canonical,
         "orientation_flips": flips,
         "canonical_matches_printed": canonical == printed,
         "tables_reconstructed": table_ok,

@@ -347,9 +347,8 @@ def superspace_potential() -> GradedExpr:
     """
     from .superfield import superfield
     z = gexp(coord("z"))
-    body = (gexp(field("phi00", 0, 0, "y"))
-            + z * gexp(field("phi11", 0, 0, "y")))
-    nil = superfield("y") - body
+    phi = superfield("y")
+    nil = phi - phi.restrict_theta()
     out = ZERO_EXPR
     nk = ONE_EXPR
     for k in range(3):

@@ -6,9 +6,10 @@ The superfield packs eight component fields into the nilpotent coordinates,
         + th01 (i psi01 + z lam10) + th10 th01 (A11 + z A00),
 
 and is real: star(Phi) = Phi.  Variations are computed by applying the
-superspace operators to this expansion and re-reading the slots with the
-same left theta-derivatives used for integration, so every sign in the
-tables is produced mechanically.
+superspace operators to this expansion and re-reading the slots with
+left theta-derivatives and strips, so every sign in the tables is
+produced mechanically; `theta_theta_layers` is the one reader of the
+th10 th01 slot, which the integral (`action.berezin_layer`) reads too.
 
 Field variations use the opposite operator signs from coordinate
 variations (the standard active/passive flip):
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .core import (DEG00, FIELD_BASES, TRIG, GaussianRational, Generator,
                    QI, X_WEIGHTED, coord, field, pairjet, param, parity, trig)
@@ -72,19 +73,27 @@ def superfield(space: str = "y") -> GradedExpr:
             + th10 * th01 * (f("A11") + z * f("A00")))
 
 
+def theta_theta_layers(E: GradedExpr) -> Tuple[GradedExpr, GradedExpr]:
+    """The th10 th01 slot of E, split in z: its (A11, A00) layers."""
+    th10, th01 = coord("th10"), coord("th01")
+    slot = GradedExpr({m: c for m, c in E.terms.items()
+                       if {th10, th01} <= {g for g, _ in m}})
+    return slot.strip_left(th10).strip_left(th01).split_gen(coord("z"))
+
+
 def split_components(E: GradedExpr) -> Dict[str, GradedExpr]:
     """Invert the superfield packing on any expression of the same shape.
 
     Works for the superfield itself and for anything derived from it
     linearly (variations), returning the eight slot coefficients.
     """
-    d10 = partial_coord("th10")
-    e01 = partial_coord("th01").apply(E)
     minus_i = scalar(GaussianRational(0, -1))
-    # the body, th10, th01 and th10 th01 slots, each split in z
-    (c_phi00, c_phi11), (a10, b10), (a01, b01), (c_a11, c_a00) = (
+    # the body, th10 and th01 slots, each split in z
+    (c_phi00, c_phi11), (a10, b10), (a01, b01) = (
         t.restrict_theta().split_gen(coord("z"))
-        for t in (E, d10.apply(E), e01, d10.apply(e01)))
+        for t in (E, partial_coord("th10").apply(E),
+                  partial_coord("th01").apply(E)))
+    c_a11, c_a00 = theta_theta_layers(E)
     return {
         "phi00": c_phi00, "phi11": c_phi11,
         "psi10": minus_i * a10, "lam01": b10,

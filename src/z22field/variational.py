@@ -18,10 +18,11 @@ at zero.  So such columns are peeled first, each valued by its private
 row and subtracted from the right side; Gauss-Jordan eliminates only
 the rest.
 
-The on-shell stages `field_equations`, `solved_forms`, `generic_eom_report`
-and `action.auxiliary_solution` (keyed by nothing) and `eliminated_variation`
+The on-shell stages `field_equations`, `solved_forms` and
+`action.auxiliary_solution` (keyed by nothing) and `eliminated_variation`
 (keyed by symmetry name) are memoised with functools.cache and shared, so no
-caller mutates them.  Reductions take any input and keep no memo.  The
+caller mutates them.  Reductions and display comparisons keep no memo;
+`trig_eom_report` takes the generic comparison that pins its scales.  The
 divergence certificates keep one bounded by the number of symmetries,
 keyed by the canonical term set: `noether` reads back the certificates
 `invariance_report` built, and a stream of other inputs only evicts.
@@ -433,6 +434,7 @@ def table_comparison_report() -> Dict[str, dict]:
     entry: five symmetries, eight fields, both stages."""
     pre = reference.pre_variation_tables()
     post = reference.post_variation_tables()
+    coord_tabs = reference.coordinate_variation_tables()
     out: Dict[str, dict] = {}
     for name in SYMMETRIES:
         rows: Dict[str, bool] = {}
@@ -441,7 +443,7 @@ def table_comparison_report() -> Dict[str, dict]:
             for base, want in tab.items():
                 rows[f"{stage}:{base}"] = eng[base] == want
         coords = coordinate_variations(name)
-        for cn, want in reference.coordinate_variation_tables()[name].items():
+        for cn, want in coord_tabs[name].items():
             rows[f"coord:{cn}"] = coords[cn] == want
         out[name] = {"ok": all(rows.values()), "entries": rows}
     return out
@@ -470,7 +472,6 @@ def _specialized_equations(spec: str) -> Dict[str, GradedExpr]:
             for b, e in field_equations().items()}
 
 
-@cache
 def generic_eom_report() -> Dict[str, dict]:
     return eom_comparison(field_equations(), reference.generic_eom())
 
@@ -480,21 +481,20 @@ def quadratic_eom_report() -> Dict[str, dict]:
                           reference.quadratic_eom_printed())
 
 
-def trig_eom_report() -> Dict[str, dict]:
+def trig_eom_report(generic: Dict[str, dict]) -> Dict[str, dict]:
     """Trigonometric rows against the literal displays.
 
-    Scales are pinned by the generic comparison, so the residual here is
-    exactly (scale times) the discrepancy between the displayed rows and
-    the field equations of the displayed Lagrangian.  The displays flip
-    some fermion-term signs, so those residuals are expected; each one
-    must vanish when the fermions are switched off.
+    Scales are pinned by `generic`, the generic comparison, so the
+    residual here is exactly (scale times) the discrepancy between the
+    displayed rows and the field equations of the displayed Lagrangian.
+    The displays flip some fermion-term signs, so those residuals are
+    expected; each one must vanish when the fermions are switched off.
     """
     engine = _specialized_equations("cos")
     printed = reference.sg_eom_printed()
-    scales = {b: e["scale"] for b, e in generic_eom_report().items()}
     rep: Dict[str, dict] = {}
     for b, ref_row in printed.items():
-        scale = scales[b]
+        scale = generic[b]["scale"]
         res = engine[b] - scalar(scale) * ref_row
         subs = {g: GradedExpr.zero() for g in res.generators()
                 if g.kind == "field" and g.base in FERMIONS}

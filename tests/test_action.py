@@ -11,10 +11,10 @@ from z22field.action import (auxiliary_solution, berezin_layer,
                              eliminate_auxiliary, lagrangian,
                              lagrangian_audit, lorentz_spinor_report,
                              measure_invariance_report, nilpotency_report,
-                             product_covariance_report, spinor_lagrangian,
-                             theta_z_slots)
+                             product_covariance_report, spinor_lagrangian)
 from z22field import reference
 from z22field.potential import parse_potential, superspace_potential
+from z22field.superfield import theta_theta_layers
 from z22field import action, derivations, variational
 
 from conftest import clear_package_caches
@@ -39,12 +39,12 @@ def test_integration_kills_theta_free_terms():
 
 def test_kinetic_slots_match_reference_body():
     d10phi, d01phi = covariant_pair()
-    body, zslot = theta_z_slots(d10phi * d01phi)
+    body, zslot = theta_theta_layers(d10phi * d01phi)
     assert body == reference.kinetic_body()
 
 
 def test_interaction_slots_match_reference_body():
-    body, zslot = theta_z_slots(superspace_potential())
+    body, zslot = theta_theta_layers(superspace_potential())
     assert body == reference.interaction_body()
     assert zslot == reference.interaction_z_slot()
 

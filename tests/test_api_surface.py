@@ -1,7 +1,10 @@
 """No API without a caller: every top-level function or class of the
-package is referenced somewhere in the package outside its own body."""
+package is referenced somewhere in the package outside its own body.
+No memo but the derivation stages that a later check or request reads
+again."""
 
 import ast
+import importlib
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "z22field"
@@ -57,3 +60,27 @@ def test_every_definition_has_a_caller_in_the_package():
 
 def test_the_test_only_list_only_shrinks():
     assert TEST_ONLY - _uncalled() == set()
+
+
+# the functools caches of the package: each one a stage of the derivation
+# chain that more than one check or request reads
+STAGE_MEMOS = {
+    "derivations._routes", "derivations.total_t", "derivations.total_space",
+    "derivations.jet_partial", "derivations.partial_coord",
+    "derivations.superspace_operators",
+    "superfield.variation_table", "superfield._stage_field_image",
+    "action._component_lagrangian", "action.auxiliary_solution",
+    "variational.field_equations", "variational.solved_forms",
+    "variational._solved_split", "variational.eliminated_variation",
+}
+
+
+def test_the_only_memos_are_the_stage_memos():
+    memos = set()
+    for path in sorted(PACKAGE.glob("[!_]*.py")):
+        module = importlib.import_module(f"z22field.{path.stem}")
+        for name, obj in vars(module).items():
+            if (callable(getattr(obj, "cache_clear", None))
+                    and obj.__module__ == module.__name__):
+                memos.add(f"{path.stem}.{name}")
+    assert memos == STAGE_MEMOS

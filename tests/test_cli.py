@@ -591,15 +591,39 @@ def _certify_argv():
     return {cmd: mod.certify_argv(cmd) for cmd, _ in mod.CERTIFY}
 
 
-def _cold_cli_stdout(argv):
+def _cli_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return env
+
+
+def _cold_cli_stdout(argv):
     proc = subprocess.run(
         [sys.executable, "-m", "z22field.cli", *argv],
-        env=env, capture_output=True, timeout=300)
+        env=_cli_env(), capture_output=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def test_a_closed_stdout_exits_one_without_a_traceback():
+    # a one-page pipe: the 13 kB report cannot fit, so the command is
+    # still writing when the reader leaves after one byte
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("no way to shrink a pipe on this platform")
+    r, w = os.pipe()
+    fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, 4096)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "z22field.cli", "verify-algebra",
+         "--format", "json"],
+        env=_cli_env(), stdout=w, stderr=subprocess.PIPE)
+    os.close(w)
+    assert len(os.read(r, 1)) == 1
+    os.close(r)
+    _, err = proc.communicate(timeout=300)
+    assert b"Traceback" not in err, err.decode()
+    assert proc.returncode == 1
 
 
 def test_every_certify_command_is_pinned():

@@ -85,7 +85,7 @@ def test_printed_matrices_close_all_relations():
 
 
 def test_extraction_reproduces_displays_up_to_one_orientation():
-    rep = matrix_comparison_report()
+    rep = matrix_comparison_report(printed_matrices(), matrices_from_tables())
     for name in ("Z", "Q10", "Q01", "L11"):
         assert rep[name]["matches_printed"], name
     # the time-translation pairing line carries the opposite sign
@@ -96,7 +96,7 @@ def test_extraction_reproduces_displays_up_to_one_orientation():
 
 
 def test_closure_pins_the_orientation():
-    mats, flips = canonical_matrices()
+    mats, flips, _, _ = canonical_matrices(matrices_from_tables())
     assert flips == ["H"]
     assert all(verify_matrix_relations(mats).values())
     assert mats == printed_matrices()
@@ -125,6 +125,7 @@ def test_the_report_closes_each_matrix_set_once(monkeypatch):
     # the extracted set, the printed set and the closed set, whose
     # closure is the last orientation trial
     want = dmodule_report()
+    canonical = canonical_matrices(matrices_from_tables())[0]
     calls = []
     original = dmodule.verify_matrix_relations
 
@@ -133,10 +134,8 @@ def test_the_report_closes_each_matrix_set_once(monkeypatch):
         return original(mats)
 
     monkeypatch.setattr(dmodule, "verify_matrix_relations", counted)
-    dmodule._closed_orientations.cache_clear()
     assert dmodule_report() == want
     assert len(calls) == 3
-    canonical, _ = canonical_matrices()
     assert canonical in calls and printed_matrices() in calls
     assert matrices_from_tables() in calls
 
@@ -189,18 +188,6 @@ def test_negating_one_matrix_fails_exactly_its_relations(which, name):
 # failed checks: exit 1 with a report or an error line
 # ----------------------------------------------------------------------
 
-@pytest.fixture
-def fresh_memos():
-    """Empty the module's memos around a test that patches their inputs."""
-    def clear():
-        for memo in (printed_matrices, matrices_from_tables,
-                     dmodule._closed_orientations):
-            memo.cache_clear()
-    clear()
-    yield
-    clear()
-
-
 def _patch_table(monkeypatch, name, change):
     real = dmodule.variation_table
 
@@ -230,7 +217,7 @@ def _resigned(table, base="psi10"):
 
 
 def test_a_misprinted_display_fails_the_printed_relations(
-        monkeypatch, capsys, fresh_memos):
+        monkeypatch, capsys):
     real = dmodule.matrix_realization_data()
     data = dict(real)
     # one diagonal cell of H printed with twice its coefficient
@@ -244,7 +231,7 @@ def test_a_misprinted_display_fails_the_printed_relations(
 
 
 def test_an_unclosable_table_reports_its_best_orientation(
-        monkeypatch, capsys, fresh_memos):
+        monkeypatch, capsys):
     # Q10 scaled by 2: no choice of signs closes the brackets
     _patch_table(monkeypatch, "Q10",
                  lambda t: {b: scalar(2) * e for b, e in t.items()})
@@ -259,7 +246,7 @@ def test_an_unclosable_table_reports_its_best_orientation(
 
 
 def test_a_field_sign_convention_fails_only_the_display_match(
-        monkeypatch, capsys, fresh_memos):
+        monkeypatch, capsys):
     # psi10 -> -psi10 conjugates every matrix: the brackets still close,
     # but the extracted cells of psi10 differ from the displays
     for name in dmodule.VAR_NAMES:
@@ -272,7 +259,7 @@ def test_a_field_sign_convention_fails_only_the_display_match(
 
 
 def test_a_reconstruction_sign_slip_fails_the_table_gate(
-        monkeypatch, capsys, fresh_memos):
+        monkeypatch, capsys):
     real = dmodule.reconstruct_table
     monkeypatch.setattr(dmodule, "reconstruct_table", lambda name, mats: {
         b: -e for b, e in real(name, mats).items()})
@@ -285,7 +272,7 @@ def test_a_reconstruction_sign_slip_fails_the_table_gate(
 
 @pytest.mark.parametrize("other", ["phi11", "phi00"])
 def test_a_nonlinear_table_entry_is_a_failed_check(
-        other, monkeypatch, capsys, fresh_memos):
+        other, monkeypatch, capsys):
     # eps11 phi00 phi11, or eps11 phi00^2: one jet, but squared
     phi = lambda b: gexp(field(b, 0, 0, "x"))
     _patch_table(monkeypatch, "Z", lambda t: {

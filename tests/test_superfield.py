@@ -1,16 +1,20 @@
 """Component expansion, variation tables, closure, audits."""
 
 import importlib
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from z22field import GradedExpr, coord, field, gexp
-from z22field.core import FIELD_BASES
+from z22field import GradedExpr, coord, field, gexp, param, scalar
+from z22field.action import berezin_layer
+from z22field.core import FIELD_BASES, QI
 from z22field.superfield import (VAR_NAMES, closure_report,
                                  coordinate_variations, degree_audit,
                                  dimension_audit, reality_check,
                                  split_components, stage_map, superfield,
-                                 variation_derivation, variation_table)
+                                 theta_theta_layers, variation_derivation,
+                                 variation_table)
 from z22field.cli import main
 from z22field.derivations import STRUCTURE, total_t, total_space
 from z22field import reference
@@ -25,6 +29,39 @@ def test_superfield_has_eight_components():
 
 def test_superfield_is_star_real():
     assert reality_check()
+
+
+# theta- and z-free generators of both parities, jets and parameters
+_SLOT_POOL = [coord("t"), coord("y"), param("alpha"), param("eps10"),
+              param("eps11"), *(field(b, 0, 0, "y") for b in FIELD_BASES),
+              field("phi11", 1, 0, "y"), field("psi01", 0, 1, "y")]
+_coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=3)
+
+
+@st.composite
+def _slots(draw):
+    total = GradedExpr.zero()
+    for _ in range(draw(st.integers(0, 3))):
+        term = scalar(draw(_coeffs)) + scalar(QI) * scalar(draw(_coeffs))
+        for g in draw(st.lists(st.sampled_from(_SLOT_POOL), max_size=3)):
+            term = term * gexp(g)
+        total = total + term
+    return total
+
+
+@given(st.fixed_dictionaries({b: _slots() for b in FIELD_BASES}))
+@settings(max_examples=60, deadline=None)
+def test_split_components_reads_back_every_packed_slot(slots):
+    # the superfield's shape with arbitrary slots in place of the fields
+    z, th10, th01 = (gexp(coord(n)) for n in ("z", "th10", "th01"))
+    i = scalar(QI)
+    packed = (slots["phi00"] + z * slots["phi11"]
+              + th10 * (i * slots["psi10"] + z * slots["lam01"])
+              + th01 * (i * slots["psi01"] + z * slots["lam10"])
+              + th10 * th01 * (slots["A11"] + z * slots["A00"]))
+    assert split_components(packed) == slots
+    assert theta_theta_layers(packed) == (slots["A11"], slots["A00"])
+    assert berezin_layer(packed) == scalar(Fraction(1, 2)) * slots["A00"]
 
 
 # ----------------------------------------------------------------------

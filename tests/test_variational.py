@@ -538,7 +538,7 @@ def test_quadratic_equations_match_display():
 def test_trigonometric_equations_match_up_to_fermion_bilinears():
     # the printed coupled system carries sign slips in its fermion
     # bilinears; the discrepancy must be purely fermionic
-    rep = trig_eom_report()
+    rep = trig_eom_report(generic_eom_report())
     for base, entry in rep.items():
         assert entry["exact"] or entry["residual_fermionic"], base
 
