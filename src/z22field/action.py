@@ -25,11 +25,11 @@ from functools import cache
 from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
 
 from .core import (DEG00, Degree, GaussianRational, Generator, QI, coord,
-                   field, pairjet, param)
+                   field, param)
 from .derivations import (apply_many, combine, jet_partial, jet_prolongation,
                           partial_z, solve_linear, superspace_operators,
                           total_space, total_t)
-from .expr import GradedExpr, gexp, scalar
+from .expr import GradedExpr, gexp, parse, scalar
 from .superfield import stage_map, superfield, theta_theta_layers
 
 # the functions that use `potential` import it, so a check that calls
@@ -264,25 +264,21 @@ def fermion_bilinears() -> Dict[str, GradedExpr]:
 
 def spinor_lagrangian(eliminate: bool = False) -> GradedExpr:
     """The Lagrangian assembled from spinor blocks."""
-    f = lambda b, m=0, n=0: gexp(field(b, m, n, "x"))
+    read = lambda text: parse(text, "x")
     sp = spinor_vectors()
     p10, p01 = sp["Psi10"], sp["Psi01"]
-    al = gexp(param("alpha"))
-    v00, v11 = gexp(pairjet(1, 0, "x")), gexp(pairjet(1, 1, "x"))
-    dv00, dv11 = gexp(pairjet(2, 0, "x")), gexp(pairjet(2, 1, "x"))
-    bos = _half * (f("phi00", 1, 0) ** 2 - f("phi00", 0, 1) ** 2
-                   + f("phi11", 1, 0) * f("phi11", 1, 0)
-                   - f("phi11", 0, 1) * f("phi11", 0, 1))
+    bos = read("-1/2*phi00_x^2 + 1/2*phi00_t^2"
+               " - 1/2*phi11_x^2 + 1/2*phi11_t^2")
     ferm = _i * (pair_with(bar(p10), slashed(p10))
                  + pair_with(bar(p01), slashed(p01)))
     b = fermion_bilinears()
-    inter = -(al * (b["mixed_chirality"] * dv00
-                    - _i * b["same_chirality"] * dv11))
+    inter = -(read("alpha") * (b["mixed_chirality"] * read("V00_1")
+                               - _i * b["same_chirality"] * read("V11_1")))
     if eliminate:
-        pot = -(_half * al * al * (v00 * v00 + v11 * v11))
+        pot = read("-1/2*alpha^2*V00^2 - 1/2*alpha^2*V11^2")
         return bos + ferm + pot + inter
-    aux = scalar(2) * (f("A00") * f("A00") + f("A11") * f("A11"))
-    coup = scalar(-2) * al * (f("A11") * v00 + f("A00") * v11)
+    aux = read("2*A00^2 + 2*A11^2")
+    coup = read("-2*alpha*A00*V11 - 2*alpha*A11*V00")
     return bos + aux + ferm + coup + inter
 
 

@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -71,10 +70,10 @@ def _emit_report(ok: bool, payload: dict, fmt: str, out) -> None:
         print(json.dumps({"ok": ok, "report": data}, sort_keys=True,
                          indent=2), file=out)
     elif fmt == "csv":
-        print("check,value", file=out)
-        for name, val in _flat_rows(data):
-            print(f"{name},{val}", file=out)
-        print(f"ok,{ok}", file=out)
+        # quoted where a name or value holds a comma or a quote
+        import csv
+        csv.writer(out, lineterminator="\n").writerows(
+            [("check", "value"), *_flat_rows(data), ("ok", ok)])
     else:
         for name, val in _flat_rows(data):
             print(f"{name}: {val}", file=out)
@@ -86,8 +85,7 @@ def _emit_report(ok: bool, payload: dict, fmt: str, out) -> None:
 # ----------------------------------------------------------------------
 
 def run_verify_algebra(args) -> Tuple[bool, dict]:
-    from .core import coord, field
-    from .expr import gexp, scalar
+    from .expr import parse
     from .derivations import verify_structure_constants, verify_jacobi
     from .superfield import (closure_report, degree_audit, dimension_audit,
                              reality_check)
@@ -97,10 +95,8 @@ def run_verify_algebra(args) -> Tuple[bool, dict]:
     sc = verify_structure_constants()
     jac = verify_jacobi()
     clo = closure_report("y")
-    half = scalar(Fraction(1, 2))
-    probe = (gexp(coord("th10")) * gexp(coord("th01")) * gexp(coord("z"))
-             * gexp(field("A00", 0, 0, "y")))
-    int_ok = berezin_layer(probe) == half * gexp(field("A00", 0, 0, "y"))
+    int_ok = (berezin_layer(parse("z*th10*th01*A00", "y"))
+              == parse("1/2*A00", "y"))
     audits = {
         "superfield_real": reality_check(),
         "degree_audit_clean": not degree_audit("y") and not degree_audit("x"),

@@ -57,10 +57,10 @@ from itertools import product
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .core import (DEG00, DEG01, DEG10, DEG11, FIELD_BASES, TRIG, Degree,
-                   GaussianRational, Generator, QI, QONE, QZERO, coord, field,
+                   GaussianRational, Generator, QONE, QZERO, coord, field,
                    fjet, pairjet, parity, trig)
 from .expr import (_MASK_PARITY, GradedExpr, _add_terms, _mono_mask,
-                   _mono_mul, gexp, scalar)
+                   _mono_mul, gexp, parse, scalar)
 
 ONE = GradedExpr.const(1)
 
@@ -418,8 +418,7 @@ def partial_z() -> GeneratorDerivation:
     """Degree-(1,1) coordinate derivative with z**2 = y built in: the
     explicit z derivative plus 2z times the derivative along y."""
     return combine("d_z", DEG11, [(ONE, partial_coord("z")),
-                                  (scalar(2) * gexp(coord("z")),
-                                   total_space("y"))])
+                                  (parse("2*z", "y"), total_space("y"))])
 
 
 # ----------------------------------------------------------------------
@@ -429,33 +428,24 @@ def partial_z() -> GeneratorDerivation:
 @cache
 def superspace_operators() -> Dict[str, GeneratorDerivation]:
     """The seven named operators acting on first-stage superspace."""
-    dt = total_t("y")
-    dz = partial_z()
-    d10 = partial_coord("th10")
-    d01 = partial_coord("th01")
-    th10 = gexp(coord("th10"))
-    th01 = gexp(coord("th01"))
-    tqe = gexp(coord("t"))
-    zq = gexp(coord("z"))
-    i = scalar(QI)
-    half = scalar(Fraction(1, 2))
+    dt, dz = total_t("y"), partial_z()
+    d10, d01 = partial_coord("th10"), partial_coord("th01")
+    c = lambda text: parse(text, "y")
 
     ops: Dict[str, GeneratorDerivation] = {}
-    ops["H"] = combine("H", DEG00, [(i, dt)])
-    ops["Z"] = combine("Z", DEG11, [(i, dz)])
+    ops["H"] = combine("H", DEG00, [(c("i"), dt)])
+    ops["Z"] = combine("Z", DEG11, [(c("i"), dz)])
     ops["Q10"] = combine("Q10", DEG10, [
-        (ONE, d10), (i * th10, dt), (half * th01, dz)])
+        (ONE, d10), (c("i*th10"), dt), (c("1/2*th01"), dz)])
     ops["Q01"] = combine("Q01", DEG01, [
-        (ONE, d01), (i * th01, dt), (-(half * th10), dz)])
+        (ONE, d01), (c("i*th01"), dt), (c("-1/2*th10"), dz)])
     ops["L11"] = combine("L11", DEG11, [
-        (scalar(GaussianRational(0, -2)) * zq, dt),
-        (-(i * half) * tqe, dz),
-        (half * th01, d10),
-        (-(half * th10), d01)])
+        (c("-2*i*z"), dt), (c("-1/2*i*t"), dz),
+        (c("1/2*th01"), d10), (c("-1/2*th10"), d01)])
     ops["D10"] = combine("D10", DEG10, [
-        (ONE, d10), (-(i * th10), dt), (-(half * th01), dz)])
+        (ONE, d10), (c("-i*th10"), dt), (c("-1/2*th01"), dz)])
     ops["D01"] = combine("D01", DEG01, [
-        (ONE, d01), (-(i * th01), dt), (half * th10, dz)])
+        (ONE, d01), (c("-i*th01"), dt), (c("1/2*th10"), dz)])
     return ops
 
 

@@ -21,7 +21,7 @@ its three sets once.
 from typing import Dict, List, Tuple
 
 from .core import GaussianRational, Generator, coord, field, param, parity
-from .expr import GradedExpr, gexp, scalar
+from .expr import GradedExpr, gexp, parse, scalar
 from .derivations import OP_DEGREE, apply_many, bracket_value
 from .superfield import (PARAM_OF, VAR_NAMES, prolonged_derivation,
                          variation_table)
@@ -89,8 +89,7 @@ def matrices_from_tables() -> Dict[str, Rows]:
 
 def reconstruct_table(name: str, mats: Dict[str, Rows]) -> Rows:
     """Rebuild the variation table as -i eps (M F) from a matrix."""
-    minus_i_eps = (scalar(GaussianRational(0, -1))
-                   * gexp(param(PARAM_OF[name])))
+    minus_i_eps = parse(f"-i*{PARAM_OF[name]}", "x")
     return {b: minus_i_eps * row for b, row in mats[name].items()}
 
 

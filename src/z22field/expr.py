@@ -14,15 +14,20 @@ Exponents are positive integers except on the measure coordinates y and x,
 which may carry arbitrary nonzero rationals (negative and fractional
 powers both occur in intermediate steps of the coordinate change between
 the two stages).
+
+`str` prints an expression in one text form and `parse` reads it back:
+`parse(str(e), stage) == e` at the stage of e's field jets.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
-from .core import (DEG00, DEG01, DEG10, DEG11, Degree, GaussianRational,
-                   Generator, QONE, Y, ZC, coord, parity)
+from .core import (_COORD_DATA, DEG00, DEG01, DEG10, DEG11, FIELD_BASES, QI,
+                   QONE, TRIG, Y, ZC, Degree, GaussianRational, Generator,
+                   coord, field, fjet, pairjet, param, parity, ratio, trig)
 
 Exponent = Union[int, Fraction]
 Monomial = Tuple[Tuple[Generator, Exponent], ...]
@@ -489,33 +494,23 @@ class GradedExpr:
     # -- display ---------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
+        out = ""
         for mono, c in self.sorted_terms():
-            factors = []
-            for g, e in mono:
-                if e == 1:
-                    factors.append(g.name)
-                elif isinstance(e, int):
-                    factors.append(f"{g.name}^{e}")
-                else:
-                    factors.append(f"{g.name}^({e})")
-            body = "*".join(factors)
-            cs = str(c)
+            body = "*".join([g.name if e == 1 else f"{g.name}^{e}"
+                             if type(e) is int else f"{g.name}^({e})"
+                             for g, e in mono])
+            term = str(c)
             if body:
-                if cs == "1":
-                    bits.append(body)
-                elif cs == "-1":
-                    bits.append(f"-{body}")
-                else:
-                    bits.append(f"{cs}*{body}")
+                # a unit coefficient prints as its sign alone
+                term = (body if term == "1" else "-" + body if term == "-1"
+                        else f"{term}*{body}")
+            if not out:
+                out = term
+            elif term[0] == "-":
+                out += " - " + term[1:]
             else:
-                bits.append(cs)
-        out = bits[0]
-        for b in bits[1:]:
-            out += " - " + b[1:] if b.startswith("-") else " + " + b
-        return out
+                out += " + " + term
+        return out or "0"
 
     __repr__ = __str__
 
@@ -560,3 +555,100 @@ def gexp(g: Generator, e: Exponent = 1) -> GradedExpr:
 
 def scalar(c) -> GradedExpr:
     return GradedExpr.const(c)
+
+
+# ----------------------------------------------------------------------
+# reading the printed form back
+# ----------------------------------------------------------------------
+
+# a coefficient as GaussianRational.__str__ prints it, before `*` or the
+# end; a factor with its exponent
+_N = r"\d+(?:/[1-9]\d*)?"
+_COEF = re.compile(rf"(?:({_N})(\*i)?|(i)|\((-?{_N})([+-])(?:({_N})\*)?i\))"
+                   r"(?=\*|$)")
+_FACTOR = re.compile(r"(\w+)(?:\^(-?\d+|\(-?\d+/[1-9]\d*\)))?")
+
+
+def _rational(s: str) -> GaussianRational:
+    p, _, q = s.partition("/")
+    return ratio(int(p), int(q or 1))
+
+
+def _coefficient(m) -> GaussianRational:
+    real, times_i, unit, re_, sign, im = m.groups()
+    if re_ is not None:
+        b = _rational(im) if im else QONE
+        return _rational(re_) + (b if sign == "+" else -b) * QI
+    c = _rational(real) if real else QONE
+    return c * QI if times_i or unit else c
+
+
+def _generator(name: str, stage: str) -> Generator:
+    """The generator printed as name; a field jet named without a space
+    letter (a bare field or a pure time jet) is read at stage."""
+    base, _, jet = name.partition("_")
+    space = jet.lstrip("t")
+    if base in FIELD_BASES and space[:1] not in ("", stage):
+        raise ValueError(f"{name!r} is not a jet at stage {stage!r}")
+    try:
+        if base in FIELD_BASES:
+            g = field(base, len(jet) - len(space), len(space), stage)
+        elif base[:1] == "V":
+            g = pairjet(0 if base[-2] == "B" else 1 + int(jet or 0),
+                        int(base[-1]), "y" if base[1] == "t" else "x")
+        elif base[:1] == "F":
+            g = fjet(int(base[2:] or 0))
+        elif name in TRIG:
+            g = trig(name)
+        else:
+            g = coord(name) if name in _COORD_DATA else param(name)
+    except (KeyError, ValueError, IndexError):
+        g = None
+    if g is None or g.name != name:
+        raise ValueError(f"unknown name {name!r}")
+    return g
+
+
+def parse(text: str, stage: str) -> GradedExpr:
+    """The expression that `str` prints as text, its jets read at stage.
+
+    Terms are joined by ` + ` and ` - `.  A term is an optional
+    coefficient as `GaussianRational.__str__` prints it, then factors
+    `name`, `name^n`, `name^-n` or `name^(p/q)` joined by `*`; each name
+    resolves through the `core` factories.  Malformed text raises
+    ValueError naming the bad token.
+    """
+    if stage not in ("y", "x"):
+        raise ValueError(f"unknown stage {stage!r}")
+    parts = re.split(r" ([+-]) ", f" - {text[1:]}" if text[:1] == "-"
+                     else f" + {text}")[1:]
+    terms, gens = {}, {}
+    for sign, tok in zip(parts[::2], parts[1::2]):
+        if not tok:
+            raise ValueError(f"cannot parse {text!r}: " + (
+                f"dangling {sign!r}" if text else "empty text"))
+        m = _COEF.match(tok)
+        c, rest = (_coefficient(m), tok[m.end():]) if m else (QONE, "*" + tok)
+        mono, odd = [], sign == "-"
+        for fac in rest.split("*")[1:]:
+            f = _FACTOR.fullmatch(fac)
+            if f is None:
+                raise ValueError(f"cannot parse {text!r}: " + (
+                    f"bad factor {fac!r}" if fac else "dangling '*'"))
+            name, e = f.groups()
+            g = gens.get(name) or gens.setdefault(name,
+                                                  _generator(name, stage))
+            if not e and (not mono or mono[-1][0].sort_key < g.sort_key):
+                # canonical order: the factor goes last, with no sign
+                mono.append((g, 1))
+                continue
+            power = GradedExpr.gen(g, Fraction(e.strip("()")) if e else 1).terms
+            hit = power and _mono_mul(tuple(mono), next(iter(power)))
+            if not hit:
+                break
+            odd ^= hit[0]
+            mono = list(hit[1])
+        else:
+            if not _eps_overflow(mono):
+                _add_terms(terms, ((tuple(mono), -c if odd else c),))
+    return GradedExpr(terms)

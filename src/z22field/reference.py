@@ -1,17 +1,21 @@
-"""Hand-checked reference forms used by the verification layer.
+"""The paper's displays that the engine must reproduce, as text.
 
-Everything here is a literal transcription of the target expressions the
-engine must reproduce: variation tables in both stages, the kinetic and
-interaction slot functions, the component Lagrangian, the conserved
-currents, the equations of motion (generic, quadratic and trigonometric
-potentials), and the matrix realization on the component multiplet.
+Each display is the text that `str` prints for its value, read back by
+`expr.parse` when its function is called; nothing is parsed at import.
+A table is one block of `key: expression` lines; a key `A.b` files its
+entry under A, then b.  The stage ("y" first, "x" second) places the
+bare fields and their pure time jets, which print alike at both stages.
 
-Transcriptions multiply factors in the displayed order; the ring's
-canonical form takes care of reordering signs.  A few displays are known
-to be internally inconsistent with the rest of the source material; both
-variants are provided where that happens (suffix `_printed` for the
-literal form) so the callers can report the difference instead of
-silently choosing.
+The text is in the ring's canonical order, not the paper's: terms sorted
+by monomial, factors by generator, signs and the z**2 -> y fold applied.
+So each entry is a fixed point, str(parse(text, stage)) == text, which a
+test pins.  Where a display is inconsistent with the rest of the source,
+its `_printed` variant keeps the literal form, discrepancy included, so
+the callers report the difference instead of silently choosing.
+
+To add a display, build its value with the ring's operations, take its
+`str()` as the text, and check that parse(text, stage) equals the value
+and prints back as that text.
 """
 
 from __future__ import annotations
@@ -19,495 +23,255 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .core import (GaussianRational, QI, coord, field, pairjet, param, trig)
-from .expr import GradedExpr, gexp, scalar
-
-_i = scalar(QI)
-_half = scalar(Fraction(1, 2))
+from .core import GaussianRational
+from .expr import GradedExpr, parse
 
 
-def _f(base: str, m: int = 0, n: int = 0, s: str = "x") -> GradedExpr:
-    return gexp(field(base, m, n, s))
+def _read(stage: str, block: str) -> dict:
+    """The entries of a display block, one `key: expression` per line."""
+    out: dict = {}
+    for line in block.strip("\n").split("\n"):
+        key, text = line.split(": ", 1)
+        head, dot, tail = key.partition(".")
+        if dot:
+            out.setdefault(head, {})[tail] = parse(text, stage)
+        else:
+            out[key] = parse(text, stage)
+    return out
 
-
-def _c(name: str) -> GradedExpr:
-    return gexp(coord(name))
-
-
-def _p(name: str) -> GradedExpr:
-    return gexp(param(name))
-
-
-def _pj(m: int, slot: int, s: str = "x") -> GradedExpr:
-    return gexp(pairjet(m, slot, s))
-
-
-def _tr(name: str) -> GradedExpr:
-    return gexp(trig(name))
-
-
-# ----------------------------------------------------------------------
-# coordinate variations
-# ----------------------------------------------------------------------
 
 def coordinate_variation_tables() -> Dict[str, Dict[str, GradedExpr]]:
-    th10, th01, z, t = _c("th10"), _c("th01"), _c("z"), _c("t")
-    zero = GradedExpr.zero()
-    return {
-        "H": {"t": _p("eps00"), "z": zero, "th10": zero, "th01": zero},
-        "Z": {"t": zero, "z": _p("eps11"), "th10": zero, "th01": zero},
-        "Q10": {"t": _i * _p("eps10") * th10,
-                "z": _half * _p("eps10") * th01,
-                "th10": _p("eps10"), "th01": zero},
-        "Q01": {"t": _i * _p("eps01") * th01,
-                "z": -(_half * _p("eps01") * th10),
-                "th10": zero, "th01": _p("eps01")},
-        "L11": {"t": scalar(-2) * _p("epsL") * z,
-                "z": -(_half * _p("epsL") * t),
-                "th10": -(_i * _half * _p("epsL") * th01),
-                "th01": _i * _half * _p("epsL") * th10},
-    }
+    return _read("y", """
+H.t: eps00
+H.z: 0
+H.th10: 0
+H.th01: 0
+Z.t: 0
+Z.z: eps11
+Z.th10: 0
+Z.th01: 0
+Q10.t: -i*th10*eps10
+Q10.z: 1/2*th01*eps10
+Q10.th10: eps10
+Q10.th01: 0
+Q01.t: -i*th01*eps01
+Q01.z: -1/2*th10*eps01
+Q01.th10: 0
+Q01.th01: eps01
+L11.t: -2*z*epsL
+L11.z: -1/2*t*epsL
+L11.th10: 1/2*i*th01*epsL
+L11.th01: -1/2*i*th10*epsL
+""")
 
-
-# ----------------------------------------------------------------------
-# field variation tables, first stage
-# ----------------------------------------------------------------------
 
 def pre_variation_tables() -> Dict[str, Dict[str, GradedExpr]]:
-    y = _c("y")
-    t = _c("t")
-    f = lambda b, m=0, n=0: _f(b, m, n, "y")
-    e00, e11, e10, e01, eL = (_p(n) for n in
-                              ("eps00", "eps11", "eps10", "eps01", "epsL"))
-    two = scalar(2)
-
-    h = {b: -(e00 * f(b, 1, 0)) for b in
-         ("phi00", "phi11", "A00", "A11", "psi10", "psi01", "lam10", "lam01")}
-
-    z = {
-        "phi00": -(e11 * (f("phi11") + two * y * f("phi11", 0, 1))),
-        "phi11": -(two * e11 * f("phi00", 0, 1)),
-        "psi10": _i * e11 * (f("lam01") + two * y * f("lam01", 0, 1)),
-        "lam01": -(two * _i * e11 * f("psi10", 0, 1)),
-        "psi01": _i * e11 * (f("lam10") + two * y * f("lam10", 0, 1)),
-        "lam10": -(two * _i * e11 * f("psi01", 0, 1)),
-        "A11": -(e11 * (f("A00") + two * y * f("A00", 0, 1))),
-        "A00": -(two * e11 * f("A11", 0, 1)),
-    }
-
-    q10 = {
-        "phi00": -(_i * e10 * f("psi10")),
-        "phi11": e10 * f("lam01"),
-        "psi10": e10 * f("phi00", 1, 0),
-        "lam01": -(_i * e10 * f("phi11", 1, 0)),
-        "psi01": _i * e10 * (f("A11") + _half * f("phi11") + y * f("phi11", 0, 1)),
-        "lam10": e10 * (f("A00") + f("phi00", 0, 1)),
-        "A11": -(e10 * (f("psi01", 1, 0) + _half * f("lam01") + y * f("lam01", 0, 1))),
-        "A00": -(_i * e10 * (f("lam10", 1, 0) - f("psi10", 0, 1))),
-    }
-
-    q01 = {
-        "phi00": -(_i * e01 * f("psi01")),
-        "phi11": e01 * f("lam10"),
-        "psi10": _i * e01 * (f("A11") - _half * f("phi11") - y * f("phi11", 0, 1)),
-        "lam01": e01 * (f("A00") - f("phi00", 0, 1)),
-        "psi01": e01 * f("phi00", 1, 0),
-        "lam10": -(_i * e01 * f("phi11", 1, 0)),
-        "A11": -(e01 * (f("psi10", 1, 0) - _half * f("lam10") - y * f("lam10", 0, 1))),
-        "A00": -(_i * e01 * (f("lam01", 1, 0) + f("psi01", 0, 1))),
-    }
-
-    l11 = {
-        "phi00": eL * (two * y * f("phi11", 1, 0)
-                       + _half * t * (f("phi11") + two * y * f("phi11", 0, 1))),
-        "phi11": eL * (two * f("phi00", 1, 0) + t * f("phi00", 0, 1)),
-        "A00": eL * (two * f("A11", 1, 0) + t * f("A11", 0, 1)),
-        "A11": eL * (two * y * f("A00", 1, 0)
-                     + _half * t * (f("A00") + two * y * f("A00", 0, 1))),
-        "psi10": -(_i * eL * (two * y * f("lam01", 1, 0)
-                              + _half * t * (f("lam01") + two * y * f("lam01", 0, 1))
-                              - _half * f("psi01"))),
-        "lam10": _i * eL * (two * f("psi01", 1, 0) + t * f("psi01", 0, 1)
-                            - _half * f("lam01")),
-        "psi01": -(_i * eL * (two * y * f("lam10", 1, 0)
-                              + _half * t * (f("lam10") + two * y * f("lam10", 0, 1))
-                              + _half * f("psi10"))),
-        "lam01": _i * eL * (two * f("psi10", 1, 0) + t * f("psi10", 0, 1)
-                            + _half * f("lam10")),
-    }
-    return {"H": h, "Z": z, "Q10": q10, "Q01": q01, "L11": l11}
-
-
-# ----------------------------------------------------------------------
-# field variation tables, second stage
-# ----------------------------------------------------------------------
-
-def _boost(fb: str) -> GradedExpr:
-    """x dot(f) + t f' acting on a second-stage field."""
-    return _c("x") * _f(fb, 1, 0) + _c("t") * _f(fb, 0, 1)
+    return _read("y", """
+H.phi00: -eps00*phi00_t
+H.phi11: -eps00*phi11_t
+H.A00: -eps00*A00_t
+H.A11: -eps00*A11_t
+H.psi10: -eps00*psi10_t
+H.psi01: -eps00*psi01_t
+H.lam10: -eps00*lam10_t
+H.lam01: -eps00*lam01_t
+Z.phi00: -2*y*eps11*phi11_y - eps11*phi11
+Z.phi11: -2*eps11*phi00_y
+Z.psi10: 2*i*y*eps11*lam01_y + i*eps11*lam01
+Z.lam01: -2*i*eps11*psi10_y
+Z.psi01: 2*i*y*eps11*lam10_y + i*eps11*lam10
+Z.lam10: -2*i*eps11*psi01_y
+Z.A11: -2*y*eps11*A00_y - eps11*A00
+Z.A00: -2*eps11*A11_y
+Q10.phi00: -i*eps10*psi10
+Q10.phi11: eps10*lam01
+Q10.psi10: eps10*phi00_t
+Q10.lam01: -i*eps10*phi11_t
+Q10.psi01: i*y*eps10*phi11_y + i*eps10*A11 + 1/2*i*eps10*phi11
+Q10.lam10: eps10*A00 + eps10*phi00_y
+Q10.A11: -y*eps10*lam01_y - 1/2*eps10*lam01 - eps10*psi01_t
+Q10.A00: -i*eps10*lam10_t + i*eps10*psi10_y
+Q01.phi00: -i*eps01*psi01
+Q01.phi11: eps01*lam10
+Q01.psi10: -i*y*eps01*phi11_y + i*eps01*A11 - 1/2*i*eps01*phi11
+Q01.lam01: eps01*A00 - eps01*phi00_y
+Q01.psi01: eps01*phi00_t
+Q01.lam10: -i*eps01*phi11_t
+Q01.A11: y*eps01*lam10_y + 1/2*eps01*lam10 - eps01*psi10_t
+Q01.A00: -i*eps01*lam01_t - i*eps01*psi01_y
+L11.phi00: t*y*epsL*phi11_y + 1/2*t*epsL*phi11 + 2*y*epsL*phi11_t
+L11.phi11: t*epsL*phi00_y + 2*epsL*phi00_t
+L11.A00: t*epsL*A11_y + 2*epsL*A11_t
+L11.A11: t*y*epsL*A00_y + 1/2*t*epsL*A00 + 2*y*epsL*A00_t
+L11.psi10: -i*t*y*epsL*lam01_y - 1/2*i*t*epsL*lam01 - 2*i*y*epsL*lam01_t + 1/2*i*epsL*psi01
+L11.lam10: i*t*epsL*psi01_y - 1/2*i*epsL*lam01 + 2*i*epsL*psi01_t
+L11.psi01: -i*t*y*epsL*lam10_y - 1/2*i*t*epsL*lam10 - 2*i*y*epsL*lam10_t - 1/2*i*epsL*psi10
+L11.lam01: i*t*epsL*psi10_y + 1/2*i*epsL*lam10 + 2*i*epsL*psi10_t
+""")
 
 
 def post_variation_tables() -> Dict[str, Dict[str, GradedExpr]]:
-    f = lambda b, m=0, n=0: _f(b, m, n, "x")
-    e00, e11, e10, e01, eL = (_p(n) for n in
-                              ("eps00", "eps11", "eps10", "eps01", "epsL"))
+    return _read("x", """
+H.phi00: -1/2*eps00*phi00_t
+H.phi11: -1/2*eps00*phi11_t
+H.A00: -1/2*eps00*A00_t
+H.A11: -1/2*eps00*A11_t
+H.psi10: -1/2*eps00*psi10_t
+H.psi01: -1/2*eps00*psi01_t
+H.lam10: -1/2*eps00*lam10_t
+H.lam01: -1/2*eps00*lam01_t
+Z.phi00: -eps11*phi11_x
+Z.phi11: -eps11*phi00_x
+Z.psi10: i*eps11*lam01_x
+Z.lam01: -i*eps11*psi10_x
+Z.psi01: i*eps11*lam10_x
+Z.lam10: -i*eps11*psi01_x
+Z.A11: -eps11*A00_x
+Z.A00: -eps11*A11_x
+Q10.phi00: -i*eps10*psi10
+Q10.phi11: eps10*lam01
+Q10.psi10: 1/2*eps10*phi00_t
+Q10.lam01: -1/2*i*eps10*phi11_t
+Q10.psi01: i*eps10*A11 + 1/2*i*eps10*phi11_x
+Q10.lam10: eps10*A00 + 1/2*eps10*phi00_x
+Q10.A11: -1/2*eps10*lam01_x - 1/2*eps10*psi01_t
+Q10.A00: -1/2*i*eps10*lam10_t + 1/2*i*eps10*psi10_x
+Q01.phi00: -i*eps01*psi01
+Q01.phi11: eps01*lam10
+Q01.psi10: i*eps01*A11 - 1/2*i*eps01*phi11_x
+Q01.lam01: eps01*A00 - 1/2*eps01*phi00_x
+Q01.psi01: 1/2*eps01*phi00_t
+Q01.lam10: -1/2*i*eps01*phi11_t
+Q01.A11: 1/2*eps01*lam10_x - 1/2*eps01*psi10_t
+Q01.A00: -1/2*i*eps01*lam01_t - 1/2*i*eps01*psi01_x
+L11.phi00: t*epsL*phi11_x + x*epsL*phi11_t
+L11.phi11: t*epsL*phi00_x + x*epsL*phi00_t
+L11.A00: t*epsL*A11_x + x*epsL*A11_t
+L11.A11: t*epsL*A00_x + x*epsL*A00_t
+L11.psi10: -i*t*epsL*lam01_x - i*x*epsL*lam01_t + 1/2*i*epsL*psi01
+L11.lam10: i*t*epsL*psi01_x + i*x*epsL*psi01_t - 1/2*i*epsL*lam01
+L11.psi01: -i*t*epsL*lam10_x - i*x*epsL*lam10_t - 1/2*i*epsL*psi10
+L11.lam01: i*t*epsL*psi10_x + i*x*epsL*psi10_t + 1/2*i*epsL*lam10
+""")
 
-    h = {b: -(_half * e00 * f(b, 1, 0)) for b in
-         ("phi00", "phi11", "A00", "A11", "psi10", "psi01", "lam10", "lam01")}
-
-    z = {
-        "phi00": -(e11 * f("phi11", 0, 1)),
-        "phi11": -(e11 * f("phi00", 0, 1)),
-        "psi10": _i * e11 * f("lam01", 0, 1),
-        "lam01": -(_i * e11 * f("psi10", 0, 1)),
-        "psi01": _i * e11 * f("lam10", 0, 1),
-        "lam10": -(_i * e11 * f("psi01", 0, 1)),
-        "A11": -(e11 * f("A00", 0, 1)),
-        "A00": -(e11 * f("A11", 0, 1)),
-    }
-
-    q10 = {
-        "phi00": -(_i * e10 * f("psi10")),
-        "phi11": e10 * f("lam01"),
-        "psi10": _half * e10 * f("phi00", 1, 0),
-        "lam01": -(_i * _half * e10 * f("phi11", 1, 0)),
-        "psi01": _i * e10 * (f("A11") + _half * f("phi11", 0, 1)),
-        "lam10": e10 * (f("A00") + _half * f("phi00", 0, 1)),
-        "A11": -(_half * e10 * (f("psi01", 1, 0) + f("lam01", 0, 1))),
-        "A00": -(_i * _half * e10 * (f("lam10", 1, 0) - f("psi10", 0, 1))),
-    }
-
-    q01 = {
-        "phi00": -(_i * e01 * f("psi01")),
-        "phi11": e01 * f("lam10"),
-        "psi10": _i * e01 * (f("A11") - _half * f("phi11", 0, 1)),
-        "lam01": e01 * (f("A00") - _half * f("phi00", 0, 1)),
-        "psi01": _half * e01 * f("phi00", 1, 0),
-        "lam10": -(_i * _half * e01 * f("phi11", 1, 0)),
-        "A11": -(_half * e01 * (f("psi10", 1, 0) - f("lam10", 0, 1))),
-        "A00": -(_i * _half * e01 * (f("lam01", 1, 0) + f("psi01", 0, 1))),
-    }
-
-    l11 = {
-        "phi00": eL * _boost("phi11"),
-        "phi11": eL * _boost("phi00"),
-        "A00": eL * _boost("A11"),
-        "A11": eL * _boost("A00"),
-        "psi10": -(_i * eL * (_boost("lam01") - _half * f("psi01"))),
-        "lam10": _i * eL * (_boost("psi01") - _half * f("lam01")),
-        "psi01": -(_i * eL * (_boost("lam10") + _half * f("psi10"))),
-        "lam01": _i * eL * (_boost("psi10") + _half * f("lam10")),
-    }
-    return {"H": h, "Z": z, "Q10": q10, "Q01": q01, "L11": l11}
-
-
-# ----------------------------------------------------------------------
-# kinetic and interaction slot functions (first stage)
-# ----------------------------------------------------------------------
 
 def kinetic_body() -> GradedExpr:
     """z-independent theta-theta slot of D10 Phi D01 Phi."""
-    y = _c("y")
-    f = lambda b, m=0, n=0: _f(b, m, n, "y")
-    two = scalar(2)
-    out = (-(f("phi00", 1, 0) * f("phi00", 1, 0))
-           + y * f("phi00", 0, 1) * f("phi00", 0, 1)
-           - y * f("phi11", 1, 0) * f("phi11", 1, 0)
-           + scalar(Fraction(1, 4)) * (f("phi11") + two * y * f("phi11", 0, 1)) ** 2
-           - y * f("A00") * f("A00")
-           - f("A11") * f("A11")
-           - _i * (f("psi10") * f("psi10", 1, 0) + f("psi01") * f("psi01", 1, 0))
-           - _i * y * (f("lam10") * f("lam10", 1, 0) + f("lam01") * f("lam01", 1, 0))
-           + _i * _half * (f("psi10") * f("lam10") - f("psi01") * f("lam01"))
-           - _i * y * (f("psi10", 0, 1) * f("lam10") - f("psi10") * f("lam10", 0, 1)
-                       + f("psi01") * f("lam01", 0, 1) - f("psi01", 0, 1) * f("lam01")))
-    return out
+    return parse("-y*A00^2 + y*phi00_y^2 + y*phi11*phi11_y - y*phi11_t^2 - i*y*lam01*lam01_t - i*y*lam01*psi01_y + i*y*lam01_y*psi01 - i*y*lam10*lam10_t + i*y*lam10*psi10_y - i*y*lam10_y*psi10 + y^2*phi11_y^2 - A11^2 - phi00_t^2 + 1/4*phi11^2 + 1/2*i*lam01*psi01 - 1/2*i*lam10*psi10 - i*psi01*psi01_t - i*psi10*psi10_t", "y")
 
 
 def interaction_body() -> GradedExpr:
     """z-independent slot of d10 d01 V(Phi) at theta = 0, pair-jet form."""
-    y = _c("y")
-    f = lambda b, m=0, n=0: _f(b, m, n, "y")
-    vt00, vt11 = _pj(1, 0, "y"), _pj(1, 1, "y")
-    dvt00, dvt11 = _pj(2, 0, "y"), _pj(2, 1, "y")
-    return (f("A11") * vt00
-            - (f("psi10") * f("psi01") + y * f("lam10") * f("lam01")) * dvt00
-            + y * (f("A00") * vt11
-                   - _i * (f("psi10") * f("lam10") + f("psi01") * f("lam01")) * dvt11))
+    return parse("y*A00*Vt11 - y*lam01*lam10*Vt00_1 + i*y*lam01*psi01*Vt11_1 + i*y*lam10*psi10*Vt11_1 + A11*Vt00 - psi01*psi10*Vt00_1", "y")
 
 
 def interaction_z_slot() -> GradedExpr:
     """z-linear slot of the same expression (self-consistent form)."""
-    y = _c("y")
-    f = lambda b, m=0, n=0: _f(b, m, n, "y")
-    vt00, vt11 = _pj(1, 0, "y"), _pj(1, 1, "y")
-    dvt00, dvt11 = _pj(2, 0, "y"), _pj(2, 1, "y")
-    return (f("A00") * vt00 + f("A11") * vt11
-            - _i * (f("psi10") * f("lam10") + f("psi01") * f("lam01")) * dvt00
-            - (f("psi10") * f("psi01") + y * f("lam10") * f("lam01")) * dvt11)
+    return parse("-y*lam01*lam10*Vt11_1 + A00*Vt00 + A11*Vt11 + i*lam01*psi01*Vt00_1 + i*lam10*psi10*Vt00_1 - psi01*psi10*Vt11_1", "y")
 
-
-# ----------------------------------------------------------------------
-# component Lagrangian (second stage)
-# ----------------------------------------------------------------------
 
 def lagrangian_kinetic() -> GradedExpr:
-    f = _f
-    return (_half * (f("phi00", 1, 0) ** 2 - f("phi00", 0, 1) ** 2
-                     + f("phi11", 1, 0) * f("phi11", 1, 0)
-                     - f("phi11", 0, 1) * f("phi11", 0, 1))
-            + scalar(2) * (f("A00") * f("A00") + f("A11") * f("A11"))
-            + _i * (f("psi10") * f("psi10", 1, 0) + f("psi01") * f("psi01", 1, 0)
-                    + f("lam10") * f("lam10", 1, 0) + f("lam01") * f("lam01", 1, 0))
-            - _i * (f("psi10") * f("lam10", 0, 1) - f("psi10", 0, 1) * f("lam10")
-                    - f("psi01") * f("lam01", 0, 1) + f("psi01", 0, 1) * f("lam01")))
-
-
-def fermion_pair_even() -> GradedExpr:
-    """psi10 psi01 + lam10 lam01."""
-    return _f("psi10") * _f("psi01") + _f("lam10") * _f("lam01")
-
-
-def fermion_pair_mixed() -> GradedExpr:
-    """psi10 lam10 + psi01 lam01."""
-    return _f("psi10") * _f("lam10") + _f("psi01") * _f("lam01")
+    return parse("2*A00^2 + 2*A11^2 - 1/2*phi00_x^2 + 1/2*phi00_t^2 - 1/2*phi11_x^2 + 1/2*phi11_t^2 + i*lam01*lam01_t + i*lam01*psi01_x - i*lam01_x*psi01 + i*lam10*lam10_t - i*lam10*psi10_x + i*lam10_x*psi10 + i*psi01*psi01_t + i*psi10*psi10_t", "x")
 
 
 def lagrangian_interaction() -> GradedExpr:
-    al = _p("alpha")
-    v00, v11 = _pj(1, 0), _pj(1, 1)
-    dv00, dv11 = _pj(2, 0), _pj(2, 1)
-    return (scalar(-2) * al * (_f("A11") * v00 + _f("A00") * v11)
-            + scalar(2) * al * (fermion_pair_even() * dv00
-                                + _i * fermion_pair_mixed() * dv11))
-
-
-def lagrangian_interaction_eliminated() -> GradedExpr:
-    al = _p("alpha")
-    v00, v11 = _pj(1, 0), _pj(1, 1)
-    dv00, dv11 = _pj(2, 0), _pj(2, 1)
-    return (-(_half * al * al * (v00 * v00 + v11 * v11))
-            + scalar(2) * al * (fermion_pair_even() * dv00
-                                + _i * fermion_pair_mixed() * dv11))
-
-
-def lagrangian_kinetic_eliminated() -> GradedExpr:
-    """Kinetic part with the auxiliary squares removed."""
-    f = _f
-    return (_half * (f("phi00", 1, 0) ** 2 - f("phi00", 0, 1) ** 2
-                     + f("phi11", 1, 0) * f("phi11", 1, 0)
-                     - f("phi11", 0, 1) * f("phi11", 0, 1))
-            + _i * (f("psi10") * f("psi10", 1, 0) + f("psi01") * f("psi01", 1, 0)
-                    + f("lam10") * f("lam10", 1, 0) + f("lam01") * f("lam01", 1, 0))
-            - _i * (f("psi10") * f("lam10", 0, 1) - f("psi10", 0, 1) * f("lam10")
-                    - f("psi01") * f("lam01", 0, 1) + f("psi01", 0, 1) * f("lam01")))
+    return parse("-2*alpha*A00*V11 - 2*alpha*A11*V00 + 2*alpha*lam01*lam10*V00_1 - 2*i*alpha*lam01*psi01*V11_1 - 2*i*alpha*lam10*psi10*V11_1 + 2*alpha*psi01*psi10*V00_1", "x")
 
 
 def lagrangian_eliminated() -> GradedExpr:
-    return lagrangian_kinetic_eliminated() + lagrangian_interaction_eliminated()
+    return parse("2*alpha*lam01*lam10*V00_1 - 2*i*alpha*lam01*psi01*V11_1 - 2*i*alpha*lam10*psi10*V11_1 + 2*alpha*psi01*psi10*V00_1 - 1/2*alpha^2*V00^2 - 1/2*alpha^2*V11^2 - 1/2*phi00_x^2 + 1/2*phi00_t^2 - 1/2*phi11_x^2 + 1/2*phi11_t^2 + i*lam01*lam01_t + i*lam01*psi01_x - i*lam01_x*psi01 + i*lam10*lam10_t - i*lam10*psi10_x + i*lam10_x*psi10 + i*psi01*psi01_t + i*psi10*psi10_t", "x")
 
-
-# ----------------------------------------------------------------------
-# equations of motion
-# ----------------------------------------------------------------------
 
 def generic_eom() -> Dict[str, GradedExpr]:
     """Left sides of the displayed equations for the eliminated system."""
-    al = _p("alpha")
-    v00, v11 = _pj(1, 0), _pj(1, 1)
-    dv00, dv11 = _pj(2, 0), _pj(2, 1)
-    d2v00, d2v11 = _pj(3, 0), _pj(3, 1)
-    f = _f
-    b_even = fermion_pair_even()
-    b_mixed = fermion_pair_mixed()
-    wave = lambda b: f(b, 2, 0) - f(b, 0, 2)
-    return {
-        "phi00": (wave("phi00")
-                  + al * al * (v00 * dv00 + v11 * dv11)
-                  - scalar(2) * al * b_even * d2v00
-                  - scalar(2) * _i * al * b_mixed * d2v11),
-        "phi11": (wave("phi11")
-                  + al * al * (dv00 * v11 + v00 * dv11)
-                  - scalar(2) * al * b_even * d2v11
-                  - scalar(2) * _i * al * b_mixed * d2v00),
-        "psi10": (_i * (f("psi10", 1, 0) - f("lam10", 0, 1))
-                  - al * f("psi01") * dv00 - _i * al * f("lam10") * dv11),
-        "lam10": (_i * (-f("lam10", 1, 0) + f("psi10", 0, 1))
-                  + al * f("lam01") * dv00 - _i * al * f("psi10") * dv11),
-        "psi01": (_i * (f("psi01", 1, 0) + f("lam01", 0, 1))
-                  - al * f("psi10") * dv00 - _i * al * f("lam01") * dv11),
-        "lam01": (_i * (f("lam01", 1, 0) + f("psi01", 0, 1))
-                  - al * f("lam10") * dv00 + _i * al * f("psi01") * dv11),
-    }
+    return _read("x", """
+phi00: -2*alpha*lam01*lam10*V00_2 + 2*i*alpha*lam01*psi01*V11_2 + 2*i*alpha*lam10*psi10*V11_2 - 2*alpha*psi01*psi10*V00_2 + alpha^2*V00*V00_1 + alpha^2*V11*V11_1 - phi00_xx + phi00_tt
+phi11: -2*alpha*lam01*lam10*V11_2 + 2*i*alpha*lam01*psi01*V00_2 + 2*i*alpha*lam10*psi10*V00_2 - 2*alpha*psi01*psi10*V11_2 + alpha^2*V00*V11_1 + alpha^2*V11*V00_1 - phi11_xx + phi11_tt
+psi10: -i*alpha*lam10*V11_1 - alpha*psi01*V00_1 - i*lam10_x + i*psi10_t
+lam10: alpha*lam01*V00_1 - i*alpha*psi10*V11_1 - i*lam10_t + i*psi10_x
+psi01: -i*alpha*lam01*V11_1 - alpha*psi10*V00_1 + i*lam01_x + i*psi01_t
+lam01: -alpha*lam10*V00_1 + i*alpha*psi01*V11_1 + i*lam01_t + i*psi01_x
+""")
 
 
 def quadratic_specialization() -> Dict[str, GradedExpr]:
     """Pair components for V = (1/2) w**2: v00 = phi00, v11 = phi11."""
-    return {
-        "V00": _f("phi00"), "V11": _f("phi11"),
-        "V00_1": GradedExpr.const(1), "V11_1": GradedExpr.zero(),
-        "V00_2": GradedExpr.zero(), "V11_2": GradedExpr.zero(),
-    }
+    return _read("x", """
+V00: phi00
+V11: phi11
+V00_1: 1
+V11_1: 0
+V00_2: 0
+V11_2: 0
+""")
 
 
 def trigonometric_specialization() -> Dict[str, GradedExpr]:
     """Pair components for V = cos w."""
-    s00, c00, s11, c11 = _tr("S00"), _tr("C00"), _tr("S11"), _tr("C11")
-    return {
-        "V00": -(s00 * c11), "V11": -(c00 * s11),
-        "V00_1": -(c00 * c11), "V11_1": s00 * s11,
-        "V00_2": s00 * c11, "V11_2": c00 * s11,
-        "V00_3": c00 * c11, "V11_3": -(s00 * s11),
-    }
+    return _read("x", """
+V00: -C11*S00
+V11: -C00*S11
+V00_1: -C00*C11
+V11_1: S00*S11
+V00_2: C11*S00
+V11_2: C00*S11
+V00_3: C00*C11
+V11_3: -S00*S11
+""")
 
 
 def sg_eom_printed() -> Dict[str, GradedExpr]:
     """Literal trigonometric-case displays (fermion terms as printed)."""
-    al = _p("alpha")
-    s00, c00, s11, c11 = _tr("S00"), _tr("C00"), _tr("S11"), _tr("C11")
-    f = _f
-    b_even = fermion_pair_even()
-    b_mixed = fermion_pair_mixed()
-    wave = lambda b: f(b, 2, 0) - f(b, 0, 2)
-    # sin 2a cos 2b expands to 2 s_a c_a (c_b^2 - s_b^2)
-    sin2cos2_00 = scalar(2) * s00 * c00 * (c11 * c11 - s11 * s11)
-    sin2cos2_11 = scalar(2) * s11 * c11 * (c00 * c00 - s00 * s00)
-    two = scalar(2)
-    return {
-        "phi00": (wave("phi00") + _half * al * al * sin2cos2_00
-                  + two * al * b_even * s00 * c11
-                  + two * _i * al * b_mixed * c00 * s11),
-        "phi11": (wave("phi11") + _half * al * al * sin2cos2_11
-                  + two * al * b_even * c00 * s11
-                  + two * _i * al * b_mixed * s00 * c11),
-        "psi10": (_i * (f("psi10", 1, 0) - f("lam10", 0, 1))
-                  - al * f("psi01") * c00 * c11
-                  + _i * al * f("psi10") * s00 * s11),
-        "lam10": (_i * (-f("lam10", 1, 0) + f("psi10", 0, 1))
-                  + al * f("lam01") * c00 * c11
-                  + _i * al * f("lam10") * s00 * s11),
-        "psi01": (_i * (f("psi01", 1, 0) + f("lam01", 0, 1))
-                  - al * f("psi10") * c00 * c11
-                  + _i * al * f("lam01") * s00 * s11),
-        "lam01": (_i * (f("lam01", 1, 0) + f("psi01", 0, 1))
-                  - al * f("lam10") * c00 * c11
-                  - _i * al * f("psi01") * s00 * s11),
-    }
+    return _read("x", """
+phi00: 2*alpha*lam01*lam10*C11*S00 - 2*i*alpha*lam01*psi01*C00*S11 - 2*i*alpha*lam10*psi10*C00*S11 + 2*alpha*psi01*psi10*C11*S00 + alpha^2*C00*C11^2*S00 - alpha^2*C00*S00*S11^2 - phi00_xx + phi00_tt
+phi11: 2*alpha*lam01*lam10*C00*S11 - 2*i*alpha*lam01*psi01*C11*S00 - 2*i*alpha*lam10*psi10*C11*S00 + 2*alpha*psi01*psi10*C00*S11 + alpha^2*C00^2*C11*S11 - alpha^2*C11*S00^2*S11 - phi11_xx + phi11_tt
+psi10: -alpha*psi01*C00*C11 + i*alpha*psi10*S00*S11 - i*lam10_x + i*psi10_t
+lam10: alpha*lam01*C00*C11 + i*alpha*lam10*S00*S11 - i*lam10_t + i*psi10_x
+psi01: i*alpha*lam01*S00*S11 - alpha*psi10*C00*C11 + i*lam01_x + i*psi01_t
+lam01: -alpha*lam10*C00*C11 - i*alpha*psi01*S00*S11 + i*lam01_t + i*psi01_x
+""")
 
 
 def sg_reduced_eom() -> GradedExpr:
     """Classical reduction: single field, fermions off."""
-    al = _p("alpha")
-    return (_f("phi00", 2, 0) - _f("phi00", 0, 2)
-            + _half * al * al * scalar(2) * _tr("S00") * _tr("C00"))
+    return parse("alpha^2*C00*S00 - phi00_xx + phi00_tt", "x")
 
 
 def quadratic_lagrangian_printed() -> GradedExpr:
     """Mass-term specialization, spinor bilinears expanded in components."""
-    al = _p("alpha")
-    return (lagrangian_kinetic_eliminated()
-            - _half * al * al * (_f("phi00") * _f("phi00")
-                                 + _f("phi11") * _f("phi11"))
-            + scalar(2) * al * fermion_pair_even())
+    return parse("2*alpha*lam01*lam10 + 2*alpha*psi01*psi10 - 1/2*alpha^2*phi00^2 - 1/2*alpha^2*phi11^2 - 1/2*phi00_x^2 + 1/2*phi00_t^2 - 1/2*phi11_x^2 + 1/2*phi11_t^2 + i*lam01*lam01_t + i*lam01*psi01_x - i*lam01_x*psi01 + i*lam10*lam10_t - i*lam10*psi10_x + i*lam10_x*psi10 + i*psi01*psi01_t + i*psi10*psi10_t", "x")
 
 
 def quadratic_eom_printed() -> Dict[str, GradedExpr]:
     """Displayed equations of the mass-term case, component rows."""
-    al = _p("alpha")
-    f = _f
-    wave = lambda b: f(b, 2, 0) - f(b, 0, 2)
-    return {
-        "phi00": wave("phi00") + al * al * f("phi00"),
-        "phi11": wave("phi11") + al * al * f("phi11"),
-        "psi10": _i * (f("psi10", 1, 0) - f("lam10", 0, 1)) - al * f("psi01"),
-        "lam10": _i * (-f("lam10", 1, 0) + f("psi10", 0, 1)) + al * f("lam01"),
-        "psi01": _i * (f("psi01", 1, 0) + f("lam01", 0, 1)) - al * f("psi10"),
-        "lam01": _i * (f("lam01", 1, 0) + f("psi01", 0, 1)) - al * f("lam10"),
-    }
+    return _read("x", """
+phi00: alpha^2*phi00 - phi00_xx + phi00_tt
+phi11: alpha^2*phi11 - phi11_xx + phi11_tt
+psi10: -alpha*psi01 - i*lam10_x + i*psi10_t
+lam10: alpha*lam01 - i*lam10_t + i*psi10_x
+psi01: -alpha*psi10 + i*lam01_x + i*psi01_t
+lam01: -alpha*lam10 + i*lam01_t + i*psi01_x
+""")
 
 
 def trig_lagrangian_printed() -> GradedExpr:
     """Double-well trigonometric specialization, bilinears expanded."""
-    al = _p("alpha")
-    s00, c00, s11, c11 = _tr("S00"), _tr("C00"), _tr("S11"), _tr("C11")
-    return (lagrangian_kinetic_eliminated()
-            - _half * al * al * (s00 * s00 * c11 * c11
-                                 + c00 * c00 * s11 * s11)
-            - scalar(2) * al * fermion_pair_even() * c00 * c11
-            + scalar(2) * _i * al * fermion_pair_mixed() * s00 * s11)
+    return parse("-2*alpha*lam01*lam10*C00*C11 - 2*i*alpha*lam01*psi01*S00*S11 - 2*i*alpha*lam10*psi10*S00*S11 - 2*alpha*psi01*psi10*C00*C11 - 1/2*alpha^2*C00^2*S11^2 - 1/2*alpha^2*C11^2*S00^2 - 1/2*phi00_x^2 + 1/2*phi00_t^2 - 1/2*phi11_x^2 + 1/2*phi11_t^2 + i*lam01*lam01_t + i*lam01*psi01_x - i*lam01_x*psi01 + i*lam10*lam10_t - i*lam10*psi10_x + i*lam10_x*psi10 + i*psi01*psi01_t + i*psi10*psi10_t", "x")
 
-
-# ----------------------------------------------------------------------
-# conserved currents (second stage, auxiliaries eliminated)
-# ----------------------------------------------------------------------
 
 def reference_currents() -> Dict[str, Tuple[GradedExpr, GradedExpr]]:
-    al = _p("alpha")
-    v00, v11 = _pj(1, 0), _pj(1, 1)
-    dv00, dv11 = _pj(2, 0), _pj(2, 1)
-    f = _f
-    t, x = _c("t"), _c("x")
-    two = scalar(2)
-
-    jh0 = (_half * (f("phi00", 1, 0) ** 2 + f("phi00", 0, 1) ** 2
-                    + f("phi11", 1, 0) * f("phi11", 1, 0)
-                    + f("phi11", 0, 1) * f("phi11", 0, 1))
-           + _i * (f("psi10") * f("lam10", 0, 1) - f("psi10", 0, 1) * f("lam10")
-                   - f("psi01") * f("lam01", 0, 1) + f("psi01", 0, 1) * f("lam01"))
-           + _half * al * al * (v00 * v00 + v11 * v11)
-           - two * al * fermion_pair_even() * dv00
-           - two * _i * al * fermion_pair_mixed() * dv11)
-    jh1 = (-(f("phi00", 1, 0) * f("phi00", 0, 1))
-           - f("phi11", 1, 0) * f("phi11", 0, 1)
-           + _i * (f("psi10", 1, 0) * f("lam10") - f("psi10") * f("lam10", 1, 0)
-                   - f("psi01", 1, 0) * f("lam01") + f("psi01") * f("lam01", 1, 0)))
-
-    j10_0 = (f("phi00", 1, 0) * f("psi10") + f("phi00", 0, 1) * f("lam10")
-             - _i * f("phi11", 1, 0) * f("lam01")
-             + _i * f("phi11", 0, 1) * f("psi01")
-             + al * v11 * f("lam10") + _i * al * v00 * f("psi01"))
-    j10_1 = (-(f("phi00", 1, 0) * f("lam10")) - f("phi00", 0, 1) * f("psi10")
-             - _i * f("phi11", 1, 0) * f("psi01")
-             + _i * f("phi11", 0, 1) * f("lam01")
-             - al * v11 * f("psi10") + _i * al * v00 * f("lam01"))
-
-    j01_0 = (f("phi00", 1, 0) * f("psi01") - f("phi00", 0, 1) * f("lam01")
-             - _i * f("phi11", 1, 0) * f("lam10")
-             - _i * f("phi11", 0, 1) * f("psi10")
-             + al * v11 * f("lam01") + _i * al * v00 * f("psi10"))
-    j01_1 = (f("phi00", 1, 0) * f("lam01") - f("phi00", 0, 1) * f("psi01")
-             + _i * f("phi11", 1, 0) * f("psi10")
-             + _i * f("phi11", 0, 1) * f("lam10")
-             + al * v11 * f("psi01") - _i * al * v00 * f("lam10"))
-
-    jz0 = (f("phi00", 1, 0) * f("phi11", 0, 1) + f("phi00", 0, 1) * f("phi11", 1, 0)
-           + f("psi10", 0, 1) * f("lam01") - f("psi10") * f("lam01", 0, 1)
-           + f("psi01", 0, 1) * f("lam10") - f("psi01") * f("lam10", 0, 1))
-    jz1 = (-(f("phi00", 1, 0) * f("phi11", 1, 0))
-           - f("phi00", 0, 1) * f("phi11", 0, 1)
-           + f("psi10") * f("lam01", 1, 0) - f("psi10", 1, 0) * f("lam01")
-           + f("psi01") * f("lam10", 1, 0) - f("psi01", 1, 0) * f("lam10")
-           + al * al * v00 * v11
-           - two * al * fermion_pair_even() * dv11
-           - two * _i * al * fermion_pair_mixed() * dv00)
-
-    boost_density = (f("phi00", 1, 0) * f("phi11", 1, 0)
-                     + f("phi00", 0, 1) * f("phi11", 0, 1)
-                     + f("psi10") * f("psi01", 0, 1) - f("psi10", 0, 1) * f("psi01")
-                     - f("lam10") * f("lam01", 0, 1) + f("lam10", 0, 1) * f("lam01")
-                     + al * al * v00 * v11
-                     - two * al * fermion_pair_even() * dv11
-                     - two * _i * al * fermion_pair_mixed() * dv00)
-    jl0 = -(t * jz0) - x * boost_density
-    jl1 = -(t * jz1) + x * (f("phi00", 1, 0) * f("phi11", 0, 1)
-                            + f("phi00", 0, 1) * f("phi11", 1, 0)
-                            + f("psi10") * f("psi01", 1, 0)
-                            - f("psi10", 1, 0) * f("psi01")
-                            - f("lam10") * f("lam01", 1, 0)
-                            + f("lam10", 1, 0) * f("lam01"))
-
-    return {"H": (jh0, jh1), "Q10": (j10_0, j10_1), "Q01": (j01_0, j01_1),
-            "Z": (jz0, jz1), "L11": (jl0, jl1)}
+    return {name: tuple(j.values()) for name, j in _read("x", """
+H.0: -2*alpha*lam01*lam10*V00_1 + 2*i*alpha*lam01*psi01*V11_1 + 2*i*alpha*lam10*psi10*V11_1 - 2*alpha*psi01*psi10*V00_1 + 1/2*alpha^2*V00^2 + 1/2*alpha^2*V11^2 + 1/2*phi00_x^2 + 1/2*phi00_t^2 + 1/2*phi11_x^2 + 1/2*phi11_t^2 - i*lam01*psi01_x + i*lam01_x*psi01 + i*lam10*psi10_x - i*lam10_x*psi10
+H.1: -phi00_x*phi00_t - phi11_x*phi11_t + i*lam01*psi01_t - i*lam01_t*psi01 - i*lam10*psi10_t + i*lam10_t*psi10
+Q10.0: -alpha*lam10*V11 + i*alpha*psi01*V00 + phi00_x*lam10 + phi00_t*psi10 + i*phi11_x*psi01 - i*phi11_t*lam01
+Q10.1: i*alpha*lam01*V00 + alpha*psi10*V11 - phi00_x*psi10 - phi00_t*lam10 + i*phi11_x*lam01 - i*phi11_t*psi01
+Q01.0: -alpha*lam01*V11 + i*alpha*psi10*V00 - phi00_x*lam01 + phi00_t*psi01 - i*phi11_x*psi10 - i*phi11_t*lam10
+Q01.1: -i*alpha*lam10*V00 - alpha*psi01*V11 - phi00_x*psi01 + phi00_t*lam01 + i*phi11_x*lam10 + i*phi11_t*psi10
+Z.0: phi00_x*phi11_t + phi00_t*phi11_x + lam01*psi10_x - lam01_x*psi10 + lam10*psi01_x - lam10_x*psi01
+Z.1: -2*alpha*lam01*lam10*V11_1 + 2*i*alpha*lam01*psi01*V00_1 + 2*i*alpha*lam10*psi10*V00_1 - 2*alpha*psi01*psi10*V11_1 + alpha^2*V00*V11 - phi00_x*phi11_x - phi00_t*phi11_t - lam01*psi10_t + lam01_t*psi10 - lam10*psi01_t + lam10_t*psi01
+L11.0: -t*phi00_x*phi11_t - t*phi00_t*phi11_x - t*lam01*psi10_x + t*lam01_x*psi10 - t*lam10*psi01_x + t*lam10_x*psi01 + 2*x*alpha*lam01*lam10*V11_1 - 2*i*x*alpha*lam01*psi01*V00_1 - 2*i*x*alpha*lam10*psi10*V00_1 + 2*x*alpha*psi01*psi10*V11_1 - x*alpha^2*V00*V11 - x*phi00_x*phi11_x - x*phi00_t*phi11_t - x*lam01*lam10_x + x*lam01_x*lam10 + x*psi01*psi10_x - x*psi01_x*psi10
+L11.1: 2*t*alpha*lam01*lam10*V11_1 - 2*i*t*alpha*lam01*psi01*V00_1 - 2*i*t*alpha*lam10*psi10*V00_1 + 2*t*alpha*psi01*psi10*V11_1 - t*alpha^2*V00*V11 + t*phi00_x*phi11_x + t*phi00_t*phi11_t + t*lam01*psi10_t - t*lam01_t*psi10 + t*lam10*psi01_t - t*lam10_t*psi01 + x*phi00_x*phi11_t + x*phi00_t*phi11_x + x*lam01*lam10_t - x*lam01_t*lam10 - x*psi01*psi10_t + x*psi01_t*psi10
+""").items()}
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Command-line surface: dispatch, exit codes, determinism, artifacts."""
 
+import csv
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -72,6 +74,53 @@ def test_check_potential_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "check,value"
     assert lines[-1] == "ok,True"
+
+
+# the seven symbolic checks, as the benchmark's certify workload runs them
+SYMBOLIC_CHECKS = [
+    ["verify-algebra"], ["verify-tables"],
+    ["derive-lagrangian", "--potential", "cos", "--eliminate-aux"],
+    ["check-potential", "--potential", "poly:0,0,1/2"], ["check-currents"],
+    ["verify-dmodule"], ["check-examples"],
+]
+
+
+@pytest.mark.parametrize("argv", SYMBOLIC_CHECKS, ids=lambda a: a[0])
+def test_csv_rows_read_back_as_the_text_rows(argv, capsys):
+    assert main(argv + ["--format", "csv"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    ok, payload = cli._RUNNERS[argv[0]](build_parser().parse_args(argv))
+    text = io.StringIO()
+    cli._emit_report(ok, payload, "text", text)
+    assert rows[0] == ["check", "value"]
+    assert all(len(row) == 2 for row in rows)
+    assert [f"{name}: {value}" for name, value in rows[1:]] == (
+        text.getvalue().splitlines())
+
+
+def _poly_of_degree(d):
+    return "poly:" + ",".join(["1"] * (d + 1))
+
+
+@pytest.mark.parametrize("argv,names", [
+    (["--potential", _poly_of_degree(potential.MAX_POLY_DEGREE + 1)],
+     _poly_of_degree(potential.MAX_POLY_DEGREE + 1)),
+    (["--potential", "cos", "--truncation",
+      str(potential.MAX_TRUNCATION + 1)], str(potential.MAX_TRUNCATION + 1)),
+], ids=["degree", "truncation"])
+def test_check_potential_refuses_a_request_past_its_bound(argv, names,
+                                                          capsys):
+    assert main(["check-potential"] + argv) == 2
+    assert names in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--potential", _poly_of_degree(potential.MAX_POLY_DEGREE)],
+    ["--potential", "cos", "--truncation", str(potential.MAX_TRUNCATION)],
+], ids=["degree", "truncation"])
+def test_check_potential_accepts_a_request_at_its_bound(argv, capsys):
+    assert main(["check-potential"] + argv + ["--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
 
 
 def test_simulate_stdout_csv(capsys):

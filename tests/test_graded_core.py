@@ -1,8 +1,13 @@
 """Ring-level properties: sign rule, canonical form, star, exact scalars."""
 
+import inspect
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -10,10 +15,13 @@ from hypothesis import assume, given, settings, strategies as st
 from z22field import (DEG00, DEG01, DEG10, DEG11, GaussianRational,
                       GradedExpr, coord, field, gexp, param, parity, scalar)
 from z22field.core import QI, QONE, QZERO, Generator
-from z22field.core import pairjet, trig
+from z22field import reference
+from z22field.core import fjet, pairjet, trig
 from z22field.expr import (_add_terms, _expr_pow, _exp_degree,
                            _mono_dim_ratio, _mono_mask, _mono_mul,
-                           _mono_sort_token, _mono_star_sign)
+                           _mono_sort_token, _mono_star_sign, parse)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 # ----------------------------------------------------------------------
@@ -431,6 +439,103 @@ def test_scaling_dim_matches_the_fraction_formula(parts):
     got = e.scaling_dim()
     assert got == _fraction_scaling_dim(e)
     assert got is None or type(got) is Fraction
+
+
+# ----------------------------------------------------------------------
+# reading the printed form back
+# ----------------------------------------------------------------------
+
+def _at_stage(e, stage):
+    """e with its (first-stage) field jets moved to `stage`; the pool's
+    jets print alike at both stages."""
+    return e.substitute({g: gexp(field(g.base, *g.jet, stage))
+                         for g in e.generators() if g.kind == "field"})
+
+
+@given(exprs(), st.lists(_measure_powers, max_size=2),
+       st.sampled_from(("y", "x")))
+@settings(max_examples=120, deadline=None)
+def test_parse_reads_back_what_str_prints(body, powers, stage):
+    e = _at_stage(body, stage)
+    for p in powers:
+        e = e * p
+    assert parse(str(e), stage) == e
+
+
+@given(small_coeff, st.lists(st.sampled_from(_POOL), min_size=1, max_size=4))
+@settings(max_examples=120, deadline=None)
+def test_parse_multiplies_factors_in_the_order_written(c, word):
+    # out-of-order words take the merge path, with its signs and folds
+    want = scalar(c)
+    for g in word:
+        want = want * gexp(g)
+    assert parse("*".join([str(c)] + [g.name for g in word]), "y") == want
+
+
+@pytest.mark.parametrize("g", [
+    coord("t"), coord("y"), coord("x"), coord("z"), coord("th10"),
+    coord("th01"), param("eps00"), param("epsL"), param("eps10p"),
+    param("alpha"), param("deltaz"), field("phi00", 0, 0, "y"),
+    field("lam01", 2, 1, "y"), field("A11", 0, 3, "x"),
+    field("psi10", 1, 0, "x"), fjet(0), fjet(3), trig("S00"), trig("C11y"),
+    trig("S11"), pairjet(0, 1, "y"), pairjet(1, 0, "y"), pairjet(3, 1, "x"),
+    pairjet(0, 0, "x")], ids=lambda g: f"{g.name}@{g.space}")
+def test_parse_resolves_every_generator_family(g):
+    assert parse(g.name, g.space or "x") == gexp(g)
+
+
+def _display_texts(monkeypatch):
+    """(text, stage) of every entry of every display in `reference`."""
+    seen = []
+    real = reference.parse
+
+    def spy(text, stage):
+        seen.append((text, stage))
+        return real(text, stage)
+
+    monkeypatch.setattr(reference, "parse", spy)
+    for name, fn in inspect.getmembers(reference, inspect.isfunction):
+        if (fn.__module__ == reference.__name__ and not name.startswith("_")
+                and name != "matrix_realization_data"):
+            fn()
+    return seen
+
+
+def test_every_display_entry_prints_back_as_its_text(monkeypatch):
+    texts = _display_texts(monkeypatch)
+    assert len(texts) == 151
+    for text, stage in texts:
+        assert str(parse(text, stage)) == text
+
+
+def test_importing_the_displays_parses_nothing():
+    # with parse unusable, the import still succeeds
+    code = ("import z22field.expr as e; e.parse = None; "
+            "import z22field.reference")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": str(SRC)})
+
+
+@pytest.mark.parametrize("text,stage,message", [
+    ("", "x", "empty text"),
+    ("phi00 + ", "x", "dangling '\\+'"),
+    ("-", "x", "dangling '-'"),
+    ("phi00*", "x", "dangling '\\*'"),
+    ("phi00*rho", "x", "unknown name 'rho'"),
+    ("phi00_y", "x", "'phi00_y' is not a jet at stage 'x'"),
+    ("phi00_tx", "y", "'phi00_tx' is not a jet at stage 'y'"),
+    ("V00_0", "x", "unknown name 'V00_0'"),
+    ("x^a", "x", "bad factor 'x\\^a'"),
+    ("y^(1/0)", "y", "bad factor 'y\\^\\(1/0\\)'"),
+    ("phi00^(1/2)", "x", "phi00 does not admit exponent 1/2"),
+    ("1/0*x", "x", "bad factor '1/0'"),
+    ("(1+2i)*x", "x", "bad factor '\\(1\\+2i\\)'"),
+    ("1/2/3*x", "x", "bad factor '1/2/3'"),
+    ("x", "w", "unknown stage 'w'"),
+])
+def test_parse_names_the_bad_token(text, stage, message):
+    with pytest.raises(ValueError, match=message):
+        parse(text, stage)
 
 
 def test_scaling_dim_compares_terms_exactly():

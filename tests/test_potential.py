@@ -183,6 +183,23 @@ def test_rejects_bad_truncation():
         potential_components(parse_potential("cos"), stage="w")
 
 
+def test_truncation_orders_past_the_bound_are_refused():
+    V = parse_potential("cos")
+    past = potential.MAX_TRUNCATION + 1
+    for build in (potential_components, series_pair):
+        with pytest.raises(ValueError, match=f"got {past}"):
+            build(V, truncation_order=past)
+
+
+def test_poly_specs_past_the_degree_bound_are_refused():
+    at = "poly:" + ",".join(["1/2"] * (potential.MAX_POLY_DEGREE + 1))
+    assert len(parse_potential(at).coeffs) == potential.MAX_POLY_DEGREE + 1
+    past = at + ",1"
+    with pytest.raises(ValueError,
+                       match=f"degree {potential.MAX_POLY_DEGREE + 1}"):
+        parse_potential(past)
+
+
 def test_series_pair_rejects_a_negative_truncation_order():
     # the cos tower never terminates, so an unguarded negative order
     # would never return
