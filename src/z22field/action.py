@@ -24,8 +24,8 @@ from fractions import Fraction
 from functools import cache
 from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
 
-from .core import (DEG00, Degree, GaussianRational, Generator, QI, coord,
-                   field, param)
+from .core import (DEG00, Degree, GaussianRational, Generator, QI, QONE,
+                   QZERO, coord, field, param)
 from .derivations import (apply_many, combine, jet_partial, jet_prolongation,
                           partial_z, solve_linear, superspace_operators,
                           total_space, total_t)
@@ -177,15 +177,12 @@ def product_covariance_report() -> dict:
 Mat2 = Tuple[Tuple[GaussianRational, GaussianRational],
              Tuple[GaussianRational, GaussianRational]]
 
-_Q0 = GaussianRational(0)
-_Q1 = GaussianRational(1)
-
-GAMMA0: Mat2 = ((_Q1, _Q0), (_Q0, GaussianRational(-1)))
-GAMMA1: Mat2 = ((_Q0, GaussianRational(-1)), (_Q1, _Q0))
-GAMMA3: Mat2 = ((_Q0, _Q1), (_Q1, _Q0))
+GAMMA0: Mat2 = ((QONE, QZERO), (QZERO, GaussianRational(-1)))
+GAMMA1: Mat2 = ((QZERO, GaussianRational(-1)), (QONE, QZERO))
+GAMMA3: Mat2 = ((QZERO, QONE), (QONE, QZERO))
 SIGMA1: Mat2 = GAMMA3
 ETA = (1, -1)
-IDENT2: Mat2 = ((_Q1, _Q0), (_Q0, _Q1))
+IDENT2: Mat2 = ((QONE, QZERO), (QZERO, QONE))
 
 
 def mat_mul(a: Mat2, b: Mat2) -> Mat2:

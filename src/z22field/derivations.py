@@ -59,10 +59,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .core import (DEG00, DEG01, DEG10, DEG11, FIELD_BASES, TRIG, Degree,
                    GaussianRational, Generator, QONE, QZERO, coord, field,
                    fjet, pairjet, parity, trig)
-from .expr import (_MASK_PARITY, GradedExpr, _add_terms, _mono_mask,
-                   _mono_mul, gexp, parse, scalar)
-
-ONE = GradedExpr.const(1)
+from .expr import (_MASK_PARITY, ONE_EXPR, GradedExpr, _add_terms,
+                   _mono_mask, _mono_mul, gexp, parse, scalar)
 
 # how many derivation tuples keep their routing tables (see `_routes`)
 ROUTE_TABLES = 8
@@ -306,7 +304,7 @@ def total_t(space: str) -> GeneratorDerivation:
 
     def act(g: Generator) -> Optional[GradedExpr]:
         if g is tname:
-            return ONE
+            return ONE_EXPR
         if g.kind == "field" and g.space == space:
             m, n = g.jet
             return gexp(field(g.base, m + 1, n, space))
@@ -324,7 +322,7 @@ def total_space(space: str) -> GeneratorDerivation:
 
     def act(g: Generator) -> Optional[GradedExpr]:
         if g is cname:
-            return ONE
+            return ONE_EXPR
         if g.kind == "field" and g.space == space:
             m, n = g.jet
             return gexp(field(g.base, m, n + 1, space))
@@ -386,7 +384,7 @@ def jet_partial(gen: Generator) -> GeneratorDerivation:
 
     def act(g: Generator) -> Optional[GradedExpr]:
         if g is gen:
-            return ONE
+            return ONE_EXPR
         if chain and g.kind == "fn" and g.space in (None, space):
             return fn_field_derivative(g, gen.base)
         return None
@@ -409,7 +407,7 @@ def partial_coord(name: str) -> GeneratorDerivation:
     c = coord(name)
 
     def act(g: Generator) -> Optional[GradedExpr]:
-        return ONE if g is c else None
+        return ONE_EXPR if g is c else None
 
     return GeneratorDerivation(f"d_{name}", c.degree, act)
 
@@ -417,7 +415,7 @@ def partial_coord(name: str) -> GeneratorDerivation:
 def partial_z() -> GeneratorDerivation:
     """Degree-(1,1) coordinate derivative with z**2 = y built in: the
     explicit z derivative plus 2z times the derivative along y."""
-    return combine("d_z", DEG11, [(ONE, partial_coord("z")),
+    return combine("d_z", DEG11, [(ONE_EXPR, partial_coord("z")),
                                   (parse("2*z", "y"), total_space("y"))])
 
 
@@ -436,16 +434,16 @@ def superspace_operators() -> Dict[str, GeneratorDerivation]:
     ops["H"] = combine("H", DEG00, [(c("i"), dt)])
     ops["Z"] = combine("Z", DEG11, [(c("i"), dz)])
     ops["Q10"] = combine("Q10", DEG10, [
-        (ONE, d10), (c("i*th10"), dt), (c("1/2*th01"), dz)])
+        (ONE_EXPR, d10), (c("i*th10"), dt), (c("1/2*th01"), dz)])
     ops["Q01"] = combine("Q01", DEG01, [
-        (ONE, d01), (c("i*th01"), dt), (c("-1/2*th10"), dz)])
+        (ONE_EXPR, d01), (c("i*th01"), dt), (c("-1/2*th10"), dz)])
     ops["L11"] = combine("L11", DEG11, [
         (c("-2*i*z"), dt), (c("-1/2*i*t"), dz),
         (c("1/2*th01"), d10), (c("-1/2*th10"), d01)])
     ops["D10"] = combine("D10", DEG10, [
-        (ONE, d10), (c("-i*th10"), dt), (c("-1/2*th01"), dz)])
+        (ONE_EXPR, d10), (c("-i*th10"), dt), (c("-1/2*th01"), dz)])
     ops["D01"] = combine("D01", DEG01, [
-        (ONE, d01), (c("-i*th01"), dt), (c("1/2*th10"), dz)])
+        (ONE_EXPR, d01), (c("-i*th01"), dt), (c("1/2*th10"), dz)])
     return ops
 
 
@@ -506,6 +504,53 @@ def bracket_value(a: str, b: str) -> Terms:
     return [(c * sgn, nm) for c, nm in flip]
 
 
+def bracket_residuals(ops: Dict[str, GeneratorDerivation],
+                      probes: Dict[str, GradedExpr],
+                      relations: Sequence[Tuple[str, str, int, Terms]]
+                      ) -> List[Dict[str, str]]:
+    """The nonzero residuals of each relation (outer, inner, sign, rhs),
+    by probe name: outer(inner(p)) + sign inner(outer(p)) must equal the
+    sum of c ops[r](p) over the (c, r) of rhs on every probe p.
+
+    One walk of all the ops over a probe gives its first images; one more
+    walk over each first image applies only the ops that some relation
+    composes with it.  A relation with a nonzero right side also fails,
+    under the key `commutator`, when its left side vanishes on every
+    probe: both sides vanish when, e.g., two parameter copies are not
+    independent, but a nonzero bracket must act.
+    """
+    names = tuple(ops)
+    partners: Dict[str, set] = {n: set() for n in names}
+    for a, b, _, _ in relations:
+        partners[a].add(b)
+        partners[b].add(a)
+    first = {p: dict(zip(names, apply_many([ops[n] for n in names], e)))
+             for p, e in probes.items()}
+    # each image walked by one tuple of ops for all probes in a row, so
+    # the walks of that tuple share one routing table
+    second = {}
+    for x in names:
+        ys = [y for y in names if y in partners[x]]
+        for p, images in first.items():
+            second.update(zip([(p, y, x) for y in ys],
+                              apply_many([ops[y] for y in ys], images[x])))
+    out = []
+    for a, b, sign, rhs in relations:
+        residuals = {}
+        moved = False
+        for p, images in first.items():
+            diff = second[p, a, b] + sign * second[p, b, a]
+            moved = moved or not diff.is_zero()
+            for c, r in rhs:
+                diff = diff - scalar(c) * images[r]
+            if not diff.is_zero():
+                residuals[p] = str(diff)
+        if rhs and not moved:
+            residuals["commutator"] = "0 on every probe"
+        out.append(residuals)
+    return out
+
+
 def verify_structure_constants() -> List[dict]:
     """Check every bracket relation on a probe set of generators.
 
@@ -517,37 +562,21 @@ def verify_structure_constants() -> List[dict]:
     ops = superspace_operators()
     gens = [coord(n) for n in ("t", "y", "z", "th10", "th01")]
     gens += [field(b, 0, 0, "y") for b in FIELD_BASES]
-    seven = [ops[n] for n in _ORDER]
-    # single and double operator applications on the probes, the seven
-    # operators in one walk over each expression
-    z1, z2 = {}, {}
-    for i, g in enumerate(gens):
-        for n1, img in zip(_ORDER, apply_many(seven, gexp(g))):
-            z1[(n1, i)] = img
-            for n2, img2 in zip(_ORDER, apply_many(seven, img)):
-                z2[(n2, n1, i)] = img2
+    pairs = sorted(STRUCTURE, key=lambda ab: tuple(map(_ORDER.index, ab)))
+    odd = [parity(OP_DEGREE[a], OP_DEGREE[b]) for a, b in pairs]
+    # commutator: minus; anticommutator: plus
+    residuals = bracket_residuals(
+        {n: ops[n] for n in _ORDER}, {g.name: gexp(g) for g in gens},
+        [(a, b, 1 if p else -1, STRUCTURE[a, b])
+         for (a, b), p in zip(pairs, odd)])
     reports = []
-    for (a, b), rhs in sorted(STRUCTURE.items(),
-                              key=lambda kv: (_ORDER.index(kv[0][0]),
-                                              _ORDER.index(kv[0][1]))):
-        pab = parity(OP_DEGREE[a], OP_DEGREE[b])
-        sym = "{%s,%s}" if pab else "[%s,%s]"
-        residuals = {}
-        for i, g in enumerate(gens):
-            # commutator: minus; anticommutator: plus
-            got = z2[(a, b, i)] - scalar(1 if not pab else -1) * z2[(b, a, i)]
-            want = GradedExpr.zero()
-            for c, nm in rhs:
-                want = want + scalar(c) * z1[(nm, i)]
-            diff = got - want
-            if not diff.is_zero():
-                residuals[g.name] = str(diff)
+    for (a, b), p, res in zip(pairs, odd, residuals):
+        sym = "{%s,%s}" if p else "[%s,%s]"
+        rhs = STRUCTURE[a, b]
         rh = " + ".join(f"({c}) {nm}" for c, nm in rhs) if rhs else "0"
-        reports.append({
-            "relation": f"{sym % (a, b)} = {rh}",
-            "status": "ok" if not residuals else "fail",
-            "residuals": residuals,
-        })
+        reports.append({"relation": f"{sym % (a, b)} = {rh}",
+                        "status": "ok" if not res else "fail",
+                        "residuals": res})
     return reports
 
 

@@ -9,9 +9,11 @@ column k is the monomial t^a x^b F_k^(c,d).  Matrices compose through the
 ring's total derivatives: (M_a M_b F)_r is row r of M_a F with each jet
 of F_k replaced by the same jet of (M_b F)_k, which is what
 `prolonged_derivation` of the rows of M_b does.  The matrices extracted
-from the variation tables are compared row by row with the hand-checked
-displays, and their graded brackets are checked against the structure
-constants of the superspace algebra.
+from the variation tables are compared row by row with the displayed
+ones, text rows in `reference` read by `printed_matrices`, and their
+graded brackets are checked against the structure constants of the
+superspace algebra by `derivations.bracket_residuals`, the one bracket
+check of the superspace operators and of the variations too.
 
 The module keeps no memo: `dmodule_report` builds the printed and the
 extracted sets once and passes them to each check, so it closes each of
@@ -22,10 +24,10 @@ from typing import Dict, List, Tuple
 
 from .core import GaussianRational, Generator, coord, field, param, parity
 from .expr import GradedExpr, gexp, parse, scalar
-from .derivations import OP_DEGREE, apply_many, bracket_value
-from .superfield import (PARAM_OF, VAR_NAMES, prolonged_derivation,
-                         variation_table)
-from .reference import MULTIPLET, matrix_realization_data
+from .derivations import OP_DEGREE, bracket_residuals, bracket_value
+from .superfield import (PARAM_OF, VAR_NAMES, VAR_PAIRS,
+                         prolonged_derivation, variation_table)
+from .reference import MULTIPLET, printed_matrices
 
 Rows = Dict[str, GradedExpr]  # base of F -> (M F) at that base
 Relations = Dict[Tuple[str, str], bool]  # ordered pair -> bracket closes
@@ -54,20 +56,6 @@ def _jet(mono: tuple, where: str) -> Generator:
 # construction
 # ----------------------------------------------------------------------
 
-def printed_matrices() -> Dict[str, Rows]:
-    """The displayed matrices, straight from the frozen entry data."""
-    t, x = coord("t"), coord("x")
-    out = {}
-    for name, data in matrix_realization_data().items():
-        rows = dict.fromkeys(MULTIPLET, GradedExpr.zero())
-        for (r, c), items in data.items():
-            for coef, (a, b, m, n) in items:
-                rows[MULTIPLET[r]] += (scalar(coef) * gexp(t, a) * gexp(x, b)
-                                       * gexp(field(MULTIPLET[c], m, n, "x")))
-        out[name] = rows
-    return out
-
-
 def matrices_from_tables() -> Dict[str, Rows]:
     """Extract each matrix from its variation table.
 
@@ -79,11 +67,10 @@ def matrices_from_tables() -> Dict[str, Rows]:
     for name in VAR_NAMES:
         eps = param(PARAM_OF[name])
         table = variation_table(name, "x")
-        rows = {b: i * table[b].strip_left(eps) for b in MULTIPLET}
+        out[name] = rows = {b: i * table[b].strip_left(eps) for b in MULTIPLET}
         for base, row in rows.items():
             for mono in row.terms:
                 _jet(mono, f"{name}/{base}")
-        out[name] = rows
     return out
 
 
@@ -118,26 +105,16 @@ def matrix_comparison_report(printed: Dict[str, Rows],
 def verify_matrix_relations(mats: Dict[str, Rows]) -> Relations:
     """Close every ordered pair against the structure constants.
 
-    One walk over each row r of M_a F applies the prolonged derivations
-    of all five matrices: prods[a][r][j] is (M_a M_j F)_r, and the
-    bracket row is (M_a M_b F)_r -+ (M_b M_a F)_r, + when the degrees
-    clash.
+    The derivation of M_a sends F_r to (M_a F)_r, so the derivation of
+    M_b after it gives (M_a M_b F)_r: the relation of [M_a, M_b} is
+    checked as (b, a), on the fields of the multiplet.
     """
-    derivs = [prolonged_derivation(mats[n], "x", f"M_{n}") for n in VAR_NAMES]
-    prods = {a: {r: apply_many(derivs, row) for r, row in mats[a].items()}
-             for a in VAR_NAMES}
-    out: Relations = {}
-    for i, a in enumerate(VAR_NAMES):
-        for j in range(i, len(VAR_NAMES)):
-            b = VAR_NAMES[j]
-            sign = 1 if parity(OP_DEGREE[a], OP_DEGREE[b]) & 1 else -1
-            rhs = [(scalar(c), mats[m]) for c, m in bracket_value(a, b)]
-            out[(a, b)] = all(
-                (prods[a][r][j] + sign * prods[b][r][i]
-                 - sum((c * m[r] for c, m in rhs), GradedExpr.zero())
-                 ).is_zero()
-                for r in MULTIPLET)
-    return out
+    ops = {n: prolonged_derivation(mats[n], "x", f"M_{n}") for n in VAR_NAMES}
+    residuals = bracket_residuals(
+        ops, {b: gexp(field(b, 0, 0, "x")) for b in MULTIPLET},
+        [(b, a, 1 if parity(OP_DEGREE[a], OP_DEGREE[b]) else -1,
+          bracket_value(a, b)) for a, b in VAR_PAIRS])
+    return {pair: not res for pair, res in zip(VAR_PAIRS, residuals)}
 
 
 def canonical_matrices(mats: Dict[str, Rows]) -> Tuple[
@@ -156,8 +133,7 @@ def canonical_matrices(mats: Dict[str, Rows]) -> Tuple[
     bad = sum(not ok for ok in rel.values())
     if bad:
         for name in sorted(mats):
-            trial = dict(mats)
-            trial[name] = {b: -row for b, row in mats[name].items()}
+            trial = {**mats, name: {b: -row for b, row in mats[name].items()}}
             trial_rel = verify_matrix_relations(trial)
             worse = sum(not ok for ok in trial_rel.values())
             if worse < bad:

@@ -5,6 +5,8 @@ Each display is the text that `str` prints for its value, read back by
 A table is one block of `key: expression` lines; a key `A.b` files its
 entry under A, then b.  The stage ("y" first, "x" second) places the
 bare fields and their pure time jets, which print alike at both stages.
+The matrices of the D-module realization are such a table too: the line
+`M.b` holds the row of M F at the multiplet base b.
 
 The text is in the ring's canonical order, not the paper's: terms sorted
 by monomial, factors by generator, signs and the z**2 -> y fold applied.
@@ -20,10 +22,8 @@ and prints back as that text.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
-from .core import GaussianRational
 from .expr import GradedExpr, parse
 
 
@@ -275,67 +275,56 @@ L11.1: 2*t*alpha*lam01*lam10*V11_1 - 2*i*t*alpha*lam01*psi01*V00_1 - 2*i*t*alpha
 
 
 # ----------------------------------------------------------------------
-# matrix realization data
+# matrix realization
 # ----------------------------------------------------------------------
 
 MULTIPLET = ("phi00", "A00", "A11", "phi11", "psi10", "lam10", "psi01",
              "lam01")
 
-# Weyl-algebra words: (t-power, x-power, dt-power, dx-power)
-_ID = (0, 0, 0, 0)
-_DT = (0, 0, 1, 0)
-_DX = (0, 0, 0, 1)
-_XDT = (0, 1, 1, 0)
-_TDX = (1, 0, 0, 1)
 
-
-def _gr(re=0, im=0) -> GaussianRational:
-    return GaussianRational(re, im)
-
-
-def matrix_realization_data() -> Dict[str, Dict[Tuple[int, int], List]]:
-    """Printed matrices as {(row, col): [(coeff, word), ...]}, 0-indexed."""
-    h = {(k, k): [(_gr(0, Fraction(1, 2)), _DT)] for k in range(8)}
-
-    z = {
-        (0, 3): [(_gr(0, -1), _DX)], (1, 2): [(_gr(0, -1), _DX)],
-        (2, 1): [(_gr(0, -1), _DX)], (3, 0): [(_gr(0, -1), _DX)],
-        (4, 7): [(_gr(-1), _DX)], (5, 6): [(_gr(1), _DX)],
-        (6, 5): [(_gr(-1), _DX)], (7, 4): [(_gr(1), _DX)],
-    }
-
-    half = Fraction(1, 2)
-    q10 = {
-        (0, 4): [(_gr(1), _ID)],
-        (1, 4): [(_gr(-half), _DX)], (1, 5): [(_gr(half), _DT)],
-        (2, 6): [(_gr(0, -half), _DT)], (2, 7): [(_gr(0, -half), _DX)],
-        (3, 7): [(_gr(0, 1), _ID)],
-        (4, 0): [(_gr(0, half), _DT)],
-        (5, 0): [(_gr(0, half), _DX)], (5, 1): [(_gr(0, 1), _ID)],
-        (6, 2): [(_gr(-1), _ID)], (6, 3): [(_gr(-half), _DX)],
-        (7, 3): [(_gr(half), _DT)],
-    }
-
-    q01 = {
-        (0, 6): [(_gr(1), _ID)],
-        (1, 6): [(_gr(half), _DX)], (1, 7): [(_gr(half), _DT)],
-        (2, 4): [(_gr(0, -half), _DT)], (2, 5): [(_gr(0, half), _DX)],
-        (3, 5): [(_gr(0, 1), _ID)],
-        (4, 2): [(_gr(-1), _ID)], (4, 3): [(_gr(half), _DX)],
-        (5, 3): [(_gr(half), _DT)],
-        (6, 0): [(_gr(0, half), _DT)],
-        (7, 0): [(_gr(0, -half), _DX)], (7, 1): [(_gr(0, 1), _ID)],
-    }
-
-    boost = [(_gr(1), _XDT), (_gr(1), _TDX)]
-    iboost = [(_gr(0, 1), _XDT), (_gr(0, 1), _TDX)]
-    nboost = [(_gr(-1), _XDT), (_gr(-1), _TDX)]
-    l11 = {
-        (0, 3): list(iboost), (1, 2): list(iboost),
-        (2, 1): list(iboost), (3, 0): list(iboost),
-        (4, 6): [(_gr(-half), _ID)], (4, 7): list(boost),
-        (5, 6): list(nboost), (5, 7): [(_gr(half), _ID)],
-        (6, 4): [(_gr(half), _ID)], (6, 5): list(boost),
-        (7, 4): list(nboost), (7, 5): [(_gr(-half), _ID)],
-    }
-    return {"H": h, "Z": z, "Q10": q10, "Q01": q01, "L11": l11}
+def printed_matrices() -> Dict[str, Dict[str, GradedExpr]]:
+    """The displayed matrices, each as its rows M F: row `M.b` is the
+    component of M F at base b, in which the word t^a x^b dt^c dx^d of
+    column k is the monomial t^a x^b F_k^(c,d)."""
+    return _read("x", """
+H.phi00: 1/2*i*phi00_t
+H.A00: 1/2*i*A00_t
+H.A11: 1/2*i*A11_t
+H.phi11: 1/2*i*phi11_t
+H.psi10: 1/2*i*psi10_t
+H.lam10: 1/2*i*lam10_t
+H.psi01: 1/2*i*psi01_t
+H.lam01: 1/2*i*lam01_t
+Z.phi00: -i*phi11_x
+Z.A00: -i*A11_x
+Z.A11: -i*A00_x
+Z.phi11: -i*phi00_x
+Z.psi10: -lam01_x
+Z.lam10: psi01_x
+Z.psi01: -lam10_x
+Z.lam01: psi10_x
+Q10.phi00: psi10
+Q10.A00: 1/2*lam10_t - 1/2*psi10_x
+Q10.A11: -1/2*i*lam01_x - 1/2*i*psi01_t
+Q10.phi11: i*lam01
+Q10.psi10: 1/2*i*phi00_t
+Q10.lam10: i*A00 + 1/2*i*phi00_x
+Q10.psi01: -A11 - 1/2*phi11_x
+Q10.lam01: 1/2*phi11_t
+Q01.phi00: psi01
+Q01.A00: 1/2*lam01_t + 1/2*psi01_x
+Q01.A11: 1/2*i*lam10_x - 1/2*i*psi10_t
+Q01.phi11: i*lam10
+Q01.psi10: -A11 + 1/2*phi11_x
+Q01.lam10: 1/2*phi11_t
+Q01.psi01: 1/2*i*phi00_t
+Q01.lam01: i*A00 - 1/2*i*phi00_x
+L11.phi00: i*t*phi11_x + i*x*phi11_t
+L11.A00: i*t*A11_x + i*x*A11_t
+L11.A11: i*t*A00_x + i*x*A00_t
+L11.phi11: i*t*phi00_x + i*x*phi00_t
+L11.psi10: t*lam01_x + x*lam01_t - 1/2*psi01
+L11.lam10: -t*psi01_x - x*psi01_t + 1/2*lam01
+L11.psi01: t*lam10_x + x*lam10_t + 1/2*psi10
+L11.lam01: -t*psi10_x - x*psi10_t - 1/2*lam10
+""")

@@ -27,19 +27,22 @@ functools.cache, its second-stage table maps the cached first-stage one.
 It and the stage-map image of each jet are keyed by names and jet
 indices alone, so the memos stay as small as the field content.  The
 closure check takes its independent copy of a variation through
-`variation_derivation`'s `parameter`, not through a second table.
+`variation_derivation`'s `parameter`, not through a second table, and
+composes the variations in `derivations.bracket_residuals`, the bracket
+check of the superspace operators and of the D-module matrices too.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from itertools import combinations_with_replacement
 from typing import Dict, List, Optional, Tuple
 
-from .core import (DEG00, FIELD_BASES, TRIG, GaussianRational, Generator,
-                   QI, X_WEIGHTED, coord, field, pairjet, param, parity, trig)
+from .core import (DEG00, FIELD_BASES, TRIG, Generator, QI, QONE,
+                   X_WEIGHTED, coord, field, pairjet, param, parity, trig)
 from .derivations import (GeneratorDerivation, STRUCTURE, OP_DEGREE,
-                          apply_many, fn_chain, jet_prolongation,
+                          bracket_residuals, fn_chain, jet_prolongation,
                           partial_coord, superspace_operators, total_space,
                           total_t)
 from .expr import GradedExpr, gexp, scalar
@@ -48,14 +51,14 @@ _I = scalar(QI)
 _HALF = scalar(Fraction(1, 2))
 
 VAR_NAMES = ("H", "Z", "Q10", "Q01", "L11")
+# the unordered pairs of the variations, (H,H), (H,Z), ... (L11,L11)
+VAR_PAIRS = tuple(combinations_with_replacement(VAR_NAMES, 2))
 
 PARAM_OF = {"H": "eps00", "Z": "eps11", "Q10": "eps10", "Q01": "eps01",
             "L11": "epsL"}
 
 # prefactors in the variation rules
-_KAPPA_FIELD = {"H": GaussianRational(0, 1), "Z": GaussianRational(0, 1),
-                "Q10": GaussianRational(-1), "Q01": GaussianRational(-1),
-                "L11": GaussianRational(0, 1)}
+_KAPPA_FIELD = {"H": QI, "Z": QI, "Q10": -QONE, "Q01": -QONE, "L11": QI}
 
 
 # ----------------------------------------------------------------------
@@ -87,7 +90,7 @@ def split_components(E: GradedExpr) -> Dict[str, GradedExpr]:
     Works for the superfield itself and for anything derived from it
     linearly (variations), returning the eight slot coefficients.
     """
-    minus_i = scalar(GaussianRational(0, -1))
+    minus_i = scalar(-QI)
     # the body, th10 and th01 slots, each split in z
     (c_phi00, c_phi11), (a10, b10), (a01, b01) = (
         t.restrict_theta().split_gen(coord("z"))
@@ -239,54 +242,34 @@ def closure_report(stage: str = "y") -> List[dict]:
     For each unordered pair the commutator of the variations (independent
     parameter copies) must equal the variation along the bracket with the
     composite parameter fixed by the algebra; both sides are compared as
-    full expressions on every component field.  A pair with a nonzero
-    bracket also fails when its commutator vanishes on every field.
+    full expressions on every component field by `bracket_residuals`,
+    which also fails a pair with a nonzero bracket whose commutator
+    vanishes on every field.
     """
-    reports = []
-    pairs = [(a, b) for i, a in enumerate(VAR_NAMES)
-             for b in VAR_NAMES[i:]]
-    derivs = {n: variation_derivation(n, stage) for n in VAR_NAMES}
+    ops = {n: variation_derivation(n, stage) for n in VAR_NAMES}
     copies = {n: gexp(param(_primed(PARAM_OF[n]))) for n in VAR_NAMES}
-    derivs_p = {n: variation_derivation(n, stage, parameter=copies[n])
-                for n in VAR_NAMES}
-    for a, b in pairs:
-        Da, Dbp = derivs[a], derivs_p[b]
-        p_ab = parity(OP_DEGREE[a], OP_DEGREE[b])
+    ops.update((n + "'", variation_derivation(n, stage, parameter=copies[n]))
+               for n in VAR_NAMES)
+    relations = []
+    for a, b in VAR_PAIRS:
         composite = gexp(param(PARAM_OF[a])) * copies[b]
-        # the right side's derivations, built once for all probes
+        # commuting the first parameter through the second operator
+        # reverses the operator order, hence the overall minus:
+        # [D_A(e), D_B(e')] = -(-1)^p kap_A kap_B e e' [G_A, G_B}
+        kap = _KAPPA_FIELD[a] * _KAPPA_FIELD[b]
+        if not parity(OP_DEGREE[a], OP_DEGREE[b]):
+            kap = -kap
         rhs = []
         for c_r, r in STRUCTURE[(a, b)]:
-            # commuting the first parameter through the second operator
-            # reverses the operator order, hence the overall minus:
-            # [D_A(e), D_B(e')] = -(-1)^p kap_A kap_B e e' [G_A, G_B}
-            coeff = (_KAPPA_FIELD[a] * _KAPPA_FIELD[b] * c_r
-                     / _KAPPA_FIELD[r])
-            if not p_ab:
-                coeff = -coeff
-            rhs.append(variation_derivation(
-                r, stage, parameter=scalar(coeff) * composite))
-        residuals = {}
-        moved = False
-        for fb in FIELD_BASES:
-            probe = gexp(field(fb, 0, 0, stage))
-            da, dbp, *images = apply_many((Da, Dbp, *rhs), probe)
-            lhs = Da.apply(dbp) - Dbp.apply(da)
-            moved = moved or not lhs.is_zero()
-            diff = lhs - sum(images, GradedExpr.zero())
-            if not diff.is_zero():
-                residuals[fb] = str(diff)
-        if rhs and not moved:
-            # a commutator that vanishes on every probe matches any right
-            # side that vanishes too, e.g. when the parameter copies are
-            # not independent; a nonzero bracket must act
-            residuals["commutator"] = "0 on every field probe"
-        reports.append({
-            "pair": f"({a},{b})",
-            "stage": stage,
-            "status": "ok" if not residuals else "fail",
-            "residuals": residuals,
-        })
-    return reports
+            key = f"{r}[{a},{b}]"
+            ops[key] = variation_derivation(r, stage, parameter=composite)
+            rhs.append((kap * c_r / _KAPPA_FIELD[r], key))
+        relations.append((a, b + "'", -1, rhs))
+    probes = {fb: gexp(field(fb, 0, 0, stage)) for fb in FIELD_BASES}
+    return [{"pair": f"({a},{b})", "stage": stage,
+             "status": "ok" if not res else "fail", "residuals": res}
+            for (a, b), res in zip(VAR_PAIRS,
+                                   bracket_residuals(ops, probes, relations))]
 
 
 # ----------------------------------------------------------------------
@@ -294,8 +277,7 @@ def closure_report(stage: str = "y") -> List[dict]:
 # ----------------------------------------------------------------------
 
 def reality_check() -> bool:
-    phi = superfield("y")
-    return phi.is_real()
+    return superfield("y").is_real()
 
 
 def degree_audit(stage: str = "y") -> List[str]:

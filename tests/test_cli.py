@@ -620,13 +620,16 @@ def test_report_all_forwards_the_potential(tmp_path, capsys):
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _pinned_digests(filename="symbolic_outputs.sha256"):
-    """`sha256sum` lines: digest, two spaces, `<subcommand>.json`."""
+def _pinned_digests(filename="symbolic_outputs.sha256", text=False):
+    """`sha256sum` lines: digest, two spaces, `<subcommand>.json` or
+    another output file; with `text`, only the `<subcommand>.txt` lines
+    of the text outputs, which are left out otherwise."""
     lines = (ROOT / "tests" / filename).read_text()
     out = {}
     for line in lines.splitlines():
         digest, name = line.split("  ")
-        out[name.removesuffix(".json")] = digest
+        if name.endswith(".txt") == text:
+            out[name.removesuffix(".txt" if text else ".json")] = digest
     return out
 
 
@@ -676,13 +679,23 @@ def test_a_closed_stdout_exits_one_without_a_traceback():
 
 
 def test_every_certify_command_is_pinned():
-    assert list(_pinned_digests()) == list(_certify_argv())
+    for text in (False, True):
+        assert list(_pinned_digests(text=text)) == list(_certify_argv())
 
 
 @pytest.mark.parametrize("command", list(_pinned_digests()))
 def test_symbolic_output_matches_its_pinned_digest(command):
     stdout = _cold_cli_stdout(_certify_argv()[command])
     assert hashlib.sha256(stdout).hexdigest() == _pinned_digests()[command]
+
+
+@pytest.mark.parametrize("command", list(_pinned_digests(text=True)))
+def test_symbolic_text_output_matches_its_pinned_digest(command):
+    argv = _certify_argv()[command]
+    assert argv[-2:] == ["--format", "json"]
+    stdout = _cold_cli_stdout([*argv[:-1], "text"])
+    assert (hashlib.sha256(stdout).hexdigest()
+            == _pinned_digests(text=True)[command])
 
 
 # A degree-8 polynomial with zero, negative and fractional coefficients:

@@ -10,12 +10,12 @@ from z22field import (DEG00, DEG10, GaussianRational, GradedExpr, coord,
 from z22field import derivations, variational
 from z22field.core import QI, QONE, pairjet, trig
 from z22field.core import parity
-from z22field.derivations import (ONE, OP_DEGREE, STRUCTURE, _ORDER,
+from z22field.derivations import (OP_DEGREE, STRUCTURE, _ORDER,
                                   GeneratorDerivation, combine, jet_partial,
                                   jet_prolongation, partial_coord,
                                   superspace_operators, total_space, total_t,
                                   verify_jacobi, verify_structure_constants)
-from z22field.expr import _exp_degree
+from z22field.expr import ONE_EXPR, _exp_degree
 from z22field.superfield import variation_table
 from z22field.variational import (SYMMETRIES, eliminated_variation,
                                   euler_lagrange, solved_forms)
@@ -402,7 +402,7 @@ def test_a_walk_asks_each_action_once_per_generator():
          + gexp(x) * gexp(psi))
     ders = [counted("phi00", gexp(coord("t"))),
             counted("psi10", gexp(field("psi10", 1, 0, "x"))),
-            counted("A00", ONE)]
+            counted("A00", ONE_EXPR)]
     assert derivations.apply_many([], e) == []
     outs = derivations.apply_many(ders, e)
     assert len(seen) == len(set(seen)) == 3 * 3

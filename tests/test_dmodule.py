@@ -218,12 +218,11 @@ def _resigned(table, base="psi10"):
 
 def test_a_misprinted_display_fails_the_printed_relations(
         monkeypatch, capsys):
-    real = dmodule.matrix_realization_data()
+    real = printed_matrices()
     data = dict(real)
-    # one diagonal cell of H printed with twice its coefficient
-    data["H"] = {**real["H"],
-                 (0, 0): [(c * 2, w) for c, w in real["H"][0, 0]]}
-    monkeypatch.setattr(dmodule, "matrix_realization_data", lambda: data)
+    # the H row of phi00 printed with twice its coefficient
+    data["H"] = {**real["H"], "phi00": scalar(2) * real["H"]["phi00"]}
+    monkeypatch.setattr(dmodule, "printed_matrices", lambda: data)
     rep = _failed_report(capsys)
     assert not all(rep["relations_printed"].values())
     assert all(rep["relations_canonical"].values())

@@ -495,15 +495,14 @@ def _display_texts(monkeypatch):
 
     monkeypatch.setattr(reference, "parse", spy)
     for name, fn in inspect.getmembers(reference, inspect.isfunction):
-        if (fn.__module__ == reference.__name__ and not name.startswith("_")
-                and name != "matrix_realization_data"):
+        if fn.__module__ == reference.__name__ and not name.startswith("_"):
             fn()
     return seen
 
 
 def test_every_display_entry_prints_back_as_its_text(monkeypatch):
     texts = _display_texts(monkeypatch)
-    assert len(texts) == 151
+    assert len(texts) == 191
     for text, stage in texts:
         assert str(parse(text, stage)) == text
 

@@ -16,7 +16,9 @@ from z22field.superfield import (VAR_NAMES, closure_report,
                                  theta_theta_layers, variation_derivation,
                                  variation_table)
 from z22field.cli import main
-from z22field.derivations import STRUCTURE, total_t, total_space
+from z22field.derivations import (STRUCTURE, total_t, total_space,
+                                  verify_structure_constants)
+from z22field.dmodule import printed_matrices, verify_matrix_relations
 from z22field import reference
 
 
@@ -134,13 +136,27 @@ def test_closure_fails_when_the_parameter_copies_coincide(monkeypatch):
     assert main(["verify-algebra", "--format", "json"]) == 1
 
 
-@pytest.mark.parametrize("stage", ["y", "x"])
-def test_a_flipped_bracket_fails_only_its_pair(monkeypatch, stage):
+# one bracket check per realisation of the algebra: the operators, the
+# variations at stage y or x, and the displayed matrices
+@pytest.mark.parametrize("check", ["operators", "y", "x", "matrices"])
+def test_a_flipped_bracket_fails_only_its_pair(monkeypatch, check):
     monkeypatch.setitem(STRUCTURE, ("Q10", "Q01"),
                         [(-c, r) for c, r in STRUCTURE[("Q10", "Q01")]])
-    failed = [r["pair"] for r in closure_report(stage)
-              if r["status"] != "ok"]
-    assert failed == ["(Q10,Q01)"]
+    if check == "operators":
+        failed = [r["relation"].split(" = ")[0]
+                  for r in verify_structure_constants()
+                  if r["status"] != "ok"]
+        assert failed == ["[Q10,Q01]"]
+    elif check == "matrices":
+        rel = verify_matrix_relations(printed_matrices())
+        assert [pair for pair, ok in rel.items() if not ok] == [
+            ("Q10", "Q01")]
+    else:
+        failed = [r["pair"] for r in closure_report(check)
+                  if r["status"] != "ok"]
+        assert failed == ["(Q10,Q01)"]
+    command = "verify-dmodule" if check == "matrices" else "verify-algebra"
+    assert main([command, "--format", "json"]) == 1
 
 
 @pytest.mark.parametrize("stage", ["y", "x"])
