@@ -81,6 +81,23 @@ def _emit_report(ok: bool, payload: dict, fmt: str, out) -> None:
 
 
 # ----------------------------------------------------------------------
+# input at the boundary: exit 2
+# ----------------------------------------------------------------------
+
+class InputError(ValueError):
+    """A request refused at the boundary: exit 2.  Any other failure,
+    an engine ValueError included, exits 1."""
+
+
+def _input(read: Callable, *args):
+    """read(*args), where a ValueError names bad input."""
+    try:
+        return read(*args)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
+
+
+# ----------------------------------------------------------------------
 # check runners: each returns (ok, payload)
 # ----------------------------------------------------------------------
 
@@ -130,7 +147,7 @@ def run_verify_tables(args) -> Tuple[bool, dict]:
 def run_derive_lagrangian(args) -> Tuple[bool, dict]:
     from .potential import parse_potential
     from .action import lagrangian, lagrangian_audit
-    V = parse_potential(args.potential)
+    V = _input(parse_potential, args.potential)
     lag = lagrangian(V=V, eliminate=args.eliminate_aux)
     audit = lagrangian_audit(lag)
     payload = {"lagrangian": lag, "audit": audit, "potential": V.name,
@@ -139,9 +156,11 @@ def run_derive_lagrangian(args) -> Tuple[bool, dict]:
 
 
 def run_check_potential(args) -> Tuple[bool, dict]:
-    from .potential import (check_potential_constraint, parse_potential,
-                            potential_components, series_pair)
-    V = parse_potential(args.potential)
+    from .potential import (check_potential_constraint, check_request,
+                            parse_potential, potential_components,
+                            series_pair)
+    V = _input(parse_potential, args.potential)
+    _input(check_request, "x", args.truncation)
     pair = potential_components(V, stage="x",
                                 truncation_order=args.truncation)
     ser = series_pair(V, stage="x", truncation_order=args.truncation)
@@ -264,6 +283,9 @@ def _read_config_file(path: str) -> List[Tuple[str, str, str]]:
     except OSError as exc:
         raise ValueError(f"cannot read config file {path!r}: "
                          f"{exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"cannot read config file {path!r}: {exc.reason} "
+                         f"at byte {exc.start}") from None
     out = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -320,11 +342,14 @@ def _write_snapshot(path: Path, state: sim.FieldState) -> None:
 
 def run_simulate(args) -> int:
     from . import sim
-    cfg = build_sim_config(args)
+    cfg = _input(build_sim_config, args)
     if not args.out and (args.profile_dump or cfg.output_stride):
         flag = "--profile-dump" if args.profile_dump else "--output-stride"
-        raise ValueError(f"{flag} writes files under --out, which is not set")
-    traj = sim.run(cfg)
+        raise InputError(f"{flag} writes files under --out, which is not set")
+    # run raises ValueError only to refuse a profile before its first step
+    # (a kink at |v| >= 1, an infinite initial energy); a step that fails
+    # raises RuntimeError
+    traj = _input(sim.run, cfg)
     lines = ["time,energy"]
     lines += [f"{float(t)!r},{float(e)!r}"
               for t, e in zip(traj.times, traj.energies)]
@@ -488,7 +513,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if getattr(args, "format", None) == "json":
             print(json.dumps({"ok": False, "error": str(exc)}, sort_keys=True,
                              indent=2))
-        return 2 if isinstance(exc, ValueError) else 1
+        return 2 if isinstance(exc, InputError) else 1
 
 
 if __name__ == "__main__":

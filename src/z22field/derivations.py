@@ -39,7 +39,10 @@ of g, the Leibniz term of an image monomial m is
     (-1)^(parity(deg D, deg P) + parity(deg m, deg P)) e c m*R,
 
 one monomial merge per image term, and none when m or R is the empty
-monomial: a canonical monomial times 1 is itself.  The terms of one
+monomial: a canonical monomial times 1 is itself.  The merge is
+`expr._mono_mul`, the ring's product table, keyed by the pair of
+monomials and bounded at `expr.PRODUCTS` pairs like the routing tables
+at ROUTE_TABLES.  The terms of one
 factor go into a local dict (summed inline, the one hot loop that does
 not call `_add_terms`), which is merged into that derivation's result
 by `_add_terms`, the merge rule of every expression, so each result

@@ -8,7 +8,10 @@ coordinate z into y, kills squares of nilpotent generators, and drops any
 monomial that is second order or higher in one group of infinitesimal
 parameters; `_eps_overflow` is that one truncation check.  Every builder
 merges terms by `_add_terms`, the one rule that keeps each monomial in
-its first place and no zero coefficient in a terms dict.
+its first place and no zero coefficient in a terms dict.  Every merge of
+two monomials is `_mono_mul`, whose results live in the product table: a
+least-recently-used memo keyed by the pair of canonical monomials, never
+by an expression or a potential, and bounded at PRODUCTS pairs.
 
 Exponents are positive integers except on the measure coordinates y and x,
 which may carry arbitrary nonzero rationals (negative and fractional
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Tuple, Union
 
 from .core import (_COORD_DATA, DEG00, DEG01, DEG10, DEG11, FIELD_BASES, QI,
@@ -33,6 +37,9 @@ Exponent = Union[int, Fraction]
 Monomial = Tuple[Tuple[Generator, Exponent], ...]
 
 _RATIONAL_EXP_OK = frozenset({"y", "x"})
+
+# how many monomial pairs keep their product (see `_mono_mul`)
+PRODUCTS = 1024
 
 
 def _exp_degree(g: Generator, e: Exponent) -> Degree:
@@ -59,11 +66,17 @@ _MASK_PARITY = (0, 1, 1, 0)
 _MASK_DEGREE = (DEG00, DEG10, DEG01, DEG11)
 
 
+@lru_cache(maxsize=PRODUCTS)
 def _mono_mul(m1: Monomial, m2: Monomial):
     """Merge two canonical monomials in one pass.
 
     Returns (sign_exponent, monomial) or None when the product vanishes;
-    sign_exponent is 0 or 1.  The swap sign is bilinear mod 2, so it is
+    sign_exponent is 0 or 1.  Both are immutable, so the result is kept
+    in the product table: a least-recently-used memo keyed by the pair
+    of canonical monomials, generator-level data and never an expression
+    or a potential, bounded at PRODUCTS pairs.  Every merge of the ring
+    goes through it.  The key is sound because equal monomials carry the
+    same exponent types: an int, or a Fraction that is not integral.  The swap sign is bilinear mod 2, so it is
     kept with one running mask: `placed` packs the degree of the odd m2
     factors emitted so far, and each odd m1 factor emitted after them
     crosses all of them at once.  Fractional exponents only sit on (0,0)

@@ -249,7 +249,7 @@ class PotentialPair(NamedTuple):
     closed: bool
 
 
-def _check_request(stage: str, truncation_order: int) -> None:
+def check_request(stage: str, truncation_order: int) -> None:
     """Refuse an unknown stage or a truncation order out of bounds."""
     if stage not in ("y", "x"):
         raise ValueError(f"unknown stage {stage!r}")
@@ -266,7 +266,7 @@ def potential_components(V: FunctionSymbol, stage: str = "x",
     symbols); the trig closed form is accepted only after a term-by-term
     comparison with the defining series at the requested order.
     """
-    _check_request(stage, truncation_order)
+    check_request(stage, truncation_order)
     p00, p11 = pairjet(1, 0, stage), pairjet(1, 1, stage)
     v00 = specialize_potential(gexp(p00), V)
     v11 = specialize_potential(gexp(p11), V)
@@ -291,7 +291,7 @@ def series_pair(V: FunctionSymbol, stage: str = "x",
     identities linking the two slots hold exactly below the truncation
     order and are dropped at its edge.
     """
-    _check_request(stage, truncation_order)
+    check_request(stage, truncation_order)
     fsub = lambda k: V.derivative(k, stage)
     v00 = pair_series(1, 0, stage, truncation_order, fsub=fsub)
     v11 = pair_series(1, 1, stage, truncation_order, fsub=fsub)

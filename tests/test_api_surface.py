@@ -1,7 +1,7 @@
 """No API without a caller: every top-level function or class of the
 package is referenced somewhere in the package outside its own body.
 No memo but the derivation stages that a later check or request reads
-again."""
+again, and the ring's product table of monomial pairs."""
 
 import ast
 import importlib
@@ -63,8 +63,10 @@ def test_the_test_only_list_only_shrinks():
 
 
 # the functools caches of the package: each one a stage of the derivation
-# chain that more than one check or request reads
+# chain that more than one check or request reads, and the product table
+# keyed by pairs of canonical monomials
 STAGE_MEMOS = {
+    "expr._mono_mul",
     "derivations._routes", "derivations.total_t", "derivations.total_space",
     "derivations.jet_partial", "derivations.partial_coord",
     "derivations.superspace_operators",

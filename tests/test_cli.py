@@ -8,9 +8,11 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import z22field
 from z22field import (GradedExpr, cli, lagrangian, parse_potential, potential,
@@ -581,6 +583,93 @@ def test_missing_config_file_exits_two(tmp_path, capsys):
     assert captured.err.startswith(
         f"error: cannot read config file {str(missing)!r}")
     assert "Traceback" not in captured.err
+
+
+def test_a_config_file_that_is_not_text_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"alpha = 1\n\xff\xfe\n")
+    rc = main(["simulate", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"error: cannot read config file {str(cfg)!r}: invalid start byte "
+        f"at byte 10")
+
+
+def test_an_empty_poly_spec_exits_two(capsys):
+    rc = main(["derive-lagrangian", "--potential", "poly:"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: poly: needs at least one coefficient\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_an_engine_value_error_exits_one(fmt, monkeypatch, capsys):
+    # a ValueError from inside the engine is a failure, not bad input
+    from z22field import variational
+
+    def broken():
+        raise ValueError("engine fault")
+    monkeypatch.setattr(variational, "table_comparison_report", broken)
+    rc = main(["verify-tables", "--format", fmt])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == "error: engine fault\n"
+    if fmt == "json":
+        assert json.loads(captured.out) == {"ok": False,
+                                            "error": "engine fault"}
+
+
+def test_an_engine_value_error_under_a_valid_potential_exits_one(
+        monkeypatch, capsys):
+    # the spec and the order are read first; what fails after is the
+    # engine's
+    def broken(*args, **kwargs):
+        raise ValueError("engine fault")
+    monkeypatch.setattr(potential, "series_pair", broken)
+    rc = main(["check-potential", "--potential", "cos"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: engine fault\n"
+
+
+_CONFIG_KEYS = ["alpha", "dx", "dt", "x_min", "x-max", "t_end", "boundary",
+                "initial", "output_stride", "param", "param.v", "param.w",
+                "model", ""]
+_CONFIG_VALUES = st.one_of(
+    st.sampled_from(["0", "-1", "0.2", "1e308", "1e-320", "nan", "-inf",
+                     "periodic", "kink", "v=0.5", "x0 = 2", "v=", "=1",
+                     "1_000", "0x10", "2.5", "9" * 5000, "#"]),
+    st.text(max_size=12))
+_CONFIG_LINES = st.lists(st.one_of(
+    st.tuples(st.sampled_from(_CONFIG_KEYS), _CONFIG_VALUES).map(
+        lambda kv: f"{kv[0]} = {kv[1]}"),
+    st.text(max_size=20)), max_size=8).map("\n".join)
+
+
+@given(st.one_of(_CONFIG_LINES.map(str.encode), st.binary(max_size=64)))
+@settings(max_examples=200, deadline=None)
+def test_a_config_file_gives_a_config_or_a_value_error(body):
+    # `simulate --config` reads any file into a SimConfig or refuses it
+    # with exit 2; no other exception escapes
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.cfg"
+        path.write_bytes(body)
+        args = build_parser().parse_args(["simulate", "--config", str(path)])
+        try:
+            rows = cli._read_config_file(str(path))
+        except ValueError:
+            rows = None
+        else:
+            assert all(len(row) == 3 and all(type(v) is str for v in row)
+                       for row in rows)
+        try:
+            cfg = build_sim_config(args)
+        except ValueError:
+            return
+        assert rows is not None
+        from z22field import sim
+        assert isinstance(cfg, sim.SimConfig)
 
 
 @pytest.mark.parametrize("argv", [

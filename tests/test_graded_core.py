@@ -10,7 +10,7 @@ from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from z22field import (DEG00, DEG01, DEG10, DEG11, GaussianRational,
                       GradedExpr, coord, field, gexp, param, parity, scalar)
@@ -702,6 +702,67 @@ def test_mono_mul_with_an_empty_operand_returns_the_other():
     # a raw factor past its eps order still vanishes
     eps_sq = ((param("eps00"), 2),)
     assert _mono_mul((), eps_sq) is None and _mono_mul(eps_sq, ()) is None
+
+
+# ----------------------------------------------------------------------
+# the product table: `_mono_mul` is memoised by its pair of monomials,
+# which is sound only while equal monomials carry equal exponent types
+# ----------------------------------------------------------------------
+
+def _typed(hit):
+    """A merge result with the type of every exponent spelled out."""
+    if hit is None:
+        return None
+    sign, mono = hit
+    return type(sign), sign, tuple((g, type(e), e) for g, e in mono)
+
+
+@given(st.lists(_factor, max_size=6), st.lists(_factor, max_size=6))
+@example([(_Z, 1), (param("eps10"), 1)], [(_Z, 1), (_Y, Fraction(-1, 2))])
+@example([(_Z, 1), (_Y, Fraction(1, 2))], [(_Z, 1), (_Y, Fraction(1, 2))])
+@example([(param("eps00"), 1), (_X, Fraction(2, 3))],
+         [(param("epsL"), 1), (_X, Fraction(1, 3))])
+@settings(max_examples=300, deadline=None)
+def test_the_product_table_returns_the_merge_it_stands_for(word_a, word_b):
+    # z**2 folds into y, an eps group can overflow, and fractional powers
+    # of y and x can sum to an integer, which must come back as an int
+    a, b = _reference_product(word_a), _reference_product(word_b)
+    assume(a is not None and b is not None)
+    raw = _mono_mul.__wrapped__(a[1], b[1])
+    for _ in range(2):   # filling the table, then reading it
+        assert _typed(_mono_mul(a[1], b[1])) == _typed(raw)
+
+
+def _noncanonical_exponents(obj):
+    """The monomials of every expression in obj whose exponent is a bool
+    or an integral Fraction: each would share a table key with its int
+    twin."""
+    if isinstance(obj, GradedExpr):
+        return [m for m in obj.terms for _, e in m
+                if not (type(e) is int or type(e) is Fraction
+                        and e.denominator != 1)]
+    if isinstance(obj, dict):
+        obj = obj.values()
+    return [m for o in obj for m in _noncanonical_exponents(o)]
+
+
+def test_stage_outputs_and_displays_hold_only_noncanonical_exponents():
+    from z22field import action, dmodule, superfield, variational
+    from z22field.potential import parse_potential
+    outs = [superfield.variation_table(n, s) for n in superfield.VAR_NAMES
+            for s in ("y", "x")]
+    outs += [action.lagrangian(), action.auxiliary_solution(),
+             variational.field_equations(), variational.solved_forms(),
+             dmodule.matrices_from_tables()]
+    for spec in ("cos", "sin", "poly:1/2,-1,3/4,0,2", "abstract"):
+        lag = action.lagrangian(parse_potential(spec), eliminate=True)
+        outs += [lag, variational.euler_lagrange(lag)]
+    displays = [getattr(reference, name)() for name, fn in
+                inspect.getmembers(reference, inspect.isfunction)
+                if fn.__module__ == reference.__name__
+                and not name.startswith("_")]
+    assert len(displays) >= 18
+    assert _noncanonical_exponents(outs + displays) == []
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 import sympy
 from scipy.integrate import quad
 
@@ -181,6 +182,33 @@ def test_config_refuses_a_non_finite_profile_parameter(profile, name, bad):
         sim.SimConfig(initial=profile, params={name: bad}, t_end=0.0)
     assert str(exc.value) == (f"profile parameter {name} must be finite, "
                               f"got {bad}")
+
+
+_floats = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(-50, 50), st.floats(1e-4, 1.0),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-320, 1e-156, 1e154, 1e155,
+                     1e300, 1.7976931348623157e308]))
+_names = st.one_of(st.sampled_from(["v", "x0", "amplitude", "width", "w"]),
+                   st.text(max_size=4))
+
+
+@given(alpha=_floats, dx=_floats, dt=st.one_of(st.none(), _floats),
+       x_min=_floats, x_max=_floats, t_end=_floats,
+       boundary=st.one_of(st.sampled_from(sim.BOUNDARIES), st.text(max_size=6)),
+       initial=st.one_of(st.sampled_from(sorted(sim.PROFILES)),
+                         st.text(max_size=6)),
+       params=st.dictionaries(_names, _floats, max_size=3),
+       output_stride=st.one_of(st.integers(-3, 10), st.integers()))
+@settings(max_examples=300, deadline=None)
+def test_any_config_is_built_or_refused_with_a_value_error(**kwargs):
+    # validation never overflows, divides by zero or builds a grid
+    try:
+        cfg = sim.SimConfig(**kwargs)
+    except ValueError:
+        return
+    assert 0 <= cfg.t_end / cfg.dt <= sim.MAX_STEPS + 1
+    assert sim.MIN_SITES <= sim._site_count(cfg) <= sim.MAX_SITES + 1
 
 
 def test_config_caps_the_step_count_without_running():
