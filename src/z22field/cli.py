@@ -508,7 +508,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         # the reader left: the null device takes the interpreter's last flush
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (ValueError, RuntimeError, AssertionError) as exc:
+    except (ValueError, RuntimeError, AssertionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if getattr(args, "format", None) == "json":
             print(json.dumps({"ok": False, "error": str(exc)}, sort_keys=True,

@@ -71,18 +71,19 @@ def _mono_mul(m1: Monomial, m2: Monomial):
     """Merge two canonical monomials in one pass.
 
     Returns (sign_exponent, monomial) or None when the product vanishes;
-    sign_exponent is 0 or 1.  Both are immutable, so the result is kept
-    in the product table: a least-recently-used memo keyed by the pair
-    of canonical monomials, generator-level data and never an expression
-    or a potential, bounded at PRODUCTS pairs.  Every merge of the ring
-    goes through it.  The key is sound because equal monomials carry the
-    same exponent types: an int, or a Fraction that is not integral.  The swap sign is bilinear mod 2, so it is
-    kept with one running mask: `placed` packs the degree of the odd m2
-    factors emitted so far, and each odd m1 factor emitted after them
-    crosses all of them at once.  Fractional exponents only sit on (0,0)
-    generators, so like even powers they carry no degree.  The merged
-    monomial passes `_eps_overflow` once, so a raw factor such as
-    (eps00, 2) still vanishes.
+    sign_exponent is 0 or 1.  Both are immutable, so the product table
+    keeps them, keyed by the pair of monomials; the least recently used
+    of more than PRODUCTS pairs is dropped.  The pair is a sound key
+    because equal monomials carry the same exponent types: an int, or a
+    Fraction that is not integral.
+
+    The swap sign is bilinear mod 2, so it is kept with one running
+    mask: `placed` packs the degree of the odd m2 factors emitted so far,
+    and each odd m1 factor emitted after them crosses all of them at
+    once.  Fractional exponents only sit on (0,0) generators, so like
+    even powers they carry no degree.  The merged monomial passes
+    `_eps_overflow` once, so a raw factor such as (eps00, 2) still
+    vanishes.
     """
     if not m1 or not m2:
         mono = m1 or m2

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import importlib
 import importlib.util
 import io
 import json
@@ -604,15 +605,21 @@ def test_an_empty_poly_spec_exits_two(capsys):
         "error: poly: needs at least one coefficient\n")
 
 
+@pytest.mark.parametrize("module, name, argv", [
+    ("variational", "table_comparison_report", ["verify-tables"]),
+    # the spec and the truncation order are read first: what fails after
+    # them is the engine's
+    ("potential", "series_pair", ["check-potential", "--potential", "cos"]),
+], ids=["verify-tables", "check-potential"])
 @pytest.mark.parametrize("fmt", ["text", "json"])
-def test_an_engine_value_error_exits_one(fmt, monkeypatch, capsys):
+def test_an_engine_value_error_exits_one(module, name, argv, fmt,
+                                         monkeypatch, capsys):
     # a ValueError from inside the engine is a failure, not bad input
-    from z22field import variational
-
-    def broken():
+    def broken(*args, **kwargs):
         raise ValueError("engine fault")
-    monkeypatch.setattr(variational, "table_comparison_report", broken)
-    rc = main(["verify-tables", "--format", fmt])
+    monkeypatch.setattr(importlib.import_module(f"z22field.{module}"), name,
+                        broken)
+    rc = main([*argv, "--format", fmt])
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.err == "error: engine fault\n"
@@ -621,16 +628,15 @@ def test_an_engine_value_error_exits_one(fmt, monkeypatch, capsys):
                                             "error": "engine fault"}
 
 
-def test_an_engine_value_error_under_a_valid_potential_exits_one(
-        monkeypatch, capsys):
-    # the spec and the order are read first; what fails after is the
-    # engine's
-    def broken(*args, **kwargs):
-        raise ValueError("engine fault")
-    monkeypatch.setattr(potential, "series_pair", broken)
-    rc = main(["check-potential", "--potential", "cos"])
+def test_an_out_directory_that_cannot_be_made_exits_one(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    rc = main(["simulate", "--t-end", "0", "--out", str(blocker / "sub")])
+    captured = capsys.readouterr()
     assert rc == 1
-    assert capsys.readouterr().err == "error: engine fault\n"
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert str(blocker / "sub") in captured.err
 
 
 _CONFIG_KEYS = ["alpha", "dx", "dt", "x_min", "x-max", "t_end", "boundary",
@@ -657,19 +663,10 @@ def test_a_config_file_gives_a_config_or_a_value_error(body):
         path.write_bytes(body)
         args = build_parser().parse_args(["simulate", "--config", str(path)])
         try:
-            rows = cli._read_config_file(str(path))
+            cli._read_config_file(str(path))
+            build_sim_config(args)
         except ValueError:
-            rows = None
-        else:
-            assert all(len(row) == 3 and all(type(v) is str for v in row)
-                       for row in rows)
-        try:
-            cfg = build_sim_config(args)
-        except ValueError:
-            return
-        assert rows is not None
-        from z22field import sim
-        assert isinstance(cfg, sim.SimConfig)
+            pass
 
 
 @pytest.mark.parametrize("argv", [

@@ -714,7 +714,11 @@ def _typed(hit):
     if hit is None:
         return None
     sign, mono = hit
-    return type(sign), sign, tuple((g, type(e), e) for g, e in mono)
+    return type(sign), sign, _typed_mono(mono)
+
+
+def _typed_mono(mono):
+    return tuple((g, type(e), e) for g, e in mono)
 
 
 @given(st.lists(_factor, max_size=6), st.lists(_factor, max_size=6))
@@ -729,14 +733,18 @@ def test_the_product_table_returns_the_merge_it_stands_for(word_a, word_b):
     a, b = _reference_product(word_a), _reference_product(word_b)
     assume(a is not None and b is not None)
     raw = _mono_mul.__wrapped__(a[1], b[1])
+    ref = _reference_product(word_a + word_b)
+    assert (raw is None) == (ref is None)
+    if raw is not None:
+        assert _typed_mono(raw[1]) == _typed_mono(ref[1])
     for _ in range(2):   # filling the table, then reading it
         assert _typed(_mono_mul(a[1], b[1])) == _typed(raw)
 
 
 def _noncanonical_exponents(obj):
-    """The monomials of every expression in obj whose exponent is a bool
-    or an integral Fraction: each would share a table key with its int
-    twin."""
+    """The monomials of every expression in obj with an exponent that is
+    neither an int nor a non-integral Fraction, such as a bool or
+    Fraction(2): each would share a table key with its int twin."""
     if isinstance(obj, GradedExpr):
         return [m for m in obj.terms for _, e in m
                 if not (type(e) is int or type(e) is Fraction
@@ -746,7 +754,7 @@ def _noncanonical_exponents(obj):
     return [m for o in obj for m in _noncanonical_exponents(o)]
 
 
-def test_stage_outputs_and_displays_hold_only_noncanonical_exponents():
+def test_stage_outputs_and_displays_hold_only_canonical_exponents():
     from z22field import action, dmodule, superfield, variational
     from z22field.potential import parse_potential
     outs = [superfield.variation_table(n, s) for n in superfield.VAR_NAMES
