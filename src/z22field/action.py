@@ -22,12 +22,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-from .core import (DEG00, Degree, GaussianRational, Generator, QI, QONE,
-                   QZERO, coord, field, param)
-from .derivations import (apply_many, combine, jet_partial, jet_prolongation,
-                          partial_z, solve_linear, superspace_operators,
+from .core import (DEG00, Degree, GaussianRational, QI, QONE, QZERO, coord,
+                   field, param)
+from .derivations import (apply_many, combine, jet_partial, partial_z,
+                          rewrite_jets, solve_linear, superspace_operators,
                           total_space, total_t)
 from .expr import GradedExpr, gexp, parse, scalar
 from .superfield import stage_map, superfield, theta_theta_layers
@@ -119,17 +119,10 @@ def auxiliary_solution() -> Dict[str, GradedExpr]:
             for (b, g), eq in zip(gens.items(), parts)}
 
 
-def auxiliary_jets(exprs: Iterable[GradedExpr]) -> Dict[Generator, GradedExpr]:
-    """Every auxiliary jet in exprs mapped to its prolonged solution."""
-    sol = auxiliary_solution()
-    jet = jet_prolongation(sol, "x")
-    return {g: jet(g.base, *g.jet) for e in exprs for g in e.generators()
-            if g.kind == "field" and g.base in sol}
-
-
 def eliminate_auxiliary(lag: GradedExpr) -> GradedExpr:
     """Substitute the auxiliary solutions, prolonged through jets."""
-    return lag.substitute(auxiliary_jets([lag]))
+    sol = auxiliary_solution()
+    return rewrite_jets(lag, sol, dict.fromkeys(sol, 0))
 
 
 # ----------------------------------------------------------------------

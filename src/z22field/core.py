@@ -113,12 +113,6 @@ class GaussianRational:
         return _reduced(self._a * o._d - o._a * self._d,
                         self._b * o._d - o._b * self._d, self._d * o._d)
 
-    def __rsub__(self, other):
-        o = GaussianRational.coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __mul__(self, other):
         if type(other) is not GaussianRational:
             if type(other) is int:
@@ -151,12 +145,6 @@ class GaussianRational:
         d2 = o._d
         return _reduced(d2 * (a1 * a2 + b1 * b2), d2 * (b1 * a2 - a1 * b2),
                         self._d * norm)
-
-    def __rtruediv__(self, other):
-        o = GaussianRational.coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
 
     # a sign change, here and in conj, keeps a normalised triple normalised
     def __neg__(self):

@@ -54,6 +54,7 @@ memos last for the whole process.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import product
@@ -404,6 +405,30 @@ def solve_linear(eq: GradedExpr, gen: Generator) -> GradedExpr:
     return scalar(GaussianRational(-1) / coeff.terms[()]) * rest
 
 
+def rewrite_jets(e: GradedExpr, solved: Dict[str, GradedExpr],
+                 order: Dict[str, int]) -> GradedExpr:
+    """e with each second-stage jet (m, n) of a base b in solved, m >=
+    order[b], replaced by D_t^(m - order[b]) D_x^n solved[b], the value
+    of field(b, order[b], 0, "x"), until none is left (Olver 1993, 2.3).
+
+    Order 0 substitutes algebraic solutions; the field equations' time
+    orders reduce on shell.  Solutions of lower time order than their
+    jets lower the top rewritten time order each round; else it raises.
+    """
+    jet, top = jet_prolongation(solved, "x"), math.inf
+    while True:
+        subs = {g: jet(g.base, g.jet[0] - order[g.base], g.jet[1])
+                for g in e.generators()
+                if g.kind == "field" and g.space == "x"
+                and g.base in solved and g.jet[0] >= order[g.base]}
+        if not subs:
+            return e
+        top, last = max(g.jet[0] for g in subs), top
+        if top >= last:
+            raise RuntimeError("jet rewriting did not lower the time order")
+        e = e.substitute(subs)
+
+
 @cache
 def partial_coord(name: str) -> GeneratorDerivation:
     """Left derivative by the explicit occurrences of one coordinate."""
@@ -432,22 +457,17 @@ def superspace_operators() -> Dict[str, GeneratorDerivation]:
     dt, dz = total_t("y"), partial_z()
     d10, d01 = partial_coord("th10"), partial_coord("th01")
     c = lambda text: parse(text, "y")
-
-    ops: Dict[str, GeneratorDerivation] = {}
-    ops["H"] = combine("H", DEG00, [(c("i"), dt)])
-    ops["Z"] = combine("Z", DEG11, [(c("i"), dz)])
-    ops["Q10"] = combine("Q10", DEG10, [
-        (ONE_EXPR, d10), (c("i*th10"), dt), (c("1/2*th01"), dz)])
-    ops["Q01"] = combine("Q01", DEG01, [
-        (ONE_EXPR, d01), (c("i*th01"), dt), (c("-1/2*th10"), dz)])
-    ops["L11"] = combine("L11", DEG11, [
-        (c("-2*i*z"), dt), (c("-1/2*i*t"), dz),
-        (c("1/2*th01"), d10), (c("-1/2*th10"), d01)])
-    ops["D10"] = combine("D10", DEG10, [
-        (ONE_EXPR, d10), (c("-i*th10"), dt), (c("-1/2*th01"), dz)])
-    ops["D01"] = combine("D01", DEG01, [
-        (ONE_EXPR, d01), (c("-i*th01"), dt), (c("1/2*th10"), dz)])
-    return ops
+    pieces = {
+        "H": [(c("i"), dt)],
+        "Z": [(c("i"), dz)],
+        "Q10": [(ONE_EXPR, d10), (c("i*th10"), dt), (c("1/2*th01"), dz)],
+        "Q01": [(ONE_EXPR, d01), (c("i*th01"), dt), (c("-1/2*th10"), dz)],
+        "L11": [(c("-2*i*z"), dt), (c("-1/2*i*t"), dz),
+                (c("1/2*th01"), d10), (c("-1/2*th10"), d01)],
+        "D10": [(ONE_EXPR, d10), (c("-i*th10"), dt), (c("-1/2*th01"), dz)],
+        "D01": [(ONE_EXPR, d01), (c("-i*th01"), dt), (c("1/2*th10"), dz)],
+    }
+    return {n: combine(n, OP_DEGREE[n], p) for n, p in pieces.items()}
 
 
 # ----------------------------------------------------------------------
@@ -496,15 +516,20 @@ OP_DEGREE: Dict[str, Degree] = {
     "D10": DEG10, "D01": DEG01,
 }
 
+def bracket_sign(a: str, b: str) -> int:
+    """The sign s of the graded bracket [a, b} = ab + s ba of two named
+    operators, -(-1)^parity(deg a, deg b): +1 for an anticommutator, -1
+    for a commutator.  Every bracket check reads it here."""
+    return 1 if parity(OP_DEGREE[a], OP_DEGREE[b]) else -1
+
 
 def bracket_value(a: str, b: str) -> Terms:
     """Structure constants of the ordered bracket [a, b}."""
     if (a, b) in STRUCTURE:
         return STRUCTURE[(a, b)]
-    flip = STRUCTURE[(b, a)]
-    sgn = -1 if parity(OP_DEGREE[a], OP_DEGREE[b]) == 0 else 1
-    # [a,b} = -(-1)^p [b,a}: anticommutators are symmetric, commutators flip
-    return [(c * sgn, nm) for c, nm in flip]
+    # [a,b} = s [b,a}: anticommutators are symmetric, commutators flip
+    s = bracket_sign(a, b)
+    return [(c * s, nm) for c, nm in STRUCTURE[(b, a)]]
 
 
 def bracket_residuals(ops: Dict[str, GeneratorDerivation],
@@ -566,16 +591,14 @@ def verify_structure_constants() -> List[dict]:
     gens = [coord(n) for n in ("t", "y", "z", "th10", "th01")]
     gens += [field(b, 0, 0, "y") for b in FIELD_BASES]
     pairs = sorted(STRUCTURE, key=lambda ab: tuple(map(_ORDER.index, ab)))
-    odd = [parity(OP_DEGREE[a], OP_DEGREE[b]) for a, b in pairs]
-    # commutator: minus; anticommutator: plus
+    relations = [(a, b, bracket_sign(a, b), STRUCTURE[a, b])
+                 for a, b in pairs]
     residuals = bracket_residuals(
         {n: ops[n] for n in _ORDER}, {g.name: gexp(g) for g in gens},
-        [(a, b, 1 if p else -1, STRUCTURE[a, b])
-         for (a, b), p in zip(pairs, odd)])
+        relations)
     reports = []
-    for (a, b), p, res in zip(pairs, odd, residuals):
-        sym = "{%s,%s}" if p else "[%s,%s]"
-        rhs = STRUCTURE[a, b]
+    for (a, b, s, rhs), res in zip(relations, residuals):
+        sym = "{%s,%s}" if s > 0 else "[%s,%s]"
         rh = " + ".join(f"({c}) {nm}" for c, nm in rhs) if rhs else "0"
         reports.append({"relation": f"{sym % (a, b)} = {rh}",
                         "status": "ok" if not res else "fail",
@@ -597,20 +620,19 @@ def verify_jacobi() -> List[dict]:
     """Graded Jacobi identity of the structure-constant table.
 
     For each of the 343 ordered triples of the seven operators, checks
-    [A,[B,C]} = [[A,B},C} + eps(A,B) [B,[A,C]} with eps(A,B) =
-    (-1)^parity(deg A, deg B) and every bracket read from `STRUCTURE`
-    through `bracket_value`: the table defines a Z2 x Z2 colour Lie
-    superalgebra.  The residual must be literal zero in Q(i); a report's
+    [A,[B,C]} = [[A,B},C} - s(A,B) [B,[A,C]} with s = `bracket_sign`
+    and every bracket read from `STRUCTURE` through `bracket_value`: the
+    table defines a Z2 x Z2 colour Lie superalgebra.  The residual must be literal zero in Q(i); a report's
     residuals map an operator name to its nonzero coefficient.  That the
     operators realise the table is `verify_structure_constants`'s check.
     """
     reports = []
     for a, b, c in product(_ORDER, repeat=3):
-        eps = -1 if parity(OP_DEGREE[a], OP_DEGREE[b]) else 1
         acc: Dict[str, GaussianRational] = {}
         _add_bracket(acc, 1, [(QONE, a)], bracket_value(b, c))
         _add_bracket(acc, -1, bracket_value(a, b), [(QONE, c)])
-        _add_bracket(acc, -eps, [(QONE, b)], bracket_value(a, c))
+        _add_bracket(acc, bracket_sign(a, b), [(QONE, b)],
+                     bracket_value(a, c))
         residuals = {nm: k for nm, k in acc.items() if k}
         reports.append({
             "relation": f"jacobi({a},{b},{c})",

@@ -22,9 +22,9 @@ its three sets once.
 
 from typing import Dict, List, Tuple
 
-from .core import GaussianRational, Generator, coord, field, param, parity
+from .core import GaussianRational, Generator, coord, field, param
 from .expr import GradedExpr, gexp, parse, scalar
-from .derivations import OP_DEGREE, bracket_residuals, bracket_value
+from .derivations import bracket_residuals, bracket_sign, bracket_value
 from .superfield import (PARAM_OF, VAR_NAMES, VAR_PAIRS,
                          prolonged_derivation, variation_table)
 from .reference import MULTIPLET, printed_matrices
@@ -112,8 +112,8 @@ def verify_matrix_relations(mats: Dict[str, Rows]) -> Relations:
     ops = {n: prolonged_derivation(mats[n], "x", f"M_{n}") for n in VAR_NAMES}
     residuals = bracket_residuals(
         ops, {b: gexp(field(b, 0, 0, "x")) for b in MULTIPLET},
-        [(b, a, 1 if parity(OP_DEGREE[a], OP_DEGREE[b]) else -1,
-          bracket_value(a, b)) for a, b in VAR_PAIRS])
+        [(b, a, bracket_sign(a, b), bracket_value(a, b))
+         for a, b in VAR_PAIRS])
     return {pair: not res for pair, res in zip(VAR_PAIRS, residuals)}
 
 

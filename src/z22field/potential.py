@@ -272,11 +272,9 @@ def potential_components(V: FunctionSymbol, stage: str = "x",
     v11 = specialize_potential(gexp(p11), V)
     if V.kind in _TRIG_KINDS:
         # recognize the closed form against the series it abbreviates
-        for closed, sym in ((v00, p00), (v11, p11)):
-            want = pair_series(*sym.jet, stage, truncation_order,
-                               fsub=lambda k: V.derivative(k, stage))
-            got = trig_series(closed, truncation_order)
-            if got != want:
+        ser = series_pair(V, stage, truncation_order)
+        for closed, want, sym in ((v00, ser.v00, p00), (v11, ser.v11, p11)):
+            if trig_series(closed, truncation_order) != want:
                 raise AssertionError(
                     f"closed form for {sym.name} disagrees with its series "
                     f"at order {truncation_order}")

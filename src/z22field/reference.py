@@ -232,6 +232,19 @@ lam01: -alpha*lam10*C00*C11 - i*alpha*psi01*S00*S11 + i*lam01_t + i*psi01_x
 """)
 
 
+def sg_eom_errata() -> Dict[str, GradedExpr]:
+    """Each trigonometric engine row divided by its generic scale, minus
+    the literal display above: the fermion terms the display misprints."""
+    return _read("x", """
+phi00: -4*alpha*lam01*lam10*C11*S00 + 4*i*alpha*lam01*psi01*C00*S11 + 4*i*alpha*lam10*psi10*C00*S11 - 4*alpha*psi01*psi10*C11*S00
+phi11: -4*alpha*lam01*lam10*C00*S11 + 4*i*alpha*lam01*psi01*C11*S00 + 4*i*alpha*lam10*psi10*C11*S00 - 4*alpha*psi01*psi10*C00*S11
+psi10: -i*alpha*lam10*S00*S11 + 2*alpha*psi01*C00*C11 - i*alpha*psi10*S00*S11
+lam10: -2*alpha*lam01*C00*C11 - i*alpha*lam10*S00*S11 - i*alpha*psi10*S00*S11
+psi01: -2*i*alpha*lam01*S00*S11 + 2*alpha*psi10*C00*C11
+lam01: 2*alpha*lam10*C00*C11 + 2*i*alpha*psi01*S00*S11
+""")
+
+
 def sg_reduced_eom() -> GradedExpr:
     """Classical reduction: single field, fermions off."""
     return parse("alpha^2*C00*S00 - phi00_xx + phi00_tt", "x")

@@ -42,8 +42,9 @@ scratch allocated before p 453, this order none in the steady state.
 conserves up to a bounded oscillation, and `SimConfig` refuses a time
 step past the Verlet stability bound dt^2 (4/dx^2 + alpha^2) < 4, a
 t_end that `run` could not reach in whole steps of dt or only in more
-than MAX_STEPS of them, an alpha whose square overflows, and a profile
-parameter its profile never reads or that is not finite.
+than MAX_STEPS of them, an alpha whose square overflows, a profile
+parameter its profile never reads or that is not finite, and a kink at
+a velocity |v| >= 1.
 """
 
 import math
@@ -53,10 +54,11 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 BOUNDARIES = ("periodic", "fixed")
-# each initial profile and the parameters `init_profile` reads for it
-PROFILES = {"zero": (), "kink": ("v", "x0"),
-            "gaussian": ("amplitude", "width", "x0"),
-            "two-field-kink": ("v", "x0")}
+# each initial profile and the default of every parameter `init_profile`
+# reads for it; the profiles that read a velocity v are boosted kinks
+PROFILES = {"zero": {}, "kink": {"v": 0.0, "x0": 0.0},
+            "gaussian": {"amplitude": 0.01, "width": 1.0, "x0": 0.0},
+            "two-field-kink": {"v": 0.0, "x0": 0.0}}
 
 # largest grid SimConfig accepts: 10^7 sites is 80 MB per field array
 MAX_SITES = 10 ** 7
@@ -149,6 +151,10 @@ class SimConfig:
             if not math.isfinite(self.params[name]):
                 raise ValueError(f"profile parameter {name} must be "
                                  f"finite, got {self.params[name]}")
+        v = self.params.get("v", 0.0)
+        if "v" in reads and abs(v) >= 1.0:
+            raise ValueError(f"kink velocity v={v} of profile "
+                             f"{self.initial!r} must satisfy |v| < 1")
 
 
 def _half(a: np.ndarray) -> np.ndarray:
@@ -250,26 +256,20 @@ def kink_energy(alpha: float) -> float:
 
 
 def init_profile(cfg: SimConfig) -> FieldState:
+    """The profile on the grid, each unset parameter at its default."""
     x = grid(cfg)
     zero = np.zeros_like(x)
-    p = cfg.params
+    p = {**PROFILES[cfg.initial], **cfg.params}
     if cfg.initial == "zero":
         fields = (zero, zero, zero, zero)
-    elif cfg.initial == "kink":
-        phi, pi = kink_closed_form(x, 0.0, cfg.alpha, p.get("v", 0.0),
-                                   p.get("x0", 0.0))
-        fields = (phi, zero, pi, zero)
-    elif cfg.initial == "two-field-kink":
-        phi, pi = kink_closed_form(x, 0.0, cfg.alpha, p.get("v", 0.0),
-                                   p.get("x0", 0.0))
-        fields = (phi, phi, pi, pi)
     elif cfg.initial == "gaussian":
-        a = p.get("amplitude", 0.01)
-        w = p.get("width", 1.0)
-        x0 = p.get("x0", 0.0)
-        fields = (a * np.exp(-((x - x0) / w) ** 2), zero, zero, zero)
+        bump = p["amplitude"] * np.exp(-((x - p["x0"]) / p["width"]) ** 2)
+        fields = (bump, zero, zero, zero)
     else:
-        raise ValueError(f"unknown profile {cfg.initial!r}")
+        # a kink in phi00 alone, or the same kink in both fields
+        phi, pi = kink_closed_form(x, 0.0, cfg.alpha, p["v"], p["x0"])
+        fields = ((phi, zero, pi, zero) if cfg.initial == "kink"
+                  else (phi, phi, pi, pi))
     return FieldState.from_fields(x, *fields)
 
 

@@ -40,9 +40,9 @@ from itertools import combinations_with_replacement
 from typing import Dict, List, Optional, Tuple
 
 from .core import (DEG00, FIELD_BASES, TRIG, Generator, QI, QONE,
-                   X_WEIGHTED, coord, field, pairjet, param, parity, trig)
-from .derivations import (GeneratorDerivation, STRUCTURE, OP_DEGREE,
-                          bracket_residuals, fn_chain, jet_prolongation,
+                   X_WEIGHTED, coord, field, pairjet, param, trig)
+from .derivations import (GeneratorDerivation, STRUCTURE, bracket_residuals,
+                          bracket_sign, fn_chain, jet_prolongation,
                           partial_coord, superspace_operators, total_space,
                           total_t)
 from .expr import GradedExpr, gexp, scalar
@@ -254,11 +254,9 @@ def closure_report(stage: str = "y") -> List[dict]:
     for a, b in VAR_PAIRS:
         composite = gexp(param(PARAM_OF[a])) * copies[b]
         # commuting the first parameter through the second operator
-        # reverses the operator order, hence the overall minus:
-        # [D_A(e), D_B(e')] = -(-1)^p kap_A kap_B e e' [G_A, G_B}
-        kap = _KAPPA_FIELD[a] * _KAPPA_FIELD[b]
-        if not parity(OP_DEGREE[a], OP_DEGREE[b]):
-            kap = -kap
+        # reverses the operator order, hence the bracket sign s:
+        # [D_A(e), D_B(e')] = s kap_A kap_B e e' [G_A, G_B}
+        kap = _KAPPA_FIELD[a] * _KAPPA_FIELD[b] * bracket_sign(a, b)
         rhs = []
         for c_r, r in STRUCTURE[(a, b)]:
             key = f"{r}[{a},{b}]"
@@ -280,31 +278,26 @@ def reality_check() -> bool:
     return superfield("y").is_real()
 
 
-def degree_audit(stage: str = "y") -> List[str]:
-    """Every variation entry must carry the degree of its field."""
+def _audit(stage: str, key: str, measure) -> List[str]:
+    """Each nonzero variation entry must have, by measure, the `key`
+    attribute of the field it varies."""
     problems = []
     for name in VAR_NAMES:
         for fb, entry in variation_table(name, stage).items():
             if entry.is_zero():
                 continue
-            # the parameter degree equals the operator degree, so the
-            # entry must carry exactly the field's own degree
-            want = field(fb, 0, 0, stage).degree
-            if entry.degree() != want:
-                problems.append(f"{name}:{fb} degree {entry.degree()} != {want}")
+            want, got = getattr(field(fb, 0, 0, stage), key), measure(entry)
+            if got != want:
+                problems.append(f"{name}:{fb} {key} {got} != {want}")
     return problems
+
+
+def degree_audit(stage: str = "y") -> List[str]:
+    """Every variation entry must carry the degree of its field."""
+    return _audit(stage, "degree", GradedExpr.degree)
 
 
 def dimension_audit(stage: str = "y") -> List[str]:
     """Each parameter's dimension offsets its operator's, so a variation
     entry must scale exactly like the field it varies."""
-    problems = []
-    for name in VAR_NAMES:
-        for fb, entry in variation_table(name, stage).items():
-            if entry.is_zero():
-                continue
-            want = field(fb, 0, 0, stage).dim
-            got = entry.scaling_dim()
-            if got != want:
-                problems.append(f"{name}:{fb} dim {got} != {want}")
-    return problems
+    return _audit(stage, "dim", GradedExpr.scaling_dim)

@@ -39,12 +39,12 @@ from .core import (FIELD_BASES, QONE, QZERO, TRIG, GaussianRational,
                    trig_of)
 from .expr import (GradedExpr, _add_terms, _mono_mul, _mono_sort_token,
                    gexp, scalar)
-from .derivations import (apply_many, jet_partial, jet_prolongation,
+from .derivations import (apply_many, jet_partial, rewrite_jets,
                           solve_linear, total_space, total_t)
 from .superfield import (PARAM_OF, VAR_NAMES, coordinate_variations,
                          prolonged_derivation, variation_table,
                          variation_derivation)
-from .action import auxiliary_jets, lagrangian
+from .action import eliminate_auxiliary, lagrangian
 from . import reference
 
 BOSONS = ("phi00", "phi11")
@@ -55,9 +55,6 @@ SYMMETRIES = VAR_NAMES
 # leading time order of each field equation: bosons are second order in
 # time, fermions first
 _TIME_ORDER = {b: 2 if b in BOSONS else 1 for b in DYNAMICAL}
-
-# on-shell rewriting stops well before this
-_ONSHELL_ROUNDS = 200
 
 
 # ----------------------------------------------------------------------
@@ -103,24 +100,9 @@ def solved_forms() -> Dict[str, GradedExpr]:
 
 
 def reduce_onshell(e: GradedExpr) -> GradedExpr:
-    """Rewrite reducible time jets through the solved field equations.
-
-    Every pass replaces a jet at or above its equation's time order by a
-    prolonged right side of strictly lower time order, so the loop
-    terminates.
-    """
-    solved = solved_forms()
-    jet = jet_prolongation(solved, "x")
-    cur = e
-    for _ in range(_ONSHELL_ROUNDS):
-        subs = {g: jet(g.base, g.jet[0] - _TIME_ORDER[g.base], g.jet[1])
-                for g in cur.generators()
-                if g.kind == "field" and g.space == "x"
-                and g.base in solved and g.jet[0] >= _TIME_ORDER[g.base]}
-        if not subs:
-            return cur
-        cur = cur.substitute(subs)
-    raise RuntimeError("on-shell reduction did not stabilize")
+    """Rewrite reducible time jets through the solved field equations,
+    whose right sides are of lower time order than their jets."""
+    return rewrite_jets(e, solved_forms(), _TIME_ORDER)
 
 
 # ----------------------------------------------------------------------
@@ -312,9 +294,8 @@ def _solved_split(terms: frozenset) -> Tuple[GradedExpr, GradedExpr]:
 @cache
 def eliminated_variation(name: str):
     """Variation with the auxiliaries traded for their algebraic solutions."""
-    table = variation_table(name, "x")
-    mapping = auxiliary_jets(table.values())
-    table = {b: e.substitute(mapping) for b, e in table.items()
+    table = {b: eliminate_auxiliary(e)
+             for b, e in variation_table(name, "x").items()
              if b not in AUXILIARY}
     return prolonged_derivation(table, "x", f"delta_{name}[onshell]")
 
@@ -487,19 +468,17 @@ def trig_eom_report(generic: Dict[str, dict]) -> Dict[str, dict]:
     Scales are pinned by `generic`, the generic comparison, so the
     residual here is exactly (scale times) the discrepancy between the
     displayed rows and the field equations of the displayed Lagrangian.
-    The displays flip some fermion-term signs, so those residuals are
-    expected; each one must vanish when the fermions are switched off.
+    The displays misprint some fermion terms, so each residual must be
+    scale times its row of `reference.sg_eom_errata`, term for term.
     """
     engine = _specialized_equations("cos")
-    printed = reference.sg_eom_printed()
+    errata = reference.sg_eom_errata()
     rep: Dict[str, dict] = {}
-    for b, ref_row in printed.items():
+    for b, ref_row in reference.sg_eom_printed().items():
         scale = generic[b]["scale"]
         res = engine[b] - scalar(scale) * ref_row
-        subs = {g: GradedExpr.zero() for g in res.generators()
-                if g.kind == "field" and g.base in FERMIONS}
         rep[b] = {"scale": scale, "exact": not res.terms, "residual": res,
-                  "residual_fermionic": not res.substitute(subs).terms}
+                  "matches_erratum": res == scalar(scale) * errata[b]}
     return rep
 
 

@@ -132,8 +132,8 @@ def test_criterion_08_worked_examples():
     ok = ok and pair.v00 == spec["V00"] and pair.v11 == spec["V11"]
     trig_lag = lagrangian(parse_potential("cos"), eliminate=True)
     ok = ok and trig_lag == reference.trig_lagrangian_printed()
-    # coupled system: exact up to the documented fermion-bilinear slips
-    ok = ok and all(e["exact"] or e["residual_fermionic"]
+    # coupled system: exact up to the recorded fermion errata
+    ok = ok and all(e["matches_erratum"]
                     for e in trig_eom_report(generic_eom_report()).values())
     sg = sine_gordon_reduction()
     ok = ok and all(e["exact"] for e in sg.values()) and len(sg) == 2

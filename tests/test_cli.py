@@ -175,6 +175,8 @@ def test_simulate_refuses_a_t_end_between_steps(capsys):
      "alpha=1e+155 is too large: its square overflows a float"),
     (["--alpha", "1e154", "--dt", "1e-156", "--t-end", "0"],
      "the initial energy is inf at alpha=1e+154"),
+    (["--param", "v=2", "--t-end", "0"],
+     "kink velocity v=2.0 of profile 'kink' must satisfy |v| < 1"),
 ])
 def test_simulate_rejects_bad_input_with_exit_two(argv, message, capsys):
     rc = main(["simulate", *argv])
@@ -399,11 +401,43 @@ def test_report_all_writes_manifest(tmp_path, capsys):
     assert names == ["verify-algebra", "verify-tables", "derive-lagrangian",
                      "check-potential", "check-currents", "verify-dmodule",
                      "check-examples", "numerics"]
+    capsys.readouterr()
     for row in manifest["checks"]:
         assert row["status"] == "pass"
         artifact = Path(row["artifact"])
-        assert artifact.exists()
         assert json.loads(artifact.read_text())["ok"] is True
+        # each artifact is that subcommand's json output, byte for byte
+        assert main([row["check"], "--format", "json"]) == 0
+        assert artifact.read_text() == capsys.readouterr().out, row["check"]
+
+
+_FERMION_ROWS = ("lam01", "lam10", "psi01", "psi10")
+
+
+def _trig_failures(capsys) -> list:
+    """The trigonometric rows of a failed check-examples run that miss
+    their erratum."""
+    assert main(["check-examples", "--format", "json"]) == 1
+    rows = json.loads(capsys.readouterr().out)["report"]["trigonometric"]
+    return [b for b, e in rows.items() if not e["matches_erratum"]]
+
+
+def test_check_examples_fails_when_the_trig_fermion_rows_are_zeroed(
+        monkeypatch, capsys):
+    real = reference.sg_eom_printed
+    monkeypatch.setattr(reference, "sg_eom_printed", lambda: {
+        b: GradedExpr.zero() if b in _FERMION_ROWS else e
+        for b, e in real().items()})
+    assert _trig_failures(capsys) == list(_FERMION_ROWS)
+
+
+@pytest.mark.parametrize("row", ["phi00", "phi11", *_FERMION_ROWS])
+def test_check_examples_fails_when_an_erratum_flips_sign(
+        row, monkeypatch, capsys):
+    real = reference.sg_eom_errata
+    monkeypatch.setattr(reference, "sg_eom_errata", lambda: {
+        b: -e if b == row else e for b, e in real().items()})
+    assert _trig_failures(capsys) == [row]
 
 
 def test_report_all_manifest_records_durations_versions_and_arguments(
@@ -487,16 +521,15 @@ def test_check_currents_reports_a_failed_certificate(monkeypatch, capsys):
     # doubling the phi00 image before prolongation keeps the chain-rule
     # identity but leaves delta_H(L) with no exact divergence form
     from z22field import variational
-    from z22field.action import auxiliary_jets
+    from z22field.action import eliminate_auxiliary
     from z22field.superfield import prolonged_derivation, variation_table
     real = variational.eliminated_variation
 
     def broken(name):
         if name != "H":
             return real(name)
-        table = variation_table("H", "x")
-        mapping = auxiliary_jets(table.values())
-        table = {b: e.substitute(mapping) for b, e in table.items()
+        table = {b: eliminate_auxiliary(e)
+                 for b, e in variation_table("H", "x").items()
                  if b not in variational.AUXILIARY}
         table["phi00"] = GradedExpr.const(2) * table["phi00"]
         return prolonged_derivation(table, "x", "delta_H[doubled]")

@@ -177,6 +177,13 @@ def test_scalar_interoperates_with_int_and_fraction():
         GaussianRational(Fraction(1, 2), 3) / 0
     with pytest.raises(AttributeError):
         QONE.re = Fraction(2)
+    # the engine never subtracts a scalar from, or divides one into, a
+    # plain number, so no reflected - or / is defined
+    for left in (1, Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            left - QONE
+        with pytest.raises(TypeError):
+            left / QONE
 
 
 @pytest.mark.parametrize("value", [0.5, 0.0, "2", None])
@@ -502,7 +509,7 @@ def _display_texts(monkeypatch):
 
 def test_every_display_entry_prints_back_as_its_text(monkeypatch):
     texts = _display_texts(monkeypatch)
-    assert len(texts) == 191
+    assert len(texts) == 197
     for text, stage in texts:
         assert str(parse(text, stage)) == text
 

@@ -259,9 +259,25 @@ def test_config_default_timestep():
 
 
 def test_kink_profile_rejects_superluminal_speed():
-    cfg = sim.SimConfig(initial="kink", params={"v": 1.0})
-    with pytest.raises(ValueError):
-        sim.init_profile(cfg)
+    # refused when the config is built, before any grid exists
+    with pytest.raises(ValueError) as exc:
+        sim.SimConfig(initial="kink", params={"v": 1.0})
+    assert str(exc.value) == ("kink velocity v=1.0 of profile 'kink' must "
+                              "satisfy |v| < 1")
+
+
+@pytest.mark.parametrize("profile", ["kink", "two-field-kink"])
+@pytest.mark.parametrize("v", [1.0, -1.0, 2.0])
+def test_config_refuses_a_kink_at_or_past_light_speed(profile, v):
+    with pytest.raises(ValueError, match=rf"^kink velocity v={v} of "
+                                         rf"profile '{profile}' must"):
+        sim.SimConfig(initial=profile, params={"v": v}, t_end=0.0)
+
+
+@pytest.mark.parametrize("profile", ["kink", "two-field-kink"])
+def test_config_admits_a_kink_just_below_light_speed(profile):
+    cfg = sim.SimConfig(initial=profile, params={"v": 0.999}, t_end=0.0)
+    assert math.isfinite(sim.run(cfg).energies[0])
 
 
 def test_kink_profile_matches_closed_form():

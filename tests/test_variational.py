@@ -16,7 +16,8 @@ from z22field.expr import _mono_sort_token, parse
 from z22field.derivations import fn_field_derivative, total_space, total_t
 from z22field.potential import specialize_potential
 from z22field.action import auxiliary_solution, lagrangian
-from z22field.variational import (DYNAMICAL, SYMMETRIES, _fn_antiderivatives,
+from z22field.variational import (DYNAMICAL, FERMIONS, SYMMETRIES,
+                                  _fn_antiderivatives,
                                   _solve_sparse,
                                   current_comparison,
                                   divergence_split, euler_lagrange,
@@ -537,11 +538,18 @@ def test_quadratic_equations_match_display():
 
 
 def test_trigonometric_equations_match_up_to_fermion_bilinears():
-    # the printed coupled system carries sign slips in its fermion
-    # bilinears; the discrepancy must be purely fermionic
+    # the printed coupled system misprints fermion terms in every row;
+    # each discrepancy must be exactly its recorded erratum
     rep = trig_eom_report(generic_eom_report())
     for base, entry in rep.items():
-        assert entry["exact"] or entry["residual_fermionic"], base
+        assert entry["matches_erratum"] and not entry["exact"], base
+
+
+def test_trig_errata_are_nonzero_and_purely_fermionic():
+    for base, row in reference.sg_eom_errata().items():
+        assert row.terms, base
+        assert all(any(g.base in FERMIONS for g, _ in mono)
+                   for mono in row.terms), base
 
 
 def test_sine_gordon_reductions_exact():
