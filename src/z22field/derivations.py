@@ -42,12 +42,13 @@ one monomial merge per image term, and none when m or R is the empty
 monomial: a canonical monomial times 1 is itself.  The merge is
 `expr._mono_mul`, the ring's product table, keyed by the pair of
 monomials and bounded at `expr.PRODUCTS` pairs like the routing tables
-at ROUTE_TABLES.  The terms of one
-factor go into a local dict (summed inline, the one hot loop that does
-not call `_add_terms`), which is merged into that derivation's result
-by `_add_terms`, the merge rule of every expression, so each result
-equals the three-product form prefix * D(g) * g**(e-1) * suffix term
-for term and in order.  The total derivatives, jet partials and
+at ROUTE_TABLES.  An image of one term (every jet
+and coordinate partial, and the field jets of a total derivative) adds
+its Leibniz term straight into that derivation's result; the terms of
+a larger image go into a local dict, which is merged into the result
+by `_add_terms`.  Both restate its rule inline, so each result equals
+the three-product form prefix * D(g) * g**(e-1) * suffix term for term
+and in order.  The total derivatives, jet partials and
 coordinate partials are cached per stage name or generator, so their
 memos last for the whole process.
 """
@@ -187,11 +188,36 @@ def _walk(terms, routes: Dict[Generator, list],
                 else:
                     rest = mono[:k] + ((g, e - 1),) + mono[k + 1:]
                 for i, img in route:
+                    if len(img) == 1:
+                        # one image term (every jet and coordinate
+                        # partial) merges straight into outs[i]
+                        (m2, c2, mask), = img
+                        if m2 and rest:
+                            hit = _mono_mul(m2, rest)
+                            if hit is None:
+                                continue
+                            sign, prod = hit
+                        else:
+                            sign, prod = 0, m2 or rest
+                        cc = coeff if c2 is None else coeff * c2
+                        if sign ^ _MASK_PARITY[mask & pmask]:
+                            cc = -cc
+                        out = outs[i]
+                        if out is None:
+                            outs[i] = {prod: cc}
+                            continue
+                        acc = out.get(prod)
+                        if acc is not None:
+                            cc = acc + cc
+                        if cc._a or cc._b:
+                            out[prod] = cc
+                        elif acc is not None:
+                            del out[prod]
+                        continue
                     term = {}
                     for m2, c2, mask in img:
                         # an image term and a cut monomial are both
-                        # canonical, so an empty one needs no merge; a
-                        # jet partial's image is the empty monomial
+                        # canonical, so an empty one needs no merge
                         if m2 and rest:
                             hit = _mono_mul(m2, rest)
                         else:
@@ -206,7 +232,7 @@ def _walk(terms, routes: Dict[Generator, list],
                         # generator, this loop ran about 7% slower
                         acc = term.get(prod)
                         tot = cc if acc is None else acc + cc
-                        if tot:
+                        if tot._a or tot._b:
                             term[prod] = tot
                         elif acc is not None:
                             del term[prod]

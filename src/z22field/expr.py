@@ -7,11 +7,15 @@ GaussianRational coefficients.  Multiplication reorders factors with the
 coordinate z into y, kills squares of nilpotent generators, and drops any
 monomial that is second order or higher in one group of infinitesimal
 parameters; `_eps_overflow` is that one truncation check.  Every builder
-merges terms by `_add_terms`, the one rule that keeps each monomial in
-its first place and no zero coefficient in a terms dict.  Every merge of
-two monomials is `_mono_mul`, whose results live in the product table: a
-least-recently-used memo keyed by the pair of canonical monomials, never
-by an expression or a potential, and bounded at PRODUCTS pairs.
+merges terms by the rule of `_add_terms`, which keeps each monomial in
+its first place and no zero coefficient in a terms dict; every product
+of two sums goes through `_add_products`, which writes each product
+into the terms by that rule.  A scalar factor skips it and scales each
+coefficient in place: a canonical monomial times 1 is itself.  Every
+merge of two monomials is `_mono_mul`, whose results live in the product
+table: a least-recently-used memo keyed by the pair of canonical
+monomials, never by an expression or a potential, and bounded at
+PRODUCTS pairs.
 
 Exponents are positive integers except on the measure coordinates y and x,
 which may carry arbitrary nonzero rationals (negative and fractional
@@ -174,28 +178,42 @@ def _add_terms(terms: dict, items) -> dict:
     """terms with each (monomial, coefficient) of items added in place:
     the one merge rule of the ring.  A monomial keeps the place where it
     first appears; one whose sum reaches zero is dropped, and placed last
-    if it comes back, so a terms dict never holds a zero coefficient."""
+    if it comes back, so a terms dict never holds a zero coefficient.
+    `_add_products` and `derivations._walk` restate the rule inline, and
+    each tests a sum for zero on its numerators, without a call."""
     for mono, c in items:
         acc = terms.get(mono)
         if acc is not None:
             c = acc + c
-        if c:
+        if c._a or c._b:
             terms[mono] = c
         elif acc is not None:
             del terms[mono]
     return terms
 
 
-def _products(items1, items2):
-    """(monomial, signed coefficient) of each nonvanishing product of a
-    term of items1 by a term of items2, row by row; items2 is iterated
-    once per term of items1."""
+def _add_products(terms: dict, items1, items2) -> dict:
+    """terms with the signed product of each term of items1 by each term
+    of items2 added in place, row by row, by the rule of `_add_terms`:
+    the one product merge of the ring.  items2 is iterated once per term
+    of items1; a product that vanishes adds nothing."""
     for m1, c1 in items1:
         for m2, c2 in items2:
             hit = _mono_mul(m1, m2)
-            if hit is not None:
-                c = c1 * c2
-                yield hit[1], -c if hit[0] else c
+            if hit is None:
+                continue
+            c = c1 * c2
+            sign, mono = hit
+            if sign:
+                c = -c
+            acc = terms.get(mono)
+            if acc is not None:
+                c = acc + c
+            if c._a or c._b:
+                terms[mono] = c
+            elif acc is not None:
+                del terms[mono]
+    return terms
 
 
 def _mono_mask(m: Monomial) -> int:
@@ -324,8 +342,17 @@ class GradedExpr:
         o = _as_expr(other)
         if o is None:
             return NotImplemented
-        return GradedExpr(_add_terms({}, _products(self.terms.items(),
-                                                   o.terms.items())))
+        a, b = self.terms, o.terms
+        # a scalar side skips the product table: _mono_mul((), m) is m
+        # with no sign on a canonical monomial, and no product of two
+        # nonzero scalars is zero
+        if len(b) == 1 and () in b:
+            k = b[()]
+            return GradedExpr({m: c * k for m, c in a.items()})
+        if len(a) == 1 and () in a:
+            k = a[()]
+            return GradedExpr({m: k * c for m, c in b.items()})
+        return GradedExpr(_add_products({}, a.items(), b.items()))
 
     def __rmul__(self, other):
         # scalars commute with everything; graded factors use __mul__
@@ -366,8 +393,8 @@ class GradedExpr:
         items = list(self.terms.items())
         terms = {}
         for i, (m1, c1) in enumerate(items):
-            _add_terms(terms, _products(items[i:i + 1], items[i:i + 1]))
-            _add_terms(terms, _products(((m1, c1 + c1),), items[i + 1:]))
+            _add_products(terms, items[i:i + 1], items[i:i + 1])
+            _add_products(terms, ((m1, c1 + c1),), items[i + 1:])
         return GradedExpr(terms)
 
     # -- structure -------------------------------------------------------
@@ -440,8 +467,12 @@ class GradedExpr:
             acc = {mono[:k]: c}
             for g, e in mono[k:]:
                 img = mapping.get(g)
-                f = GradedExpr.gen(g, e) if img is None else _expr_pow(img, e)
-                acc = _add_terms({}, _products(acc.items(), f.terms.items()))
+                if img is None:
+                    f = GradedExpr.gen(g, e)
+                else:
+                    # a first power is the image itself, uncopied
+                    f = img if e == 1 else _expr_pow(img, e)
+                acc = _add_products({}, acc.items(), f.terms.items())
                 if not acc:
                     break
             _add_terms(terms, acc.items())

@@ -26,8 +26,8 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 from .core import (TRIG, Generator, coord, field, fjet, pairjet, ratio,
                    trig, trig_of)
 from .derivations import apply_many, jet_partial
-from .expr import (GradedExpr, ONE_EXPR, ZERO_EXPR, _add_terms, _products,
-                   gexp, scalar)
+from .expr import (GradedExpr, ONE_EXPR, ZERO_EXPR, _add_products, gexp,
+                   scalar)
 
 # a trigonometric kind is the tower of its start symbol in core.TRIG
 _TRIG_KINDS = {"cos": "C00", "sin": "S00"}
@@ -179,8 +179,8 @@ def pair_series(m: int, slot: int, sp: str, truncation_order: int,
     truncation_order = -1 to expand until the tower vanishes.
 
     Built in one pass: each head monomial merges with y**n phi11**p
-    through `_products` into one terms dict, by `_add_terms`, so the
-    terms come out in the order of the sum of products.
+    into one terms dict by `_add_products`, the ring's one product
+    merge, so the terms come out in the order of the sum of products.
     """
     if fsub is None:
         fsub = lambda k: gexp(fjet(k))
@@ -203,7 +203,7 @@ def pair_series(m: int, slot: int, sp: str, truncation_order: int,
         if p:
             mono += ((f11, p),)
         inv = ratio(1, math.factorial(p))
-        _add_terms(terms, _products(head.terms.items(), ((mono, inv),)))
+        _add_products(terms, head.terms.items(), ((mono, inv),))
         n += 1
     return GradedExpr(terms)
 

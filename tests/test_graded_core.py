@@ -14,12 +14,14 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from z22field import (DEG00, DEG01, DEG10, DEG11, GaussianRational,
                       GradedExpr, coord, field, gexp, param, parity, scalar)
-from z22field.core import QI, QONE, QZERO, Generator
+from z22field.core import QI, QONE, QZERO, Generator, _reduced, ratio
 from z22field import reference
 from z22field.core import fjet, pairjet, trig
-from z22field.expr import (_add_terms, _expr_pow, _exp_degree,
-                           _mono_dim_ratio, _mono_mask, _mono_mul,
-                           _mono_sort_token, _mono_star_sign, parse)
+from z22field.derivations import GeneratorDerivation, apply_many
+from z22field.expr import (ONE_EXPR, _add_products, _add_terms, _expr_pow,
+                           _exp_degree, _mono_dim_ratio, _mono_mask,
+                           _mono_mul, _mono_sort_token, _mono_star_sign,
+                           parse)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -184,6 +186,32 @@ def test_scalar_interoperates_with_int_and_fraction():
             left - QONE
         with pytest.raises(TypeError):
             left / QONE
+
+
+@given(wide, wide)
+@example(Fraction(0), Fraction(-3, 4))
+@example(Fraction(-6, 5), Fraction(10, 3))
+def test_a_real_product_reduces_like_the_general_formula(p, q):
+    # b1 = b2 = 0 reduces by gcd(a, d) alone; the triple must be the one
+    # `_reduced` gives for the general (a1 a2 - b1 b2, a1 b2 + b1 a2, d)
+    x, y = GaussianRational(p), GaussianRational(q)
+    ref = _reduced(x._a * y._a - x._b * y._b, x._a * y._b + x._b * y._a,
+                   x._d * y._d)
+    for got in (x * y, y * x):
+        assert (got._a, got._b, got._d) == (ref._a, ref._b, ref._d)
+        assert got == GaussianRational(p * q)
+
+
+@given(st.integers(-10 ** 30, 10 ** 30), wide)
+@example(0, Fraction(0))
+@example(-1, Fraction(-1, 2))
+def test_a_real_scalar_hashes_like_the_number_it_equals(n, f):
+    # -1 is the one int whose hash is not itself
+    for z in (GaussianRational(n), ratio(3 * n, 3), GaussianRational(f) * 0
+              + n):
+        assert hash(z) == hash(n) == hash(Fraction(n))
+    assert hash(GaussianRational(f)) == hash(f)
+    assert hash(ratio(f.numerator, f.denominator)) == hash(f)
 
 
 @pytest.mark.parametrize("value", [0.5, 0.0, "2", None])
@@ -822,6 +850,112 @@ def test_add_terms_places_a_cancelled_monomial_anew():
     terms = _add_terms({}, [(t, one), (t2, one), (t, -one), (t, one)])
     assert list(terms) == [t2, t]
     assert _add_terms({t: one}, [((), QZERO)]) == {t: one}
+
+
+# the product merge, the scalar product and the one-term walk restate
+# the rule of `_add_terms` inline; each is pinned to the same reference
+_TH01 = coord("th01")
+_PRODUCT_MONOS = _MONOS + [((coord("th10"), 1),), ((_TH01, 1),),
+                           ((coord("th10"), 1), (_TH01, 1))]
+_product_entries = st.tuples(st.sampled_from(_PRODUCT_MONOS),
+                             st.builds(GaussianRational, st.integers(-2, 2),
+                                       st.integers(-1, 1)))
+
+
+def _reference_products(items1, items2):
+    """The stream of signed products, row by row, each monomial merged
+    by the pairwise-swap reference; a vanishing product is left out."""
+    stream = []
+    for m1, c1 in items1:
+        for m2, c2 in items2:
+            hit = _reference_product(list(m1) + list(m2))
+            if hit is not None:
+                stream.append((hit[1], -(c1 * c2) if hit[0] else c1 * c2))
+    return stream
+
+
+@given(st.lists(_entries, max_size=4), st.lists(_product_entries, max_size=4),
+       st.lists(_product_entries, max_size=4))
+@example([(_MONOS[1], QONE), (_MONOS[3], QONE)],
+         [((), -QONE), ((), QONE)], [(_MONOS[1], QONE)])
+@settings(max_examples=300, deadline=None)
+def test_add_products_matches_the_running_sum_reference(start, items1,
+                                                        items2):
+    # the example cancels t and places it again, after y
+    start = _add_terms({}, start)
+    want = _reference_add(start, _reference_products(items1, items2))
+    terms = dict(start)
+    assert _add_products(terms, items1, items2) is terms
+    assert list(terms.items()) == want
+
+
+@given(exprs(), st.one_of(small_coeff, st.integers(-3, 3)))
+@example(GradedExpr({(): QI, _MONOS[1]: QONE}), GaussianRational(0, -1))
+@settings(max_examples=200, deadline=None)
+def test_a_scalar_factor_on_either_side_scales_each_term(e, k):
+    s = scalar(k)
+    want = _reference_add({}, _reference_products(e.terms.items(),
+                                                  s.terms.items()))
+    for got in (e * k, k * e, e * s, s * e):
+        assert list(got.terms.items()) == want
+    # a sum times a sum still merges through the product table
+    assert list((e * (s + gexp(_Y))).terms.items()) == _reference_add(
+        {}, _reference_products(e.terms.items(), (s + gexp(_Y)).terms.items()))
+
+
+def _reference_walk(images, degree, expr):
+    """The Leibniz terms of the derivation with these generator images,
+    streamed one image term at a time: for the factor g**e of a monomial
+    with prefix P and suffix R, sign(deg D, deg P) e c P*m*g**(e-1)*R
+    for each image term c m, merged by the pairwise-swap reference."""
+    stream = []
+    for mono, c in expr.terms.items():
+        pdeg = DEG00
+        for k, (g, e) in enumerate(mono):
+            img = images.get(g)
+            if img is not None:
+                rest = [(g, e - 1)] if e != 1 else []
+                for m2, c2 in img.terms.items():
+                    hit = _reference_product(list(mono[:k]) + list(m2) + rest
+                                             + list(mono[k + 1:]))
+                    if hit is not None:
+                        cc = c * e * c2
+                        if (hit[0] + parity(degree, pdeg)) & 1:
+                            cc = -cc
+                        stream.append((hit[1], cc))
+            pdeg = pdeg + _swap_degree(g, e)
+    return _reference_add({}, stream)
+
+
+_T, _PHI00 = coord("t"), field("phi00", 0, 0, "y")
+# D(t) = D(y) = D(phi00) = 1: the constant term of t is cancelled by -y
+# and placed again by phi00, after the two terms of t*y
+_CANCEL_WALK = GradedExpr({((_T, 1),): QONE, ((_T, 1), (_Y, 1)): QONE,
+                           ((_Y, 1),): -QONE, ((_PHI00, 1),): QONE})
+
+
+@given(st.dictionaries(st.sampled_from(_POOL), exprs(), max_size=5),
+       st.sampled_from([DEG00, DEG10, DEG01, DEG11]), exprs())
+@example({_T: ONE_EXPR, _Y: ONE_EXPR, _PHI00: ONE_EXPR}, DEG00, _CANCEL_WALK)
+@example({_T: ONE_EXPR, _Y: ONE_EXPR, _PHI00: ONE_EXPR + gexp(param("alpha"))},
+         DEG00, _CANCEL_WALK)
+@settings(max_examples=200, deadline=None)
+def test_a_walk_merges_one_and_several_term_images_by_the_one_rule(
+        images, degree, expr):
+    # images of one term take the direct path of `_walk`, those of
+    # several the dict of each factor; apply, columns and a routed walk
+    # all match the reference
+    d = GeneratorDerivation("D", degree, images.get)
+    assert list(d.apply(expr).terms.items()) == _reference_walk(
+        images, degree, expr)
+    monos = list(expr.terms)
+    assert [list(col.items()) for col in d.columns(monos)] == [
+        _reference_walk(images, degree, GradedExpr({m: QONE})) for m in monos]
+    moved = GeneratorDerivation("D1", degree, lambda g: ONE_EXPR)
+    got, ones = apply_many([d, moved], expr)
+    assert list(got.terms.items()) == _reference_walk(images, degree, expr)
+    assert list(ones.terms.items()) == _reference_walk(
+        {g: ONE_EXPR for g in expr.generators()}, degree, expr)
 
 
 # ----------------------------------------------------------------------
