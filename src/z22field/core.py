@@ -129,15 +129,6 @@ class GaussianRational:
             if other is None:
                 return NotImplemented
         a1, b1, a2, b2 = self._a, self._b, other._a, other._b
-        if not b1 and not b2:
-            # real times real: gcd(a, 0, d) is gcd(a, d)
-            a, d = a1 * a2, self._d * other._d
-            if d != 1:
-                g = gcd(a, d)
-                if g != 1:
-                    a //= g
-                    d //= g
-            return _triple(a, 0, d)
         return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2,
                         self._d * other._d)
 
@@ -190,7 +181,7 @@ class GaussianRational:
     def __hash__(self) -> int:
         # a real scalar hashes like the int or Fraction it equals
         if self._b == 0:
-            return hash(self._a) if self._d == 1 else hash(self.re)
+            return hash(self.re)
         return hash((self.re, self.im))
 
     # -- display ---------------------------------------------------------

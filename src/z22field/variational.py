@@ -78,15 +78,8 @@ def euler_lagrange(lag: GradedExpr) -> Dict[str, GradedExpr]:
     parts = apply_many([jet_partial(field(b, m, n, "x")) for b in bases
                         for m, n in ((0, 0), (1, 0), (0, 1))], lag)
     dt, dx = total_t("x"), total_space("x")
-    rows = {}
-    for k, b in enumerate(bases):
-        # one terms copy for both subtractions, each term in the place
-        # the chained a - b - c gives it
-        terms = dict(parts[3 * k].terms)
-        for d, part in ((dt, parts[3 * k + 1]), (dx, parts[3 * k + 2])):
-            _add_terms(terms, ((m, -c) for m, c in d(part).terms.items()))
-        rows[b] = GradedExpr(terms)
-    return rows
+    return {b: parts[3 * k] - dt(parts[3 * k + 1]) - dx(parts[3 * k + 2])
+            for k, b in enumerate(bases)}
 
 
 @cache
