@@ -26,15 +26,15 @@ _LAYERS = {
     "derivations": ("superspace_operators", "verify_jacobi",
                     "verify_structure_constants"),
     "superfield": ("closure_report", "split_components",
-                   "variation_derivation", "variation_table"),
+                   "table_comparison_report", "variation_derivation",
+                   "variation_table"),
     "potential": ("FunctionSymbol", "parse_potential", "potential_components",
                   "series_pair"),
     "action": ("auxiliary_solution", "berezin_layer", "eliminate_auxiliary",
                "lagrangian", "lagrangian_audit"),
     "variational": ("current_comparison", "divergence_split",
                     "euler_lagrange", "invariance_report", "noether",
-                    "reduce_onshell", "solved_forms",
-                    "table_comparison_report"),
+                    "reduce_onshell", "solved_forms"),
     "dmodule": ("canonical_matrices", "dmodule_report",
                 "matrices_from_tables", "printed_matrices"),
     "sim": ("FieldState", "SimConfig", "Trajectory", "init_profile", "run",

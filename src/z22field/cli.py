@@ -7,11 +7,21 @@ runs the whole suite and writes a manifest.  Output is deterministic:
 maps are emitted in sorted order and rationals in lowest terms, so
 identical invocations produce byte-identical artifacts.  Each runner
 imports only the layers it calls, so numpy loads only with the solver.
+
+A command that owns its process (`python -m z22field.cli`, the
+`z22field` script: `main` with no `argv`) runs with automatic cyclic
+collection off and freezes the heap before the interpreter finalises,
+so neither the run nor shutdown scans the engine's memos.  Nothing is
+lost: the engine's state (generators, monomial tuples, stage memos) is
+acyclic, its only cycles are a bounded number of closure cells, and
+the solver makes none.  An in-process `main([...])` leaves the
+collector as it found it.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -138,7 +148,7 @@ def run_verify_algebra(args) -> Tuple[bool, dict]:
 
 
 def run_verify_tables(args) -> Tuple[bool, dict]:
-    from .variational import table_comparison_report
+    from .superfield import table_comparison_report
     rep = table_comparison_report()
     ok = all(entry["ok"] for entry in rep.values())
     return ok, rep
@@ -473,6 +483,13 @@ _RUNNERS = dict(CHECKS)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    if argv is None:
+        # the command owns its process: see the module docstring
+        gc.disable()
+        try:
+            return main(sys.argv[1:])
+        finally:
+            gc.freeze()
     args = build_parser().parse_args(argv)
     try:
         if args.command == "simulate":

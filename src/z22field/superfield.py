@@ -30,6 +30,8 @@ closure check takes its independent copy of a variation through
 `variation_derivation`'s `parameter`, not through a second table, and
 composes the variations in `derivations.bracket_residuals`, the bracket
 check of the superspace operators and of the D-module matrices too.
+`table_comparison_report` reads the hand-checked tables of `reference`
+only when it is called, so `verify-tables` loads no layer above this one.
 """
 
 from __future__ import annotations
@@ -142,6 +144,27 @@ def variation_table(name: str, stage: str) -> Dict[str, GradedExpr]:
     x = gexp(coord("x"))
     return {b: x * stage_map(e) if b in X_WEIGHTED else stage_map(e)
             for b, e in variation_table(name, "y").items()}
+
+
+def table_comparison_report() -> Dict[str, dict]:
+    """Engine variation tables against the hand-checked ones, entry by
+    entry: five symmetries, eight fields, both stages."""
+    from . import reference
+    pre = reference.pre_variation_tables()
+    post = reference.post_variation_tables()
+    coord_tabs = reference.coordinate_variation_tables()
+    out: Dict[str, dict] = {}
+    for name in VAR_NAMES:
+        rows: Dict[str, bool] = {}
+        for stage, tab in (("y", pre[name]), ("x", post[name])):
+            eng = variation_table(name, stage)
+            for base, want in tab.items():
+                rows[f"{stage}:{base}"] = eng[base] == want
+        coords = coordinate_variations(name)
+        for cn, want in coord_tabs[name].items():
+            rows[f"coord:{cn}"] = coords[cn] == want
+        out[name] = {"ok": all(rows.values()), "entries": rows}
+    return out
 
 
 def prolonged_derivation(table: Dict[str, GradedExpr], stage: str,

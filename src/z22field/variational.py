@@ -41,9 +41,8 @@ from .expr import (GradedExpr, _add_terms, _mono_mul, _mono_sort_token,
                    gexp, scalar)
 from .derivations import (apply_many, jet_partial, rewrite_jets,
                           solve_linear, total_space, total_t)
-from .superfield import (PARAM_OF, VAR_NAMES, coordinate_variations,
-                         prolonged_derivation, variation_table,
-                         variation_derivation)
+from .superfield import (PARAM_OF, VAR_NAMES, prolonged_derivation,
+                         variation_table, variation_derivation)
 from .action import eliminate_auxiliary, lagrangian
 from . import reference
 
@@ -407,26 +406,6 @@ def invariance_report(eliminate: bool = False) -> Dict[str, dict]:
             out[name] = {"ok": True, "boundary": (k0, k1)}
         except ValueError:
             out[name] = {"ok": False, "residual": dl}
-    return out
-
-
-def table_comparison_report() -> Dict[str, dict]:
-    """Engine variation tables against the hand-checked ones, entry by
-    entry: five symmetries, eight fields, both stages."""
-    pre = reference.pre_variation_tables()
-    post = reference.post_variation_tables()
-    coord_tabs = reference.coordinate_variation_tables()
-    out: Dict[str, dict] = {}
-    for name in SYMMETRIES:
-        rows: Dict[str, bool] = {}
-        for stage, tab in (("y", pre[name]), ("x", post[name])):
-            eng = variation_table(name, stage)
-            for base, want in tab.items():
-                rows[f"{stage}:{base}"] = eng[base] == want
-        coords = coordinate_variations(name)
-        for cn, want in coord_tabs[name].items():
-            rows[f"coord:{cn}"] = coords[cn] == want
-        out[name] = {"ok": all(rows.values()), "entries": rows}
     return out
 
 

@@ -17,12 +17,12 @@ from z22field.core import GaussianRational, QI
 from z22field.action import lagrangian, lagrangian_audit, berezin_layer
 from z22field.derivations import verify_structure_constants
 from z22field.potential import parse_potential, potential_components
-from z22field.superfield import VAR_NAMES, degree_audit, variation_table
+from z22field.superfield import (VAR_NAMES, degree_audit,
+                                 table_comparison_report, variation_table)
 from z22field.variational import (SYMMETRIES, current_comparison,
                                   generic_eom_report, invariance_report,
                                   noether, quadratic_eom_report,
-                                  sine_gordon_reduction,
-                                  table_comparison_report, trig_eom_report)
+                                  sine_gordon_reduction, trig_eom_report)
 from z22field.dmodule import (canonical_matrices, matrices_from_tables,
                               printed_matrices, reconstruct_table,
                               verify_matrix_relations)

@@ -1,6 +1,7 @@
 """Command-line surface: dispatch, exit codes, determinism, artifacts."""
 
 import csv
+import gc
 import hashlib
 import importlib
 import importlib.util
@@ -38,6 +39,24 @@ def test_verify_tables_passes(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert json.loads(out)["ok"] is True
+
+
+def test_verify_tables_fails_when_a_table_entry_flips_sign(monkeypatch,
+                                                          capsys):
+    real = reference.pre_variation_tables
+
+    def flipped():
+        tabs = real()
+        tabs["Q10"]["psi01"] = -tabs["Q10"]["psi01"]
+        return tabs
+
+    monkeypatch.setattr(reference, "pre_variation_tables", flipped)
+    assert main(["verify-tables", "--format", "json"]) == 1
+    rep = json.loads(capsys.readouterr().out)["report"]
+    failed = [(name, key) for name, e in rep.items()
+              for key, ok in e["entries"].items() if not ok]
+    assert failed == [("Q10", "y:psi01")]
+    assert [name for name, e in rep.items() if not e["ok"]] == ["Q10"]
 
 
 def test_json_output_is_deterministic(capsys):
@@ -226,7 +245,7 @@ _CERTIFY = {
 # which only LaTeX output needs
 _CERTIFY_SKIPS = {
     "verify-algebra": ("potential",),
-    "verify-tables": ("potential",),
+    "verify-tables": ("potential", "variational", "action"),
     "check-potential": ("action", "variational", "dmodule", "reference"),
     "verify-dmodule": ("variational", "action"),
 }
@@ -639,7 +658,7 @@ def test_an_empty_poly_spec_exits_two(capsys):
 
 
 @pytest.mark.parametrize("module, name, argv", [
-    ("variational", "table_comparison_report", ["verify-tables"]),
+    ("superfield", "table_comparison_report", ["verify-tables"]),
     # the spec and the truncation order are read first: what fails after
     # them is the engine's
     ("potential", "series_pair", ["check-potential", "--potential", "cos"]),
@@ -795,6 +814,66 @@ def test_a_closed_stdout_exits_one_without_a_traceback():
     _, err = proc.communicate(timeout=300)
     assert b"Traceback" not in err, err.decode()
     assert proc.returncode == 1
+
+
+# the collector as an `atexit` hook sees it, after the CLI ran as
+# `python -m z22field.cli` with the argv that follows the code
+_COLLECTOR_PROBE = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: sys.stderr.write(
+    f"collector: {gc.isenabled()} {gc.get_freeze_count()}\\n"))
+runpy.run_module("z22field.cli", run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_an_in_process_main_leaves_the_collector_as_it_found_it(enabled,
+                                                                capsys):
+    was, frozen = gc.isenabled(), gc.get_freeze_count()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(["verify-tables", "--format", "json"]) == 0
+        with pytest.raises(SystemExit):
+            main(["frobnicate"])
+        assert gc.isenabled() is enabled
+        assert gc.get_freeze_count() == frozen
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (_certify_argv()["verify-tables"], 0),
+    (["frobnicate"], 2),
+], ids=["verify-tables", "usage-error"])
+def test_a_process_entry_runs_without_collection_and_exits_frozen(argv,
+                                                                  code):
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLLECTOR_PROBE, *argv],
+        env=_cli_env(), capture_output=True, timeout=300)
+    assert proc.returncode == code, proc.stderr
+    if code == 0:
+        assert (hashlib.sha256(proc.stdout).hexdigest()
+                == _pinned_digests()[argv[0]])
+    probe = [line for line in proc.stderr.decode().splitlines()
+             if line.startswith("collector: ")]
+    assert len(probe) == 1, proc.stderr
+    enabled, frozen = probe[0].split()[1:]
+    assert enabled == "False" and int(frozen) > 0
+
+
+def test_a_solver_run_makes_no_cyclic_garbage():
+    # so `simulate`, run with collection off, keeps flat memory
+    from z22field import sim
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        traj = sim.run(sim.SimConfig(output_stride=50))
+        assert len(traj.times) > 300
+        assert gc.collect() == 0
+    finally:
+        if was:
+            gc.enable()
 
 
 def test_every_certify_command_is_pinned():

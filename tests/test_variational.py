@@ -26,7 +26,8 @@ from z22field.variational import (DYNAMICAL, FERMIONS, SYMMETRIES,
                                   invariance_report, noether,
                                   quadratic_eom_report, reduce_onshell,
                                   sine_gordon_reduction, solved_forms,
-                                  table_comparison_report, trig_eom_report)
+                                  trig_eom_report)
+from z22field.superfield import table_comparison_report
 from z22field import reference
 
 _half = scalar(Fraction(1, 2))
