@@ -24,31 +24,45 @@ of each monomial of a list apart.  Each derivation memoises the image of
 every generator it has met, as a list of (monomial, coefficient, packed
 mask) triples (see `_ImageMemo`); generators are interned and finitely
 many, so the memo is keyed by generator only, never by an expression or
-a potential.  An action that raises stores nothing.  A walk of many
-derivations routes each distinct generator once to the derivations with
-a nonzero image of it, so a factor that none of them moves costs one
-lookup.  Its table lives in `_routes`, a least-recently-used memo keyed
-by the tuple of derivation objects alone and bounded at ROUTE_TABLES
-tuples, so repeated walks of one tuple (the jet partials of every
-Euler-Lagrange request) route each generator once between them; a walk
-of one derivation takes its memo, which holds each generator's route,
-as that table.  Every walk is `_walk`.  For the factor g**e of a
-monomial, with P the factors before it and R the monomial less one power
-of g, the Leibniz term of an image monomial m is
+a potential.  An action that raises stores nothing.
+
+Every walk is `_walk`, and it is a replay.  The Leibniz table,
+`_leibniz`, is a least-recently-used memo keyed by the tuple of
+derivation objects and one canonical monomial, and bounded at
+LEIBNIZ_TERMS pairs.  For each derivation index it holds the ordered
+Leibniz terms of that monomial with coefficient 1: the product
+monomial, the factor e c (None for a unit) and the sign bit.  A walk
+that meets a pair the table holds multiplies each stored term by the
+monomial's coefficient, negates it where the bit says so, and adds it
+into that derivation's result in the stored order.  A walk that meets a
+new pair works its terms out factor by factor and records them as it
+adds them, so a pair is never replayed in the walk that records it.
+The table is never keyed by an expression or a potential: the
+specialised Lagrangians of 720 derive requests hold 37 642 terms but
+only 144 distinct monomials, so the monomials recur where the
+expressions do not.
+
+A new monomial routes each distinct generator once to the derivations
+with a nonzero image of it, so a factor that none of them moves costs
+one lookup; a walk of one derivation takes its memo, which holds each
+generator's route, as its routing table, and a walk of many fills a
+table of its own.  For the factor g**e of a monomial, with P the
+factors before it and R the monomial less one power of g, the Leibniz
+term of an image monomial m is
 
     (-1)^(parity(deg D, deg P) + parity(deg m, deg P)) e c m*R,
 
 one monomial merge per image term, and none when m or R is the empty
 monomial: a canonical monomial times 1 is itself.  The merge is
 `expr._mono_mul`, the ring's product table, keyed by the pair of
-monomials and bounded at `expr.PRODUCTS` pairs like the routing tables
-at ROUTE_TABLES.  Each Leibniz term is added straight into that
-derivation's result by the rule of `_add_terms`, restated inline.  No
-two terms of one image give one product (m -> m*R is injective on the
-products that survive), so each result equals the three-product form
-prefix * D(g) * g**(e-1) * suffix term for term and in order.  The
-total derivatives, jet partials and coordinate partials are cached per
-stage name or generator, so their memos last for the whole process.
+monomials and bounded at `expr.PRODUCTS` pairs.  Each Leibniz term is
+added straight into that derivation's result by the rule of
+`_add_terms`, restated inline.  No two terms of one image give one
+product (m -> m*R is injective on the products that survive), so each
+result equals the three-product form prefix * D(g) * g**(e-1) * suffix
+term for term and in order.  The total derivatives, jet partials and
+coordinate partials are cached per stage name or generator, so their
+memos last for the whole process.
 """
 
 from __future__ import annotations
@@ -65,8 +79,11 @@ from .core import (DEG00, DEG01, DEG10, DEG11, FIELD_BASES, TRIG, Degree,
 from .expr import (_MASK_PARITY, ONE_EXPR, GradedExpr, _mono_mask,
                    _mono_mul, gexp, parse, scalar)
 
-# how many derivation tuples keep their routing tables (see `_routes`)
-ROUTE_TABLES = 8
+# how many (derivation tuple, monomial) pairs keep their Leibniz terms
+# (see `_leibniz`): a 200-round derive stream meets 200 pairs in all, and
+# the largest default CLI check, check-currents, 950, so every pair a
+# derive request or a default check meets again is still held
+LEIBNIZ_TERMS = 1024
 
 
 # ----------------------------------------------------------------------
@@ -120,8 +137,7 @@ class GeneratorDerivation:
 
     def columns(self, monos: Sequence[tuple]) -> List[dict]:
         """The terms of D(m) for each canonical monomial m, each equal to
-        apply(GradedExpr({m: 1})).terms in value and order; no routing
-        table is built."""
+        apply(GradedExpr({m: 1})).terms in value and order."""
         return [_walk(((m, QONE),), self._images, (self,), [None])[0] or {}
                 for m in monos]
 
@@ -131,40 +147,65 @@ def apply_many(derivations: Sequence[GeneratorDerivation],
     """Each derivation applied to expr, in one walk over its terms.
 
     Result i equals what derivation i's own Leibniz pass gives, in value
-    and in term order.  The routing table is keyed by generator and kept
-    by `_routes` for the tuple of derivations, so the next walk of the
-    same tuple reuses it: a factor that no derivation moves costs one
-    lookup, and the rest of a monomial is cut once for every derivation
-    that moves its factor.
+    and in term order.  The Leibniz table is keyed by the tuple of
+    derivations, so the next walk of the same tuple replays each
+    monomial it has met.
     """
     derivations = tuple(derivations)
     # None until a derivation's first nonzero Leibniz term
-    outs = _walk(expr.terms.items(), _routes(derivations), derivations,
+    outs = _walk(expr.terms.items(), {}, derivations,
                  [None] * len(derivations))
     return list(map(GradedExpr, outs))
 
 
-@lru_cache(maxsize=ROUTE_TABLES)
-def _routes(derivations: Tuple[GeneratorDerivation, ...]
-            ) -> Dict[Generator, list]:
-    """The routing table of walks of these derivations, filled by `_walk`.
+@lru_cache(maxsize=LEIBNIZ_TERMS)
+def _leibniz(derivations: Tuple[GeneratorDerivation, ...],
+             mono: tuple) -> list:
+    """The Leibniz table's slot for one canonical monomial under a tuple
+    of derivations: empty until `_walk` records into it, then one tuple
+    of (i, [(product, factor, sign), ...]), the ordered Leibniz terms of
+    coefficient 1 for each index i of a derivation that moves the
+    monomial.
 
-    Keyed by the derivation objects alone, which hash by identity, and
-    never by an expression or a potential; the route of a generator is
-    fixed by the derivations' image memos, so a table never goes stale.
-    The least recently used of more than ROUTE_TABLES tuples is dropped.
+    Keyed by the derivation objects, which hash by identity, and the
+    monomial, never by an expression or a potential; the terms are fixed
+    by the derivations' image memos, so a slot never goes stale.  The
+    least recently used of more than LEIBNIZ_TERMS pairs is dropped.
     """
-    return {}
+    return []
 
 
 def _walk(terms, routes: Dict[Generator, list],
           derivations: Sequence[GeneratorDerivation],
           outs: List[Optional[dict]]) -> List[Optional[dict]]:
     """outs with the Leibniz terms of each (monomial, coefficient) of
-    terms added to outs[i] for each (i, image) of the route of a factor:
-    the one rule of every walk.  A route missing from routes is built
-    from the derivations' image memos and kept there."""
+    terms under derivation i added to outs[i]: the one rule of every
+    walk.  A monomial the table holds is replayed; any other is walked
+    factor by factor from the derivations' image memos and recorded."""
     for mono, c in terms:
+        plan = _leibniz(derivations, mono)
+        if plan:
+            for i, rec in plan[0]:
+                out = outs[i]
+                for prod, f, sign in rec:
+                    cc = c if f is None else c * f
+                    if sign:
+                        cc = -cc
+                    # the rule of `_add_terms`, inline: fed by a
+                    # generator, this loop ran about 7% slower
+                    if out is None:
+                        out = outs[i] = {prod: cc}
+                        continue
+                    acc = out.get(prod)
+                    if acc is not None:
+                        cc = acc + cc
+                    if cc._a or cc._b:
+                        out[prod] = cc
+                    elif acc is not None:
+                        del out[prod]
+            continue
+        # a new pair: its terms are worked out, added and recorded at once
+        recs: Dict[int, list] = {}
         pmask = 0
         for k, (g, e) in enumerate(mono):
             route = routes.get(g)
@@ -178,43 +219,45 @@ def _walk(terms, routes: Dict[Generator, list],
                         route.append((i, own[0][1]))
                 routes[g] = route
             if route:
-                coeff = c if e == 1 else c * e
                 # D(g^e) = e D(g) g^(e-1): g commutes with itself
                 # whenever its powers survive
                 if e == 1:
                     rest = mono[:k] + mono[k + 1:]
                 else:
                     rest = mono[:k] + ((g, e - 1),) + mono[k + 1:]
-                for i, img in route:
-                    out = outs[i]
-                    for m2, c2, mask in img:
-                        # an image term and a cut monomial are both
-                        # canonical, so an empty one needs no merge; a
-                        # jet partial's image is the empty monomial
-                        if m2 and rest:
-                            hit = _mono_mul(m2, rest)
-                            if hit is None:
-                                continue
-                            sign, prod = hit
-                        else:
-                            sign, prod = 0, m2 or rest
-                        cc = coeff if c2 is None else coeff * c2
-                        if sign ^ _MASK_PARITY[mask & pmask]:
-                            cc = -cc
-                        # the rule of `_add_terms`, inline: fed by a
-                        # generator, this loop ran about 7% slower
-                        if out is None:
-                            out = outs[i] = {prod: cc}
+            for i, img in route:
+                out = outs[i]
+                rec = recs.setdefault(i, [])
+                for m2, c2, mask in img:
+                    # an image term and a cut monomial are both
+                    # canonical, so an empty one needs no merge; a
+                    # jet partial's image is the empty monomial
+                    if m2 and rest:
+                        hit = _mono_mul(m2, rest)
+                        if hit is None:
                             continue
-                        acc = out.get(prod)
-                        if acc is not None:
-                            cc = acc + cc
-                        if cc._a or cc._b:
-                            out[prod] = cc
-                        elif acc is not None:
-                            del out[prod]
+                        sign, prod = hit
+                    else:
+                        sign, prod = 0, m2 or rest
+                    f = c2 if e == 1 else e if c2 is None else c2 * e
+                    sign ^= _MASK_PARITY[mask & pmask]
+                    rec.append((prod, f, sign))
+                    cc = c if f is None else c * f
+                    if sign:
+                        cc = -cc
+                    if out is None:
+                        out = outs[i] = {prod: cc}
+                        continue
+                    acc = out.get(prod)
+                    if acc is not None:
+                        cc = acc + cc
+                    if cc._a or cc._b:
+                        out[prod] = cc
+                    elif acc is not None:
+                        del out[prod]
             if type(e) is int and e & 1:
                 pmask ^= g.mask
+        plan.append(tuple(recs.items()))
     return outs
 
 

@@ -15,7 +15,10 @@ coefficient in place: a canonical monomial times 1 is itself.  Every
 merge of two monomials is `_mono_mul`, whose results live in the product
 table: a least-recently-used memo keyed by the pair of canonical
 monomials, never by an expression or a potential, and bounded at
-PRODUCTS pairs.
+PRODUCTS pairs.  The derivation walk's Leibniz table follows the same
+rule: it is keyed by a tuple of derivations and one canonical monomial
+and bounded at `derivations.LEIBNIZ_TERMS` pairs, so on a hit the walk
+makes no monomial merge at all.
 
 Exponents are positive integers except on the measure coordinates y and x,
 which may carry arbitrary nonzero rationals (negative and fractional

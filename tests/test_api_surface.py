@@ -67,7 +67,7 @@ def test_the_test_only_list_only_shrinks():
 # keyed by pairs of canonical monomials
 STAGE_MEMOS = {
     "expr._mono_mul",
-    "derivations._routes", "derivations.total_t", "derivations.total_space",
+    "derivations._leibniz", "derivations.total_t", "derivations.total_space",
     "derivations.jet_partial", "derivations.partial_coord",
     "derivations.superspace_operators",
     "superfield.variation_table", "superfield._stage_field_image",

@@ -59,6 +59,134 @@ def test_verify_tables_fails_when_a_table_entry_flips_sign(monkeypatch,
     assert [name for name, e in rep.items() if not e["ok"]] == ["Q10"]
 
 
+# verify-algebra's audits: for each key, one plausible defect in the
+# function that the key reads, which must turn that key, and only it,
+# false
+def _reality_without_the_odd_i():
+    from z22field.core import QI, QONE
+    from z22field.superfield import superfield
+    sf = superfield("y")
+    return GradedExpr({m: QONE if c == QI else c
+                       for m, c in sf.terms.items()}).is_real()
+
+
+def _audit_swapping_degree(stage="y"):
+    # the two Z2 components of each entry's degree read in swapped order
+    from z22field.core import Degree
+    from z22field.superfield import _audit
+    return _audit(stage, "degree",
+                  lambda e: Degree(e.degree().b, e.degree().a))
+
+
+def _audit_in_half_units(stage="y"):
+    from z22field.superfield import _audit
+    return _audit(stage, "dim", lambda e: 2 * e.scaling_dim())
+
+
+def _measure_with_a_flipped_power():
+    from fractions import Fraction
+    from z22field import coord, gexp
+    return gexp(coord("z")) * gexp(coord("y"), Fraction(1, 2))
+
+
+def _nilpotency_of_a_mixed_product():
+    from z22field.action import covariant_pair
+    d10phi, d01phi = covariant_pair()
+    sq10, sq01 = d10phi * d10phi, d01phi * d10phi
+    return {"ok": sq10.is_zero() and sq01.is_zero(),
+            "sq10": sq10, "sq01": sq01}
+
+
+def _covariance_with_a_flipped_sign():
+    from z22field import action, param, gexp
+    from z22field.derivations import superspace_operators
+    ops = superspace_operators()
+    d10phi, d01phi = action.covariant_pair()
+    eps = action._i * gexp(param("epsL"))
+    dphi = eps * ops["L11"](action.superfield("y"))
+    lhs = ops["D10"](dphi) * d01phi + d10phi * ops["D01"](dphi)
+    resid = lhs + eps * ops["L11"](d10phi * d01phi)
+    return {"ok": resid.is_zero(), "residual": resid}
+
+
+def _berezin_of_the_z_free_slot(j):
+    from z22field import action
+    return action._half * action.theta_theta_layers(j)[0]
+
+
+def _real_matrix(rows):
+    from z22field.core import GaussianRational
+    return tuple(tuple(GaussianRational(v) for v in row) for row in rows)
+
+
+AUDIT_DEFECTS = {
+    "superfield_real": ("superfield", "reality_check",
+                        _reality_without_the_odd_i),
+    "degree_audit_clean": ("superfield", "degree_audit",
+                           _audit_swapping_degree),
+    "dimension_audit_clean": ("superfield", "dimension_audit",
+                              _audit_in_half_units),
+    "measure_invariance": ("action", "measure_factor",
+                           _measure_with_a_flipped_power),
+    "nilpotency": ("action", "nilpotency_report",
+                   _nilpotency_of_a_mixed_product),
+    "product_covariance": ("action", "product_covariance_report",
+                           _covariance_with_a_flipped_sign),
+    # gamma1 without its minus sign, and the spin part of the boost with
+    # the identity in place of sigma1
+    "clifford": ("action", "GAMMA1", _real_matrix(((0, 1), (1, 0)))),
+    "lorentz_spinors": ("action", "SIGMA1", _real_matrix(((1, 0), (0, 1)))),
+    "integration_map_half_A00": ("action", "berezin_layer",
+                                 _berezin_of_the_z_free_slot),
+}
+
+
+def test_every_verify_algebra_audit_has_a_defect(capsys):
+    assert main(["verify-algebra", "--format", "json"]) == 0
+    audits = json.loads(capsys.readouterr().out)["report"]["audits"]
+    assert sorted(audits) == sorted(AUDIT_DEFECTS)
+    assert all(audits.values())
+
+
+@pytest.mark.parametrize("key", list(AUDIT_DEFECTS))
+def test_a_defect_turns_its_verify_algebra_audit_false(key, monkeypatch,
+                                                       capsys):
+    module, name, defect = AUDIT_DEFECTS[key]
+    monkeypatch.setattr(importlib.import_module(f"z22field.{module}"), name,
+                        defect)
+    assert main(["verify-algebra", "--format", "json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["ok"] is False
+    audits = doc["report"]["audits"]
+    assert [k for k, ok in audits.items() if not ok] == [key]
+    for section in ("structure_constants", "jacobi", "variation_closure"):
+        assert set(doc["report"][section].values()) == {"ok"}, section
+
+
+def test_derive_lagrangian_fails_on_a_fermion_term_without_its_i(
+        monkeypatch, capsys):
+    # one term of the density loses its factor i: the audit's reality
+    # test turns the check false, with degree and dimension unchanged
+    from z22field import action
+    from z22field.core import QI
+    real = action.lagrangian
+
+    def lost_i(V=None, eliminate=False):
+        terms = dict(real(V, eliminate).terms)
+        mono = next(m for m, c in terms.items() if c._b)
+        terms[mono] = terms[mono] * -QI
+        return GradedExpr(terms)
+
+    monkeypatch.setattr(action, "lagrangian", lost_i)
+    argv = _certify_argv()["derive-lagrangian"]
+    assert main(argv) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["ok"] is False
+    audit = doc["report"]["audit"]
+    assert audit["ok"] is False and audit["real"] is False
+    assert audit["degree"] == [0, 0] and audit["dimension"] == "2"
+
+
 def test_json_output_is_deterministic(capsys):
     main(["verify-tables", "--format", "json"])
     first = capsys.readouterr().out
@@ -896,6 +1024,27 @@ def test_symbolic_text_output_matches_its_pinned_digest(command):
             == _pinned_digests(text=True)[command])
 
 
+def _cold_then_warm_digests(argv, capsys):
+    """The digests of argv's stdout from two `main` calls in this
+    interpreter: the first after every package cache is emptied, so it
+    fills them, the second reading what the first stored."""
+    from conftest import clear_package_caches
+    clear_package_caches()
+    digests = []
+    for _ in range(2):
+        assert main(argv) == 0
+        digests.append(
+            hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+    return digests
+
+
+@pytest.mark.parametrize("command", list(_pinned_digests()))
+def test_a_warm_certify_command_prints_its_pinned_output(command, capsys):
+    pinned = _pinned_digests()[command]
+    assert _cold_then_warm_digests(_certify_argv()[command],
+                                   capsys) == [pinned, pinned]
+
+
 # A degree-8 polynomial with zero, negative and fractional coefficients:
 # its pair series run to the eighth derivative.  Its check-potential and
 # sin's are also pinned at the series edges, truncation orders 0 and 6.
@@ -921,6 +1070,12 @@ def test_potential_output_matches_its_pinned_digest(command):
     assert list(pinned) == list(POTENTIAL_ARGV)
     stdout = _cold_cli_stdout(POTENTIAL_ARGV[command])
     assert hashlib.sha256(stdout).hexdigest() == pinned[command]
+
+
+def test_a_warm_potential_derive_prints_its_pinned_output(capsys):
+    pinned = _pinned_digests("potential_outputs.sha256")["derive-lagrangian"]
+    assert _cold_then_warm_digests(POTENTIAL_ARGV["derive-lagrangian"],
+                                   capsys) == [pinned, pinned]
 
 
 # The trigonometric kinds' outputs, JSON and LaTeX; the same argv writes

@@ -3,12 +3,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from z22field import (DEG00, DEG10, GaussianRational, GradedExpr, coord,
                       field, gexp, lagrangian, param, parse_potential, scalar)
 from z22field import derivations, variational
-from z22field.core import QI, QONE, pairjet, trig
+from z22field.core import FIELD_BASES, QI, QONE, pairjet, trig
 from z22field.core import parity
 from z22field.derivations import (OP_DEGREE, STRUCTURE, _ORDER,
                                   GeneratorDerivation, combine, jet_partial,
@@ -19,6 +19,7 @@ from z22field.expr import ONE_EXPR, _exp_degree
 from z22field.superfield import variation_table
 from z22field.variational import (SYMMETRIES, eliminated_variation,
                                   euler_lagrange, solved_forms)
+from test_graded_core import exprs as graded_exprs
 
 
 def test_structure_constants_all_relations():
@@ -289,15 +290,15 @@ def test_euler_lagrange_derivatives_match_the_three_product_form(
 
 
 @pytest.mark.parametrize("spec", [None, "cos", "poly:0,0,0,1"])
-def test_euler_lagrange_walks_match_again_on_warm_routes(spec, monkeypatch):
-    # the second call reads the routing table the first one filled
+def test_euler_lagrange_walks_match_again_on_a_warm_table(spec, monkeypatch):
+    # the second call replays the Leibniz terms the first one recorded
     V = parse_potential(spec) if spec else None
     lag = lagrangian(V, eliminate=True)
-    derivations._routes.cache_clear()
+    derivations._leibniz.cache_clear()
     cold = _euler_lagrange_calls(lag, monkeypatch)
-    hits = derivations._routes.cache_info().hits
+    hits = derivations._leibniz.cache_info().hits
     warm = _euler_lagrange_calls(lag, monkeypatch)
-    assert derivations._routes.cache_info().hits > hits
+    assert derivations._leibniz.cache_info().hits > hits
     _assert_walk_matches(warm)
     assert [list(out.terms.items()) for _, _, out in warm] == [
         list(out.terms.items()) for _, _, out in cold]
@@ -422,40 +423,117 @@ def _route_probe():
 def test_a_warm_walk_equals_a_cold_one():
     ders = (_FIRST_ORDER_PARTIALS + [total_t("x"), total_space("x")])
     e = _route_probe()
-    derivations._routes.cache_clear()
+    derivations._leibniz.cache_clear()
     cold = derivations.apply_many(ders, e)
-    assert derivations._routes.cache_info().currsize == 1
+    assert derivations._leibniz.cache_info().currsize == len(e.terms)
     warm = derivations.apply_many(list(ders), e)
-    assert derivations._routes.cache_info().hits == 1
+    assert derivations._leibniz.cache_info().hits == len(e.terms)
     assert [list(o.terms.items()) for o in warm] == [
         list(o.terms.items()) for o in cold]
     _assert_walk_matches(zip(ders, [e] * len(ders), warm))
 
 
-def test_the_route_memo_keeps_at_most_its_bound():
-    bound = derivations.ROUTE_TABLES
-    e = _route_probe()
-    derivations._routes.cache_clear()
-    tuples = [(total_t("x"), jet_partial(field("phi00", m, 0, "x")))
-              for m in range(bound + 3)]
-    for ders in tuples:
-        derivations.apply_many(ders, e)
-        assert derivations._routes.cache_info().currsize <= bound
-    assert derivations._routes.cache_info().currsize == bound
-    assert derivations._routes.cache_info().maxsize == bound
-    # the oldest tuples were dropped, and a walk of one rebuilds its table
-    misses = derivations._routes.cache_info().misses
-    again = derivations.apply_many(tuples[0], e)
-    assert derivations._routes.cache_info().misses == misses + 1
-    assert again == [d.apply(e) for d in tuples[0]]
+def test_the_leibniz_table_keeps_at_most_its_bound():
+    bound = derivations.LEIBNIZ_TERMS
+    dt = total_t("x")
+    phi = gexp(field("phi00", 0, 0, "x"))
+    # more distinct monomials than the table holds, in one expression
+    e = sum((scalar(GaussianRational(k % 5 - 2)) * phi
+             * gexp(coord("t"), k) for k in range(1, 2 * bound)
+             if k % 5 != 2), GradedExpr.zero())
+    assert len(e.terms) > bound
+    derivations._leibniz.cache_clear()
+    want = list(_three_product_apply(dt, e).terms.items())
+    for _ in range(2):
+        # the second walk meets each monomial after the table dropped it
+        assert list(dt.apply(e).terms.items()) == want
+        assert derivations._leibniz.cache_info().currsize == bound
+    assert derivations._leibniz.cache_info().maxsize == bound
+    # a walk of fewer monomials than the bound replays them all
+    head = GradedExpr(dict(list(e.terms.items())[:10]))
+    dt.apply(head)
+    hits = derivations._leibniz.cache_info().hits
+    assert list(dt.apply(head).terms.items()) == list(
+        _three_product_apply(dt, head).terms.items())
+    assert derivations._leibniz.cache_info().hits == hits + 10
+    assert derivations._leibniz.cache_info().currsize <= bound
 
 
-def test_clearing_the_package_caches_empties_the_route_memo():
+def test_clearing_the_package_caches_empties_the_leibniz_table():
     from conftest import clear_package_caches
     derivations.apply_many([total_t("x"), total_space("x")], _route_probe())
-    assert derivations._routes.cache_info().currsize >= 1
+    assert derivations._leibniz.cache_info().currsize >= 1
     clear_package_caches()
-    assert derivations._routes.cache_info().currsize == 0
+    assert derivations._leibniz.cache_info().currsize == 0
+
+
+# each kind of walk the engine runs, with expressions of its stage: the
+# total derivatives at both stages, jet partials, and the seven
+# superspace operators
+_FIRST_STAGE_WALKS = ([total_t("y"), total_space("y")]
+                      + [jet_partial(field(b, m, 0, "y")) for b, m in (
+                          ("phi00", 0), ("psi10", 0), ("lam10", 1))]
+                      + list(superspace_operators().values()))
+_SECOND_STAGE_WALKS = [total_t("x"), total_space("x"),
+                       jet_partial(field("phi11", 0, 0, "x")),
+                       jet_partial(field("psi01", 1, 0, "x"))]
+_table_exprs = st.one_of(graded_exprs(), _exprs)
+_table_walks = st.one_of(
+    st.tuples(graded_exprs(), st.sampled_from(_FIRST_STAGE_WALKS)),
+    st.tuples(_table_exprs, st.sampled_from(_SECOND_STAGE_WALKS)))
+_EL_PARTIALS = [jet_partial(field(b, m, n, "x")) for b in FIELD_BASES
+                for m, n in ((0, 0), (1, 0), (0, 1))]
+
+
+def _replayed(walk, monos):
+    """walk() run against a cleared Leibniz table, then again against
+    the table that run filled; the second run must find every one of
+    the `monos` monomials it walks."""
+    derivations._leibniz.cache_clear()
+    cold = walk()
+    hits = derivations._leibniz.cache_info().hits
+    warm = walk()
+    assert derivations._leibniz.cache_info().hits == hits + monos
+    return cold, warm
+
+
+# an odd derivation past an odd prefix (a sign bit), and a power whose
+# image has a coefficient (a factor e c)
+_SIGNED = gexp(coord("th01")) * gexp(field("psi10", 0, 0, "y")) * gexp(
+    coord("th10"))
+_SCALED = scalar(GaussianRational(2, -1)) * gexp(coord("z")) * gexp(
+    field("phi11", 0, 0, "y"), 3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_table_walks)
+@example((_SIGNED, superspace_operators()["D10"]))
+@example((_SIGNED, jet_partial(field("psi10", 0, 0, "y"))))
+@example((_SCALED, superspace_operators()["Q01"]))
+def test_a_warm_table_replays_what_a_cleared_one_gives(walk):
+    expr, d = walk
+    cold, warm = _replayed(lambda: list(d.apply(expr).terms.items()),
+                           len(expr.terms))
+    assert warm == cold
+    monos = list(expr.terms)
+    cold, warm = _replayed(lambda: [list(t.items())
+                                    for t in d.columns(monos)], len(monos))
+    assert warm == cold
+
+
+@settings(max_examples=40, deadline=None)
+@given(_table_exprs)
+@example(gexp(field("psi10", 0, 0, "x")) * gexp(field("lam10", 1, 0, "x"))
+         * gexp(field("phi00", 0, 1, "x"), 2))
+def test_a_warm_table_replays_the_euler_lagrange_partials(expr):
+    assert len(_EL_PARTIALS) == 24
+    cold, warm = _replayed(
+        lambda: [list(o.terms.items())
+                 for o in derivations.apply_many(_EL_PARTIALS, expr)],
+        len(expr.terms))
+    assert warm == cold
+    _assert_walk_matches(zip(_EL_PARTIALS, [expr] * 24,
+                             map(GradedExpr, map(dict, warm))))
 
 
 def test_constructors_are_cached_per_stage_or_generator():
