@@ -29,7 +29,8 @@ from .core import (DEG00, Degree, GaussianRational, QI, QONE, QZERO, coord,
 from .derivations import (apply_many, combine, jet_partial, partial_z,
                           rewrite_jets, solve_linear, superspace_operators,
                           total_space, total_t)
-from .expr import GradedExpr, gexp, parse, scalar
+from .expr import (_MASK_DEGREE, _MASK_PARITY, GradedExpr, gexp, parse,
+                   scalar)
 from .superfield import stage_map, superfield, theta_theta_layers
 
 # the functions that use `potential` import it, so a check that calls
@@ -303,8 +304,35 @@ def lorentz_spinor_report() -> dict:
 # ----------------------------------------------------------------------
 
 def lagrangian_audit(lag: GradedExpr) -> dict:
-    deg = lag.degree()
-    dim = lag.scaling_dim()
-    real = lag.is_real()
+    """`degree()`, `scaling_dim()` and `is_real()` of lag in one walk of
+    each monomial's factors, the rules of `expr._mono_mask`,
+    `_mono_dim_ratio` and `_mono_star_sign` restated inline: the star
+    sign's running mask ends as the degree mask, and () marks a mixed
+    dimension."""
+    masks, dim, real = set(), None, True
+    for mono, c in lag.terms.items():
+        s = seen = num = 0
+        k = 1
+        for g, e in mono:
+            gm, d2 = g.mask, g.dim2
+            if gm and e & 1:
+                s ^= _MASK_PARITY[gm & seen]
+                seen ^= gm
+            if d2:
+                if type(e) is int:
+                    num += e * d2 * k
+                else:
+                    num = num * e.denominator + e.numerator * d2 * k
+                    k *= e.denominator
+        masks.add(seen)
+        if dim is None:
+            dim = (num, 2 * k)
+        elif dim and num * dim[1] != dim[0] * 2 * k:
+            dim = ()
+        if c._a if s else c._b:
+            real = False
+    deg = (None if len(masks) > 1
+           else _MASK_DEGREE[masks.pop()] if masks else DEG00)
+    dim = Fraction(*dim) if dim else None
     return {"ok": deg == Degree(0, 0) and dim == Fraction(2) and real,
             "degree": deg, "dimension": dim, "real": real}

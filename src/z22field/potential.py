@@ -70,7 +70,8 @@ class FunctionSymbol:
         # a tuple, so the image memo below cannot go stale
         self.coeffs = tuple(coeffs)
         if kind == "poly":
-            self.name = "poly:" + ",".join(str(c) for c in self.coeffs)
+            # the zero polynomial too names a spec that parses back
+            self.name = "poly:" + (",".join(map(str, self.coeffs)) or "0")
         else:
             self.name = kind
         # closed forms of the pair and F-symbols, keyed by generator, and
@@ -263,13 +264,15 @@ def potential_components(V: FunctionSymbol, stage: str = "x",
     """Slot functions of V at the requested stage.
 
     Every kind comes back in closed form (`abstract` as its own pair
-    symbols); the trig closed form is accepted only after a term-by-term
-    comparison with the defining series at the requested order.
+    symbols): the images of pairjet(1, s, stage) that V keeps, the ones
+    `lagrangian(V)` specialises with, shared and never mutated.  The
+    trig closed form is accepted only after a term-by-term comparison
+    with the defining series at the requested order.
     """
     check_request(stage, truncation_order)
     p00, p11 = pairjet(1, 0, stage), pairjet(1, 1, stage)
-    v00 = specialize_potential(gexp(p00), V)
-    v11 = specialize_potential(gexp(p11), V)
+    image = gexp if V.kind == "abstract" else V.image
+    v00, v11 = image(p00), image(p11)
     if V.kind in _TRIG_KINDS:
         # recognize the closed form against the series it abbreviates
         ser = series_pair(V, stage, truncation_order)

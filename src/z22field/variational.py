@@ -39,8 +39,8 @@ from .core import (FIELD_BASES, QONE, QZERO, TRIG, GaussianRational,
                    trig_of)
 from .expr import (GradedExpr, _add_terms, _mono_mul, _mono_sort_token,
                    gexp, scalar)
-from .derivations import (apply_many, jet_partial, rewrite_jets,
-                          solve_linear, total_space, total_t)
+from .derivations import (GeneratorDerivation, apply_many, jet_partial,
+                          rewrite_jets, solve_linear, total_space, total_t)
 from .superfield import (PARAM_OF, VAR_NAMES, prolonged_derivation,
                          variation_table, variation_derivation)
 from .action import eliminate_auxiliary, lagrangian
@@ -60,22 +60,30 @@ _TIME_ORDER = {b: 2 if b in BOSONS else 1 for b in DYNAMICAL}
 # field equations
 # ----------------------------------------------------------------------
 
+@cache
+def _el_partials(bases: Tuple[str, ...]) -> Tuple[GeneratorDerivation, ...]:
+    """The jet partials d_f, d_{f_t}, d_{f_x} of each base, in order; keyed
+    by a subset of FIELD_BASES in its order, so 2^8 entries at most."""
+    return tuple(jet_partial(field(b, m, n, "x")) for b in bases
+                 for m, n in ((0, 0), (1, 0), (0, 1)))
+
+
 def euler_lagrange(lag: GradedExpr) -> Dict[str, GradedExpr]:
     """Rows E_f = d_f L - D_t d_{f_t} L - D_x d_{f_x} L.
 
-    One pass over the generators checks the order and finds the bases;
-    one walk takes all three jet partials of every base.
+    One pass over the distinct generators, in the order the terms first
+    meet them, checks the order and finds the bases; one walk takes the
+    three jet partials of every base, built once per tuple of bases.
     """
     found = set()
-    for g in lag.generators():
+    for g in dict.fromkeys([g for mono in lag.terms for g, _ in mono]):
         if g.kind == "field":
             if sum(g.jet) > 1:
                 raise ValueError(f"{g.name}: the density must be first order")
             if g.space == "x":
                 found.add(g.base)
-    bases = [b for b in FIELD_BASES if b in found]
-    parts = apply_many([jet_partial(field(b, m, n, "x")) for b in bases
-                        for m, n in ((0, 0), (1, 0), (0, 1))], lag)
+    bases = tuple(b for b in FIELD_BASES if b in found)
+    parts = apply_many(_el_partials(bases), lag)
     dt, dx = total_t("x"), total_space("x")
     return {b: parts[3 * k] - dt(parts[3 * k + 1]) - dx(parts[3 * k + 2])
             for k, b in enumerate(bases)}

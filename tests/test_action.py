@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from z22field import GradedExpr, coord, field, gexp, param, scalar
 from z22field.core import QI, GaussianRational, pairjet
@@ -18,6 +19,7 @@ from z22field.superfield import theta_theta_layers
 from z22field import action, derivations, variational
 
 from conftest import clear_package_caches
+from test_graded_core import _at_stage, _measure_powers, exprs
 
 
 # ----------------------------------------------------------------------
@@ -123,6 +125,35 @@ def test_the_reality_test_agrees_with_the_star(spec, eliminate):
     for bad in (scalar(QI) * lag, lag + scalar(QI) * gexp(
             field("psi10", 0, 0, "x")) * gexp(field("psi01", 0, 0, "x"))):
         assert not bad.is_real() and bad.star() != bad
+
+
+@given(st.lists(st.tuples(exprs(), st.lists(_measure_powers, max_size=2),
+                          st.sampled_from(("y", "x"))), max_size=3),
+       st.booleans())
+@example([], False)
+# y^(1/2) and x: one dimension over two denominators; y^(1/2) and x^2:
+# one numerator over two denominators, two dimensions
+@example([(scalar(1), [gexp(coord("y"), Fraction(1, 2))], "y"),
+          (gexp(coord("x")), [], "x")], False)
+@example([(scalar(1), [gexp(coord("y"), Fraction(1, 2))], "y"),
+          (gexp(coord("x"), 2), [], "x")], False)
+@settings(max_examples=150, deadline=None)
+def test_the_one_pass_audit_reads_what_the_three_readers_read(parts, real):
+    # both stages, fractional measure powers, mixed degrees and
+    # dimensions, and the zero expression
+    e = GradedExpr.zero()
+    for body, powers, stage in parts:
+        body = _at_stage(body, stage)
+        for p in powers:
+            body = body * p
+        e = e + body
+    if real:
+        e = e + e.star()
+    audit = lagrangian_audit(e)
+    want = (e.degree(), e.scaling_dim(), e.is_real())
+    assert (audit["degree"], audit["dimension"], audit["real"]) == want
+    assert type(audit["dimension"]) in (Fraction, type(None))
+    assert audit["ok"] == (want == ((0, 0), 2, True))
 
 
 def test_the_audit_refuses_an_imaginary_lagrangian():

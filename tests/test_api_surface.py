@@ -74,6 +74,7 @@ STAGE_MEMOS = {
     "action._component_lagrangian", "action.auxiliary_solution",
     "variational.field_equations", "variational.solved_forms",
     "variational._solved_split", "variational.eliminated_variation",
+    "variational._el_partials",
 }
 
 

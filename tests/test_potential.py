@@ -5,7 +5,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from z22field import GradedExpr, coord, field, gexp, lagrangian, scalar
 from z22field import potential, reference
@@ -205,6 +205,91 @@ def test_series_pair_rejects_a_negative_truncation_order():
     # would never return
     with pytest.raises(ValueError, match="truncation_order must be >= 0"):
         series_pair(parse_potential("cos"), truncation_order=-1)
+
+
+# a coefficient as a user may type it: zeros in every spelling, integers,
+# fractions, decimals and decimal exponents
+_COEFF_TEXTS = st.one_of(
+    st.sampled_from(["0", "-0", "+0", "0.0", "-0.0", "0e5", "-0E-3"]),
+    st.integers(-50, 50).map(str),
+    st.fractions(min_value=-9, max_value=9, max_denominator=7).map(str),
+    st.decimals(min_value=-99, max_value=99, places=3).map(str),
+    st.builds("{}e{}".format, st.integers(-9, 9), st.integers(-4, 4)))
+_POLY_TEXTS = st.builds(
+    lambda body, zeros: "poly:" + ",".join(body + zeros),
+    st.lists(_COEFF_TEXTS, min_size=1, max_size=8),
+    st.lists(st.sampled_from(["0", "-0", "0.00"]), max_size=3))
+
+
+@given(st.one_of(_POLY_TEXTS, st.sampled_from(["cos", "sin", "abstract"])))
+@example("poly:0")
+@example("poly:0,0")
+@example("poly:-0")
+@example("poly:1,0,-0")
+@settings(max_examples=150, deadline=None)
+def test_a_potential_name_parses_back(spec):
+    V = parse_potential(spec)
+    again = parse_potential(V.name)
+    assert (again.kind, again.coeffs, again.name) == (V.kind, V.coeffs,
+                                                      V.name)
+
+
+@pytest.mark.parametrize("spec", ["poly:0", "poly:0,0", "poly:-0",
+                                  "poly:0.0,-0e3"])
+def test_the_zero_polynomial_is_named_poly_0(spec):
+    V = parse_potential(spec)
+    assert V.coeffs == () and V.name == "poly:0"
+
+
+# ----------------------------------------------------------------------
+# the slot functions: the pair images V keeps
+# ----------------------------------------------------------------------
+
+def _assert_components_are_the_specialised_pair_symbols(spec, stage, order):
+    V = parse_potential(spec)
+    pair = potential_components(V, stage, order)
+    # a second instance: the specialisation reads no image V has built
+    fresh = parse_potential(spec)
+    for got, slot in ((pair.v00, 0), (pair.v11, 1)):
+        want = specialize_potential(gexp(pairjet(1, slot, stage)), fresh)
+        assert _same_terms_in_order(got, want), slot
+
+
+@pytest.mark.parametrize("order", range(7))
+@pytest.mark.parametrize("stage", ["y", "x"])
+@pytest.mark.parametrize("spec", ["cos", "sin", "abstract"])
+def test_named_components_are_the_specialised_pair_symbols(spec, stage,
+                                                           order):
+    _assert_components_are_the_specialised_pair_symbols(spec, stage, order)
+
+
+@given(st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=7),
+                min_size=1, max_size=9),
+       st.sampled_from(["y", "x"]), st.integers(0, 6))
+@settings(max_examples=80, deadline=None)
+def test_polynomial_components_are_the_specialised_pair_symbols(
+        coeffs, stage, order):
+    spec = "poly:" + ",".join(map(str, coeffs))
+    _assert_components_are_the_specialised_pair_symbols(spec, stage, order)
+
+
+@pytest.mark.parametrize("stage", ["y", "x"])
+def test_after_the_lagrangian_the_components_substitute_nothing(
+        stage, monkeypatch):
+    V = parse_potential("poly:0,1,-1/2,1/3,0,2")
+    lagrangian(V, eliminate=True)
+    calls = Counter()
+    original = GradedExpr.substitute
+
+    def counted(self, mapping):
+        calls["substitute"] += 1
+        return original(self, mapping)
+
+    monkeypatch.setattr(GradedExpr, "substitute", counted)
+    pair = potential_components(V, stage=stage, truncation_order=6)
+    assert calls == Counter()
+    assert pair.v00 is V.image(pairjet(1, 0, stage))
+    assert pair.v11 is V.image(pairjet(1, 1, stage))
 
 
 # ----------------------------------------------------------------------

@@ -30,6 +30,8 @@ from z22field.variational import (DYNAMICAL, FERMIONS, SYMMETRIES,
 from z22field.superfield import table_comparison_report
 from z22field import reference
 
+from conftest import clear_package_caches
+
 _half = scalar(Fraction(1, 2))
 
 
@@ -75,6 +77,24 @@ def test_euler_lagrange_rejects_a_second_order_factor_anywhere(jet):
         euler_lagrange(bad)
 
 
+def test_the_order_check_names_the_first_jet_the_terms_meet():
+    # two second-order jets, the first met in term order last in
+    # FIELD_BASES: the error names that one
+    first, second = field("lam01", 0, 2, "x"), field("phi00", 2, 0, "x")
+    bad = gexp(first) * _f("phi11") + gexp(second) * _f("psi10", 1, 0)
+    with pytest.raises(ValueError) as exc:
+        euler_lagrange(bad)
+    assert str(exc.value) == "lam01_xx: the density must be first order"
+    assert first.name == "lam01_xx"
+    # within one monomial, its canonical factor order decides
+    both = gexp(second) * gexp(first)
+    met = next(g for g in both.generators()
+               if g.kind == "field" and sum(g.jet) > 1)
+    with pytest.raises(ValueError) as exc:
+        euler_lagrange(both)
+    assert str(exc.value) == f"{met.name}: the density must be first order"
+
+
 # sha256 of the rows f"{b}={row}", sorted by base and joined by newlines,
 # of the auxiliary-eliminated Lagrangian
 _ROW_DIGESTS = {
@@ -97,6 +117,34 @@ def test_euler_lagrange_rows_match_their_pinned_digest(spec):
 
 # degree 8, with zero, negative and fractional coefficients
 _POLY8 = "poly:1,-2,3/4,0,5,-1/3,2,1/7,-3/2"
+
+
+# one spec per kind of the benchmark's derive requests, and the generic
+# Lagrangian
+_REQUEST_SPECS = [None, "cos", "sin", "poly:0,1/2,-1/3",
+                  "poly:1,0,-2,3/5", "poly:-1/2,2,0,1,-3/4",
+                  "poly:1,-1,1,-1,1,-1/7", "poly:2,0,0,1/3,0,0,-1",
+                  "poly:1/2,1,-3,0,2/3,0,1,5/2",
+                  "poly:1,-2,3/4,0,5,-1/3,2,1/7,-3/2"]
+
+
+def _row_terms(spec):
+    V = parse_potential(spec) if spec else None
+    rows = euler_lagrange(lagrangian(V, eliminate=True))
+    return {b: list(row.terms.items()) for b, row in rows.items()}
+
+
+@pytest.mark.parametrize("spec", _REQUEST_SPECS, ids=str)
+def test_euler_lagrange_rows_are_equal_warm_and_cold(spec):
+    clear_package_caches()
+    cold = _row_terms(spec)
+    before = variational._el_partials.cache_info()
+    warm = _row_terms(spec)
+    # the warm call takes its partials from the memo
+    assert variational._el_partials.cache_info().hits == before.hits + 1
+    assert list(warm) == list(cold) and warm == cold
+    clear_package_caches()
+    assert _row_terms(spec) == warm
 
 
 @pytest.mark.parametrize("spec", ["cos", "sin", "poly:0,0,1/2", _POLY8])
