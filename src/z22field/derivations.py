@@ -22,33 +22,27 @@ walk over its terms.  `apply` and `columns` walk one derivation: the
 first sums over the terms of an expression, the second keeps the image
 of each monomial of a list apart.  Each derivation memoises the image of
 every generator it has met, as a list of (monomial, coefficient, packed
-mask) triples (see `_ImageMemo`); generators are interned and finitely
-many, so the memo is keyed by generator only, never by an expression or
-a potential.  An action that raises stores nothing.
+mask) triples, in a `functools.cache` closure; generators are interned
+and finitely many, so the memo is keyed by generator only, never by an
+expression or a potential.  An action that raises stores nothing.
 
-Every walk is `_walk`, and it is a replay.  The Leibniz table,
-`_leibniz`, is a least-recently-used memo keyed by the tuple of
-derivation objects and one canonical monomial, and bounded at
-LEIBNIZ_TERMS pairs.  For each derivation index it holds the ordered
-Leibniz terms of that monomial with coefficient 1: the product
-monomial, the factor e c (None for a unit) and the sign bit.  A walk
-that meets a pair the table holds multiplies each stored term by the
+Every walk is `_walk`, and it is a replay.  For each derivation index,
+`_leibniz` returns the ordered Leibniz terms of one canonical monomial
+with coefficient 1: the product monomial, the factor e c (None for a
+unit) and the sign bit.  The walk multiplies each term by the
 monomial's coefficient, negates it where the bit says so, and adds it
-into that derivation's result in the stored order.  A walk that meets a
-new pair works its terms out factor by factor and records them as it
-adds them, so a pair is never replayed in the walk that records it.
-The table is never keyed by an expression or a potential: the
+into that derivation's result in order.  `_leibniz` is a pure function
+of the tuple of derivation objects and the monomial, so its
+least-recently-used cache, the Leibniz table, is bounded at
+LEIBNIZ_TERMS pairs, never goes stale and keeps nothing of a call that
+raises.  The table is never keyed by an expression or a potential: the
 specialised Lagrangians of 720 derive requests hold 37 642 terms but
 only 144 distinct monomials, so the monomials recur where the
 expressions do not.
 
-A new monomial routes each distinct generator once to the derivations
-with a nonzero image of it, so a factor that none of them moves costs
-one lookup; a walk of one derivation takes its memo, which holds each
-generator's route, as its routing table, and a walk of many fills a
-table of its own.  For the factor g**e of a monomial, with P the
-factors before it and R the monomial less one power of g, the Leibniz
-term of an image monomial m is
+For the factor g**e of a monomial, with P the factors before it and R
+the monomial less one power of g, the Leibniz term of an image monomial
+m is
 
     (-1)^(parity(deg D, deg P) + parity(deg m, deg P)) e c m*R,
 
@@ -56,13 +50,13 @@ one monomial merge per image term, and none when m or R is the empty
 monomial: a canonical monomial times 1 is itself.  The merge is
 `expr._mono_mul`, the ring's product table, keyed by the pair of
 monomials and bounded at `expr.PRODUCTS` pairs.  Each Leibniz term is
-added straight into that derivation's result by the rule of
-`_add_terms`, restated inline.  No two terms of one image give one
-product (m -> m*R is injective on the products that survive), so each
-result equals the three-product form prefix * D(g) * g**(e-1) * suffix
-term for term and in order.  The total derivatives, jet partials and
-coordinate partials are cached per stage name or generator, so their
-memos last for the whole process.
+added into that derivation's result by the rule of `_add_terms`,
+restated inline.  No two terms of one image give one product (m -> m*R
+is injective on the products that survive), so each result equals the
+three-product form prefix * D(g) * g**(e-1) * suffix term for term and
+in order.  The total derivatives, jet partials and coordinate partials
+are cached per stage name or generator, so their memos last for the
+whole process.
 """
 
 from __future__ import annotations
@@ -90,31 +84,6 @@ LEIBNIZ_TERMS = 1024
 # the derivation type
 # ----------------------------------------------------------------------
 
-class _ImageMemo(dict):
-    """generator -> the route [(0, [(monomial, coefficient, mask), ...])]
-    of one action, or [] where its image is zero, filled on the first
-    lookup of each generator; a walk of this derivation alone reads it
-    as its routing table.  The mask packs the degree of the derivation
-    plus that of the monomial, as in Generator.mask; a unit coefficient
-    is stored as None, so the walk skips its product."""
-
-    __slots__ = ("action", "dmask")
-
-    def __init__(self, action: Callable[[Generator], Optional[GradedExpr]],
-                 dmask: int):
-        super().__init__()
-        self.action = action
-        self.dmask = dmask
-
-    def __missing__(self, g: Generator) -> List[tuple]:
-        img = self.action(g)
-        terms = [] if img is None else [
-            (m, None if c == QONE else c, self.dmask ^ _mono_mask(m))
-            for m, c in img.terms.items()]
-        route = self[g] = [(0, terms)] if terms else []
-        return route
-
-
 class GeneratorDerivation:
     """Derivation given by a generator action plus graded Leibniz."""
 
@@ -123,7 +92,20 @@ class GeneratorDerivation:
         self.name = name
         self.degree = degree
         self.action = action
-        self._images = _ImageMemo(action, degree.a | degree.b << 1)
+        dmask = degree.a | degree.b << 1
+
+        @cache
+        def images(g: Generator) -> List[tuple]:
+            # the image of g as (monomial, coefficient, mask) triples, []
+            # where it is zero: the mask packs the degree of the
+            # derivation plus that of the monomial, as in Generator.mask;
+            # a unit coefficient is None, so the walk skips its product
+            img = action(g)
+            return [] if img is None else [
+                (m, None if c == QONE else c, dmask ^ _mono_mask(m))
+                for m, c in img.terms.items()]
+
+        self._images = images
 
     def __call__(self, expr: GradedExpr) -> GradedExpr:
         return self.apply(expr)
@@ -132,14 +114,12 @@ class GeneratorDerivation:
         return f"<GeneratorDerivation {self.name}>"
 
     def apply(self, expr: GradedExpr) -> GradedExpr:
-        return GradedExpr(
-            _walk(expr.terms.items(), self._images, (self,), [None])[0])
+        return GradedExpr(_walk(expr.terms.items(), (self,))[0])
 
     def columns(self, monos: Sequence[tuple]) -> List[dict]:
         """The terms of D(m) for each canonical monomial m, each equal to
         apply(GradedExpr({m: 1})).terms in value and order."""
-        return [_walk(((m, QONE),), self._images, (self,), [None])[0] or {}
-                for m in monos]
+        return [_walk(((m, QONE),), (self,))[0] or {} for m in monos]
 
 
 def apply_many(derivations: Sequence[GeneratorDerivation],
@@ -151,113 +131,82 @@ def apply_many(derivations: Sequence[GeneratorDerivation],
     derivations, so the next walk of the same tuple replays each
     monomial it has met.
     """
-    derivations = tuple(derivations)
-    # None until a derivation's first nonzero Leibniz term
-    outs = _walk(expr.terms.items(), {}, derivations,
-                 [None] * len(derivations))
-    return list(map(GradedExpr, outs))
+    return list(map(GradedExpr, _walk(expr.terms.items(),
+                                      tuple(derivations))))
 
 
 @lru_cache(maxsize=LEIBNIZ_TERMS)
 def _leibniz(derivations: Tuple[GeneratorDerivation, ...],
-             mono: tuple) -> list:
-    """The Leibniz table's slot for one canonical monomial under a tuple
-    of derivations: empty until `_walk` records into it, then one tuple
-    of (i, [(product, factor, sign), ...]), the ordered Leibniz terms of
-    coefficient 1 for each index i of a derivation that moves the
-    monomial.
+             mono: tuple) -> tuple:
+    """The ordered Leibniz terms of coefficient 1 of one canonical
+    monomial, as (i, [(product, factor, sign), ...]) for each index i of
+    a derivation that moves one of its generators, in the order of the
+    factors.
 
     Keyed by the derivation objects, which hash by identity, and the
     monomial, never by an expression or a potential; the terms are fixed
-    by the derivations' image memos, so a slot never goes stale.  The
+    by the derivations' image memos, so an entry never goes stale.  The
     least recently used of more than LEIBNIZ_TERMS pairs is dropped.
     """
-    return []
-
-
-def _walk(terms, routes: Dict[Generator, list],
-          derivations: Sequence[GeneratorDerivation],
-          outs: List[Optional[dict]]) -> List[Optional[dict]]:
-    """outs with the Leibniz terms of each (monomial, coefficient) of
-    terms under derivation i added to outs[i]: the one rule of every
-    walk.  A monomial the table holds is replayed; any other is walked
-    factor by factor from the derivations' image memos and recorded."""
-    for mono, c in terms:
-        plan = _leibniz(derivations, mono)
-        if plan:
-            for i, rec in plan[0]:
-                out = outs[i]
-                for prod, f, sign in rec:
-                    cc = c if f is None else c * f
-                    if sign:
-                        cc = -cc
-                    # the rule of `_add_terms`, inline: fed by a
-                    # generator, this loop ran about 7% slower
-                    if out is None:
-                        out = outs[i] = {prod: cc}
-                        continue
-                    acc = out.get(prod)
-                    if acc is not None:
-                        cc = acc + cc
-                    if cc._a or cc._b:
-                        out[prod] = cc
-                    elif acc is not None:
-                        del out[prod]
-            continue
-        # a new pair: its terms are worked out, added and recorded at once
-        recs: Dict[int, list] = {}
-        pmask = 0
-        for k, (g, e) in enumerate(mono):
-            route = routes.get(g)
-            if route is None:
-                # (index, image) of each derivation that moves g, in
-                # their order; a derivation alone keeps its own route
-                route = []
-                for i, d in enumerate(derivations):
-                    own = d._images[g]
-                    if own:
-                        route.append((i, own[0][1]))
-                routes[g] = route
-            if route:
+    recs: Dict[int, list] = {}
+    pmask = 0
+    for k, (g, e) in enumerate(mono):
+        rest = None
+        for i, d in enumerate(derivations):
+            img = d._images(g)
+            if not img:
+                continue
+            if rest is None:
                 # D(g^e) = e D(g) g^(e-1): g commutes with itself
                 # whenever its powers survive
                 if e == 1:
                     rest = mono[:k] + mono[k + 1:]
                 else:
                     rest = mono[:k] + ((g, e - 1),) + mono[k + 1:]
-            for i, img in route:
-                out = outs[i]
-                rec = recs.setdefault(i, [])
-                for m2, c2, mask in img:
-                    # an image term and a cut monomial are both
-                    # canonical, so an empty one needs no merge; a
-                    # jet partial's image is the empty monomial
-                    if m2 and rest:
-                        hit = _mono_mul(m2, rest)
-                        if hit is None:
-                            continue
-                        sign, prod = hit
-                    else:
-                        sign, prod = 0, m2 or rest
-                    f = c2 if e == 1 else e if c2 is None else c2 * e
-                    sign ^= _MASK_PARITY[mask & pmask]
-                    rec.append((prod, f, sign))
-                    cc = c if f is None else c * f
-                    if sign:
-                        cc = -cc
-                    if out is None:
-                        out = outs[i] = {prod: cc}
+            rec = recs.setdefault(i, [])
+            for m2, c2, mask in img:
+                # an image term and a cut monomial are both canonical, so
+                # an empty one needs no merge; a jet partial's image is
+                # the empty monomial
+                if m2 and rest:
+                    hit = _mono_mul(m2, rest)
+                    if hit is None:
                         continue
-                    acc = out.get(prod)
-                    if acc is not None:
-                        cc = acc + cc
-                    if cc._a or cc._b:
-                        out[prod] = cc
-                    elif acc is not None:
-                        del out[prod]
-            if type(e) is int and e & 1:
-                pmask ^= g.mask
-        plan.append(tuple(recs.items()))
+                    sign, prod = hit
+                else:
+                    sign, prod = 0, m2 or rest
+                f = c2 if e == 1 else e if c2 is None else c2 * e
+                rec.append((prod, f, sign ^ _MASK_PARITY[mask & pmask]))
+        if type(e) is int and e & 1:
+            pmask ^= g.mask
+    return tuple(recs.items())
+
+
+def _walk(terms, derivations: Tuple[GeneratorDerivation, ...]
+          ) -> List[Optional[dict]]:
+    """The Leibniz terms of each (monomial, coefficient) of terms under
+    derivation i added into result i, which stays None until its first
+    term: the one rule of every walk, a replay of `_leibniz`."""
+    outs: List[Optional[dict]] = [None] * len(derivations)
+    for mono, c in terms:
+        for i, rec in _leibniz(derivations, mono):
+            out = outs[i]
+            for prod, f, sign in rec:
+                cc = c if f is None else c * f
+                if sign:
+                    cc = -cc
+                # the rule of `_add_terms`, inline: fed by a generator,
+                # this loop ran about 7% slower
+                if out is None:
+                    out = outs[i] = {prod: cc}
+                    continue
+                acc = out.get(prod)
+                if acc is not None:
+                    cc = acc + cc
+                if cc._a or cc._b:
+                    out[prod] = cc
+                elif acc is not None:
+                    del out[prod]
     return outs
 
 
@@ -397,20 +346,14 @@ def jet_prolongation(table: Dict[str, GradedExpr], stage: str
     so the order in which they are applied does not change the result.
     """
     dt, dsp = total_t(stage), total_space(stage)
-    memo: Dict[Tuple[str, int, int], GradedExpr] = {}
 
+    @cache
     def jet(base: str, m: int, n: int) -> GradedExpr:
-        key = (base, m, n)
-        hit = memo.get(key)
-        if hit is None:
-            if m:
-                hit = dt.apply(jet(base, m - 1, n))
-            elif n:
-                hit = dsp.apply(jet(base, 0, n - 1))
-            else:
-                hit = table[base]
-            memo[key] = hit
-        return hit
+        if m:
+            return dt.apply(jet(base, m - 1, n))
+        if n:
+            return dsp.apply(jet(base, 0, n - 1))
+        return table[base]
 
     return jet
 
@@ -595,8 +538,6 @@ def bracket_residuals(ops: Dict[str, GeneratorDerivation],
         partners[b].add(a)
     first = {p: dict(zip(names, apply_many([ops[n] for n in names], e)))
              for p, e in probes.items()}
-    # each image walked by one tuple of ops for all probes in a row, so
-    # the walks of that tuple share one routing table
     second = {}
     for x in names:
         ys = [y for y in names if y in partners[x]]

@@ -60,7 +60,9 @@ PROFILES = {"zero": {}, "kink": {"v": 0.0, "x0": 0.0},
             "gaussian": {"amplitude": 0.01, "width": 1.0, "x0": 0.0},
             "two-field-kink": {"v": 0.0, "x0": 0.0}}
 
-# largest grid SimConfig accepts: 10^7 sites is 80 MB per field array
+# largest grid SimConfig accepts: at 10^7 sites each (2, N) array is
+# 160 MB, and a step allocates four of them besides the two state
+# arrays, about 1 GB in all
 MAX_SITES = 10 ** 7
 # longest run SimConfig accepts: `run` records two Python floats per step,
 # about 64 bytes, so 10^6 steps hold 64 MB of trajectory
@@ -281,14 +283,20 @@ def _laplacian(w: np.ndarray, cfg: SimConfig) -> np.ndarray:
     """3-point Laplacian along the last axis, in a fresh array."""
     lap = np.empty_like(w)
     np.add(w[..., 2:], w[..., :-2], out=lap[..., 1:-1])
-    if cfg.boundary == "periodic":
+    fixed = cfg.boundary == "fixed"
+    if fixed:
+        # the first and last site, written before the arithmetic below
+        # reads them: one strided view costs less than two index writes
+        ends = lap[..., ::lap.shape[-1] - 1]
+        ends[...] = 0.0
+    else:
         np.add(w[..., 1], w[..., -1], out=lap[..., 0])
         np.add(w[..., 0], w[..., -2], out=lap[..., -1])
     lap -= w
     lap -= w
     lap /= cfg.dx ** 2
-    if cfg.boundary == "fixed":
-        lap[..., 0] = lap[..., -1] = 0.0  # clamped ends stay put
+    if fixed:
+        ends[...] = 0.0  # clamped ends stay put
     return lap
 
 

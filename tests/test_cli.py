@@ -13,6 +13,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -869,6 +870,41 @@ def test_numerics_is_a_subcommand(capsys):
     assert rc == 0 and doc["ok"] is True
     checks = doc["report"]["checks"]
     assert len(checks) == 5 and all(v is True for v in checks.values())
+
+
+def _sine_scaled(force):
+    # the sine coefficient times 1.01: -0.005 alpha^2 sin 2w more
+    def scaled(w, cfg, s=None):
+        f = force(w, cfg, s)
+        f -= 0.005 * cfg.alpha ** 2 * np.sin(2.0 * w)
+        if cfg.boundary == "fixed":
+            f[..., 0] = f[..., -1] = 0.0
+        return f
+    return scaled
+
+
+def _v_squared(force):
+    # 0.01 v^2 on the v row: u and v no longer evolve alike
+    def skewed(w, cfg, s=None):
+        f = force(w, cfg, s)
+        f[1] += 0.01 * w[1] ** 2
+        if cfg.boundary == "fixed":
+            f[..., 0] = f[..., -1] = 0.0
+        return f
+    return skewed
+
+
+@pytest.mark.parametrize("check,defect", [
+    ("convergence_second_order", _sine_scaled),
+    ("energy_drift_bounded", _sine_scaled),
+    ("boosted_kink_position", _sine_scaled),
+    ("exchange_symmetry", _v_squared)])
+def test_a_defect_in_the_force_turns_its_numerics_check_false(
+        check, defect, monkeypatch):
+    from z22field import sim
+    monkeypatch.setattr(sim, "force", defect(sim.force))
+    ok, payload = cli.run_numerics(None)
+    assert not ok and payload["checks"][check] is False
 
 
 def test_report_all_forwards_the_potential(tmp_path, capsys):

@@ -254,8 +254,8 @@ def _assert_walk_matches(calls):
 
 def _euler_lagrange_calls(lag, monkeypatch):
     """(derivation, expression, result) of every derivation that enters a
-    walk while euler_lagrange runs: the routed walk of `apply_many` and
-    the one-derivation walk of `apply`."""
+    walk while euler_lagrange runs: the many-derivation walk of
+    `apply_many` and the one-derivation walk of `apply`."""
     calls = []
     original = derivations.apply_many
     original_apply = GeneratorDerivation.apply
@@ -414,7 +414,7 @@ def test_a_walk_asks_each_action_once_per_generator():
     assert len(seen) == 9
 
 
-def _route_probe():
+def _walk_probe():
     phi, psi = field("phi00", 0, 0, "x"), field("psi10", 1, 0, "x")
     return (gexp(phi, 3) * gexp(psi) + gexp(coord("x")) * gexp(phi)
             + gexp(pairjet(1, 0, "x")) * gexp(psi))
@@ -422,7 +422,7 @@ def _route_probe():
 
 def test_a_warm_walk_equals_a_cold_one():
     ders = (_FIRST_ORDER_PARTIALS + [total_t("x"), total_space("x")])
-    e = _route_probe()
+    e = _walk_probe()
     derivations._leibniz.cache_clear()
     cold = derivations.apply_many(ders, e)
     assert derivations._leibniz.cache_info().currsize == len(e.terms)
@@ -461,7 +461,7 @@ def test_the_leibniz_table_keeps_at_most_its_bound():
 
 def test_clearing_the_package_caches_empties_the_leibniz_table():
     from conftest import clear_package_caches
-    derivations.apply_many([total_t("x"), total_space("x")], _route_probe())
+    derivations.apply_many([total_t("x"), total_space("x")], _walk_probe())
     assert derivations._leibniz.cache_info().currsize >= 1
     clear_package_caches()
     assert derivations._leibniz.cache_info().currsize == 0
@@ -546,8 +546,11 @@ def test_constructors_are_cached_per_stage_or_generator():
 
 
 def test_a_raising_action_raises_again():
+    # and the walk it raised in leaves no entry in the Leibniz table
     dy = total_space("y")
     s11y = gexp(trig("S11y"))
+    size = derivations._leibniz.cache_info().currsize
     for _ in range(2):
         with pytest.raises(ValueError, match="explicit measure"):
             dy(s11y)
+        assert derivations._leibniz.cache_info().currsize == size

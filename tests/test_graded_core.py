@@ -917,7 +917,8 @@ _CANCEL_WALK = GradedExpr({((_T, 1),): QONE, ((_T, 1), (_Y, 1)): QONE,
 def test_a_walk_merges_one_and_several_term_images_by_the_one_rule(
         images, degree, expr):
     # images of one and of several terms merge straight into the
-    # result; apply, columns and a routed walk all match the reference
+    # result; apply, columns and a walk of two derivations all match the
+    # reference
     d = GeneratorDerivation("D", degree, images.get)
     assert list(d.apply(expr).terms.items()) == _reference_walk(
         images, degree, expr)

@@ -4,6 +4,7 @@ established independently before the integrator is trusted."""
 
 import math
 import tracemalloc
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -82,6 +83,37 @@ def test_laplacian_matches_the_three_point_stencil(boundary):
         if boundary == "periodic" or 0 < i < n - 1:
             want[i] = (phi[(i + 1) % n] - 2 * phi[i] + phi[i - 1]) / 0.01
     assert np.allclose(sim._laplacian(phi, cfg), want, rtol=0, atol=1e-12)
+
+
+def _poisoned(make):
+    """make, with every array it returns filled with 1e308."""
+    def make_poisoned(*args, **kwargs):
+        out = make(*args, **kwargs)
+        out.fill(1e308)
+        return out
+    return make_poisoned
+
+
+@pytest.mark.parametrize("boundary", sim.BOUNDARIES)
+@pytest.mark.parametrize("sites", [801, 7])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_step_reads_no_entry_before_writing_it(boundary, sites,
+                                                 monkeypatch):
+    # every fresh array sim takes from numpy holds 1e308, which
+    # overflows any arithmetic that reads an entry before it is written
+    # (a periodic grid leaves out its right end)
+    span = 0.05 * (sites - (boundary == "fixed"))
+    cfg = sim.SimConfig(dx=0.05, dt=0.01, x_min=-span / 2, x_max=span / 2,
+                        boundary=boundary, initial="two-field-kink",
+                        params={"v": 0.3})
+    assert len(sim.grid(cfg)) == sites
+    want = sim.step(sim.step(sim.init_profile(cfg), cfg), cfg)
+    poisoned = types.SimpleNamespace(**vars(np))
+    poisoned.empty = _poisoned(np.empty)
+    poisoned.empty_like = _poisoned(np.empty_like)
+    monkeypatch.setattr(sim, "np", poisoned)
+    got = sim.step(sim.step(sim.init_profile(cfg), cfg), cfg)
+    assert np.array_equal(got.w, want.w) and np.array_equal(got.p, want.p)
 
 
 def test_two_sine_force_matches_the_product_form():
