@@ -29,8 +29,7 @@ from .core import (DEG00, Degree, GaussianRational, QI, QONE, QZERO, coord,
 from .derivations import (apply_many, combine, jet_partial, partial_z,
                           rewrite_jets, solve_linear, superspace_operators,
                           total_space, total_t)
-from .expr import (_MASK_DEGREE, _MASK_PARITY, GradedExpr, gexp, parse,
-                   scalar)
+from .expr import _MASK_DEGREE, GradedExpr, _mono_reads, gexp, parse, scalar
 from .superfield import stage_map, superfield, theta_theta_layers
 
 # the functions that use `potential` import it, so a check that calls
@@ -304,30 +303,15 @@ def lorentz_spinor_report() -> dict:
 # ----------------------------------------------------------------------
 
 def lagrangian_audit(lag: GradedExpr) -> dict:
-    """`degree()`, `scaling_dim()` and `is_real()` of lag in one walk of
-    each monomial's factors, the rules of `expr._mono_mask`,
-    `_mono_dim_ratio` and `_mono_star_sign` restated inline: the star
-    sign's running mask ends as the degree mask, and () marks a mixed
-    dimension."""
+    """`degree()`, `scaling_dim()` and `is_real()` of lag from one
+    `expr._mono_reads` per monomial; () marks a mixed dimension."""
     masks, dim, real = set(), None, True
     for mono, c in lag.terms.items():
-        s = seen = num = 0
-        k = 1
-        for g, e in mono:
-            gm, d2 = g.mask, g.dim2
-            if gm and e & 1:
-                s ^= _MASK_PARITY[gm & seen]
-                seen ^= gm
-            if d2:
-                if type(e) is int:
-                    num += e * d2 * k
-                else:
-                    num = num * e.denominator + e.numerator * d2 * k
-                    k *= e.denominator
-        masks.add(seen)
+        mask, s, p, q = _mono_reads(mono)
+        masks.add(mask)
         if dim is None:
-            dim = (num, 2 * k)
-        elif dim and num * dim[1] != dim[0] * 2 * k:
+            dim = (p, q)
+        elif dim and p * dim[1] != dim[0] * q:
             dim = ()
         if c._a if s else c._b:
             real = False

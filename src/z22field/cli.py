@@ -396,6 +396,10 @@ CHECKS: List[Tuple[str, Callable]] = [
 
 def run_report_all(args) -> int:
     from . import __version__
+    from .potential import check_request, parse_potential
+    # bad input exits 2 before any check writes an artifact
+    _input(parse_potential, args.potential)
+    _input(check_request, "x", args.truncation)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []

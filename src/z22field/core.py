@@ -99,8 +99,6 @@ class GaussianRational:
             if other is None:
                 return NotImplemented
         d1, d2 = self._d, other._d
-        if d1 == d2:
-            return _reduced(self._a + other._a, self._b + other._b, d1)
         return _reduced(self._a * d2 + other._a * d1,
                         self._b * d2 + other._b * d1, d1 * d2)
 

@@ -70,8 +70,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .core import (DEG00, DEG01, DEG10, DEG11, FIELD_BASES, TRIG, Degree,
                    GaussianRational, Generator, QONE, QZERO, coord, field,
                    fjet, pairjet, parity, trig)
-from .expr import (_MASK_PARITY, ONE_EXPR, GradedExpr, _mono_mask,
-                   _mono_mul, gexp, parse, scalar)
+from .expr import (_MASK_PARITY, ONE_EXPR, GradedExpr, _mono_mul,
+                   _mono_reads, gexp, parse, scalar)
 
 # how many (derivation tuple, monomial) pairs keep their Leibniz terms
 # (see `_leibniz`): a 200-round derive stream meets 200 pairs in all, and
@@ -102,7 +102,7 @@ class GeneratorDerivation:
             # a unit coefficient is None, so the walk skips its product
             img = action(g)
             return [] if img is None else [
-                (m, None if c == QONE else c, dmask ^ _mono_mask(m))
+                (m, None if c == QONE else c, dmask ^ _mono_reads(m)[0])
                 for m, c in img.terms.items()]
 
         self._images = images

@@ -18,7 +18,9 @@ monomials, never by an expression or a potential, and bounded at
 PRODUCTS pairs.  The derivation walk's Leibniz table follows the same
 rule: it is keyed by a tuple of derivations and one canonical monomial
 and bounded at `derivations.LEIBNIZ_TERMS` pairs, so on a hit the walk
-makes no monomial merge at all.
+makes no monomial merge at all.  What the ring reads off one monomial,
+its degree mask, its star sign and its scaling dimension, comes from
+one walk of its factors, `_mono_reads`.
 
 Exponents are positive integers except on the measure coordinates y and x,
 which may carry arbitrary nonzero rationals (negative and fractional
@@ -38,7 +40,7 @@ from typing import Optional, Tuple, Union
 
 from .core import (_COORD_DATA, DEG00, DEG01, DEG10, DEG11, FIELD_BASES, QI,
                    QONE, TRIG, Y, ZC, Degree, GaussianRational, Generator,
-                   coord, field, fjet, pairjet, param, parity, ratio, trig)
+                   coord, field, fjet, pairjet, param, ratio, trig)
 
 Exponent = Union[int, Fraction]
 Monomial = Tuple[Tuple[Generator, Exponent], ...]
@@ -47,13 +49,6 @@ _RATIONAL_EXP_OK = frozenset({"y", "x"})
 
 # how many monomial pairs keep their product (see `_mono_mul`)
 PRODUCTS = 1024
-
-
-def _exp_degree(g: Generator, e: Exponent) -> Degree:
-    """Degree of g**e; fractional exponents only occur on (0,0) generators."""
-    if isinstance(e, int):
-        return g.degree if (e & 1) else DEG00
-    return DEG00
 
 
 def _normalize_exp(e: Exponent) -> Exponent:
@@ -145,7 +140,7 @@ def _mono_mul(m1: Monomial, m2: Monomial):
     elif i < n1:
         tail = m1[i:]
         if placed:
-            sign ^= _MASK_PARITY[_mono_mask(tail) & placed]
+            sign ^= _MASK_PARITY[_mono_reads(tail)[0] & placed]
         out.extend(tail)
 
     if z_seen:
@@ -219,26 +214,26 @@ def _add_products(terms: dict, items1, items2) -> dict:
     return terms
 
 
-def _mono_mask(m: Monomial) -> int:
-    """Degree of a monomial packed as a 2-bit mask, like Generator.mask."""
-    mask = 0
+def _mono_reads(m: Monomial) -> Tuple[int, int, int, int]:
+    """(mask, star_sign, p, q) of a monomial, in one walk of its factors.
+
+    mask packs its degree as Generator.mask does.  star_sign (0 or 1) is
+    the sign exponent of reversing its factor order: every pair of odd
+    factors swaps once, and as in `_mono_mul` a running mask of the odd
+    factors met so far stands in for the pairs; it ends as the degree
+    mask.  Even powers cross every factor evenly, and fractional
+    exponents only sit on (0,0) generators, mask 0.  p / q is its scaling
+    dimension exactly: generators carry twice their dimension as an int,
+    summed over the common denominator q = 2k, k the product of the
+    denominators of the rational exponents met so far.
+    """
+    mask = s = num = 0
+    k = 1
     for g, e in m:
-        # a fractional exponent only sits on a (0,0) generator, mask 0
         gm = g.mask
         if gm and e & 1:
+            s ^= _MASK_PARITY[gm & mask]
             mask ^= gm
-    return mask
-
-
-def _mono_dim_ratio(m: Monomial) -> Tuple[int, int]:
-    """Scaling dimension of a monomial as integers (p, q), exactly p / q.
-
-    Generators carry twice their dimension as an int, so the sum is kept
-    over the common denominator 2k, where k multiplies the denominators
-    of the rational exponents met so far (k = 1 for integer exponents).
-    """
-    num, k = 0, 1
-    for g, e in m:
         d2 = g.dim2
         if d2:
             if type(e) is int:
@@ -246,24 +241,7 @@ def _mono_dim_ratio(m: Monomial) -> Tuple[int, int]:
             else:
                 num = num * e.denominator + e.numerator * d2 * k
                 k *= e.denominator
-    return num, 2 * k
-
-
-def _mono_star_sign(m: Monomial) -> int:
-    """Sign exponent (0 or 1) for reversing the factor order of a monomial.
-
-    Every pair of odd factors swaps once; as in `_mono_mul`, a running
-    mask of the odd factors met so far stands in for the pairs.  Factors
-    with even exponent contribute e_i*e_j = even to every pair, and
-    fractional exponents only sit on (0,0) generators, whose mask is 0.
-    """
-    s = seen = 0
-    for g, e in m:
-        gm = g.mask
-        if gm and e & 1:
-            s ^= _MASK_PARITY[gm & seen]
-            seen ^= gm
-    return s
+    return mask, s, num, 2 * k
 
 
 def _mono_sort_token(m: Monomial):
@@ -378,7 +356,7 @@ class GradedExpr:
                                    for m in GradedExpr.gen(g, e * n).terms})
         if not n:
             return GradedExpr({(): QONE})
-        if n == 2 and all(_mono_mask(m) in (0, 3) for m in self.terms):
+        if n == 2 and all(_mono_reads(m)[0] in (0, 3) for m in self.terms):
             return self._commuting_square()
         # 1 * self is self, term for term and in order
         out = GradedExpr(dict(self.terms))
@@ -418,7 +396,7 @@ class GradedExpr:
         """Common Z2 x Z2 degree of all terms, None when mixed; zero -> (0,0)."""
         out = None
         for mono in self.terms:
-            m = _mono_mask(mono)
+            m = _mono_reads(mono)[0]
             if out is None:
                 out = m
             elif out != m:
@@ -429,7 +407,7 @@ class GradedExpr:
         """Common scaling dimension, None when mixed or zero."""
         out = None
         for mono in self.terms:
-            p, q = _mono_dim_ratio(mono)
+            _, _, p, q = _mono_reads(mono)
             if out is None:
                 out = (p, q)
             elif p * out[1] != out[0] * q:
@@ -441,20 +419,14 @@ class GradedExpr:
         terms = {}
         for mono, c in self.terms.items():
             cc = c.conj()
-            if _mono_star_sign(mono):
+            if _mono_reads(mono)[1]:
                 cc = -cc
             terms[mono] = cc
         return GradedExpr(terms)
 
     def is_real(self) -> bool:
-        """Whether self.star() == self, read term by term without building
-        the star: by the sign rule of `star`, a coefficient must be
-        imaginary where its monomial reverses with a sign and real
-        elsewhere, i.e. the other numerator of its triple is zero."""
-        for mono, c in self.terms.items():
-            if c._a if _mono_star_sign(mono) else c._b:
-                return False
-        return True
+        """Whether self.star() == self."""
+        return self.star() == self
 
     # -- substitution ----------------------------------------------------
 
@@ -491,29 +463,20 @@ class GradedExpr:
     def strip_left(self, g: Generator) -> "GradedExpr":
         """Write self = g * R (exactly) and return R.
 
-        Every term must contain g to the first power; the sign of moving g
-        out through the factors standing before it is accounted for.
+        Every term must contain g to the first power; g crosses the
+        factors standing before it with the swap sign of their degree.
         """
         terms = {}
         for mono, c in self.terms.items():
-            prefix_deg = DEG00
-            hit = False
-            rest = []
-            for gg, e in mono:
-                if gg is g:
-                    if e != 1:
-                        raise ValueError(f"{g.name} appears with exponent {e}")
-                    hit = True
-                    continue
-                if not hit:
-                    prefix_deg = prefix_deg + _exp_degree(gg, e)
-                rest.append((gg, e))
-            if not hit:
+            k = next((j for j, f in enumerate(mono) if f[0] is g), None)
+            if k is None:
                 raise ValueError(f"term lacks factor {g.name}: {mono}")
-            cc = c
-            if parity(g.degree, prefix_deg) & 1:
-                cc = -cc
-            terms[tuple(rest)] = cc
+            if mono[k][1] != 1:
+                raise ValueError(f"{g.name} appears with exponent "
+                                 f"{mono[k][1]}")
+            if _MASK_PARITY[g.mask & _mono_reads(mono[:k])[0]]:
+                c = -c
+            terms[mono[:k] + mono[k + 1:]] = c
         return GradedExpr(terms)
 
     def split_gen(self, g: Generator):

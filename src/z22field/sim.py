@@ -43,8 +43,8 @@ conserves up to a bounded oscillation, and `SimConfig` refuses a time
 step past the Verlet stability bound dt^2 (4/dx^2 + alpha^2) < 4, a
 t_end that `run` could not reach in whole steps of dt or only in more
 than MAX_STEPS of them, an alpha whose square overflows, a profile
-parameter its profile never reads or that is not finite, and a kink at
-a velocity |v| >= 1.
+parameter its profile never reads or that is not finite, a Gaussian of
+width 0, and a kink at a velocity |v| >= 1.
 """
 
 import math
@@ -153,6 +153,8 @@ class SimConfig:
             if not math.isfinite(self.params[name]):
                 raise ValueError(f"profile parameter {name} must be "
                                  f"finite, got {self.params[name]}")
+        if self.params.get("width") == 0.0:
+            raise ValueError("profile parameter width must not be 0")
         v = self.params.get("v", 0.0)
         if "v" in reads and abs(v) >= 1.0:
             raise ValueError(f"kink velocity v={v} of profile "
@@ -265,7 +267,9 @@ def init_profile(cfg: SimConfig) -> FieldState:
     if cfg.initial == "zero":
         fields = (zero, zero, zero, zero)
     elif cfg.initial == "gaussian":
-        bump = p["amplitude"] * np.exp(-((x - p["x0"]) / p["width"]) ** 2)
+        # a tiny width overflows the quotient to inf, and exp(-inf) = 0
+        with np.errstate(over="ignore"):
+            bump = p["amplitude"] * np.exp(-((x - p["x0"]) / p["width"]) ** 2)
         fields = (bump, zero, zero, zero)
     else:
         # a kink in phi00 alone, or the same kink in both fields

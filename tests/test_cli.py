@@ -21,6 +21,7 @@ import z22field
 from z22field import (GradedExpr, cli, lagrangian, parse_potential, potential,
                       reference)
 from z22field.cli import build_parser, build_sim_config, main
+from z22field.expr import parse
 
 
 def test_usage_error_exits_two():
@@ -325,6 +326,8 @@ def test_simulate_refuses_a_t_end_between_steps(capsys):
      "the initial energy is inf at alpha=1e+154"),
     (["--param", "v=2", "--t-end", "0"],
      "kink velocity v=2.0 of profile 'kink' must satisfy |v| < 1"),
+    (["--initial", "gaussian", "--param", "width=0"],
+     "profile parameter width must not be 0"),
 ])
 def test_simulate_rejects_bad_input_with_exit_two(argv, message, capsys):
     rc = main(["simulate", *argv])
@@ -559,6 +562,16 @@ def test_report_all_writes_manifest(tmp_path, capsys):
         assert artifact.read_text() == capsys.readouterr().out, row["check"]
 
 
+@pytest.mark.parametrize("bad", [["--potential", "bogus"],
+                                 ["--truncation", "999"]])
+def test_report_all_refuses_bad_input_before_any_check(bad, tmp_path,
+                                                       capsys):
+    out = tmp_path / "reports"
+    assert main(["report-all", "--out", str(out), *bad]) == 2
+    assert not out.exists()
+    assert bad[1] in capsys.readouterr().err
+
+
 _FERMION_ROWS = ("lam01", "lam10", "psi01", "psi10")
 
 
@@ -586,6 +599,37 @@ def test_check_examples_fails_when_an_erratum_flips_sign(
     monkeypatch.setattr(reference, "sg_eom_errata", lambda: {
         b: -e if b == row else e for b, e in real().items()})
     assert _trig_failures(capsys) == [row]
+
+
+def _flip(e: GradedExpr, term: str) -> GradedExpr:
+    """e with its term `term` (an x-stage text form) negated."""
+    t = parse(term, "x")
+    (mono, c), = t.terms.items()
+    assert e.terms.get(mono) == c, term
+    return e - t - t
+
+
+@pytest.mark.parametrize("name, row, term, failing", [
+    ("generic_eom", "psi10", "i*psi10_t", {"generic": ["psi10"]}),
+    ("quadratic_eom_printed", "phi11", "alpha^2*phi11",
+     {"quadratic": ["phi11"]}),
+    ("sg_reduced_eom", None, "alpha^2*C00*S00",
+     {"sine_gordon": ["phi00", "phi11"]}),
+])
+def test_check_examples_fails_when_a_displayed_sign_flips(
+        name, row, term, failing, monkeypatch, capsys):
+    real = getattr(reference, name)
+    broken = ((lambda: _flip(real(), term)) if row is None else
+              lambda: {b: _flip(e, term) if b == row else e
+                       for b, e in real().items()})
+    monkeypatch.setattr(reference, name, broken)
+    assert main(["check-examples", "--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)["report"]
+    # only the section whose display was broken loses rows
+    assert {sec: [b for b, e in rows.items()
+                  if not (e["exact"] or e.get("matches_erratum", False))]
+            for sec, rows in report.items()} == {
+        sec: failing.get(sec, []) for sec in report}
 
 
 def test_report_all_manifest_records_durations_versions_and_arguments(

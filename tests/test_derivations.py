@@ -15,11 +15,11 @@ from z22field.derivations import (OP_DEGREE, STRUCTURE, _ORDER,
                                   jet_prolongation, partial_coord,
                                   superspace_operators, total_space, total_t,
                                   verify_jacobi, verify_structure_constants)
-from z22field.expr import ONE_EXPR, _exp_degree
+from z22field.expr import ONE_EXPR
 from z22field.superfield import variation_table
 from z22field.variational import (SYMMETRIES, eliminated_variation,
                                   euler_lagrange, solved_forms)
-from test_graded_core import exprs as graded_exprs
+from test_graded_core import _exp_degree, exprs as graded_exprs
 
 
 def test_structure_constants_all_relations():

@@ -285,6 +285,17 @@ def test_config_rejects_a_parameter_its_profile_never_reads(
     assert str(exc.value) == message
 
 
+def test_a_gaussian_of_tiny_width_is_the_exact_bump():
+    # off the centre (x - x0) / width overflows to inf, and exp(-inf) = 0
+    cfg = sim.SimConfig(initial="gaussian", dx=0.5, x_min=-5.0, x_max=5.0,
+                        params={"width": 1e-320, "amplitude": 0.5},
+                        t_end=0.0)
+    x = sim.grid(cfg)
+    assert np.array_equal(sim.init_profile(cfg).w[0],
+                          np.where(x == 0.0, 0.5, 0.0))
+    assert (x == 0.0).sum() == 1
+
+
 def test_config_default_timestep():
     cfg = sim.SimConfig(dx=0.1)
     assert cfg.dt == pytest.approx(0.04)
